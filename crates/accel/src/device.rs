@@ -512,8 +512,8 @@ impl Device {
     /// the BLAS library's block loops, no DRAM access needed.
     ///
     /// Empty unless the device actually lowers convolutions through
-    /// im2col+GEMM ([`ConvBackend::Im2colGemm`]); the direct and sparse-CSC
-    /// backends issue no GEMM, so there is nothing to observe. Under
+    /// im2col+GEMM ([`ConvBackend::Im2colGemm`]); the sparse-CSC backend
+    /// issues no GEMM, so there is nothing to observe. Under
     /// [`Defence::NnRearch`] every dimension is rounded up to the schedule
     /// tile, which is exactly what the padded block loops expose.
     ///
@@ -1017,9 +1017,9 @@ mod tests {
         // Cached: the second call returns the same slice.
         assert_eq!(gemm.gemm_calls(), calls);
 
-        // Other backends issue no GEMM — nothing for the channel to see.
-        let direct = mk(AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::Direct));
-        assert!(direct.gemm_calls().is_empty());
+        // The CSC backend issues no GEMM — nothing for the channel to see.
+        let sparse = mk(AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::SparseCsc));
+        assert!(sparse.gemm_calls().is_empty());
 
         // NNReArch rounds every dimension up to the schedule tile.
         let mut cfg = AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::Im2colGemm);
@@ -1077,20 +1077,17 @@ mod tests {
                 AccelConfig::eyeriss_v2().with_conv_backend(backend),
             )
         };
-        let direct = mk(hd_tensor::ConvBackend::Direct);
         let gemm = mk(hd_tensor::ConvBackend::Im2colGemm);
         let sparse = mk(hd_tensor::ConvBackend::SparseCsc);
-        let dense_img = Tensor3::full(2, 8, 8, 0.5); // exercises both dense backends
+        let dense_img = Tensor3::full(2, 8, 8, 0.5); // exercises the GEMM path
         let mut stripe = Tensor3::zeros(2, 8, 8); // stripe probe: the sparse regime
         for y in 0..8 {
             stripe.set(0, y, 3, 1.0);
             stripe.set(1, y, 3, -1.0);
         }
         for img in [&dense_img, &stripe] {
-            assert_eq!(direct.run(img), gemm.run(img));
-            assert_eq!(direct.run(img), sparse.run(img));
-            assert_eq!(direct.encode_timings(img), gemm.encode_timings(img));
-            assert_eq!(direct.encode_timings(img), sparse.encode_timings(img));
+            assert_eq!(gemm.run(img), sparse.run(img));
+            assert_eq!(gemm.encode_timings(img), sparse.encode_timings(img));
         }
     }
 

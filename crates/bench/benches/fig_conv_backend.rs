@@ -1,9 +1,9 @@
 //! Bench for the convolution kernels: times every VGG-S conv layer shape
-//! under the `Direct` loop and the `Im2colGemm` backend — with the SIMD
-//! dispatcher on and forced to scalar — plus the INT8 `qconv2d` kernel,
-//! with dense and paper-style pruned weights. Asserts that the backends
-//! and both SIMD paths are bit-identical, and writes the wall-clock
-//! numbers to `BENCH_conv_gemm.json` at the repository root.
+//! under the `Im2colGemm` backend — with the SIMD dispatcher on and forced
+//! to scalar — plus the INT8 `qconv2d` kernel, with dense and paper-style
+//! pruned weights. Asserts (untimed) that the GEMM output is bit-identical
+//! to the `conv2d_reference` oracle and across both SIMD paths, and writes
+//! the wall-clock numbers to `BENCH_conv_gemm.json` at the repository root.
 //!
 //! ```text
 //! cargo bench -p hd-bench --bench fig_conv_backend
@@ -20,7 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hd_dnn::graph::{Op, ValueShape};
-use hd_tensor::conv::{conv2d, Conv2dCfg, ConvBackend};
+use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, ConvBackend};
 use hd_tensor::gemm::{gemm, GemmBlocking};
 use hd_tensor::qconv::{qconv2d, QConvParams};
 use hd_tensor::qtensor::{QTensor3, QTensor4, QuantParams};
@@ -249,14 +249,13 @@ fn bench(c: &mut Criterion) {
                 g = l;
             }
         }
-        Some(guard_measure(&g.name))
+        Some((g.name.clone(), guard_measure(&g.name)))
     };
 
     let mean = |ts: &[f64]| ts.iter().sum::<f64>() / ts.len() as f64;
     let mut rows = Vec::new();
     let mut kernel_rows = Vec::new();
-    let mut largest: Option<(usize, f64, String)> = None; // (weight count, speedup, layer)
-                                                          // Per-layer SIMD-over-scalar ratios of the bare GEMM kernel.
+    // Per-layer SIMD-over-scalar ratios of the bare GEMM kernel.
     let mut gemm_ratios = Vec::new();
 
     for (pos, layer) in layers.iter().enumerate() {
@@ -267,19 +266,14 @@ fn bench(c: &mut Criterion) {
                 pruned(&layer.weights, layer.sparsity, 0x5EED + pos as u64),
             ),
         ] {
-            let direct_cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same)
-                .with_backend(ConvBackend::Direct);
-            let gemm_cfg = direct_cfg.with_backend(ConvBackend::Im2colGemm);
+            let gemm_cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same)
+                .with_backend(ConvBackend::Im2colGemm);
             let (qx, qp) = quantize_workload(&layer.input, &weights, &gemm_cfg);
             let mut outputs: Vec<(bool, Tensor3, Vec<i8>)> = Vec::new();
 
             for simd_on in [true, false] {
                 simd::set_enabled(simd_on);
                 let tag = if simd_on { "simd" } else { "scalar" };
-                let (d_out, d_times) =
-                    timed(c, &format!("{}_{variant}_direct_{tag}", layer.name), || {
-                        conv2d(&layer.input, &weights, None, &direct_cfg)
-                    });
                 let (g_out, g_times) =
                     timed(c, &format!("{}_{variant}_gemm_{tag}", layer.name), || {
                         conv2d(&layer.input, &weights, None, &gemm_cfg)
@@ -288,33 +282,14 @@ fn bench(c: &mut Criterion) {
                     timed(c, &format!("{}_{variant}_int8_{tag}", layer.name), || {
                         qconv2d(&qx, &qp, &gemm_cfg)
                     });
-                assert_eq!(
-                    d_out.data(),
-                    g_out.data(),
-                    "backends diverged on {} ({variant}, {tag})",
-                    layer.name
-                );
-                let (d_ms, g_ms, q_ms) = (
-                    mean(&d_times) * 1e3,
-                    mean(&g_times) * 1e3,
-                    mean(&q_times) * 1e3,
-                );
-                let speedup = d_ms / g_ms;
+                let (g_ms, q_ms) = (mean(&g_times) * 1e3, mean(&q_times) * 1e3);
                 println!(
-                    "{} [{variant}, {tag}]: direct {d_ms:.3} ms, gemm {g_ms:.3} ms \
-                     ({speedup:.2}x), int8 {q_ms:.3} ms",
+                    "{} [{variant}, {tag}]: gemm {g_ms:.3} ms, int8 {q_ms:.3} ms",
                     layer.name
                 );
-                if simd_on && variant == "dense" {
-                    let wcount = weights.len();
-                    if largest.as_ref().is_none_or(|(n, _, _)| wcount > *n) {
-                        largest = Some((wcount, speedup, layer.name.clone()));
-                    }
-                }
                 rows.push(format!(
                     "    {{ \"layer\": \"{}\", \"weights\": \"{variant}\", \"simd\": {simd_on}, \
-                     \"direct_ms\": {d_ms:.3}, \"gemm_ms\": {g_ms:.3}, \"speedup\": {speedup:.3}, \
-                     \"int8_ms\": {q_ms:.3} }}",
+                     \"gemm_ms\": {g_ms:.3}, \"int8_ms\": {q_ms:.3} }}",
                     layer.name
                 ));
                 outputs.push((simd_on, g_out, q_out.data().to_vec()));
@@ -326,6 +301,15 @@ fn bench(c: &mut Criterion) {
             let [(_, g_simd, q_simd), (_, g_scalar, q_scalar)] = &outputs[..] else {
                 unreachable!("two SIMD modes benched");
             };
+            // Once per layer and variant, outside every timed region: the
+            // GEMM output must be bit-identical to the reference oracle.
+            let reference = conv2d_reference(&layer.input, &weights, None, &gemm_cfg);
+            assert_eq!(
+                reference.data(),
+                g_simd.data(),
+                "GEMM diverged from conv2d_reference on {} ({variant})",
+                layer.name
+            );
             assert_eq!(
                 g_simd.data(),
                 g_scalar.data(),
@@ -395,10 +379,8 @@ fn bench(c: &mut Criterion) {
 
     let geomean =
         (gemm_ratios.iter().map(|r| r.ln()).sum::<f64>() / gemm_ratios.len() as f64).exp();
-    let (_, largest_speedup, guard_layer) = largest.expect("at least one layer benched");
     println!(
-        "SIMD-over-scalar GEMM geomean {geomean:.2}x (ISA {}), largest-layer dense \
-         gemm-over-direct {largest_speedup:.2}x",
+        "SIMD-over-scalar GEMM geomean {geomean:.2}x (ISA {})",
         simd::active_isa()
     );
     if smoke {
@@ -406,12 +388,12 @@ fn bench(c: &mut Criterion) {
         println!("smoke mode: skipping BENCH_conv_gemm.json");
         return;
     }
-    let (guard_gemm_ms, guard_int8_ms) = guard_baselines.expect("measured before the sweep");
+    let (guard_layer, (guard_gemm_ms, guard_int8_ms)) =
+        guard_baselines.expect("measured before the sweep");
     let json = format!(
         "{{\n  \"bench\": \"fig_conv_backend\",\n  \"victim\": \"VGG-S conv layer shapes\",\n  \
          \"smoke\": {smoke},\n  \"isa\": \"{isa}\",\n  \"simd_available\": {avail},\n  \
          \"gemm_simd_speedup_geomean\": {geomean:.3},\n  \
-         \"largest_layer_dense_speedup\": {largest_speedup:.3},\n  \
          \"guard_layer\": \"{guard_layer}\",\n  \
          \"guard_gemm_ms\": {guard_gemm_ms:.3},\n  \"guard_int8_ms\": {guard_int8_ms:.3},\n  \
          \"results_bit_identical\": true,\n  \"gemm_kernel\": [\n{}\n  ],\n  \

@@ -15,19 +15,11 @@
 //! [`hd_bench::experiments::render_matrix`] on every run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hd_bench::experiments::{prune_matrix_cells, render_matrix, MATRIX_WIDTH};
+use hd_bench::experiments::{backend_label, prune_matrix_cells, render_matrix, MATRIX_WIDTH};
 use hd_bench::Scale;
 use std::time::Instant;
 
 const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prune_matrix.json");
-
-fn backend_tag(b: hd_tensor::ConvBackend) -> &'static str {
-    match b {
-        hd_tensor::ConvBackend::Direct => "direct",
-        hd_tensor::ConvBackend::Im2colGemm => "im2col-gemm",
-        hd_tensor::ConvBackend::SparseCsc => "sparse-csc",
-    }
-}
 
 fn bench(_c: &mut Criterion) {
     let smoke = std::env::var("HD_BENCH_SMOKE").is_ok();
@@ -53,7 +45,7 @@ fn bench(_c: &mut Criterion) {
                 c.model.name(),
                 c.mode.name(),
                 c.defence,
-                backend_tag(c.backend),
+                backend_label(c.backend),
                 c.probes_used,
                 c.geometry_correct,
                 c.geometry_total,

@@ -22,8 +22,8 @@ pub use glb::glb_bound_table;
 pub use observability::observability_table;
 pub use prober_exp::prober_table;
 pub use prune_matrix::{
-    cross_backend_agreement, prune_matrix, prune_matrix_cells, render_matrix, MatrixCell,
-    MATRIX_WIDTH,
+    backend_label, cross_backend_agreement, prune_matrix, prune_matrix_cells, render_matrix,
+    MatrixCell, MATRIX_WIDTH,
 };
 pub use quantized::{
     f32_int8_recovery_agreement, quantized_cells, quantized_table, render_quantized, QuantCell,

@@ -53,9 +53,9 @@ impl MatrixCell {
     }
 }
 
-fn backend_name(b: ConvBackend) -> &'static str {
+/// The matrix's label for a conv backend (table column and JSON field).
+pub fn backend_label(b: ConvBackend) -> &'static str {
     match b {
-        ConvBackend::Direct => "direct",
         ConvBackend::Im2colGemm => "im2col-gemm",
         ConvBackend::SparseCsc => "sparse-csc",
     }
@@ -85,20 +85,13 @@ pub fn prune_matrix_cells(scale: Scale) -> Vec<MatrixCell> {
         Scale::Smoke | Scale::Fast => &[Model::VggS],
         Scale::Full => &Model::BOTH,
     };
-    let backends: &[ConvBackend] = match scale {
-        Scale::Smoke => &[ConvBackend::Direct, ConvBackend::SparseCsc],
-        Scale::Fast | Scale::Full => &[
-            ConvBackend::Direct,
-            ConvBackend::Im2colGemm,
-            ConvBackend::SparseCsc,
-        ],
-    };
+    let backends = [ConvBackend::Im2colGemm, ConvBackend::SparseCsc];
     let defences = defences(scale);
     let mut cells = Vec::new();
     for &model in models {
         for mode in PruneMode::DEFAULTS {
             for (label, defence) in &defences {
-                for &backend in backends {
+                for backend in backends {
                     let cfg = AccelConfig::eyeriss_v2()
                         .with_defence(defence.clone())
                         .with_conv_backend(backend);
@@ -154,7 +147,7 @@ pub fn render_matrix(cells: &[MatrixCell]) -> Table {
             c.model.name().to_string(),
             c.mode.name(),
             c.defence.clone(),
-            backend_name(c.backend).to_string(),
+            backend_label(c.backend).to_string(),
             c.probes_used.to_string(),
             format!("{}/{}", c.geometry_correct, c.geometry_total),
         ]);
@@ -222,7 +215,7 @@ mod tests {
 
     #[test]
     fn table_renders_one_row_per_cell() {
-        let cells: Vec<MatrixCell> = [ConvBackend::Direct, ConvBackend::SparseCsc]
+        let cells: Vec<MatrixCell> = [ConvBackend::Im2colGemm, ConvBackend::SparseCsc]
             .into_iter()
             .map(|backend| MatrixCell {
                 model: Model::VggS,
@@ -252,6 +245,9 @@ mod tests {
             geometry_correct: 13,
             geometry_total: 13,
         };
-        cross_backend_agreement(&[mk(ConvBackend::Direct, 9), mk(ConvBackend::SparseCsc, 10)]);
+        cross_backend_agreement(&[
+            mk(ConvBackend::Im2colGemm, 9),
+            mk(ConvBackend::SparseCsc, 10),
+        ]);
     }
 }

@@ -472,7 +472,7 @@ impl ObservationModel for GemmDims<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_accel::{AccelConfig, Trace, TraceSink};
+    use hd_accel::{AccelConfig, TraceSink};
     use hd_dnn::graph::{NetworkBuilder, Params};
     use hd_tensor::ConvBackend;
 
@@ -574,7 +574,7 @@ mod tests {
         b.conv(x, 4, 3, 1);
         let net = b.build();
         let params = Params::init(&net, 1);
-        let cfg = AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::Direct);
+        let cfg = AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::SparseCsc);
         let dev = Device::new(net, params, cfg);
         let err = GemmDims::new(&dev).observe(&image(&dev)).unwrap_err();
         assert!(matches!(err, ObserveError::ChannelUnavailable(_)), "{err}");

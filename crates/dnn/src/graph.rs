@@ -309,32 +309,20 @@ impl Network {
     /// Panics if the input shape does not match the network's declared input
     /// shape, or if parameters are missing for a weighted node.
     pub fn forward(&self, params: &Params, input: &Tensor3) -> ForwardTrace {
-        self.forward_with(params, input, ConvBackend::default())
+        self.forward_with_policy(
+            params,
+            input,
+            ConvBackend::default(),
+            BackendPolicy::default(),
+        )
     }
 
-    /// Runs the network with an explicit convolution backend.
+    /// [`Network::forward`] with an explicit convolution backend and
+    /// kernel-dispatch policy.
     ///
-    /// Backends are bit-identical (see `hd_tensor::gemm` and
-    /// `hd_tensor::csc_conv`), so this only changes wall-clock time, never
-    /// the trace contents.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Network::forward`].
-    pub fn forward_with(
-        &self,
-        params: &Params,
-        input: &Tensor3,
-        backend: ConvBackend,
-    ) -> ForwardTrace {
-        self.forward_with_policy(params, input, backend, BackendPolicy::default())
-    }
-
-    /// [`Network::forward_with`] with an explicit kernel-dispatch policy.
-    ///
-    /// The policy moves work between bit-identical kernels (CSC scatter vs
-    /// dense backends), so like the backend choice it never changes the
-    /// trace contents.
+    /// Both move work between kernels that are bit-identical to
+    /// `hd_tensor::conv::conv2d_reference` (CSC scatter vs im2col + GEMM),
+    /// so they change wall-clock time, never the trace contents.
     ///
     /// # Panics
     ///
@@ -1082,9 +1070,14 @@ mod tests {
         let mut input = Tensor3::zeros(3, 8, 8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         input.fill_uniform(&mut rng, 0.1, 1.0);
-        let direct = net.forward_with(&params, &input, ConvBackend::Direct);
-        let gemm = net.forward_with(&params, &input, ConvBackend::Im2colGemm);
-        for (a, b) in direct.traces.iter().zip(&gemm.traces) {
+        let gemm = net.forward(&params, &input);
+        let sparse = net.forward_with_policy(
+            &params,
+            &input,
+            ConvBackend::SparseCsc,
+            BackendPolicy::default(),
+        );
+        for (a, b) in gemm.traces.iter().zip(&sparse.traces) {
             for (x, y) in a.out.flat().iter().zip(b.out.flat()) {
                 assert!(x.to_bits() == y.to_bits(), "{x} vs {y}");
             }

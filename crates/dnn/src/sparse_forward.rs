@@ -18,8 +18,8 @@
 //! # Bit-identity
 //!
 //! The recomputed columns run the exact kernels (and accumulation orders) of
-//! [`Network::forward_with`]; the copied columns are bit-equal to a full
-//! recomputation because their inputs are bit-equal to the baseline's and
+//! [`Network::forward_with_policy`]; the copied columns are bit-equal to a
+//! full recomputation because their inputs are bit-equal to the baseline's and
 //! every op is column-local (batch-norm shifts and biases are absorbed by
 //! the baseline rather than widening the interval). The resulting
 //! [`ForwardTrace`] is therefore bit-identical to the ordinary forward pass
@@ -193,8 +193,9 @@ impl Network {
     /// Runs the network through `cache`, recomputing only the columns that
     /// can differ from the cached zero-input baseline.
     ///
-    /// Bit-identical to [`Network::forward_with`] under any backend; the
-    /// narrower the input's nonzero-column interval, the larger the saving.
+    /// Bit-identical to [`Network::forward_with_policy`] under any backend;
+    /// the narrower the input's nonzero-column interval, the larger the
+    /// saving.
     ///
     /// # Panics
     ///
@@ -503,11 +504,17 @@ mod tests {
         let net = b.build();
         let params = pruned_params(&net, 11);
         let cache = ForwardCache::build(&net, &params, BackendPolicy::default());
-        for (i, img) in probe_images(3, 12, 12, 5).iter().enumerate() {
-            let want = net.forward_with(&params, img, ConvBackend::Direct);
-            let got = net.forward_cached(&params, img, &cache);
+        for img in probe_images(3, 12, 12, 5) {
+            let want = net.forward(&params, &img);
+            let sparse = net.forward_with_policy(
+                &params,
+                &img,
+                ConvBackend::SparseCsc,
+                BackendPolicy::default(),
+            );
+            assert_traces_bit_identical(&want, &sparse);
+            let got = net.forward_cached(&params, &img, &cache);
             assert_traces_bit_identical(&want, &got);
-            let _ = i;
         }
     }
 
@@ -532,7 +539,7 @@ mod tests {
         let params = pruned_params(&net, 23);
         let cache = ForwardCache::build(&net, &params, BackendPolicy::default());
         for img in probe_images(3, 16, 16, 17) {
-            let want = net.forward_with(&params, &img, ConvBackend::Im2colGemm);
+            let want = net.forward(&params, &img);
             let got = net.forward_cached(&params, &img, &cache);
             assert_traces_bit_identical(&want, &got);
         }
@@ -553,7 +560,7 @@ mod tests {
                 img.set(ch, y, 7, if (ch + y) % 2 == 0 { 0.75 } else { -0.5 });
             }
         }
-        let want = net.forward_with(&params, &img, ConvBackend::default());
+        let want = net.forward(&params, &img);
         let got = net.forward_cached(&params, &img, &cache);
         assert_traces_bit_identical(&want, &got);
     }

@@ -280,22 +280,19 @@ fn lock_discipline(
                     line: t[i].line,
                 });
             } else if !guards.is_empty()
-                && is_sentinel_call(t, i)
                 && !in_tests(excluded, t[i].line)
-            {
-                push_guard_violation(fu, t, i, &guards, out);
-            } else if !guards.is_empty()
-                && t[i].kind == TokenKind::Ident
-                && text(t, i + 1) == "("
-                && text(t, i.wrapping_sub(1)) != "fn"
-                // Name-based resolution is only trustworthy for free calls
-                // and `self.`/`pool.` method calls; an arbitrary receiver's
-                // `.map(...)` is usually an iterator, not the pool.
-                && (text(t, i.wrapping_sub(1)) != "."
-                    || matches!(text(t, i.wrapping_sub(2)), "self" | "pool"))
-                && ws.is_blocking(krate, t[i].text.as_str())
-                && !SENTINELS.contains(&t[i].text.as_str())
-                && !in_tests(excluded, t[i].line)
+                && (is_sentinel_call(t, i)
+                    || (t[i].kind == TokenKind::Ident
+                        && text(t, i + 1) == "("
+                        && text(t, i.wrapping_sub(1)) != "fn"
+                        // Name-based resolution is only trustworthy for free
+                        // calls and `self.`/`pool.` method calls; an arbitrary
+                        // receiver's `.map(...)` is usually an iterator, not
+                        // the pool.
+                        && (text(t, i.wrapping_sub(1)) != "."
+                            || matches!(text(t, i.wrapping_sub(2)), "self" | "pool"))
+                        && ws.is_blocking(krate, t[i].text.as_str())
+                        && !SENTINELS.contains(&t[i].text.as_str())))
             {
                 push_guard_violation(fu, t, i, &guards, out);
             }
@@ -420,8 +417,9 @@ fn binding_name(t: &[Token], body_start: usize, i: usize) -> Option<String> {
 /// mutex pair; when a crate acquires the same two mutexes in both orders,
 /// every site of the minority direction is an inconsistency.
 fn lock_order_audit(files: &[FileUnit]) -> Vec<Violation> {
-    // (krate, outer, inner) -> acquisition sites.
-    let mut pairs: BTreeMap<(String, String, String), Vec<(String, u32, u32)>> = BTreeMap::new();
+    // (krate, outer, inner) -> acquisition sites (file, outer line, inner line).
+    type Sites = Vec<(String, u32, u32)>;
+    let mut pairs: BTreeMap<(String, String, String), Sites> = BTreeMap::new();
     for fu in files {
         let krate = crate_of(&fu.rel).to_string();
         let excluded = test_regions(&fu.lexed.tokens);

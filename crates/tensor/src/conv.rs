@@ -16,17 +16,17 @@ pub enum Padding {
     Valid,
 }
 
-/// Compute backend used by [`conv2d`] once the shared sparse-input CSC fast
-/// path has declined the inference.
+/// Compute backend used by [`conv2d`].
 ///
-/// All backends are bit-identical (see the accumulation-order contracts in
-/// [`crate::gemm`] and [`crate::csc_conv`]), so traces and timings derived
-/// from the outputs do not depend on this choice.
+/// Both backends are bit-identical to [`conv2d_reference`] (see the
+/// accumulation-order contracts in [`crate::gemm`] and
+/// [`crate::csc_conv`]), so traces and timings derived from the outputs do
+/// not depend on this choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ConvBackend {
-    /// Naive zero-skipping loop nest (the original reference kernel).
-    Direct,
-    /// im2col lowering + cache-blocked GEMM ([`crate::im2col`]).
+    /// im2col lowering + cache-blocked GEMM ([`crate::im2col`]) for dense
+    /// inputs; sparse inputs and sparse weights still take the CSC scatter
+    /// and the compacted-tap loop.
     #[default]
     Im2colGemm,
     /// Input-stationary sparse × sparse scatter over CSC-compacted weights
@@ -36,10 +36,9 @@ pub enum ConvBackend {
 }
 
 impl ConvBackend {
-    /// Parses a CLI-style backend name (`direct` / `gemm` / `sparse`).
+    /// Parses a CLI-style backend name (`gemm` / `sparse`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "direct" => Some(ConvBackend::Direct),
             "gemm" | "im2col" | "im2col-gemm" => Some(ConvBackend::Im2colGemm),
             "sparse" | "csc" | "sparse-csc" => Some(ConvBackend::SparseCsc),
             _ => None,
@@ -50,7 +49,6 @@ impl ConvBackend {
 impl std::fmt::Display for ConvBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            ConvBackend::Direct => "direct",
             ConvBackend::Im2colGemm => "gemm",
             ConvBackend::SparseCsc => "sparse",
         })
@@ -68,7 +66,7 @@ pub struct BackendPolicy {
     /// Input nnz-density (permille) below which every backend takes the
     /// input-stationary CSC scatter path (probe images, deep post-ReLU maps).
     pub input_density_threshold: u16,
-    /// Weight nnz-density (permille) below which the dense backends switch
+    /// Weight nnz-density (permille) below which the GEMM backend switches
     /// to the compacted-tap kernel (heavily pruned victim layers).
     pub weight_density_threshold: u16,
     /// Whether a device may auto-upgrade sparse-input inferences to
@@ -165,11 +163,16 @@ pub fn same_pad(input: usize, kernel: usize, stride: usize) -> usize {
     total / 2
 }
 
-/// Direct 2-D convolution: `out[k, p, q] = sum_{c,r,s} in[c, p*stride+r-pad, q*stride+s-pad] * w[k,c,r,s] (+ bias[k])`.
+/// 2-D convolution: `out[k, p, q] = sum_{c,r,s} in[c, p*stride+r-pad, q*stride+s-pad] * w[k,c,r,s] (+ bias[k])`.
 ///
 /// Zero-valued weights and activations are skipped, mirroring the
 /// zero-skipping datapath of a two-sided sparse accelerator; the numeric
 /// result is identical to the dense computation.
+///
+/// The kernel is chosen from the operands: a sparse input (or
+/// [`ConvBackend::SparseCsc`]) takes the CSC scatter, sparse weights the
+/// compacted-tap loop, and everything else im2col + GEMM. Every path
+/// accumulates in the order of [`conv2d_reference`], the test oracle.
 ///
 /// # Panics
 ///
@@ -207,11 +210,10 @@ pub fn conv2d(input: &Tensor3, weight: &Tensor4, bias: Option<&[f32]>, cfg: &Con
 
     // Probe images and post-ReLU activations of pruned networks are mostly
     // zero; scattering from the non-zero inputs is then far cheaper than
-    // either dense backend. Shared by all backends so the choice below
-    // cannot regress sparse probe inferences. The SparseCsc backend takes
-    // this kernel unconditionally — that is what it is.
-    let nnz = input.nnz();
-    if cfg.backend == ConvBackend::SparseCsc || cfg.policy.input_is_sparse(nnz, input.shape().len())
+    // the GEMM. The SparseCsc backend takes this kernel unconditionally —
+    // that is what it is.
+    if cfg.backend == ConvBackend::SparseCsc
+        || cfg.policy.input_is_sparse(input.nnz(), input.shape().len())
     {
         return crate::csc_conv::conv2d_sparse_csc(input, weight, bias, cfg);
     }
@@ -219,96 +221,18 @@ pub fn conv2d(input: &Tensor3, weight: &Tensor4, bias: Option<&[f32]>, cfg: &Con
     // Extremely pruned weights (paper victims sit near 99% sparsity):
     // iterating only the surviving taps costs `out_pixels x nnz(W)`, which
     // beats even the blocked GEMM (whose cost stays near-dense once most
-    // tap positions are live in *some* filter). Shared by both dense
-    // backends.
-    let weight_nnz = weight.nnz();
-    if cfg.policy.weight_is_sparse(weight_nnz, weight.len()) {
+    // tap positions are live in *some* filter).
+    if cfg.policy.weight_is_sparse(weight.nnz(), weight.len()) {
         return conv2d_sparse_weights(input, weight, bias, cfg);
     }
 
-    if cfg.backend == ConvBackend::Im2colGemm {
-        return crate::im2col::conv2d_im2col_gemm(input, weight, bias, cfg);
-    }
-
-    // Moderately pruned weights, direct backend only: GEMM handles this
-    // density range faster, but the reference loop still skips zeros.
-    if weight_nnz * 3 < weight.len() {
-        return conv2d_sparse_weights(input, weight, bias, cfg);
-    }
-
-    if cfg.stride == 1 {
-        return conv2d_direct_rowwise(input, weight, bias, cfg);
-    }
-    conv2d_reference(input, weight, bias, cfg)
-}
-
-/// Stride-1 direct kernel accumulating whole output rows: for each
-/// `(k, p)` the accumulator row starts at the bias and every surviving
-/// weight tap contributes one masked [`crate::simd::axpy_nonzero`] over
-/// the valid output-x run. Per output element the additions happen in
-/// ascending `(c, r, s)` order with the same zero-skipping tests as
-/// [`conv2d_reference`], so the result is bit-identical on both the
-/// vector and scalar dispatch paths.
-fn conv2d_direct_rowwise(
-    input: &Tensor3,
-    weight: &Tensor4,
-    bias: Option<&[f32]>,
-    cfg: &Conv2dCfg,
-) -> Tensor3 {
-    debug_assert_eq!(cfg.stride, 1);
-    let out_h = conv_out_dim(input.h(), weight.r(), 1, cfg.padding);
-    let out_w = conv_out_dim(input.w(), weight.s(), 1, cfg.padding);
-    let (pad_y, pad_x) = match cfg.padding {
-        Padding::Same => (
-            same_pad(input.h(), weight.r(), 1),
-            same_pad(input.w(), weight.s(), 1),
-        ),
-        Padding::Valid => (0, 0),
-    };
-    let (in_h, in_w) = (input.h(), input.w());
-    let in_data = input.data();
-    let mut out = Tensor3::zeros(weight.k(), out_h, out_w);
-    let out_data = out.data_mut();
-    for k in 0..weight.k() {
-        let b = bias.map_or(0.0, |b| b[k]);
-        for p in 0..out_h {
-            let acc_row = &mut out_data[(k * out_h + p) * out_w..][..out_w];
-            acc_row.fill(b);
-            for c in 0..input.c() {
-                for r in 0..weight.r() {
-                    let iy = (p + r) as isize - pad_y as isize;
-                    if iy < 0 || iy >= in_h as isize {
-                        continue;
-                    }
-                    let in_row = &in_data[(c * in_h + iy as usize) * in_w..][..in_w];
-                    for s in 0..weight.s() {
-                        let wv = weight.at(k, c, r, s);
-                        if wv == 0.0 {
-                            continue; // weight zero-skipping
-                        }
-                        // Valid output-x range: 0 <= q + s - pad_x < in_w.
-                        let q_lo = pad_x.saturating_sub(s);
-                        let q_hi = (in_w + pad_x).saturating_sub(s).min(out_w);
-                        if q_lo >= q_hi {
-                            continue;
-                        }
-                        let x_lo = q_lo + s - pad_x;
-                        crate::simd::axpy_nonzero(
-                            &mut acc_row[q_lo..q_hi],
-                            &in_row[x_lo..x_lo + (q_hi - q_lo)],
-                            wv,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    out
+    crate::im2col::conv2d_im2col_gemm(input, weight, bias, cfg)
 }
 
 /// The reference dense loop nest, with no dispatch: always computes
-/// `out[k, p, q] = bias[k] + sum taps in ascending (c, r, s) order`. Every
-/// other kernel in the crate is tested bit-identical against this one.
+/// `out[k, p, q] = bias[k] + sum taps in ascending (c, r, s) order`. It is
+/// the single forward oracle: every other kernel in the crate is tested
+/// against this one.
 pub fn conv2d_reference(
     input: &Tensor3,
     weight: &Tensor4,
@@ -472,16 +396,26 @@ pub fn conv2d_input_grad(
     grad_in
 }
 
-/// Gradient of a convolution with respect to its weights.
+/// Gradient of a convolution with respect to its weights, via
+/// [`crate::im2col::conv2d_weight_grad_gemm`].
 pub fn conv2d_weight_grad(
     grad_out: &Tensor3,
     input: &Tensor3,
     kernel: (usize, usize),
     cfg: &Conv2dCfg,
 ) -> Tensor4 {
-    if cfg.backend != ConvBackend::Direct {
-        return crate::im2col::conv2d_weight_grad_gemm(grad_out, input, kernel, cfg);
-    }
+    crate::im2col::conv2d_weight_grad_gemm(grad_out, input, kernel, cfg)
+}
+
+/// The reference weight-gradient loop nest: accumulates over output pixels
+/// in ascending `(p, q)` order. The oracle for
+/// [`crate::im2col::conv2d_weight_grad_gemm`].
+pub fn conv2d_weight_grad_reference(
+    grad_out: &Tensor3,
+    input: &Tensor3,
+    kernel: (usize, usize),
+    cfg: &Conv2dCfg,
+) -> Tensor4 {
     let (kr, ks) = kernel;
     let (pad_y, pad_x) = match cfg.padding {
         Padding::Same => (
@@ -696,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_weight_path_matches_direct() {
+    fn sparse_weight_path_matches_reference() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(91);
@@ -704,20 +638,19 @@ mod tests {
         x.fill_uniform(&mut rng, -1.0, 1.0);
         let mut w = Tensor4::zeros(4, 3, 3, 3);
         w.init_he(&mut rng);
-        // Prune 80% so the sparse-weight path triggers inside conv2d.
+        // Prune 80%: the compacted tap list is a fifth of the filter.
         for (i, v) in w.data_mut().iter_mut().enumerate() {
             if i % 5 != 0 {
                 *v = 0.0;
             }
         }
+        let bias = [0.5, -0.5, 0.0, 1.0];
         for (stride, padding) in [(1, Padding::Same), (2, Padding::Same), (1, Padding::Valid)] {
             let c = cfg(stride, padding);
-            let fast = conv2d(&x, &w, Some(&[0.5, -0.5, 0.0, 1.0]), &c);
-            let direct = conv2d_sparse_weights(&x, &w, Some(&[0.5, -0.5, 0.0, 1.0]), &c);
-            assert_eq!(fast.shape(), direct.shape());
-            for (a, b) in fast.data().iter().zip(direct.data()) {
-                assert!((a - b).abs() <= 1e-5 * (1.0 + a.abs()), "{a} vs {b}");
-            }
+            let taps = conv2d_sparse_weights(&x, &w, Some(&bias), &c);
+            let reference = conv2d_reference(&x, &w, Some(&bias), &c);
+            assert_eq!(taps.shape(), reference.shape());
+            assert_eq!(taps.data(), reference.data());
         }
     }
 
@@ -776,7 +709,6 @@ mod tests {
     #[test]
     fn backend_parse_and_display_roundtrip() {
         for (name, backend) in [
-            ("direct", ConvBackend::Direct),
             ("gemm", ConvBackend::Im2colGemm),
             ("sparse", ConvBackend::SparseCsc),
         ] {
@@ -784,6 +716,7 @@ mod tests {
             assert_eq!(backend.to_string(), name);
         }
         assert_eq!(ConvBackend::parse("csc"), Some(ConvBackend::SparseCsc));
+        assert_eq!(ConvBackend::parse("direct"), None);
         assert_eq!(ConvBackend::parse("nope"), None);
     }
 

@@ -10,7 +10,7 @@
 //!
 //! # Bit-identity contract
 //!
-//! [`conv2d_csc`] reproduces [`crate::conv::conv2d`]'s `Direct` backend
+//! [`conv2d_csc`] reproduces [`crate::conv::conv2d_reference`]
 //! bit-for-bit: for every output element the surviving contributions are
 //! accumulated in ascending `(c, r, s)` tap order starting from the bias.
 //! Walking input pixels in ascending `(c, y, x)` guarantees that order,
@@ -141,8 +141,8 @@ impl CscWeights {
 ///   zero-input baseline trace). Untouched output columns are copied from
 ///   `base`; columns reachable from `in_span` are recomputed from scratch.
 ///
-/// Under either contract the result is bit-identical to running the direct
-/// loop nest over the full map.
+/// Under either contract the result is bit-identical to running the
+/// reference loop nest over the full map.
 ///
 /// # Panics
 ///
@@ -209,7 +209,7 @@ pub fn conv2d_csc(
     }
 
     // Reset the recomputed columns to the bias so accumulation starts from
-    // the same value as the direct loop's `acc = bias[k]`.
+    // the same value as the reference loop's `acc = bias[k]`.
     let plane = out_h * out_w;
     {
         let data = out.data_mut();
@@ -389,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_direct_bitwise_on_random_shapes() {
+    fn matches_reference_bitwise_on_random_shapes() {
         let mut rng = StdRng::seed_from_u64(0xC5C);
         for case in 0..40u64 {
             let (c, h, w) = (
@@ -415,8 +415,7 @@ mod tests {
             }
             let weight = pruned_weights(k, c, kr, kr, 0.5, 0xBEEF + case);
             let bias: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let cfg =
-                Conv2dCfg::new(stride, padding).with_backend(crate::conv::ConvBackend::Direct);
+            let cfg = Conv2dCfg::new(stride, padding);
             let want = crate::conv::conv2d_reference(&x, &weight, Some(&bias), &cfg);
             let got = conv2d_sparse_csc(&x, &weight, Some(&bias), &cfg);
             assert_eq!(want.shape(), got.shape(), "case {case}");

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! regardless of the blocking parameters. The conv backends rely on this to
-//! produce results bit-identical to the direct loop nest (which makes the
+//! produce results bit-identical to the reference loop nest (which makes the
 //! simulator's DRAM traces and encode timings backend-invariant).
 
 pub use crate::simd::{MR, NR};

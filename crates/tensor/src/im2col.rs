@@ -15,9 +15,9 @@
 //! * **filter-row skipping** — an output channel whose filter is entirely
 //!   pruned is excluded from `A`, and its output plane is just the bias.
 //!
-//! Both reductions drop exactly the terms the direct loop nest skips, so
-//! the result stays bit-identical to [`crate::conv::conv2d`]'s direct
-//! backend (see the determinism contract in [`crate::gemm`]).
+//! Both reductions drop exactly the terms the reference loop nest skips, so
+//! the result stays bit-identical to [`crate::conv::conv2d_reference`] (see
+//! the determinism contract in [`crate::gemm`]).
 
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
 use crate::gemm::{gemm, GemmBlocking};
@@ -214,8 +214,7 @@ fn gather_tap(
 }
 
 /// im2col + blocked-GEMM convolution. Semantics (and, by the accumulation
-/// order contract, bit patterns) match the direct backend of
-/// [`crate::conv::conv2d`].
+/// order contract, bit patterns) match [`crate::conv::conv2d_reference`].
 pub fn conv2d_im2col_gemm(
     input: &Tensor3,
     weight: &Tensor4,
@@ -298,9 +297,9 @@ pub fn conv2d_im2col_gemm(
 }
 
 /// Weight gradient via GEMM: `dW (K x CRS) = dOut (K x PQ) · Patchesᵀ (PQ x
-/// CRS)`. Bit-identical to the direct loop of
-/// [`crate::conv::conv2d_weight_grad`] (the shared dimension is walked in
-/// ascending `(p, q)` order on both paths).
+/// CRS)`. Bit-identical to the loop nest of
+/// [`crate::conv::conv2d_weight_grad_reference`] (the shared dimension is
+/// walked in ascending `(p, q)` order on both paths).
 pub fn conv2d_weight_grad_gemm(
     grad_out: &Tensor3,
     input: &Tensor3,
@@ -350,12 +349,12 @@ pub fn conv2d_weight_grad_gemm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{conv2d, ConvBackend};
+    use crate::conv::conv2d_reference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn cfg(stride: usize, padding: Padding, backend: ConvBackend) -> Conv2dCfg {
-        Conv2dCfg::new(stride, padding).with_backend(backend)
+    fn cfg(stride: usize, padding: Padding) -> Conv2dCfg {
+        Conv2dCfg::new(stride, padding)
     }
 
     fn dense_input(seed: u64, c: usize, h: usize, w: usize) -> Tensor3 {
@@ -366,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_direct_bitwise_dense() {
+    fn matches_reference_bitwise_dense() {
         let x = dense_input(5, 3, 9, 9);
         let mut w = Tensor4::zeros(5, 3, 3, 3);
         w.init_he(&mut StdRng::seed_from_u64(6));
@@ -378,20 +377,11 @@ mod tests {
             (1, Padding::Valid),
             (2, Padding::Valid),
         ] {
-            let direct = conv2d(
-                &x,
-                &w,
-                Some(&bias),
-                &cfg(stride, padding, ConvBackend::Direct),
-            );
-            let gemm = conv2d_im2col_gemm(
-                &x,
-                &w,
-                Some(&bias),
-                &cfg(stride, padding, ConvBackend::Im2colGemm),
-            );
-            assert_eq!(direct.shape(), gemm.shape());
-            for (a, b) in direct.data().iter().zip(gemm.data()) {
+            let c = cfg(stride, padding);
+            let reference = conv2d_reference(&x, &w, Some(&bias), &c);
+            let gemm = conv2d_im2col_gemm(&x, &w, Some(&bias), &c);
+            assert_eq!(reference.shape(), gemm.shape());
+            for (a, b) in reference.data().iter().zip(gemm.data()) {
                 assert!(
                     a.to_bits() == b.to_bits(),
                     "{a} vs {b} ({stride}, {padding:?})"
@@ -401,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn tap_and_row_skipping_match_direct() {
+    fn tap_and_row_skipping_match_reference() {
         let x = dense_input(11, 4, 7, 7);
         let mut w = Tensor4::zeros(6, 4, 3, 3);
         w.init_he(&mut StdRng::seed_from_u64(12));
@@ -415,14 +405,14 @@ mod tests {
         }
         assert_eq!(nonzero_taps(&w).len(), 4 * 9 - 1);
         let bias = [0.1f32; 6];
-        let c = cfg(1, Padding::Same, ConvBackend::Direct);
-        let direct = conv2d(&x, &w, Some(&bias), &c);
+        let c = cfg(1, Padding::Same);
+        let reference = conv2d_reference(&x, &w, Some(&bias), &c);
         let gemm = conv2d_im2col_gemm(&x, &w, Some(&bias), &c);
-        for (a, b) in direct.data().iter().zip(gemm.data()) {
+        for (a, b) in reference.data().iter().zip(gemm.data()) {
             assert!(a.to_bits() == b.to_bits(), "{a} vs {b}");
         }
         // The pruned filter's plane is exactly the bias.
-        let n = direct.h() * direct.w();
+        let n = reference.h() * reference.w();
         assert!(gemm.data()[3 * n..4 * n].iter().all(|&v| v == 0.1));
     }
 
@@ -430,7 +420,7 @@ mod tests {
     fn fully_pruned_weights_yield_bias_broadcast() {
         let x = dense_input(2, 2, 5, 5);
         let w = Tensor4::zeros(3, 2, 3, 3);
-        let c = cfg(1, Padding::Same, ConvBackend::Im2colGemm);
+        let c = cfg(1, Padding::Same);
         let y = conv2d_im2col_gemm(&x, &w, Some(&[1.0, 0.0, -2.0]), &c);
         assert!(y.data()[0..25].iter().all(|&v| v == 1.0));
         assert!(y.data()[25..50].iter().all(|&v| v == 0.0));
@@ -443,26 +433,21 @@ mod tests {
         let x = dense_input(3, 1, 2, 2);
         let mut w = Tensor4::zeros(2, 1, 3, 3);
         w.init_he(&mut StdRng::seed_from_u64(1));
-        let y = conv2d_im2col_gemm(
-            &x,
-            &w,
-            None,
-            &cfg(1, Padding::Valid, ConvBackend::Im2colGemm),
-        );
+        let y = conv2d_im2col_gemm(&x, &w, None, &cfg(1, Padding::Valid));
         assert_eq!((y.c(), y.h(), y.w()), (2, 0, 0));
     }
 
     #[test]
-    fn weight_grad_matches_direct_bitwise() {
-        use crate::conv::conv2d_weight_grad;
+    fn weight_grad_matches_reference_bitwise() {
+        use crate::conv::conv2d_weight_grad_reference;
         let x = dense_input(21, 3, 8, 8);
         for (stride, padding) in [(1, Padding::Same), (2, Padding::Same), (1, Padding::Valid)] {
-            let c_direct = cfg(stride, padding, ConvBackend::Direct);
+            let c = cfg(stride, padding);
             let g_h = conv_out_dim(8, 3, stride, padding);
             let g = dense_input(22, 4, g_h, g_h);
-            let direct = conv2d_weight_grad(&g, &x, (3, 3), &c_direct);
-            let viagemm = conv2d_weight_grad_gemm(&g, &x, (3, 3), &c_direct);
-            for (a, b) in direct.data().iter().zip(viagemm.data()) {
+            let reference = conv2d_weight_grad_reference(&g, &x, (3, 3), &c);
+            let viagemm = conv2d_weight_grad_gemm(&g, &x, (3, 3), &c);
+            for (a, b) in reference.data().iter().zip(viagemm.data()) {
                 assert!(a.to_bits() == b.to_bits(), "{a} vs {b}");
             }
         }
@@ -473,7 +458,7 @@ mod tests {
     /// dense, tap-pruned, row-pruned, fully-pruned, and zero-output cases.
     #[test]
     fn gemm_call_dims_mirror_the_real_gemm() {
-        let c1 = cfg(1, Padding::Same, ConvBackend::Im2colGemm);
+        let c1 = cfg(1, Padding::Same);
 
         // Dense: m = K, k = C·R·S, n = H·W under Same/stride-1.
         let mut w = Tensor4::zeros(5, 3, 3, 3);
@@ -493,7 +478,7 @@ mod tests {
         assert_eq!(g, GemmShape { m: 4, k: 26, n: 63 });
 
         // Stride shrinks n only: ceil(9/2)·ceil(7/2) = 5·4.
-        let c2 = cfg(2, Padding::Same, ConvBackend::Im2colGemm);
+        let c2 = cfg(2, Padding::Same);
         let g2 = gemm_call_dims(9, 7, &w, &c2).expect("strided conv issues a GEMM");
         assert_eq!((g2.m, g2.k, g2.n), (g.m, g.k, 20));
 
@@ -504,13 +489,13 @@ mod tests {
         // Zero-dim output (Valid padding, input smaller than kernel).
         let mut w2 = Tensor4::zeros(2, 1, 3, 3);
         w2.init_he(&mut StdRng::seed_from_u64(3));
-        let valid = cfg(1, Padding::Valid, ConvBackend::Im2colGemm);
+        let valid = cfg(1, Padding::Valid);
         assert_eq!(gemm_call_dims(2, 2, &w2, &valid), None);
     }
 
     #[test]
     fn geom_matches_conv_out_dim() {
-        let c = cfg(2, Padding::Same, ConvBackend::Im2colGemm);
+        let c = cfg(2, Padding::Same);
         let g = ConvGeom::of(9, 7, 3, 3, &c);
         assert_eq!(g.out_h, conv_out_dim(9, 3, 2, Padding::Same));
         assert_eq!(g.out_w, conv_out_dim(7, 3, 2, Padding::Same));

@@ -6,9 +6,10 @@
 //!
 //! * [`Tensor3`] — a single-sample activation map in `C x H x W` layout,
 //! * [`Tensor4`] — a convolution weight tensor in `K x C x R x S` layout,
-//! * [`conv`], [`pool`], [`norm`] — forward kernels; dense convolutions can
-//!   run on a direct loop nest or the [`im2col`] + blocked-[`gemm`] backend
-//!   (selected via [`ConvBackend`], bit-identical by construction),
+//! * [`conv`], [`pool`], [`norm`] — forward kernels; dense convolutions run
+//!   on the [`im2col`] + blocked-[`gemm`] backend, sparse ones on the
+//!   [`csc_conv`] scatter (selected via [`ConvBackend`], both bit-identical
+//!   to [`conv::conv2d_reference`] by construction),
 //! * [`sparse`] — bitmap / run-length / CSC transfer codecs that determine
 //!   exactly how many bytes cross the DRAM bus for a given tensor.
 //!

@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels for the convolution hot loops.
 //!
-//! The three f32 conv backends (blocked GEMM, CSC scatter, direct loop
-//! nest) and the INT8 quantized path all bottom out in a handful of small
+//! The f32 conv kernels (blocked GEMM, CSC scatter) and the INT8
+//! quantized path all bottom out in a handful of small
 //! kernels defined here. Each kernel has two implementations with
 //! *identical per-lane semantics*:
 //!

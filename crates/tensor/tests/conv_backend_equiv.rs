@@ -1,15 +1,17 @@
-//! Differential tests between the `Direct`, `Im2colGemm`, and `SparseCsc`
-//! convolution backends: random shapes, strides, paddings, bias on/off, and
-//! pruned weights, plus the edge cases that historically break im2col
-//! implementations (1x1 kernels, stride > kernel, inputs smaller than the
-//! kernel, zero-dimensional `Valid` outputs).
+//! Differential tests of the `Im2colGemm` and `SparseCsc` convolution
+//! backends against the `conv2d_reference` oracle: random shapes, strides,
+//! paddings, bias on/off, and pruned weights, plus the edge cases that
+//! historically break im2col implementations (1x1 kernels, stride >
+//! kernel, inputs smaller than the kernel, zero-dimensional `Valid`
+//! outputs).
 //!
-//! `SparseCsc` replays Direct's tap order exactly, so it is held to the
-//! stronger standard: bit-identical to `Direct` on *every* case here, not
-//! just the integer-valued ones.
+//! `SparseCsc` replays the reference's tap order exactly, so it is held to
+//! the stronger standard: bit-identical to the oracle on *every* case here,
+//! not just the integer-valued ones.
 
 use hd_tensor::conv::{
-    conv2d, conv2d_weight_grad, conv_out_dim, BackendPolicy, Conv2dCfg, ConvBackend, Padding,
+    conv2d, conv2d_reference, conv2d_weight_grad, conv2d_weight_grad_reference, conv_out_dim,
+    BackendPolicy, Conv2dCfg, ConvBackend, Padding,
 };
 use hd_tensor::{Tensor3, Tensor4};
 use proptest::prelude::*;
@@ -31,9 +33,10 @@ fn random_weights(seed: u64, k: usize, c: usize, kernel: usize) -> Tensor4 {
     w
 }
 
-/// Runs the same convolution on all three backends. The CSC result must be
-/// bit-identical to Direct (same tap order by construction); the pair
-/// returned is left for the caller's Direct-vs-GEMM tolerance check.
+/// Runs the same convolution on the oracle and both backends. The CSC
+/// result must be bit-identical to the oracle (same tap order by
+/// construction); the pair returned is left for the caller's
+/// oracle-vs-GEMM tolerance check.
 fn run_both(
     x: &Tensor3,
     w: &Tensor4,
@@ -41,30 +44,23 @@ fn run_both(
     stride: usize,
     padding: Padding,
 ) -> (Tensor3, Tensor3) {
-    let run = |backend| {
-        conv2d(
-            x,
-            w,
-            bias,
-            &Conv2dCfg::new(stride, padding).with_backend(backend),
-        )
-    };
-    let direct = run(ConvBackend::Direct);
-    let gemm = run(ConvBackend::Im2colGemm);
-    let sparse = run(ConvBackend::SparseCsc);
-    assert_eq!(direct.shape(), gemm.shape(), "backend shapes diverge");
-    assert_eq!(direct.shape(), sparse.shape(), "backend shapes diverge");
-    for (a, b) in direct.data().iter().zip(sparse.data()) {
+    let cfg = Conv2dCfg::new(stride, padding);
+    let reference = conv2d_reference(x, w, bias, &cfg);
+    let gemm = conv2d(x, w, bias, &cfg.with_backend(ConvBackend::Im2colGemm));
+    let sparse = conv2d(x, w, bias, &cfg.with_backend(ConvBackend::SparseCsc));
+    assert_eq!(reference.shape(), gemm.shape(), "backend shapes diverge");
+    assert_eq!(reference.shape(), sparse.shape(), "backend shapes diverge");
+    for (a, b) in reference.data().iter().zip(sparse.data()) {
         assert!(
             a.to_bits() == b.to_bits(),
-            "SparseCsc not bit-identical to Direct: {a} vs {b}"
+            "SparseCsc not bit-identical to the reference: {a} vs {b}"
         );
     }
-    (direct, gemm)
+    (reference, gemm)
 }
 
-fn assert_close(direct: &[f32], gemm: &[f32]) {
-    for (a, b) in direct.iter().zip(gemm) {
+fn assert_close(reference: &[f32], gemm: &[f32]) {
+    for (a, b) in reference.iter().zip(gemm) {
         assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "{a} vs {b}");
     }
 }
@@ -91,8 +87,8 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB1A5);
             (0..out_c).map(|_| rng.gen_range(-1.0..1.0)).collect()
         });
-        let (direct, gemm) = run_both(&x, &wt, bias.as_deref(), stride, padding);
-        assert_close(direct.data(), gemm.data());
+        let (reference, gemm) = run_both(&x, &wt, bias.as_deref(), stride, padding);
+        assert_close(reference.data(), gemm.data());
     }
 
     /// Pruned weights (random per-element and whole-filter pruning):
@@ -117,8 +113,8 @@ proptest! {
         for i in 0..per_filter {
             wt.data_mut()[2 * per_filter + i] = 0.0;
         }
-        let (direct, gemm) = run_both(&x, &wt, Some(&[0.5, -0.5, 0.25, 0.0, 1.0, -1.0]), stride, Padding::Same);
-        assert_close(direct.data(), gemm.data());
+        let (reference, gemm) = run_both(&x, &wt, Some(&[0.5, -0.5, 0.25, 0.0, 1.0, -1.0]), stride, Padding::Same);
+        assert_close(reference.data(), gemm.data());
     }
 
     /// Integer-valued inputs and weights: every product and sum is exactly
@@ -140,8 +136,8 @@ proptest! {
             *v = rng.gen_range(0u32..5) as f32 - 2.0; // integral, with zeros
         }
         let bias = [1.0f32, -2.0, 0.0, 3.0];
-        let (direct, gemm) = run_both(&x, &wt, Some(&bias), stride, padding);
-        for (a, b) in direct.data().iter().zip(gemm.data()) {
+        let (reference, gemm) = run_both(&x, &wt, Some(&bias), stride, padding);
+        for (a, b) in reference.data().iter().zip(gemm.data()) {
             prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} not exact");
         }
     }
@@ -177,7 +173,7 @@ proptest! {
         });
         // Sparse stripe ⇒ the default cfg auto-routes onto the CSC kernel.
         let fast = conv2d(&x, &wt, bias.as_deref(), &Conv2dCfg::new(stride, Padding::Same));
-        let reference = hd_tensor::conv::conv2d_reference(
+        let reference = conv2d_reference(
             &x, &wt, bias.as_deref(), &Conv2dCfg::new(stride, Padding::Same));
         prop_assert_eq!(fast.data(), reference.data(), "CSC must match the reference bit-for-bit");
         // Zeroed thresholds pin GEMM onto the dense path despite the sparse input.
@@ -195,8 +191,8 @@ proptest! {
 
     /// N:M-patterned weights (per-M-group along the input-channel axis at
     /// every fixed (k, r, s), keep the top-N magnitudes): the structured
-    /// zero pattern the sparse-victim matrix deploys. All three backends
-    /// must agree, and SparseCsc stays bit-identical to Direct.
+    /// zero pattern the sparse-victim matrix deploys. Both backends must
+    /// agree with the oracle, and SparseCsc stays bit-identical to it.
     #[test]
     fn backends_agree_on_nm_patterned_weights(
         seed in 0u64..10_000,
@@ -233,8 +229,8 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB1A5);
             (0..out_c).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
         });
-        let (direct, gemm) = run_both(&x, &wt, bias.as_deref(), stride, Padding::Same);
-        assert_close(direct.data(), gemm.data());
+        let (reference, gemm) = run_both(&x, &wt, bias.as_deref(), stride, Padding::Same);
+        assert_close(reference.data(), gemm.data());
     }
 
     /// Channel-removed weights (the structured-pruning shapes): slicing
@@ -278,11 +274,11 @@ proptest! {
                 dst += 1;
             }
         }
-        let (direct, gemm) = run_both(&x, &wt, None, stride, Padding::Same);
-        assert_close(direct.data(), gemm.data());
+        let (reference, gemm) = run_both(&x, &wt, None, stride, Padding::Same);
+        assert_close(reference.data(), gemm.data());
     }
 
-    /// The weight-gradient GEMM agrees with the direct loop; `SparseCsc`
+    /// The weight-gradient GEMM agrees with the reference loop; `SparseCsc`
     /// dispatches weight gradients to the GEMM path bit-for-bit.
     #[test]
     fn weight_grad_backends_agree(
@@ -295,13 +291,13 @@ proptest! {
         let oh = conv_out_dim(8, kernel, stride, padding);
         if oh > 0 {
             let g = dense_tensor(seed ^ 0x6AD, 3, oh, oh);
-            let direct = conv2d_weight_grad(&g, &x, (kernel, kernel),
-                &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::Direct));
+            let reference = conv2d_weight_grad_reference(&g, &x, (kernel, kernel),
+                &Conv2dCfg::new(stride, padding));
             let gemm = conv2d_weight_grad(&g, &x, (kernel, kernel),
                 &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::Im2colGemm));
             let sparse = conv2d_weight_grad(&g, &x, (kernel, kernel),
                 &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::SparseCsc));
-            assert_close(direct.data(), gemm.data());
+            assert_close(reference.data(), gemm.data());
             prop_assert_eq!(gemm.data(), sparse.data(), "SparseCsc grad must reuse the GEMM path");
         }
     }
@@ -315,8 +311,8 @@ fn one_by_one_kernel_all_strides() {
     let w = random_weights(2, 5, 3, 1);
     for stride in 1..=3 {
         for padding in [Padding::Same, Padding::Valid] {
-            let (direct, gemm) = run_both(&x, &w, None, stride, padding);
-            assert_close(direct.data(), gemm.data());
+            let (reference, gemm) = run_both(&x, &w, None, stride, padding);
+            assert_close(reference.data(), gemm.data());
         }
     }
 }
@@ -326,8 +322,8 @@ fn stride_larger_than_kernel() {
     let x = dense_tensor(3, 2, 9, 9);
     let w = random_weights(4, 3, 2, 2);
     for padding in [Padding::Same, Padding::Valid] {
-        let (direct, gemm) = run_both(&x, &w, Some(&[0.5, -0.5, 0.0]), 3, padding);
-        assert_close(direct.data(), gemm.data());
+        let (reference, gemm) = run_both(&x, &w, Some(&[0.5, -0.5, 0.0]), 3, padding);
+        assert_close(reference.data(), gemm.data());
     }
 }
 
@@ -336,9 +332,9 @@ fn input_smaller_than_kernel_same_padding() {
     // 2x2 input under a 5x5 kernel: every patch is mostly padding.
     let x = dense_tensor(5, 1, 2, 2);
     let w = random_weights(6, 2, 1, 5);
-    let (direct, gemm) = run_both(&x, &w, Some(&[1.0, 2.0]), 1, Padding::Same);
+    let (reference, gemm) = run_both(&x, &w, Some(&[1.0, 2.0]), 1, Padding::Same);
     assert_eq!((gemm.h(), gemm.w()), (2, 2));
-    assert_close(direct.data(), gemm.data());
+    assert_close(reference.data(), gemm.data());
 }
 
 #[test]
@@ -346,8 +342,8 @@ fn input_smaller_than_kernel_valid_is_empty() {
     // Valid padding cannot place the kernel at all: 0-dim output.
     let x = dense_tensor(7, 2, 3, 3);
     let w = random_weights(8, 3, 2, 4);
-    let (direct, gemm) = run_both(&x, &w, None, 1, Padding::Valid);
-    assert_eq!((direct.h(), direct.w()), (0, 0));
+    let (reference, gemm) = run_both(&x, &w, None, 1, Padding::Valid);
+    assert_eq!((reference.h(), reference.w()), (0, 0));
     assert_eq!((gemm.h(), gemm.w()), (0, 0));
 }
 
@@ -356,7 +352,7 @@ fn single_pixel_output_valid() {
     // Kernel exactly covers the input: one output pixel.
     let x = dense_tensor(9, 2, 3, 3);
     let w = random_weights(10, 4, 2, 3);
-    let (direct, gemm) = run_both(&x, &w, Some(&[0.1, 0.2, 0.3, 0.4]), 1, Padding::Valid);
+    let (reference, gemm) = run_both(&x, &w, Some(&[0.1, 0.2, 0.3, 0.4]), 1, Padding::Valid);
     assert_eq!((gemm.h(), gemm.w()), (1, 1));
-    assert_close(direct.data(), gemm.data());
+    assert_close(reference.data(), gemm.data());
 }

@@ -144,8 +144,8 @@ proptest! {
 
     /// Every convolution backend is bit-identical across dispatch modes on
     /// random shapes, strides, and pruned weights. This covers the GEMM
-    /// micro-kernel (Im2colGemm), the CSC scatter (`axpy_nonzero`), and
-    /// the Direct inner loop in one sweep.
+    /// micro-kernel (Im2colGemm) and the CSC scatter with its dense-row
+    /// `axpy_nonzero` path (SparseCsc) in one sweep.
     #[test]
     fn conv_backends_bit_identical_across_simd_modes(
         seed in 0u64..10_000,
@@ -156,7 +156,6 @@ proptest! {
         stride in 1usize..3,
         keep_percent in 10u32..80,
         backend in prop_oneof![
-            Just(ConvBackend::Direct),
             Just(ConvBackend::Im2colGemm),
             Just(ConvBackend::SparseCsc),
         ],

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! -j, --parallelism N       prober worker threads (default: all cores)
-//! -b, --backend KIND        conv backend: direct | gemm | sparse
+//! -b, --backend KIND        conv backend: gemm | sparse
 //! -c, --channel KIND        observation channel: full | trace | timing | gemm
 //! -p, --prune MODE          victim pruning: unstructured | N:M (e.g. 2:4)
 //!                           | structured[:KEEP_FRAC]
@@ -213,7 +213,7 @@ impl CliArgs {
                 "-b" | "--backend" => {
                     let v = value_for(flag)?;
                     let backend = ConvBackend::parse(&v).ok_or_else(|| {
-                        format!("unknown backend {v:?} (expected direct, gemm, or sparse)")
+                        format!("unknown backend {v:?} (expected gemm or sparse)")
                     })?;
                     args.backend = Some(backend);
                 }
@@ -254,7 +254,7 @@ fn usage(example: &str) -> String {
          \n\
          options:\n\
          \x20 -j, --parallelism N   prober worker threads (default: all cores)\n\
-         \x20 -b, --backend KIND    conv backend: direct | gemm | sparse (default: gemm)\n\
+         \x20 -b, --backend KIND    conv backend: gemm | sparse (default: gemm)\n\
          \x20 -c, --channel KIND    observation channel the attacker reads: full | trace |\n\
          \x20                       timing | gemm (default: full; gemm needs the gemm\n\
          \x20                       backend)\n\

@@ -11,7 +11,7 @@
 //! ```text
 //! cargo run --release --example steal_resnet                 # all cores, GEMM
 //! cargo run --release --example steal_resnet -- -j 1         # serial baseline
-//! cargo run --release --example steal_resnet -- -b direct    # direct conv loop
+//! cargo run --release --example steal_resnet -- -b sparse    # CSC conv backend
 //! cargo run --release --example steal_resnet -- -o obs.json  # telemetry export
 //! cargo run --release --example steal_resnet -- -p 2:4       # N:M sparse victim
 //! cargo run --release --example steal_resnet -- -c trace     # volumes, no timing
@@ -27,7 +27,7 @@
 //!
 //! `-j N` caps the prober's worker threads and `-b` selects the simulator's
 //! convolution backend; any combination produces a bit-identical result
-//! (the executor and all backends are deterministic), only wall-clock
+//! (the executor and both backends are deterministic), only wall-clock
 //! changes. `-o obs.json` records hd-obs telemetry into JSON plus a Chrome
 //! trace without affecting the outcome.
 

@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run --release --example steal_vgg                   # all cores, GEMM
 //! cargo run --release --example steal_vgg -- -j 1           # serial baseline
-//! cargo run --release --example steal_vgg -- -b direct      # direct conv loop
+//! cargo run --release --example steal_vgg -- -b sparse      # CSC conv backend
 //! cargo run --release --example steal_vgg -- -o obs.json    # telemetry export
 //! cargo run --release --example steal_vgg -- -p 2:4         # N:M sparse victim
 //! cargo run --release --example steal_vgg -- -p structured  # channel-removed victim
@@ -29,7 +29,7 @@
 //!
 //! `-j N` caps the prober's worker threads and `-b` selects the simulator's
 //! convolution backend; any combination produces a bit-identical result
-//! (the executor and all backends are deterministic), only wall-clock
+//! (the executor and both backends are deterministic), only wall-clock
 //! changes. `-o obs.json` additionally records hd-obs telemetry — DRAM
 //! bytes by transfer type, probe counts, cache hits, per-layer spans — and
 //! writes it as JSON plus a Chrome trace (`obs.trace.json`, loadable in

@@ -1,8 +1,8 @@
 //! End-to-end backend invariance: the full HuffDuff attack must recover
 //! exactly the same geometry, channel ratios, and candidate space whether
-//! the victim simulator convolves via the direct kernel, the im2col+GEMM
-//! backend, or the cached-CSC sparse forward path, and whether probes run
-//! serially or in parallel. The attack
+//! the victim simulator convolves via the im2col+GEMM backend or the
+//! cached-CSC sparse forward path, and whether probes run serially or in
+//! parallel. The attack
 //! reads only DRAM traces and encode timings, both of which are functions
 //! of the (bit-identical) layer outputs.
 
@@ -91,10 +91,8 @@ fn attack(backend: ConvBackend, parallelism: Option<usize>) -> AttackOutcome {
 
 #[test]
 fn attack_outcome_is_backend_and_parallelism_invariant() {
-    let baseline = attack(ConvBackend::Direct, Some(1));
+    let baseline = attack(ConvBackend::Im2colGemm, Some(1));
     for (backend, par) in [
-        (ConvBackend::Im2colGemm, Some(1)),
-        (ConvBackend::Direct, Some(4)),
         (ConvBackend::Im2colGemm, Some(4)),
         (ConvBackend::Im2colGemm, None),
         (ConvBackend::SparseCsc, Some(1)),
@@ -152,9 +150,8 @@ fn structured_victim_attack_is_backend_and_parallelism_invariant() {
     let stem_channels = params.conv(net.conv_nodes()[0]).w.k();
     assert!(stem_channels < 8, "structured victim did not shrink");
 
-    let baseline = structured_attack(ConvBackend::Direct, Some(1));
+    let baseline = structured_attack(ConvBackend::Im2colGemm, Some(1));
     for (backend, par) in [
-        (ConvBackend::Im2colGemm, Some(1)),
         (ConvBackend::SparseCsc, Some(1)),
         (ConvBackend::Im2colGemm, Some(4)),
         (ConvBackend::SparseCsc, Some(4)),

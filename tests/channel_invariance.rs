@@ -70,8 +70,6 @@ fn attack(target: &dyn ObservationModel, parallelism: Option<usize>) -> AttackOu
 #[test]
 fn full_channel_is_bit_identical_to_the_raw_device() {
     for (backend, par) in [
-        (ConvBackend::Direct, Some(1)),
-        (ConvBackend::Direct, Some(4)),
         (ConvBackend::Im2colGemm, Some(1)),
         (ConvBackend::Im2colGemm, Some(4)),
         (ConvBackend::Im2colGemm, None),
@@ -98,11 +96,12 @@ fn full_channel_is_bit_identical_to_the_raw_device() {
 fn full_channel_attack_is_backend_invariant() {
     // The attack outcome through the wrapper keeps the invariance the raw
     // device already guarantees (tests/backend_invariance.rs).
-    let baseline = attack(&FullChannel::new(&device(ConvBackend::Direct)), Some(1));
-    for backend in [ConvBackend::Im2colGemm, ConvBackend::SparseCsc] {
-        let got = attack(&FullChannel::new(&device(backend)), Some(1));
-        assert_eq!(baseline, got, "FullChannel outcome diverged on {backend}");
-    }
+    let baseline = attack(&FullChannel::new(&device(ConvBackend::Im2colGemm)), Some(1));
+    let got = attack(&FullChannel::new(&device(ConvBackend::SparseCsc)), Some(1));
+    assert_eq!(
+        baseline, got,
+        "FullChannel outcome diverged on the CSC backend"
+    );
     let space = baseline.space.as_ref().expect("full channel finalizes");
     assert!(space.k1_candidates.contains(&8));
 }

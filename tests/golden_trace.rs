@@ -47,8 +47,8 @@ fn golden_victim() -> (hd_dnn::graph::Network, hd_dnn::graph::Params) {
     (net, params)
 }
 
-/// Probe images covering both compute regimes: a dense image (dense conv
-/// backends run) and a sparse impulse (the shared CSC path runs).
+/// Probe images covering both compute regimes: a dense image (the GEMM
+/// backend runs) and a sparse impulse (the shared CSC path runs).
 fn golden_images() -> Vec<(&'static str, Tensor3)> {
     let mut dense = Tensor3::zeros(3, 12, 12);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(99);
@@ -168,15 +168,10 @@ fn golden_telemetry_counters_pinned() {
 #[test]
 fn golden_fixture_reproduced_by_all_backends() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let direct = snapshot(ConvBackend::Direct);
     let gemm = snapshot(ConvBackend::Im2colGemm);
     let sparse = snapshot(ConvBackend::SparseCsc);
     assert_eq!(
-        direct, gemm,
-        "conv backends must produce byte-identical traces and timings"
-    );
-    assert_eq!(
-        direct, sparse,
+        gemm, sparse,
         "the CSC backend must produce byte-identical traces and timings"
     );
     if std::env::var("GOLDEN_REGEN").is_ok() {

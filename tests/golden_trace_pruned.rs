@@ -3,7 +3,7 @@
 //! channel-removed victim (residual topology, so the fixture also pins
 //! the restructure pass's channel unification). Same harness contract as
 //! `tests/golden_trace.rs`: the full DRAM trace CSV and encode-timing
-//! table are byte-identical across all three conv backends and pinned to
+//! table are byte-identical across both conv backends and pinned to
 //! checked-in fixtures.
 //!
 //! Regenerate deliberately with `GOLDEN_REGEN=1 cargo test --test
@@ -121,15 +121,10 @@ fn snapshot(
 }
 
 fn check_fixture(victim: (hd_dnn::graph::Network, hd_dnn::graph::Params), fixture: &str) {
-    let direct = snapshot(&victim, ConvBackend::Direct);
     let gemm = snapshot(&victim, ConvBackend::Im2colGemm);
     let sparse = snapshot(&victim, ConvBackend::SparseCsc);
     assert_eq!(
-        direct, gemm,
-        "conv backends must produce byte-identical traces and timings"
-    );
-    assert_eq!(
-        direct, sparse,
+        gemm, sparse,
         "the CSC backend must produce byte-identical traces and timings"
     );
     if std::env::var("GOLDEN_REGEN").is_ok() {
