@@ -85,7 +85,7 @@ pub struct Device {
     // Per-node effective MAC counts, precomputed at construction (weights
     // are sealed, so these never change between runs).
     node_macs: Vec<Result<f64, DeviceError>>,
-    // Lazily-built sparse forward state (CSC weights + zero-input baseline),
+    // Lazily-built sparse forward state (compacted weights + zero-input baseline),
     // shared by every run that takes the sparse path. Built at most once per
     // device; cloning a device before first use clones an empty cell.
     fwd_cache: OnceLock<ForwardCache>,
@@ -190,7 +190,7 @@ impl Device {
     /// Runs the forward pass with the fastest backend that preserves the
     /// configured numerics.
     ///
-    /// The sparse path (cached CSC weights + dirty-column recompute) is
+    /// The sparse path (cached compacted weights + dirty-column recompute) is
     /// taken when `SparseCsc` is configured explicitly, or when the policy's
     /// `auto_sparse` is set and the image is below the input density
     /// threshold — the stripe-probe regime of the prober hot loop. Every

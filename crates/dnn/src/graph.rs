@@ -321,7 +321,7 @@ impl Network {
     /// kernel-dispatch policy.
     ///
     /// Both move work between kernels that are bit-identical to
-    /// `hd_tensor::conv::conv2d_reference` (CSC scatter vs im2col + GEMM),
+    /// `hd_tensor::conv::conv2d_reference` (sparse kernel vs im2col + GEMM),
     /// so they change wall-clock time, never the trace contents.
     ///
     /// # Panics

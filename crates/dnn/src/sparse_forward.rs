@@ -6,14 +6,18 @@
 //! computing once per device instead of once per inference:
 //!
 //! 1. **The weight compaction.** [`ForwardCache::build`] encodes every conv
-//!    layer's pruned weights into [`CscWeights`] and every linear layer's
-//!    rows into nonzero `(index, value)` lists.
+//!    layer's pruned weights filter-major into [`SparseFilters`] (the
+//!    operand of the output-stationary kernel [`conv2d_csc`]) and every
+//!    linear layer's rows into nonzero `(index, value)` lists.
 //! 2. **The zero-input baseline.** A stripe differs from the all-zero image
 //!    in one column, and every op in the graph is column-local, so each
 //!    layer's activation differs from its zero-input baseline only inside
 //!    the stripe's receptive field. [`Network::forward_cached`] tracks that
 //!    dirty interval with [`ColSpan`] and recomputes *only* the dirty
-//!    columns, copying everything else from the baseline trace.
+//!    columns, copying everything else from the baseline trace. For a conv
+//!    layer that means one [`conv2d_csc`] call with the input's dirty span
+//!    and the baseline's output: the kernel tiles just the input columns
+//!    the dirty output columns read, and runs every filter over them.
 //!
 //! # Bit-identity
 //!
@@ -28,7 +32,7 @@
 
 use hd_tensor::colspan::ColSpan;
 use hd_tensor::conv::{same_pad, BackendPolicy, Conv2dCfg, Padding};
-use hd_tensor::csc_conv::{conv2d_csc, CscWeights};
+use hd_tensor::csc_conv::{conv2d_csc, SparseFilters};
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::pool::{global_avg_pool, pool2d_cols};
 use hd_tensor::Tensor3;
@@ -42,8 +46,8 @@ type SparseRow = Vec<(u32, f32)>;
 #[derive(Clone, Debug)]
 pub struct ForwardCache {
     policy: BackendPolicy,
-    /// CSC weight compaction per conv node.
-    csc: Vec<Option<CscWeights>>,
+    /// Filter-major weight compaction per conv node.
+    filters: Vec<Option<SparseFilters>>,
     /// Compacted rows per linear node.
     linear_rows: Vec<Option<Vec<SparseRow>>>,
     /// Full forward trace on the all-zero input.
@@ -54,12 +58,12 @@ impl ForwardCache {
     /// Compacts weights and records the zero-input baseline trace for
     /// `net`/`params`.
     pub fn build(net: &Network, params: &Params, policy: BackendPolicy) -> Self {
-        let mut csc: Vec<Option<CscWeights>> = vec![None; net.len()];
+        let mut filters: Vec<Option<SparseFilters>> = vec![None; net.len()];
         let mut linear_rows: Vec<Option<Vec<SparseRow>>> = vec![None; net.len()];
         for (id, node) in net.nodes().iter().enumerate() {
             match &node.op {
                 Op::Conv(_) => {
-                    csc[id] = Some(CscWeights::build(params.conv(id).w));
+                    filters[id] = Some(SparseFilters::build(params.conv(id).w));
                 }
                 Op::Linear { out_features, .. } => {
                     let lp = params.linear(id);
@@ -83,7 +87,7 @@ impl ForwardCache {
         let baseline = net.forward_with_policy(params, &zeros, Default::default(), policy);
         ForwardCache {
             policy,
-            csc,
+            filters,
             linear_rows,
             baseline,
         }
@@ -237,11 +241,11 @@ impl Network {
                     let x = traces[node.inputs[0]].out.map();
                     let in_span = spans[node.inputs[0]].expect("conv input is a map"); // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
                     let lp = params.conv(id);
-                    let csc = cache.csc[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front
+                    let filters = cache.filters[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front
                     let cfg = Conv2dCfg::new(spec.stride, spec.padding);
                     let conv_out = conv2d_csc(
                         x,
-                        csc,
+                        filters,
                         lp.b.as_deref(),
                         &cfg,
                         in_span,
@@ -448,12 +452,40 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Shape and bit patterns of a map (`==` would equate `-0.0` and
+    /// `+0.0`).
+    fn map_bits(t: &Tensor3) -> (hd_tensor::Shape3, Vec<u32>) {
+        (t.shape(), t.data().iter().map(|x| x.to_bits()).collect())
+    }
+
+    fn value_bits(v: &Value) -> (Option<hd_tensor::Shape3>, Vec<u32>) {
+        match v {
+            Value::Map(t) => {
+                let (shape, bits) = map_bits(t);
+                (Some(shape), bits)
+            }
+            Value::Vector(x) => (None, x.iter().map(|x| x.to_bits()).collect()),
+        }
+    }
+
     fn assert_traces_bit_identical(a: &ForwardTrace, b: &ForwardTrace) {
         assert_eq!(a.traces.len(), b.traces.len());
         for (id, (ta, tb)) in a.traces.iter().zip(&b.traces).enumerate() {
-            assert_eq!(ta.out, tb.out, "out differs at node {id}");
-            assert_eq!(ta.pre_bn, tb.pre_bn, "pre_bn differs at node {id}");
-            assert_eq!(ta.pre_relu, tb.pre_relu, "pre_relu differs at node {id}");
+            assert_eq!(
+                value_bits(&ta.out),
+                value_bits(&tb.out),
+                "out differs at node {id}"
+            );
+            assert_eq!(
+                ta.pre_bn.as_ref().map(map_bits),
+                tb.pre_bn.as_ref().map(map_bits),
+                "pre_bn differs at node {id}"
+            );
+            assert_eq!(
+                ta.pre_relu.as_ref().map(value_bits),
+                tb.pre_relu.as_ref().map(value_bits),
+                "pre_relu differs at node {id}"
+            );
         }
     }
 

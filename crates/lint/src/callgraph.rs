@@ -100,12 +100,7 @@ impl CallGraph {
 
 /// Call sites inside one fn body that resolve within `krate`: yields
 /// `(callee, line)` pairs in source order.
-fn calls_in(
-    it: &Item,
-    fu: &FileUnit,
-    krate: &str,
-    idx: &SymbolIndex,
-) -> Vec<(String, u32)> {
+fn calls_in(it: &Item, fu: &FileUnit, krate: &str, idx: &SymbolIndex) -> Vec<(String, u32)> {
     let Some((start, end)) = it.body else {
         return Vec::new();
     };
@@ -185,10 +180,7 @@ mod tests {
     fn edges_resolve_across_files_of_the_same_crate() {
         let g = graph_of(&[
             ("crates/core/src/a.rs", "pub fn observe_all() {}"),
-            (
-                "crates/core/src/b.rs",
-                "pub fn drive() { observe_all(); }",
-            ),
+            ("crates/core/src/b.rs", "pub fn drive() { observe_all(); }"),
         ]);
         assert_eq!(g.len(), 1);
         assert_eq!(g.edges[0].caller, "drive");

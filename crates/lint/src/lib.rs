@@ -28,9 +28,9 @@ pub mod symbols;
 
 use rules::{collect_deprecated, lint_unit, Allow, DeprecatedIndex, Violation};
 use semantic::Workspace;
-use symbols::FileUnit;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use symbols::FileUnit;
 
 /// JSON schema identifier emitted by [`Report::to_json`].
 pub const JSON_SCHEMA: &str = "hd-lint/v2";

@@ -331,13 +331,29 @@ impl<'t> Parser<'t> {
                 self.pos += 1;
                 let name = self.ident_here();
                 let (body, children) = self.braced_items();
-                Some(self.finish(start_idx, ItemKind::Trait, name, None, attrs, body, children))
+                Some(self.finish(
+                    start_idx,
+                    ItemKind::Trait,
+                    name,
+                    None,
+                    attrs,
+                    body,
+                    children,
+                ))
             }
             "impl" => {
                 self.pos += 1;
                 let (name, trait_name) = self.impl_header();
                 let (body, children) = self.braced_items();
-                Some(self.finish(start_idx, ItemKind::Impl, name, trait_name, attrs, body, children))
+                Some(self.finish(
+                    start_idx,
+                    ItemKind::Impl,
+                    name,
+                    trait_name,
+                    attrs,
+                    body,
+                    children,
+                ))
             }
             "mod" => {
                 self.pos += 1;
@@ -360,7 +376,15 @@ impl<'t> Parser<'t> {
             "use" => {
                 self.pos += 1;
                 let name = self.use_name();
-                Some(self.finish(start_idx, ItemKind::Use, name, None, attrs, None, Vec::new()))
+                Some(self.finish(
+                    start_idx,
+                    ItemKind::Use,
+                    name,
+                    None,
+                    attrs,
+                    None,
+                    Vec::new(),
+                ))
             }
             "static" => {
                 self.pos += 1;
@@ -369,7 +393,15 @@ impl<'t> Parser<'t> {
                 }
                 let name = self.ident_here();
                 self.scan_to_semi();
-                Some(self.finish(start_idx, ItemKind::Static, name, None, attrs, None, Vec::new()))
+                Some(self.finish(
+                    start_idx,
+                    ItemKind::Static,
+                    name,
+                    None,
+                    attrs,
+                    None,
+                    Vec::new(),
+                ))
             }
             "type" => {
                 self.pos += 1;
@@ -392,7 +424,15 @@ impl<'t> Parser<'t> {
                 }
                 let name = self.ident_here();
                 let body = self.brace_body();
-                Some(self.finish(start_idx, ItemKind::Macro, name, None, attrs, body, Vec::new()))
+                Some(self.finish(
+                    start_idx,
+                    ItemKind::Macro,
+                    name,
+                    None,
+                    attrs,
+                    body,
+                    Vec::new(),
+                ))
             }
             _ => {
                 // Item-position macro invocation: `name!(...)` / `name! { ... }`.

@@ -606,9 +606,7 @@ pub fn rule_in_scope(rule: &str, rel: &str) -> bool {
         // --- the semantic concurrency/determinism pack ---
         "atomic-ordering" | "lock-discipline" => library,
         "unordered-iter" => library && UNORDERED_SURFACE.iter().any(|p| rel.starts_with(p)),
-        "float-reduction-order" => {
-            library && !FLOAT_SANCTUARIES.iter().any(|p| rel.starts_with(p))
-        }
+        "float-reduction-order" => library && !FLOAT_SANCTUARIES.iter().any(|p| rel.starts_with(p)),
         _ => false,
     }
 }

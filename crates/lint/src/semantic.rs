@@ -99,11 +99,7 @@ impl Workspace {
     /// Runs every in-scope semantic rule on one file. `excluded` is the
     /// file's `#[cfg(test)]` line-range set (same exclusion as the token
     /// rules).
-    pub fn check_file(
-        &self,
-        fu: &FileUnit,
-        excluded: &[RangeInclusive<u32>],
-    ) -> Vec<Violation> {
+    pub fn check_file(&self, fu: &FileUnit, excluded: &[RangeInclusive<u32>]) -> Vec<Violation> {
         let mut out = Vec::new();
         if rule_in_scope("atomic-ordering", &fu.rel) {
             atomic_ordering(fu, excluded, &mut out);
@@ -554,7 +550,9 @@ fn unordered_iter(
     }
 
     for i in 0..t.len() {
-        if t[i].kind != TokenKind::Ident || !names.contains(&t[i].text) || in_tests(excluded, t[i].line)
+        if t[i].kind != TokenKind::Ident
+            || !names.contains(&t[i].text)
+            || in_tests(excluded, t[i].line)
         {
             continue;
         }
@@ -653,9 +651,7 @@ fn float_reduction_order(
             // `.fold(0.0, |acc, v| acc + v)`: float-literal seed plus an
             // additive closure. Order-independent folds (max/min) pass.
             "fold" => {
-                text(t, i + 2) == "("
-                    && float_literal(t, i + 3, src)
-                    && fold_args_add(t, i + 2)
+                text(t, i + 2) == "(" && float_literal(t, i + 3, src) && fold_args_add(t, i + 2)
             }
             _ => false,
         };
@@ -870,7 +866,8 @@ mod tests {
 
     #[test]
     fn float_sums_flagged_outside_sanctioned_kernels() {
-        let src = "fn softmax_denom(exps: &[f32]) -> f32 { let sum: f32 = exps.iter().sum(); sum }\n\
+        let src =
+            "fn softmax_denom(exps: &[f32]) -> f32 { let sum: f32 = exps.iter().sum(); sum }\n\
                    fn l1(g: &[f32]) -> f32 { g.iter().map(|v| v.abs()).sum::<f32>() }\n";
         let vs = check("crates/dnn/src/fake.rs", src);
         assert_eq!(

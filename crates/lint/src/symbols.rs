@@ -95,8 +95,7 @@ impl SymbolIndex {
 
     /// Is `name` a function or method declared in `krate`?
     pub fn is_fn_in(&self, krate: &str, name: &str) -> bool {
-        self.fns
-            .contains(&(krate.to_string(), name.to_string()))
+        self.fns.contains(&(krate.to_string(), name.to_string()))
     }
 
     /// Number of indexed symbols (the JSON summary counter).
@@ -268,10 +267,7 @@ mod tests {
             .map(|(_, f)| f.as_str())
             .collect();
         assert_eq!(fields, vec!["capacity_of", "seen"]);
-        assert!(idx
-            .unordered_fields
-            .iter()
-            .all(|(k, _)| k == "trace"));
+        assert!(idx.unordered_fields.iter().all(|(k, _)| k == "trace"));
     }
 
     #[test]

@@ -88,9 +88,8 @@ fn stress_yield(site: u64, step: u64) {
     if seed == 0 {
         return;
     }
-    let mut z = seed
-        ^ site.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ step.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    let mut z =
+        seed ^ site.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step.wrapping_mul(0xD1B5_4A32_D192_ED03);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;

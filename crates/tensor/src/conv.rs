@@ -25,12 +25,12 @@ pub enum Padding {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ConvBackend {
     /// im2col lowering + cache-blocked GEMM ([`crate::im2col`]) for dense
-    /// inputs; sparse inputs and sparse weights still take the CSC scatter
-    /// and the compacted-tap loop.
+    /// inputs and weights; sparse inputs and sparse weights still take the
+    /// output-stationary sparse kernel.
     #[default]
     Im2colGemm,
-    /// Input-stationary sparse × sparse scatter over CSC-compacted weights
-    /// ([`crate::csc_conv`]); devices additionally cache the weight
+    /// Output-stationary sparse × sparse kernel over filter-major compacted
+    /// weights ([`crate::csc_conv`]); devices additionally cache the weight
     /// compaction and track nonzero-column intervals across layers.
     SparseCsc,
 }
@@ -64,10 +64,10 @@ impl std::fmt::Display for ConvBackend {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BackendPolicy {
     /// Input nnz-density (permille) below which every backend takes the
-    /// input-stationary CSC scatter path (probe images, deep post-ReLU maps).
+    /// sparse kernel (probe images, deep post-ReLU maps).
     pub input_density_threshold: u16,
     /// Weight nnz-density (permille) below which the GEMM backend switches
-    /// to the compacted-tap kernel (heavily pruned victim layers).
+    /// to the sparse kernel (heavily pruned victim layers).
     pub weight_density_threshold: u16,
     /// Whether a device may auto-upgrade sparse-input inferences to
     /// [`ConvBackend::SparseCsc`] (cached weight compaction + colspan
@@ -87,13 +87,13 @@ impl Default for BackendPolicy {
 
 impl BackendPolicy {
     /// Whether an input map with `nnz` nonzeros out of `len` is sparse
-    /// enough for the CSC scatter path.
+    /// enough for the sparse kernel.
     pub fn input_is_sparse(&self, nnz: usize, len: usize) -> bool {
         (nnz as u64) * 1000 < (len as u64) * self.input_density_threshold as u64
     }
 
     /// Whether a weight tensor with `nnz` nonzeros out of `len` is sparse
-    /// enough for the compacted-tap kernel.
+    /// enough for the sparse kernel.
     pub fn weight_is_sparse(&self, nnz: usize, len: usize) -> bool {
         (nnz as u64) * 1000 < (len as u64) * self.weight_density_threshold as u64
     }
@@ -169,10 +169,10 @@ pub fn same_pad(input: usize, kernel: usize, stride: usize) -> usize {
 /// zero-skipping datapath of a two-sided sparse accelerator; the numeric
 /// result is identical to the dense computation.
 ///
-/// The kernel is chosen from the operands: a sparse input (or
-/// [`ConvBackend::SparseCsc`]) takes the CSC scatter, sparse weights the
-/// compacted-tap loop, and everything else im2col + GEMM. Every path
-/// accumulates in the order of [`conv2d_reference`], the test oracle.
+/// The kernel is chosen from the operands: a sparse input, sparse weights
+/// or [`ConvBackend::SparseCsc`] take the output-stationary sparse kernel
+/// ([`crate::csc_conv`]), and everything else im2col + GEMM. Both
+/// accumulate in the order of [`conv2d_reference`], the test oracle.
 ///
 /// # Panics
 ///
@@ -209,21 +209,17 @@ pub fn conv2d(input: &Tensor3, weight: &Tensor4, bias: Option<&[f32]>, cfg: &Con
     }
 
     // Probe images and post-ReLU activations of pruned networks are mostly
-    // zero; scattering from the non-zero inputs is then far cheaper than
-    // the GEMM. The SparseCsc backend takes this kernel unconditionally —
-    // that is what it is.
+    // zero, and paper victims sit near 99% weight sparsity. Either way the
+    // output-stationary sparse kernel, whose cost is `out_pixels x nnz(W)`
+    // over the nonzero-input columns, beats the blocked GEMM (whose cost
+    // stays near-dense once most tap positions are live in *some* filter).
+    // The SparseCsc backend takes this kernel unconditionally — that is
+    // what it is.
     if cfg.backend == ConvBackend::SparseCsc
         || cfg.policy.input_is_sparse(input.nnz(), input.shape().len())
+        || cfg.policy.weight_is_sparse(weight.nnz(), weight.len())
     {
         return crate::csc_conv::conv2d_sparse_csc(input, weight, bias, cfg);
-    }
-
-    // Extremely pruned weights (paper victims sit near 99% sparsity):
-    // iterating only the surviving taps costs `out_pixels x nnz(W)`, which
-    // beats even the blocked GEMM (whose cost stays near-dense once most
-    // tap positions are live in *some* filter).
-    if cfg.policy.weight_is_sparse(weight.nnz(), weight.len()) {
-        return conv2d_sparse_weights(input, weight, bias, cfg);
     }
 
     crate::im2col::conv2d_im2col_gemm(input, weight, bias, cfg)
@@ -276,64 +272,6 @@ pub fn conv2d_reference(
                             }
                             acc += wv * xv;
                         }
-                    }
-                }
-                out.set(k, p, q, acc);
-            }
-        }
-    }
-    out
-}
-
-/// Weight-stationary convolution over a compacted non-zero tap list:
-/// cost is `out_pixels x nnz(W)` instead of `out_pixels x |W|`.
-fn conv2d_sparse_weights(
-    input: &Tensor3,
-    weight: &Tensor4,
-    bias: Option<&[f32]>,
-    cfg: &Conv2dCfg,
-) -> Tensor3 {
-    let out_h = conv_out_dim(input.h(), weight.r(), cfg.stride, cfg.padding);
-    let out_w = conv_out_dim(input.w(), weight.s(), cfg.stride, cfg.padding);
-    let (pad_y, pad_x) = match cfg.padding {
-        Padding::Same => (
-            same_pad(input.h(), weight.r(), cfg.stride),
-            same_pad(input.w(), weight.s(), cfg.stride),
-        ),
-        Padding::Valid => (0, 0),
-    };
-
-    // Compact tap list per output channel.
-    let mut taps: Vec<Vec<(usize, usize, usize, f32)>> = vec![Vec::new(); weight.k()];
-    #[allow(clippy::needless_range_loop)] // index-parallel numeric kernel
-    for k in 0..weight.k() {
-        for c in 0..weight.c() {
-            for r in 0..weight.r() {
-                for s in 0..weight.s() {
-                    let wv = weight.at(k, c, r, s);
-                    if wv != 0.0 {
-                        taps[k].push((c, r, s, wv));
-                    }
-                }
-            }
-        }
-    }
-
-    let mut out = Tensor3::zeros(weight.k(), out_h, out_w);
-    for k in 0..weight.k() {
-        let b = bias.map_or(0.0, |b| b[k]);
-        for p in 0..out_h {
-            for q in 0..out_w {
-                let mut acc = b;
-                for &(c, r, s, wv) in &taps[k] {
-                    let iy = (p * cfg.stride + r) as isize - pad_y as isize;
-                    let ix = (q * cfg.stride + s) as isize - pad_x as isize;
-                    if iy < 0 || iy >= input.h() as isize || ix < 0 || ix >= input.w() as isize {
-                        continue;
-                    }
-                    let xv = input.at(c, iy as usize, ix as usize);
-                    if xv != 0.0 {
-                        acc += wv * xv;
                     }
                 }
                 out.set(k, p, q, acc);
@@ -629,6 +567,13 @@ mod tests {
         assert_eq!(conv2d_bias_grad(&g), vec![3.0, 7.0]);
     }
 
+    fn assert_bits_eq(a: &Tensor3, b: &Tensor3) {
+        assert_eq!(a.shape(), b.shape());
+        for (x, y) in a.data().iter().zip(b.data()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        }
+    }
+
     #[test]
     fn sparse_weight_path_matches_reference() {
         use rand::rngs::StdRng;
@@ -638,19 +583,20 @@ mod tests {
         x.fill_uniform(&mut rng, -1.0, 1.0);
         let mut w = Tensor4::zeros(4, 3, 3, 3);
         w.init_he(&mut rng);
-        // Prune 80%: the compacted tap list is a fifth of the filter.
+        // Prune 95%: below the weight-density threshold, so the dense input
+        // routes onto the sparse kernel.
         for (i, v) in w.data_mut().iter_mut().enumerate() {
-            if i % 5 != 0 {
+            if i % 20 != 0 {
                 *v = 0.0;
             }
         }
+        assert!(BackendPolicy::default().weight_is_sparse(w.nnz(), w.len()));
         let bias = [0.5, -0.5, 0.0, 1.0];
         for (stride, padding) in [(1, Padding::Same), (2, Padding::Same), (1, Padding::Valid)] {
             let c = cfg(stride, padding);
-            let taps = conv2d_sparse_weights(&x, &w, Some(&bias), &c);
+            let taps = conv2d(&x, &w, Some(&bias), &c);
             let reference = conv2d_reference(&x, &w, Some(&bias), &c);
-            assert_eq!(taps.shape(), reference.shape());
-            assert_eq!(taps.data(), reference.data());
+            assert_bits_eq(&taps, &reference);
         }
     }
 
@@ -667,7 +613,7 @@ mod tests {
             (1, Padding::Valid),
             (2, Padding::Valid),
         ] {
-            // Sparse input triggers the CSC scatter path inside conv2d...
+            // Sparse input triggers the sparse kernel inside conv2d...
             let mut sparse = Tensor3::zeros(3, 9, 9);
             sparse.set(0, 4, 0, 1.5);
             sparse.set(1, 0, 8, -2.0);
@@ -676,18 +622,14 @@ mod tests {
             let fast = conv2d(&sparse, &w, Some(&[0.1, 0.2, 0.3, 0.4]), &c);
             let reference = conv2d_reference(&sparse, &w, Some(&[0.1, 0.2, 0.3, 0.4]), &c);
             // ...and must agree with the reference loop bit-for-bit.
-            assert_eq!(fast.shape(), reference.shape());
-            assert_eq!(fast.data(), reference.data());
-            // A dense input through the explicit CSC entry point must too.
+            assert_bits_eq(&fast, &reference);
+            // A dense input through the explicit sparse entry point must too.
             let mut dense = sparse.clone();
             for (i, v) in dense.data_mut().iter_mut().enumerate() {
                 *v += (i % 7) as f32 * 0.25; // make it dense
             }
-            let scattered = crate::csc_conv::conv2d_sparse_csc(&dense, &w, None, &c);
-            assert_eq!(
-                conv2d_reference(&dense, &w, None, &c).data(),
-                scattered.data()
-            );
+            let sparse_kernel = crate::csc_conv::conv2d_sparse_csc(&dense, &w, None, &c);
+            assert_bits_eq(&conv2d_reference(&dense, &w, None, &c), &sparse_kernel);
         }
     }
 

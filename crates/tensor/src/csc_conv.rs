@@ -1,84 +1,89 @@
-//! Sparse-activation × sparse-weight convolution over CSC-compacted weights.
+//! Output-stationary sparse convolution over filter-major compacted weights.
 //!
 //! The paper's victim accelerators (Eyeriss v2, SCNN) keep both operands in
 //! compressed-sparse form and multiply only nonzero pairs; this module is the
 //! corresponding compute model and the performance backbone of the prober hot
-//! loop. Weights are compacted once into [`CscWeights`] — for every filter
-//! tap position `(c, r, s)` the list of `(k, value)` entries that survive
-//! pruning — and the kernel walks the nonzero input pixels, scattering each
-//! into the output positions its taps reach.
+//! loop. Weights are compacted once into [`SparseFilters`] — for every filter
+//! `k` the list of `(tap, value)` entries that survive pruning, in ascending
+//! `(c, r, s)` order — and the kernel keeps a register block of output
+//! elements in place while it walks one filter's nonzeros, streaming the
+//! activations past the accumulators (an output-stationary dataflow).
+//!
+//! Each call of [`conv2d_csc`]:
+//!
+//! 1. copies the input columns the recomputed output span reads into a
+//!    zero-padded tile, laid out by column phase (`x mod stride`) so every
+//!    stride reads each tap's lanes from one contiguous run;
+//! 2. maps each nonzero's tap index to its tile offset through a per-call
+//!    `C·R·S` table;
+//! 3. for each filter, each block of [`CONV_ROWS`] output rows and each
+//!    [`LANES`]-wide chunk of the span, runs [`simd::sparse_conv_block`]
+//!    from the bias and stores the lanes inside the span.
 //!
 //! # Bit-identity contract
 //!
 //! [`conv2d_csc`] reproduces [`crate::conv::conv2d_reference`]
-//! bit-for-bit: for every output element the surviving contributions are
-//! accumulated in ascending `(c, r, s)` tap order starting from the bias.
-//! Walking input pixels in ascending `(c, y, x)` guarantees that order,
-//! because for a fixed output position ascending `y` is ascending `r` and
-//! ascending `x` is ascending `s`. The scatter therefore performs the exact
-//! same f32 additions in the exact same order as the reference loop nest.
+//! bit-for-bit. Every output element starts from the bias and receives one
+//! masked `acc += w * x` per nonzero weight of its filter, in ascending
+//! `(c, r, s)` order — the reference's order. Taps whose activation is zero
+//! (including the zeros that stand for padding) are skipped lanewise by the
+//! mask, exactly as the reference skips them, so both perform the same f32
+//! additions in the same order.
 
 use crate::colspan::ColSpan;
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
+use crate::simd::{self, CONV_ROWS, LANES};
 use crate::{Tensor3, Tensor4};
 
-/// Per-tap compressed-sparse-column encoding of a pruned weight tensor.
+/// Filter-major compaction of a pruned weight tensor.
 ///
-/// Entries are grouped by tap position `(c, r, s)` and sorted by output
-/// channel `k` within each group; zero weights are elided with the same
-/// exact `!= 0.0` test the dense kernels use for zero-skipping.
+/// Per filter `k`, the surviving weights in ascending flat tap index
+/// `(c * R + r) * S + s` — which is ascending `(c, r, s)` — with one `u32`
+/// tap index and one `f32` value per nonzero. Zero weights are elided with
+/// the same exact `!= 0.0` test the reference uses for zero-skipping.
 #[derive(Clone, Debug)]
-pub struct CscWeights {
+pub struct SparseFilters {
     k: usize,
     c: usize,
     r: usize,
     s: usize,
-    /// Bucket boundaries per `(c, r, s)` tap, length `c*r*s + 1`.
+    /// Filter boundaries into `taps`/`values`, length `k + 1`.
     offsets: Vec<u32>,
-    /// Output-channel index per surviving weight.
-    filters: Vec<u32>,
+    /// Flat `(c, r, s)` tap index per surviving weight.
+    taps: Vec<u32>,
     /// Weight value per surviving weight.
     values: Vec<f32>,
 }
 
-impl CscWeights {
-    /// Compacts `weight` (layout `K x C x R x S`) into per-tap CSC lists.
+impl SparseFilters {
+    /// Compacts `weight` (layout `K x C x R x S`) filter by filter.
     pub fn build(weight: &Tensor4) -> Self {
         let (k, c, r, s) = (weight.k(), weight.c(), weight.r(), weight.s());
-        let taps = c * r * s;
-        let mut counts = vec![0u32; taps + 1];
+        let per_filter = c * r * s;
         let data = weight.data();
-        for (idx, &v) in data.iter().enumerate() {
-            if v != 0.0 {
-                counts[idx % taps.max(1) + 1] += 1;
+        // Count first, so the two lists are allocated at their exact size.
+        let nnz = data.iter().filter(|&&v| v != 0.0).count();
+        let mut taps = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        let mut offsets = Vec::with_capacity(k + 1);
+        offsets.push(0u32);
+        for f in 0..k {
+            let filter = &data[f * per_filter..(f + 1) * per_filter];
+            for (tap, &v) in filter.iter().enumerate() {
+                if v != 0.0 {
+                    taps.push(tap as u32);
+                    values.push(v);
+                }
             }
+            offsets.push(taps.len() as u32);
         }
-        for t in 1..counts.len() {
-            counts[t] += counts[t - 1];
-        }
-        let offsets = counts;
-        let nnz = *offsets.last().unwrap_or(&0) as usize;
-        let mut filters = vec![0u32; nnz];
-        let mut values = vec![0.0f32; nnz];
-        let mut cursor = offsets.clone();
-        // Ascending flat index is ascending k within each tap bucket (k is
-        // the outermost weight dimension), keeping the lists k-sorted.
-        for (idx, &v) in data.iter().enumerate() {
-            if v != 0.0 {
-                let bucket = idx % taps.max(1);
-                let slot = cursor[bucket] as usize;
-                filters[slot] = (idx / taps.max(1)) as u32;
-                values[slot] = v;
-                cursor[bucket] += 1;
-            }
-        }
-        CscWeights {
+        SparseFilters {
             k,
             c,
             r,
             s,
             offsets,
-            filters,
+            taps,
             values,
         }
     }
@@ -108,26 +113,14 @@ impl CscWeights {
         self.values.len()
     }
 
-    /// Fraction of weights that survived pruning.
-    pub fn density(&self) -> f64 {
-        let total = self.k * self.c * self.r * self.s;
-        if total == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / total as f64
-        }
-    }
-
-    /// The `(k, value)` entries at tap `(c, r, s)`, k-ascending.
+    /// Index range of filter `k`'s nonzeros in `taps`/`values`.
     #[inline]
-    fn taps(&self, bucket: usize) -> (&[u32], &[f32]) {
-        let lo = self.offsets[bucket] as usize;
-        let hi = self.offsets[bucket + 1] as usize;
-        (&self.filters[lo..hi], &self.values[lo..hi])
+    fn filter(&self, k: usize) -> std::ops::Range<usize> {
+        self.offsets[k] as usize..self.offsets[k + 1] as usize
     }
 }
 
-/// Input-stationary sparse × sparse convolution restricted to the output
+/// Output-stationary sparse × sparse convolution restricted to the output
 /// columns reachable from `in_span`.
 ///
 /// The caller guarantees one of two contracts:
@@ -150,7 +143,7 @@ impl CscWeights {
 /// `baseline` has the wrong shape, or if `cfg.stride == 0`.
 pub fn conv2d_csc(
     input: &Tensor3,
-    weights: &CscWeights,
+    weights: &SparseFilters,
     bias: Option<&[f32]>,
     cfg: &Conv2dCfg,
     in_span: ColSpan,
@@ -172,17 +165,16 @@ pub fn conv2d_csc(
         );
     }
 
-    let (kr, ks) = (weights.r(), weights.s());
-    let out_h = conv_out_dim(input.h(), kr, cfg.stride, cfg.padding);
-    let out_w = conv_out_dim(input.w(), ks, cfg.stride, cfg.padding);
+    let (kr, ks, st) = (weights.r(), weights.s(), cfg.stride);
+    let (in_h, in_w) = (input.h(), input.w());
+    let out_h = conv_out_dim(in_h, kr, st, cfg.padding);
+    let out_w = conv_out_dim(in_w, ks, st, cfg.padding);
     let (pad_y, pad_x) = match cfg.padding {
-        Padding::Same => (
-            same_pad(input.h(), kr, cfg.stride),
-            same_pad(input.w(), ks, cfg.stride),
-        ),
+        Padding::Same => (same_pad(in_h, kr, st), same_pad(in_w, ks, st)),
         Padding::Valid => (0, 0),
     };
 
+    let plane = out_h * out_w;
     let mut out = match baseline {
         Some(base) => {
             assert_eq!(
@@ -195,7 +187,6 @@ pub fn conv2d_csc(
         None => {
             let mut t = Tensor3::zeros(weights.k(), out_h, out_w);
             if let Some(b) = bias {
-                let plane = out_h * out_w;
                 for (k, chunk) in t.data_mut().chunks_exact_mut(plane.max(1)).enumerate() {
                     chunk.fill(b[k]);
                 }
@@ -203,131 +194,77 @@ pub fn conv2d_csc(
             t
         }
     };
-    let out_span = in_span.clamp(input.w()).conv(ks, cfg.stride, pad_x, out_w);
-    if out_h == 0 || out_w == 0 || out_span.is_empty() {
+    let out_span = in_span.clamp(in_w).conv(ks, st, pad_x, out_w);
+    if out_h == 0 || out_span.is_empty() {
         return out;
     }
 
-    // Reset the recomputed columns to the bias so accumulation starts from
-    // the same value as the reference loop's `acc = bias[k]`.
-    let plane = out_h * out_w;
-    {
-        let data = out.data_mut();
-        for k in 0..weights.k() {
-            let b = bias.map_or(0.0, |b| b[k]);
-            for p in 0..out_h {
-                let row = k * plane + p * out_w;
-                data[row + out_span.lo()..row + out_span.hi()].fill(b);
+    // Tile geometry. Output row p, lane j (column q_lo + j) and tap
+    // (c, r, s) read input row p*st + r - pad_y and column
+    // x0 + (j + s/st)*st + s%st, where x0 = q_lo*st - pad_x. The tile holds,
+    // per channel, `t_len` input rows (row t is input row t - pad_y); each
+    // row holds `st` phases of `u_len` columns (phase f, column u is input
+    // column x0 + u*st + f). Rows and lanes are padded up to whole register
+    // blocks; everything outside the input stays zero.
+    let (q_lo, span_w) = (out_span.lo(), out_span.width());
+    let rows = out_h.div_ceil(CONV_ROWS) * CONV_ROWS;
+    let u_len = span_w.div_ceil(LANES) * LANES + (ks - 1) / st;
+    let row_len = st * u_len;
+    let t_len = (rows - 1) * st + kr;
+    let chan_len = t_len * row_len;
+    let mut tile = vec![0.0f32; input.c() * chan_len];
+    assert!(
+        tile.len() <= u32::MAX as usize,
+        "input tile exceeds u32 offsets"
+    );
+    let x0 = (q_lo * st) as isize - pad_x as isize;
+    let in_data = input.data();
+    for (c, chan) in tile.chunks_exact_mut(chan_len).enumerate() {
+        for (t, row) in chan.chunks_exact_mut(row_len).enumerate() {
+            let Some(iy) = t.checked_sub(pad_y).filter(|&iy| iy < in_h) else {
+                continue;
+            };
+            let src = &in_data[(c * in_h + iy) * in_w..(c * in_h + iy + 1) * in_w];
+            for (phase, dst) in row.chunks_exact_mut(u_len).enumerate() {
+                for (u, d) in dst.iter_mut().enumerate() {
+                    let x = x0 + (u * st + phase) as isize;
+                    if (0..in_w as isize).contains(&x) {
+                        *d = src[x as usize];
+                    }
+                }
             }
         }
     }
 
-    // Per-row tap maps: which (r -> p) pairs exist for each input row y, and
-    // which (s -> q) pairs land inside `out_span` for each input column x.
-    // Both are built in ascending r / s order (the bit-identity contract).
-    let rp: Vec<Vec<(usize, usize)>> = (0..input.h())
-        .map(|y| {
-            (0..kr)
-                .filter_map(|r| {
-                    let py = y as isize + pad_y as isize - r as isize;
-                    if py < 0 || py % cfg.stride as isize != 0 {
-                        return None;
-                    }
-                    let p = (py / cfg.stride as isize) as usize;
-                    (p < out_h).then_some((r, p))
-                })
-                .collect()
-        })
-        .collect();
-    // Input columns whose window can reach `out_span`.
-    let x_lo = (out_span.lo() * cfg.stride).saturating_sub(pad_x);
-    let x_hi = ((out_span.hi() - 1) * cfg.stride + ks - 1)
-        .saturating_sub(pad_x)
-        .min(input.w().saturating_sub(1));
-    let sq: Vec<Vec<(usize, usize)>> = (x_lo..=x_hi)
-        .map(|x| {
-            (0..ks)
-                .filter_map(|s| {
-                    let qx = x as isize + pad_x as isize - s as isize;
-                    if qx < 0 || qx % cfg.stride as isize != 0 {
-                        return None;
-                    }
-                    let q = (qx / cfg.stride as isize) as usize;
-                    out_span.contains(q).then_some((s, q))
-                })
-                .collect()
-        })
+    // Tap index -> tile offset, then every nonzero's offset in one pass.
+    let mut tap_offset = Vec::with_capacity(input.c() * kr * ks);
+    for c in 0..input.c() {
+        for r in 0..kr {
+            for s in 0..ks {
+                tap_offset.push((c * chan_len + r * row_len + (s % st) * u_len + s / st) as u32);
+            }
+        }
+    }
+    let offs: Vec<u32> = weights
+        .taps
+        .iter()
+        .map(|&t| tap_offset[t as usize])
         .collect();
 
-    let in_w = input.w();
-    let in_plane = input.h() * in_w;
-    let in_data = input.data();
+    let row_step = st * row_len;
     let out_data = out.data_mut();
-    let span_len = x_hi + 1 - x_lo;
-    for c in 0..weights.c() {
-        let tap_base_c = c * kr * ks;
-        for (y, rps) in rp.iter().enumerate() {
-            if rps.is_empty() {
-                continue;
-            }
-            let row = &in_data[c * in_plane + y * in_w..c * in_plane + y * in_w + in_w];
-            // Dense rows at stride 1 take a vectorized path: one masked
-            // axpy per (tap, surviving weight) over the contiguous
-            // output-x run. Per output element the contribution order is
-            // (c asc, y asc == r asc, s asc) — exactly the scatter's
-            // order — so both paths are bit-identical and the cutover
-            // density is purely a speed heuristic. Sparse rows (the
-            // probe-image regime) keep the pixel scatter, which skips
-            // all taps of a zero pixel at the cost of one compare.
-            if cfg.stride == 1 && span_len >= 8 {
-                let nnz_in_span = crate::nnz(&row[x_lo..=x_hi]);
-                if nnz_in_span * 4 >= span_len {
-                    for &(r, p) in rps {
-                        let out_row = p * out_w;
-                        let tap_base = tap_base_c + r * ks;
-                        for s in 0..ks {
-                            // Output-x range reaching tap s from columns
-                            // in [x_lo, x_hi] (q = x + pad_x - s) inside
-                            // the recomputed span.
-                            let q_lo = out_span.lo().max((x_lo + pad_x).saturating_sub(s));
-                            let q_hi = out_span.hi().min((x_hi + pad_x + 1).saturating_sub(s));
-                            if q_lo >= q_hi {
-                                continue;
-                            }
-                            let x_first = q_lo + s - pad_x;
-                            let (ks_list, wv_list) = weights.taps(tap_base + s);
-                            for (&k, &wv) in ks_list.iter().zip(wv_list) {
-                                let dst = k as usize * plane + out_row;
-                                crate::simd::axpy_nonzero(
-                                    &mut out_data[dst + q_lo..dst + q_hi],
-                                    &row[x_first..x_first + (q_hi - q_lo)],
-                                    wv,
-                                );
-                            }
-                        }
-                    }
-                    continue;
-                }
-            }
-            for x in x_lo..=x_hi {
-                let xv = row[x];
-                if xv == 0.0 {
-                    continue; // activation zero-skipping
-                }
-                let sqs = &sq[x - x_lo];
-                if sqs.is_empty() {
-                    continue;
-                }
-                for &(r, p) in rps {
-                    let out_row = p * out_w;
-                    let tap_base = tap_base_c + r * ks;
-                    for &(s, q) in sqs {
-                        let (ks_list, wv_list) = weights.taps(tap_base + s);
-                        let dst = out_row + q;
-                        for (&k, &wv) in ks_list.iter().zip(wv_list) {
-                            out_data[k as usize * plane + dst] += wv * xv;
-                        }
-                    }
+    for k in 0..weights.k() {
+        let nz = weights.filter(k);
+        let (f_offs, f_vals) = (&offs[nz.clone()], &weights.values[nz]);
+        let b = bias.map_or(0.0, |b| b[k]);
+        for p0 in (0..out_h).step_by(CONV_ROWS) {
+            for j0 in (0..span_w).step_by(LANES) {
+                let block =
+                    simd::sparse_conv_block(&tile, p0 * row_step + j0, row_step, f_offs, f_vals, b);
+                let n = LANES.min(span_w - j0);
+                for (p, lanes) in (p0..out_h).zip(&block) {
+                    let at = k * plane + p * out_w + q_lo + j0;
+                    out_data[at..at + n].copy_from_slice(&lanes[..n]);
                 }
             }
         }
@@ -336,16 +273,17 @@ pub fn conv2d_csc(
 }
 
 /// [`conv2d_csc`] with the weight compaction and span scan done on the fly —
-/// the dispatch target for one-shot sparse-input convolutions (callers with
-/// a reusable [`CscWeights`] should invoke the kernel directly).
+/// the dispatch target of [`crate::conv::conv2d`] for sparse inputs and
+/// sparse weights (callers with reusable [`SparseFilters`] should invoke the
+/// kernel directly).
 pub fn conv2d_sparse_csc(
     input: &Tensor3,
     weight: &Tensor4,
     bias: Option<&[f32]>,
     cfg: &Conv2dCfg,
 ) -> Tensor3 {
-    let csc = CscWeights::build(weight);
-    conv2d_csc(input, &csc, bias, cfg, ColSpan::of_tensor(input), None)
+    let filters = SparseFilters::build(weight);
+    conv2d_csc(input, &filters, bias, cfg, ColSpan::of_tensor(input), None)
 }
 
 #[cfg(test)]
@@ -366,23 +304,24 @@ mod tests {
         w
     }
 
+    fn bits(t: &Tensor3) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn csc_roundtrips_every_tap() {
+    fn filters_roundtrip_every_tap_in_ascending_order() {
         let w = pruned_weights(5, 3, 3, 3, 0.4, 9);
-        let csc = CscWeights::build(&w);
-        assert_eq!(csc.nnz(), w.nnz());
+        let filters = SparseFilters::build(&w);
+        assert_eq!(filters.nnz(), w.nnz());
+        assert_eq!(filters.taps.capacity(), filters.nnz());
         let mut rebuilt = Tensor4::zeros(5, 3, 3, 3);
-        for c in 0..3 {
-            for r in 0..3 {
-                for s in 0..3 {
-                    let (ks_list, vs) = csc.taps((c * 3 + r) * 3 + s);
-                    let mut prev = None;
-                    for (&k, &v) in ks_list.iter().zip(vs) {
-                        assert!(prev.is_none_or(|p| p < k), "k order not ascending");
-                        prev = Some(k);
-                        rebuilt.set(k as usize, c, r, s, v);
-                    }
-                }
+        for k in 0..5 {
+            let nz = filters.filter(k);
+            let (taps, vals) = (&filters.taps[nz.clone()], &filters.values[nz]);
+            assert!(taps.windows(2).all(|p| p[0] < p[1]), "taps not ascending");
+            for (&t, &v) in taps.iter().zip(vals) {
+                let t = t as usize;
+                rebuilt.set(k, t / 9, t / 3 % 3, t % 3, v);
             }
         }
         assert_eq!(rebuilt.data(), w.data());
@@ -391,15 +330,15 @@ mod tests {
     #[test]
     fn matches_reference_bitwise_on_random_shapes() {
         let mut rng = StdRng::seed_from_u64(0xC5C);
-        for case in 0..40u64 {
+        for case in 0..60u64 {
             let (c, h, w) = (
                 rng.gen_range(1..4usize),
-                rng.gen_range(1..9usize),
-                rng.gen_range(1..9usize),
+                rng.gen_range(1..12usize),
+                rng.gen_range(1..12usize),
             );
             let k = rng.gen_range(1..5usize);
             let kr = rng.gen_range(1..4usize);
-            let stride = rng.gen_range(1..3usize);
+            let stride = rng.gen_range(1..4usize);
             let padding = if rng.gen_bool(0.5) {
                 Padding::Same
             } else {
@@ -419,7 +358,7 @@ mod tests {
             let want = crate::conv::conv2d_reference(&x, &weight, Some(&bias), &cfg);
             let got = conv2d_sparse_csc(&x, &weight, Some(&bias), &cfg);
             assert_eq!(want.shape(), got.shape(), "case {case}");
-            assert_eq!(want.data(), got.data(), "bitwise divergence in case {case}");
+            assert_eq!(bits(&want), bits(&got), "bitwise divergence in case {case}");
         }
     }
 
@@ -429,47 +368,51 @@ mod tests {
         // column, must equal the from-scratch result bit-for-bit.
         let mut rng = StdRng::seed_from_u64(0x1D1);
         let weight = pruned_weights(6, 2, 3, 3, 0.5, 0x51);
-        let csc = CscWeights::build(&weight);
-        let cfg = Conv2dCfg::new(1, Padding::Same);
-        let mut base_in = Tensor3::zeros(2, 8, 8);
-        for v in base_in.data_mut().iter_mut() {
-            *v = rng.gen_range(-1.0..1.0);
-        }
-        let base_out = conv2d_csc(&base_in, &csc, None, &cfg, ColSpan::full(8), None);
-        let mut patched = base_in.clone();
-        for ch in 0..2 {
-            for y in 0..8 {
-                patched.set(ch, y, 5, rng.gen_range(-1.0..1.0));
+        let filters = SparseFilters::build(&weight);
+        for stride in [1, 2] {
+            let cfg = Conv2dCfg::new(stride, Padding::Same);
+            let mut base_in = Tensor3::zeros(2, 8, 8);
+            for v in base_in.data_mut().iter_mut() {
+                *v = rng.gen_range(-1.0..1.0);
             }
+            let base_out = conv2d_csc(&base_in, &filters, None, &cfg, ColSpan::full(8), None);
+            let mut patched = base_in.clone();
+            for ch in 0..2 {
+                for y in 0..8 {
+                    patched.set(ch, y, 5, rng.gen_range(-1.0..1.0));
+                }
+            }
+            let incremental = conv2d_csc(
+                &patched,
+                &filters,
+                None,
+                &cfg,
+                ColSpan::new(5, 6),
+                Some(&base_out),
+            );
+            let full = conv2d_csc(&patched, &filters, None, &cfg, ColSpan::full(8), None);
+            assert_eq!(bits(&incremental), bits(&full), "stride {stride}");
         }
-        let incremental = conv2d_csc(
-            &patched,
-            &csc,
-            None,
-            &cfg,
-            ColSpan::new(5, 6),
-            Some(&base_out),
-        );
-        let full = conv2d_csc(&patched, &csc, None, &cfg, ColSpan::full(8), None);
-        assert_eq!(incremental.data(), full.data());
     }
 
     #[test]
     fn empty_span_returns_bias_planes() {
         let weight = pruned_weights(3, 1, 3, 3, 0.5, 4);
         let x = Tensor3::zeros(1, 5, 5);
-        let csc = CscWeights::build(&weight);
+        let filters = SparseFilters::build(&weight);
+        let bias = [1.0, -2.0, -0.0];
         let out = conv2d_csc(
             &x,
-            &csc,
-            Some(&[1.0, -2.0, 0.5]),
+            &filters,
+            Some(&bias),
             &Conv2dCfg::default(),
             ColSpan::empty(),
             None,
         );
-        for k in 0..3 {
-            let b = [1.0, -2.0, 0.5][k];
-            assert!(out.data()[k * 25..(k + 1) * 25].iter().all(|&v| v == b));
+        for (k, b) in bias.iter().enumerate() {
+            assert!(out.data()[k * 25..(k + 1) * 25]
+                .iter()
+                .all(|v| v.to_bits() == b.to_bits()));
         }
     }
 }

@@ -8,8 +8,9 @@
 //! * [`Tensor4`] — a convolution weight tensor in `K x C x R x S` layout,
 //! * [`conv`], [`pool`], [`norm`] — forward kernels; dense convolutions run
 //!   on the [`im2col`] + blocked-[`gemm`] backend, sparse ones on the
-//!   [`csc_conv`] scatter (selected via [`ConvBackend`], both bit-identical
-//!   to [`conv::conv2d_reference`] by construction),
+//!   output-stationary [`csc_conv`] kernel (chosen from the operands or via
+//!   [`ConvBackend`], both bit-identical to [`conv::conv2d_reference`] by
+//!   construction),
 //! * [`sparse`] — bitmap / run-length / CSC transfer codecs that determine
 //!   exactly how many bytes cross the DRAM bus for a given tensor.
 //!
@@ -46,7 +47,7 @@ pub mod tensor;
 
 pub use colspan::ColSpan;
 pub use conv::{BackendPolicy, ConvBackend};
-pub use csc_conv::CscWeights;
+pub use csc_conv::SparseFilters;
 pub use im2col::{gemm_call_dims, GemmShape};
 pub use qtensor::{QTensor3, QTensor4, QuantParams};
 pub use shape::Shape3;

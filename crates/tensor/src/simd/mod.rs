@@ -1,14 +1,21 @@
 //! Runtime-dispatched SIMD kernels for the convolution hot loops.
 //!
-//! The f32 conv kernels (blocked GEMM, CSC scatter) and the INT8
-//! quantized path all bottom out in a handful of small
-//! kernels defined here. Each kernel has two implementations with
-//! *identical per-lane semantics*:
+//! The f32 conv kernels (blocked GEMM, output-stationary sparse conv) and
+//! the INT8 quantized path all bottom out in a handful of small
+//! kernels defined here. Each kernel has a portable scalar fallback
+//! ([`scalar`]) written over the explicit lane types [`scalar::f32x8`] /
+//! [`scalar::i32x8`], and a hand-vectorized `std::arch` version selected
+//! at runtime, with *identical per-lane semantics*:
 //!
-//! * a portable scalar fallback ([`scalar`]) written over the explicit
-//!   lane types [`scalar::f32x8`] / [`scalar::i32x8`], and
-//! * a hand-vectorized `std::arch` version (AVX2 on x86_64 in [`x86`],
-//!   NEON on aarch64 in [`neon`]) selected at runtime.
+//! | kernel | x86_64 ([`x86`]) | aarch64 (`neon`) |
+//! |---|---|---|
+//! | [`gemm_micro`] | AVX2 | NEON |
+//! | [`sparse_conv_block`] | AVX2 | scalar body |
+//! | [`qaxpy`] | AVX2 | NEON |
+//!
+//! `sparse_conv_block` has no NEON body yet: no aarch64 toolchain is
+//! available to compile and test one, so aarch64 runs its scalar body
+//! in both dispatch modes.
 //!
 //! # Bit-identity contract
 //!
@@ -49,6 +56,11 @@ pub const MR: usize = 4;
 /// (Widening the tile never changes results — per output element the
 /// `j` accumulation order is untouched.)
 pub const NR: usize = 16;
+/// f32 lanes of one vector register (one AVX2 `__m256`).
+pub const LANES: usize = 8;
+/// Output rows of one [`sparse_conv_block`] register block: each weight
+/// broadcast feeds this many row accumulators.
+pub const CONV_ROWS: usize = 4;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -184,29 +196,51 @@ pub fn gemm_micro(
     scalar::gemm_micro(kcb, a_strip, b_strip, c, ldc, mrb, nrb);
 }
 
-/// Masked accumulate over a contiguous run of output elements:
-/// `acc[i] += w * x[i]` for every lane where `x[i] != 0.0`, preserving
-/// the accumulator bits elsewhere — the vectorized form of the kernels'
-/// activation zero-skipping. `acc` and `x` must have equal length.
+/// Masked multiply-accumulate over one register block of an
+/// output-stationary sparse convolution ([`crate::csc_conv`]).
+///
+/// Computes `CONV_ROWS` rows of [`LANES`] adjacent output elements of one
+/// filter. Row `i`, lane `j` starts at `init` (the filter's bias) and, for
+/// each nonzero `(offs[n], vals[n])` in order, receives `vals[n] * x`
+/// where `x = tile[origin + offs[n] + i * row_step + j]` — but only when
+/// `x != 0.0` (compare + blend: a lane whose activation is zero keeps its
+/// accumulator bits, exactly the reference loop's zero-skipping). Tap
+/// order is the caller's, so an ascending `(c, r, s)` list reproduces
+/// `conv2d_reference`'s accumulation order per output element.
+///
+/// # Panics
+///
+/// Panics if `offs` and `vals` differ in length or if the block's reach
+/// (`origin + max(offs) + (CONV_ROWS - 1) * row_step + LANES`, with
+/// `max(offs) = 0` when empty) exceeds `tile`.
 #[inline]
-pub fn axpy_nonzero(acc: &mut [f32], x: &[f32], w: f32) {
-    assert_eq!(acc.len(), x.len(), "axpy operand length mismatch");
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+pub fn sparse_conv_block(
+    tile: &[f32],
+    origin: usize,
+    row_step: usize,
+    offs: &[u32],
+    vals: &[f32],
+    init: f32,
+) -> [[f32; LANES]; CONV_ROWS] {
+    assert_eq!(offs.len(), vals.len(), "tap offset/value length mismatch");
+    // Checked: the AVX2 body's raw loads rely on this bound.
+    let reach = offs.iter().copied().max().unwrap_or(0) as usize;
+    let end = (CONV_ROWS - 1)
+        .checked_mul(row_step)
+        .and_then(|rows| rows.checked_add(origin))
+        .and_then(|at| at.checked_add(reach))
+        .and_then(|at| at.checked_add(LANES));
+    assert!(
+        end.is_some_and(|end| end <= tile.len()),
+        "register block reads past the tile"
+    );
+    #[cfg(target_arch = "x86_64")]
     if mode() == MODE_VECTOR {
-        // SAFETY: ISA presence verified before MODE_VECTOR was stored;
-        // equal slice lengths asserted above bound every pointer access.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            x86::axpy_nonzero_avx2(acc, x, w)
-        };
-        // SAFETY: as above.
-        #[cfg(target_arch = "aarch64")]
-        unsafe {
-            neon::axpy_nonzero_neon(acc, x, w)
-        };
-        return;
+        // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
+        // the assert above bounds every load the kernel issues.
+        return unsafe { x86::sparse_conv_block_avx2(tile, origin, row_step, offs, vals, init) };
     }
-    scalar::axpy_nonzero(acc, x, w);
+    scalar::sparse_conv_block(tile, origin, row_step, offs, vals, init)
 }
 
 /// Unmasked i32 accumulate over a contiguous run: `acc[i] += w * x[i]`.
@@ -289,38 +323,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn axpy_paths_bit_identical_and_preserve_zero_lanes() {
-        for n in [0usize, 1, 7, 8, 9, 31, 64] {
-            let x = random(n, n as u64);
-            let acc0: Vec<f32> = random(n, 100 + n as u64);
-            let mut outs: Vec<Vec<f32>> = Vec::new();
-            both_paths(|_| {
-                let mut acc = acc0.clone();
-                axpy_nonzero(&mut acc, &x, 0.75);
-                outs.push(acc);
-            });
-            let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&outs[0]), bits(&outs[1]), "n={n}");
-            // Lanes with a zero activation keep their exact bits.
-            for i in 0..n {
-                if x[i] == 0.0 {
-                    assert_eq!(outs[1][i].to_bits(), acc0[i].to_bits());
+    /// The per-lane definition of [`sparse_conv_block`], written out.
+    fn conv_block_by_lane(
+        tile: &[f32],
+        origin: usize,
+        row_step: usize,
+        offs: &[u32],
+        vals: &[f32],
+        init: f32,
+    ) -> [[f32; LANES]; CONV_ROWS] {
+        let mut out = [[init; LANES]; CONV_ROWS];
+        for (i, row) in out.iter_mut().enumerate() {
+            for (j, acc) in row.iter_mut().enumerate() {
+                for (&o, &w) in offs.iter().zip(vals) {
+                    let x = tile[origin + o as usize + i * row_step + j];
+                    if x != 0.0 {
+                        *acc += w * x;
+                    }
                 }
             }
+        }
+        out
+    }
+
+    #[test]
+    fn conv_block_paths_bit_identical_to_lane_definition() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for nnz in [0usize, 1, 5, 40] {
+            let row_step = rng.gen_range(LANES..3 * LANES);
+            let tile = random(CONV_ROWS * row_step + 64, 50 + nnz as u64);
+            let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..48u32)).collect();
+            let vals = random(nnz, 60 + nnz as u64);
+            let origin = rng.gen_range(0..8usize);
+            let init = if nnz == 5 { -0.0 } else { 0.25 };
+            let want = conv_block_by_lane(&tile, origin, row_step, &offs, &vals, init);
+            let bits = |b: &[[f32; LANES]; CONV_ROWS]| {
+                b.iter()
+                    .flat_map(|r| r.iter().map(|x| x.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            both_paths(|_| {
+                let got = sparse_conv_block(&tile, origin, row_step, &offs, &vals, init);
+                assert_eq!(bits(&got), bits(&want), "nnz={nnz}");
+            });
         }
     }
 
     #[test]
-    fn axpy_preserves_negative_zero_accumulator() {
-        let mut acc = vec![-0.0f32; 8];
-        let x = vec![0.0f32; 8];
+    fn conv_block_preserves_negative_zero_accumulator() {
+        // All-zero activations: every lane must keep the -0.0 bias bits.
+        let tile = vec![0.0f32; CONV_ROWS * LANES + LANES];
         both_paths(|_| {
-            axpy_nonzero(&mut acc, &x, 1.0);
-            for a in &acc {
+            let got = sparse_conv_block(&tile, 0, LANES, &[0, 3, 8], &[1.0, -2.0, 0.5], -0.0);
+            for a in got.iter().flatten() {
                 assert_eq!(a.to_bits(), (-0.0f32).to_bits(), "-0.0 flipped");
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past the tile")]
+    fn conv_block_rejects_out_of_tile_offsets() {
+        let tile = vec![1.0f32; CONV_ROWS * LANES];
+        let _ = sparse_conv_block(&tile, 0, LANES, &[1], &[1.0], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past the tile")]
+    fn conv_block_rejects_overflowing_row_step() {
+        let tile = vec![1.0f32; CONV_ROWS * LANES];
+        let _ = sparse_conv_block(&tile, 0, usize::MAX / 2, &[0], &[1.0], 0.0);
     }
 
     #[test]

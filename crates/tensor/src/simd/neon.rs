@@ -2,9 +2,11 @@
 //!
 //! NEON registers are 128-bit, so each 8-lane kernel step uses a pair of
 //! `float32x4_t`/`int32x4_t` halves. Per-lane semantics match
-//! [`super::scalar`] exactly: separate `mul` + `add` (no `vfmaq`), and
-//! zero-skipping as a compare + bit-select so untouched accumulator
-//! lanes keep their bits.
+//! [`super::scalar`] exactly: separate `mul` + `add` (no `vfmaq`).
+//!
+//! The masked sparse-conv block ([`super::sparse_conv_block`]) has no
+//! NEON body: until one can be compiled and tested on an aarch64 host,
+//! aarch64 runs the scalar body for it in both dispatch modes.
 
 use super::{MR, NR};
 use core::arch::aarch64::*;
@@ -52,39 +54,6 @@ pub unsafe fn gemm_micro_neon(
             for (q, quarter) in acc[i].iter().enumerate() {
                 vst1q_f32(c.as_mut_ptr().add(i * ldc + 4 * q), *quarter);
             }
-        }
-    }
-}
-
-/// Masked accumulate: `acc[i] += w * x[i]` where `x[i] != 0.0`.
-///
-/// # Safety
-///
-/// Requires NEON. `acc` and `x` must have equal length.
-pub unsafe fn axpy_nonzero_neon(acc: &mut [f32], x: &[f32], w: f32) {
-    // SAFETY: caller guarantees equal lengths; `i + 4 <= n` bounds every
-    // vector access and the remainder loop uses checked indices below n.
-    unsafe {
-        let n = acc.len();
-        let wv = vdupq_n_f32(w);
-        let zero = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = vld1q_f32(x.as_ptr().add(i));
-            let av = vld1q_f32(acc.as_ptr().add(i));
-            let sum = vaddq_f32(av, vmulq_f32(wv, xv));
-            // `x != 0.0` per lane: NaN compares not-equal, matching the
-            // scalar test, because vceqq is false for NaN.
-            let mask = vmvnq_u32(vceqq_f32(xv, zero));
-            vst1q_f32(acc.as_mut_ptr().add(i), vbslq_f32(mask, sum, av));
-            i += 4;
-        }
-        while i < n {
-            let xi = *x.get_unchecked(i);
-            if xi != 0.0 {
-                *acc.get_unchecked_mut(i) += w * xi;
-            }
-            i += 1;
         }
     }
 }

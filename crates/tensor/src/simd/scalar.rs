@@ -7,7 +7,7 @@
 //! is kept allocation-free and auto-vectorizer-friendly but never relies
 //! on vectorization for correctness.
 
-use super::{MR, NR};
+use super::{CONV_ROWS, LANES, MR, NR};
 
 /// Eight f32 lanes with per-lane scalar semantics.
 #[allow(non_camel_case_types)] // lane types follow the f32x8 convention
@@ -21,52 +21,22 @@ impl f32x8 {
         f32x8([v; 8])
     }
 
-    /// Loads eight lanes from the front of `s`.
+    /// Per lane: `self + w * x[l]` where `x[l] != 0.0`, else `self` —
+    /// the masked multiply-add of the sparse conv (separate multiply and
+    /// add, no fused multiply-add; `!=` is true for NaN, matching the
+    /// reference's `if x != 0.0` test). Reads the first eight values of
+    /// `x`. One fused `while` loop: unoptimized builds (the test suites
+    /// under `HD_SIMD=0`) would otherwise pay a call per lane operation.
     #[inline]
-    pub fn load(s: &[f32]) -> Self {
-        let mut lanes = [0.0f32; 8];
-        lanes.copy_from_slice(&s[..8]);
-        f32x8(lanes)
-    }
-
-    /// Stores the lanes to the front of `d`.
-    #[inline]
-    pub fn store(self, d: &mut [f32]) {
-        d[..8].copy_from_slice(&self.0);
-    }
-
-    /// Lanewise multiply.
-    #[inline]
-    #[allow(clippy::should_implement_trait)] // named method, not an operator: lane math stays grep-able
-    pub fn mul(self, o: Self) -> Self {
+    pub fn add_scaled_nonzero(self, w: f32, x: &[f32]) -> Self {
+        let x = &x[..8];
         let mut r = self.0;
-        for (a, b) in r.iter_mut().zip(&o.0) {
-            *a *= b;
-        }
-        f32x8(r)
-    }
-
-    /// Lanewise add (separate from [`Self::mul`]: no fused multiply-add).
-    #[inline]
-    #[allow(clippy::should_implement_trait)] // named method, not an operator: lane math stays grep-able
-    pub fn add(self, o: Self) -> Self {
-        let mut r = self.0;
-        for (a, b) in r.iter_mut().zip(&o.0) {
-            *a += b;
-        }
-        f32x8(r)
-    }
-
-    /// Per lane: `self` where `mask_src != 0.0`, else `fallback` — the
-    /// zero-skipping blend (`!=` is true for NaN, matching the scalar
-    /// kernels' `if x != 0.0` test).
-    #[inline]
-    pub fn blend_nonzero(self, fallback: Self, mask_src: Self) -> Self {
-        let mut r = fallback.0;
-        for ((dst, &taken), &m) in r.iter_mut().zip(&self.0).zip(&mask_src.0) {
-            if m != 0.0 {
-                *dst = taken;
+        let mut l = 0;
+        while l < 8 {
+            if x[l] != 0.0 {
+                r[l] += w * x[l];
             }
+            l += 1;
         }
         f32x8(r)
     }
@@ -173,23 +143,25 @@ pub fn gemm_micro(
     }
 }
 
-/// Scalar masked accumulate: `acc[i] += w * x[i]` where `x[i] != 0.0`.
-/// The lane-typed body and the remainder loop evaluate the exact same
-/// per-element expression.
-pub fn axpy_nonzero(acc: &mut [f32], x: &[f32], w: f32) {
-    let wv = f32x8::splat(w);
-    let mut chunks = acc.chunks_exact_mut(8);
-    let mut xchunks = x.chunks_exact(8);
-    for (a8, x8) in (&mut chunks).zip(&mut xchunks) {
-        let av = f32x8::load(a8);
-        let xv = f32x8::load(x8);
-        av.add(wv.mul(xv)).blend_nonzero(av, xv).store(a8);
-    }
-    for (a, &xv) in chunks.into_remainder().iter_mut().zip(xchunks.remainder()) {
-        if xv != 0.0 {
-            *a += w * xv;
+/// Scalar register block of the output-stationary sparse conv: per
+/// nonzero, one weight feeds `CONV_ROWS` masked lane updates (the
+/// lane-typed form of `if x != 0.0 { acc += w * x }`).
+pub fn sparse_conv_block(
+    tile: &[f32],
+    origin: usize,
+    row_step: usize,
+    offs: &[u32],
+    vals: &[f32],
+    init: f32,
+) -> [[f32; LANES]; CONV_ROWS] {
+    let mut acc = [f32x8::splat(init); CONV_ROWS];
+    for (&o, &w) in offs.iter().zip(vals) {
+        let at = origin + o as usize;
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = a.add_scaled_nonzero(w, &tile[at + i * row_step..]);
         }
     }
+    acc.map(|a| a.0)
 }
 
 /// Scalar unmasked i32 accumulate: `acc[i] += w * x[i]`.

@@ -7,7 +7,7 @@
 //! separate `mul` + `add` (no FMA), and zero-skipping as a compare +
 //! blend so untouched accumulator lanes keep their bits.
 
-use super::{MR, NR};
+use super::{CONV_ROWS, LANES, MR, NR};
 use core::arch::x86_64::*;
 
 /// `MR x NR` register tile over full-width (`nrb == NR`) C rows.
@@ -54,36 +54,48 @@ pub unsafe fn gemm_micro_avx2(
     }
 }
 
-/// Masked accumulate: `acc[i] += w * x[i]` where `x[i] != 0.0`.
+/// Register block of the output-stationary sparse conv: `CONV_ROWS`
+/// ymm accumulators stay live across the whole nonzero list; each
+/// nonzero is one broadcast and `CONV_ROWS` masked lane updates.
 ///
 /// # Safety
 ///
-/// Requires AVX2. `acc` and `x` must have equal length.
+/// Requires AVX2. `offs` and `vals` must have equal length, `origin`
+/// must lie inside `tile`, and for every offset `o`, `tile` must hold
+/// `LANES` values at each of `origin + o + i * row_step` for `i` in
+/// `0..CONV_ROWS`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn axpy_nonzero_avx2(acc: &mut [f32], x: &[f32], w: f32) {
-    // SAFETY: caller guarantees equal lengths; `i + 8 <= n` bounds every
-    // vector access and the remainder loop uses checked indices below n.
+pub unsafe fn sparse_conv_block_avx2(
+    tile: &[f32],
+    origin: usize,
+    row_step: usize,
+    offs: &[u32],
+    vals: &[f32],
+    init: f32,
+) -> [[f32; LANES]; CONV_ROWS] {
+    // SAFETY: caller guarantees the bounds spelled out above; every
+    // load below reads LANES values at one of those offsets.
     unsafe {
-        let n = acc.len();
-        let wv = _mm256_set1_ps(w);
+        let base = tile.as_ptr().add(origin);
         let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            let av = _mm256_loadu_ps(acc.as_ptr().add(i));
-            let sum = _mm256_add_ps(av, _mm256_mul_ps(wv, xv));
-            // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
-            let mask = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv, zero);
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_blendv_ps(av, sum, mask));
-            i += 8;
-        }
-        while i < n {
-            let xi = *x.get_unchecked(i);
-            if xi != 0.0 {
-                *acc.get_unchecked_mut(i) += w * xi;
+        let mut acc = [_mm256_set1_ps(init); CONV_ROWS];
+        for (&o, &w) in offs.iter().zip(vals) {
+            let p = base.add(o as usize);
+            let wv = _mm256_set1_ps(w);
+            for (i, a) in acc.iter_mut().enumerate() {
+                let xv = _mm256_loadu_ps(p.add(i * row_step));
+                // Separate mul + add: bit-identical to the scalar block.
+                let sum = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
+                // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
+                let mask = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv, zero);
+                *a = _mm256_blendv_ps(*a, sum, mask);
             }
-            i += 1;
         }
+        let mut out = [[0.0f32; LANES]; CONV_ROWS];
+        for (row, a) in out.iter_mut().zip(&acc) {
+            _mm256_storeu_ps(row.as_mut_ptr(), *a);
+        }
+        out
     }
 }
 

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Dense strictly-positive tensor: keeps `conv2d` off the shared
-/// sparse-input scatter path so both dense backends actually run.
+/// Dense strictly-positive tensor: keeps `conv2d` off the sparse kernel
+/// (for dense weights) so the GEMM backend actually runs.
 fn dense_tensor(seed: u64, c: usize, h: usize, w: usize) -> Tensor3 {
     let mut t = Tensor3::zeros(c, h, w);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -33,8 +33,8 @@ fn random_weights(seed: u64, k: usize, c: usize, kernel: usize) -> Tensor4 {
     w
 }
 
-/// Runs the same convolution on the oracle and both backends. The CSC
-/// result must be bit-identical to the oracle (same tap order by
+/// Runs the same convolution on the oracle and both backends. The sparse
+/// kernel's result must be bit-identical to the oracle (same tap order by
 /// construction); the pair returned is left for the caller's
 /// oracle-vs-GEMM tolerance check.
 fn run_both(
@@ -143,8 +143,8 @@ proptest! {
     }
 
     /// Stripe inputs (one nonzero column, the prober's probe shape) with
-    /// pruned weights: the regime the CSC backend exists for. The auto-routed
-    /// CSC result must match the dense reference loop bit-for-bit, and agree
+    /// pruned weights: the regime the sparse kernel exists for. The auto-routed
+    /// sparse result must match the dense reference loop bit-for-bit, and agree
     /// with a GEMM run whose policy pins it onto the dense path.
     #[test]
     fn backends_agree_on_stripe_inputs_and_pruned_weights(
@@ -171,11 +171,13 @@ proptest! {
         let bias: Option<Vec<f32>> = (with_bias == 1).then(|| {
             (0..6).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
         });
-        // Sparse stripe ⇒ the default cfg auto-routes onto the CSC kernel.
+        // Sparse stripe ⇒ the default cfg auto-routes onto the sparse kernel.
         let fast = conv2d(&x, &wt, bias.as_deref(), &Conv2dCfg::new(stride, Padding::Same));
         let reference = conv2d_reference(
             &x, &wt, bias.as_deref(), &Conv2dCfg::new(stride, Padding::Same));
-        prop_assert_eq!(fast.data(), reference.data(), "CSC must match the reference bit-for-bit");
+        for (a, b) in fast.data().iter().zip(reference.data()) {
+            prop_assert!(a.to_bits() == b.to_bits(), "sparse kernel {a} vs reference {b}");
+        }
         // Zeroed thresholds pin GEMM onto the dense path despite the sparse input.
         let dense_only = BackendPolicy {
             input_density_threshold: 0,

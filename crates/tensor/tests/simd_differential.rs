@@ -144,8 +144,8 @@ proptest! {
 
     /// Every convolution backend is bit-identical across dispatch modes on
     /// random shapes, strides, and pruned weights. This covers the GEMM
-    /// micro-kernel (Im2colGemm) and the CSC scatter with its dense-row
-    /// `axpy_nonzero` path (SparseCsc) in one sweep.
+    /// micro-kernel (Im2colGemm) and the output-stationary sparse kernel's
+    /// `sparse_conv_block` (SparseCsc) in one sweep.
     #[test]
     fn conv_backends_bit_identical_across_simd_modes(
         seed in 0u64..10_000,
@@ -171,7 +171,7 @@ proptest! {
     }
 
     /// Stripe inputs (the prober's probe shape) route onto the sparse
-    /// scatter path; its masked lane blend must not flip a single bit.
+    /// kernel; its masked lane blend must not flip a single bit.
     #[test]
     fn sparse_scatter_bit_identical_across_simd_modes(
         seed in 0u64..10_000,
@@ -191,6 +191,32 @@ proptest! {
         let (vector, scalar) = both_paths(|| conv2d(&x, &w, None, &cfg));
         for (a, b) in vector.data().iter().zip(scalar.data()) {
             prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge on stripe");
+        }
+    }
+
+    /// The sparse-conv register block itself, on random tiles, offsets,
+    /// row steps and initial values (including `-0.0`), with a quarter of
+    /// the activations zero: both dispatch modes produce the same bits.
+    #[test]
+    fn sparse_conv_block_bit_identical_across_simd_modes(
+        seed in 0u64..10_000,
+        nnz in 0usize..60,
+        row_step in 8usize..40,
+        origin in 0usize..16,
+        negative_zero_init in 0u32..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let span = 64usize;
+        let tile: Vec<f32> = (0..origin + span + (simd::CONV_ROWS - 1) * row_step + simd::LANES)
+            .map(|_| if rng.gen_range(0u32..4) == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) })
+            .collect();
+        let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..=span as u32)).collect();
+        let vals: Vec<f32> = (0..nnz).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let init = if negative_zero_init == 1 { -0.0 } else { rng.gen_range(-1.0f32..1.0) };
+        let (vector, scalar) =
+            both_paths(|| simd::sparse_conv_block(&tile, origin, row_step, &offs, &vals, init));
+        for (a, b) in vector.iter().flatten().zip(scalar.iter().flatten()) {
+            prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge");
         }
     }
 

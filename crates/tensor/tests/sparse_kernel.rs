@@ -1,0 +1,124 @@
+//! Property tests of the output-stationary sparse kernel
+//! (`hd_tensor::csc_conv::conv2d_csc`) against the `conv2d_reference`
+//! oracle, compared bit for bit (`to_bits`, so `-0.0` and `+0.0` differ).
+//!
+//! Covers strides 1-3, `Same` and `Valid` padding, 1x1 to 7x7 kernels
+//! (square or not), maps narrower than one 8-lane register, sparse and
+//! dense inputs, an all-pruned filter, bias none / random / `-0.0`, and
+//! both halves of the `in_span` contract: with no baseline the input is
+//! zero outside the span; with a baseline, that baseline is the output of
+//! an input that agrees with this one outside the span.
+
+use hd_tensor::colspan::ColSpan;
+use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, ConvBackend, Padding};
+use hd_tensor::csc_conv::{conv2d_csc, SparseFilters};
+use hd_tensor::{Tensor3, Tensor4};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+fn bits(t: &Tensor3) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Uniform values in `[-2, 2)` at `density_pct` percent of the entries.
+fn random_input(rng: &mut StdRng, c: usize, h: usize, w: usize, density_pct: u32) -> Tensor3 {
+    let mut x = Tensor3::zeros(c, h, w);
+    for v in x.data_mut().iter_mut() {
+        if rng.gen_range(0u32..100) < density_pct {
+            *v = rng.gen_range(-2.0f32..2.0);
+        }
+    }
+    x
+}
+
+/// `x` with every column outside `span` taken from `outside`.
+fn splice(x: &Tensor3, outside: &Tensor3, span: ColSpan) -> Tensor3 {
+    let mut out = outside.clone();
+    let w = x.w();
+    for (dst, src) in out
+        .data_mut()
+        .chunks_exact_mut(w)
+        .zip(x.data().chunks_exact(w))
+    {
+        dst[span.lo()..span.hi()].copy_from_slice(&src[span.lo()..span.hi()]);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sparse_kernel_matches_reference_bitwise(
+        seed in 0u64..100_000,
+        c in 1usize..4,
+        k in 1usize..5,
+        h in 1usize..12,
+        w in 1usize..20,
+        kr in 1usize..8,
+        ks in 1usize..8,
+        stride in 1usize..4,
+        valid in 0u32..2,
+        density_pct in prop_oneof![Just(5u32), Just(30u32), Just(100u32)],
+        bias_kind in 0u32..3,
+        span_kind in 0u32..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let padding = if valid == 1 { Padding::Valid } else { Padding::Same };
+        let cfg = Conv2dCfg::new(stride, padding);
+
+        let mut weight = Tensor4::zeros(k, c, kr, ks);
+        weight.init_he(&mut rng);
+        for v in weight.data_mut().iter_mut() {
+            if rng.gen_range(0u32..100) >= 40 {
+                *v = 0.0;
+            }
+        }
+        // Filter 0 is pruned away entirely: its outputs are the bias.
+        let per_filter = c * kr * ks;
+        weight.data_mut()[..per_filter].fill(0.0);
+        let filters = SparseFilters::build(&weight);
+        let bias: Option<Vec<f32>> = match bias_kind {
+            0 => None,
+            1 => Some((0..k).map(|_| rng.gen_range(-1.0f32..1.0)).collect()),
+            _ => Some(vec![-0.0; k]),
+        };
+        let bias = bias.as_deref();
+
+        // Full span, no baseline: the plain convolution, and the dispatch
+        // through `conv2d`.
+        let x = random_input(&mut rng, c, h, w, density_pct);
+        let want = conv2d_reference(&x, &weight, bias, &cfg);
+        let got = conv2d_csc(&x, &filters, bias, &cfg, ColSpan::full(w), None);
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(bits(&got), bits(&want));
+        let dispatched = conv2d(&x, &weight, bias, &cfg.with_backend(ConvBackend::SparseCsc));
+        prop_assert_eq!(bits(&dispatched), bits(&want));
+
+        // A partial span: empty, right-edge, interior, or full.
+        let lo = rng.gen_range(0..w);
+        let span = match span_kind {
+            0 => ColSpan::empty(),
+            1 => ColSpan::new(lo, w),
+            2 => ColSpan::new(lo, rng.gen_range(lo..w) + 1),
+            _ => ColSpan::full(w),
+        };
+
+        // No baseline: the input is zero outside the span.
+        let zeros = Tensor3::zeros(c, h, w);
+        let x_in_span = splice(&x, &zeros, span);
+        let want = conv2d_reference(&x_in_span, &weight, bias, &cfg);
+        let got = conv2d_csc(&x_in_span, &filters, bias, &cfg, span, None);
+        prop_assert_eq!(bits(&got), bits(&want));
+
+        // Baseline: the output of another input that agrees outside the
+        // span.
+        let other = random_input(&mut rng, c, h, w, density_pct);
+        let patched = splice(&x, &other, span);
+        let base = conv2d_reference(&other, &weight, bias, &cfg);
+        let want = conv2d_reference(&patched, &weight, bias, &cfg);
+        let got = conv2d_csc(&patched, &filters, bias, &cfg, span, Some(&base));
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
