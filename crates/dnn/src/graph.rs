@@ -7,10 +7,10 @@
 //! explicit and queryable, so experiments can compare recovered vs. actual
 //! geometry directly.
 
-use hd_tensor::conv::{conv2d, conv_out_dim, BackendPolicy, Conv2dCfg, ConvBackend, Padding};
-use hd_tensor::dwconv::dwconv2d;
+use crate::sparse_forward::{walk, Walk};
+use hd_tensor::conv::{conv_out_dim, BackendPolicy, ConvBackend, Padding};
 use hd_tensor::norm::Affine;
-use hd_tensor::pool::{global_avg_pool, pool2d, PoolKind};
+use hd_tensor::pool::PoolKind;
 use hd_tensor::{Shape3, Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -309,11 +309,11 @@ impl Network {
     /// Panics if the input shape does not match the network's declared input
     /// shape, or if parameters are missing for a weighted node.
     pub fn forward(&self, params: &Params, input: &Tensor3) -> ForwardTrace {
-        self.forward_with_policy(
+        walk(
+            self,
             params,
             input,
-            ConvBackend::default(),
-            BackendPolicy::default(),
+            Walk::Full(ConvBackend::default(), BackendPolicy::default()),
         )
     }
 
@@ -334,153 +334,7 @@ impl Network {
         backend: ConvBackend,
         policy: BackendPolicy,
     ) -> ForwardTrace {
-        assert_eq!(
-            input.shape(),
-            self.input_shape,
-            "input shape {} does not match network input {}",
-            input.shape(),
-            self.input_shape
-        );
-        let mut traces: Vec<NodeTrace> = Vec::with_capacity(self.nodes.len());
-        for (id, node) in self.nodes.iter().enumerate() {
-            let trace = match &node.op {
-                Op::Input => NodeTrace {
-                    out: Value::Map(input.clone()),
-                    pre_bn: None,
-                    pre_relu: None,
-                },
-                Op::Conv(spec) => {
-                    let x = traces[node.inputs[0]].out.map();
-                    let lp = params.conv(id);
-                    let cfg = Conv2dCfg::new(spec.stride, spec.padding)
-                        .with_backend(backend)
-                        .with_policy(policy);
-                    let conv_out = conv2d(x, lp.w, lp.b.as_deref(), &cfg);
-                    let (pre_bn, bn_out) = if let Some(bn) = &lp.bn {
-                        (Some(conv_out.clone()), bn.apply(&conv_out))
-                    } else {
-                        (None, conv_out)
-                    };
-                    let (pre_relu, out) = if spec.relu {
-                        let mut o = bn_out.clone();
-                        o.relu_inplace();
-                        (Some(bn_out), o)
-                    } else {
-                        (None, bn_out)
-                    };
-                    NodeTrace {
-                        out: Value::Map(out),
-                        pre_bn,
-                        pre_relu: pre_relu.map(Value::Map),
-                    }
-                }
-                Op::DwConv {
-                    kernel: _,
-                    stride,
-                    batch_norm: _,
-                    relu,
-                } => {
-                    let x = traces[node.inputs[0]].out.map();
-                    let lp = params.dwconv(id);
-                    let cfg = Conv2dCfg::new(*stride, Padding::Same)
-                        .with_backend(backend)
-                        .with_policy(policy);
-                    let conv_out = dwconv2d(x, lp.w, &cfg);
-                    let (pre_bn, bn_out) = if let Some(bn) = &lp.bn {
-                        (Some(conv_out.clone()), bn.apply(&conv_out))
-                    } else {
-                        (None, conv_out)
-                    };
-                    let (pre_relu, out) = if *relu {
-                        let mut o = bn_out.clone();
-                        o.relu_inplace();
-                        (Some(bn_out), o)
-                    } else {
-                        (None, bn_out)
-                    };
-                    NodeTrace {
-                        out: Value::Map(out),
-                        pre_bn,
-                        pre_relu: pre_relu.map(Value::Map),
-                    }
-                }
-                Op::Pool { factor, kind } => {
-                    let x = traces[node.inputs[0]].out.map();
-                    NodeTrace {
-                        out: Value::Map(pool2d(x, *factor, *kind)),
-                        pre_bn: None,
-                        pre_relu: None,
-                    }
-                }
-                Op::Add { relu } => {
-                    let a = traces[node.inputs[0]].out.map();
-                    let b = traces[node.inputs[1]].out.map();
-                    let sum = a.add(b);
-                    let (pre_relu, out) = if *relu {
-                        let mut o = sum.clone();
-                        o.relu_inplace();
-                        (Some(sum), o)
-                    } else {
-                        (None, sum)
-                    };
-                    NodeTrace {
-                        out: Value::Map(out),
-                        pre_bn: None,
-                        pre_relu: pre_relu.map(Value::Map),
-                    }
-                }
-                Op::GlobalAvgPool => {
-                    let x = traces[node.inputs[0]].out.map();
-                    NodeTrace {
-                        out: Value::Vector(global_avg_pool(x)),
-                        pre_bn: None,
-                        pre_relu: None,
-                    }
-                }
-                Op::Flatten => {
-                    let x = traces[node.inputs[0]].out.map();
-                    NodeTrace {
-                        out: Value::Vector(x.data().to_vec()),
-                        pre_bn: None,
-                        pre_relu: None,
-                    }
-                }
-                Op::Linear { out_features, relu } => {
-                    let x = traces[node.inputs[0]].out.vector();
-                    let lp = params.linear(id);
-                    assert_eq!(lp.in_features, x.len(), "linear input size mismatch");
-                    let mut y = vec![0.0f32; *out_features];
-                    for (o, yo) in y.iter_mut().enumerate() {
-                        let row = &lp.w[o * lp.in_features..(o + 1) * lp.in_features];
-                        let mut acc = lp.b[o];
-                        for (wi, xi) in row.iter().zip(x) {
-                            if *wi != 0.0 && *xi != 0.0 {
-                                acc += wi * xi;
-                            }
-                        }
-                        *yo = acc;
-                    }
-                    let (pre_relu, out) = if *relu {
-                        let pre = y.clone();
-                        for v in &mut y {
-                            if *v < 0.0 {
-                                *v = 0.0;
-                            }
-                        }
-                        (Some(Value::Vector(pre)), y)
-                    } else {
-                        (None, y)
-                    };
-                    NodeTrace {
-                        out: Value::Vector(out),
-                        pre_bn: None,
-                        pre_relu,
-                    }
-                }
-            };
-            traces.push(trace);
-        }
-        ForwardTrace { traces }
+        walk(self, params, input, Walk::Full(backend, policy))
     }
 }
 

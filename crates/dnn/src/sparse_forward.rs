@@ -1,41 +1,55 @@
-//! Cached sparsity-aware forward execution for probe campaigns.
+//! The f32 forward walk, and the per-victim cache that lets it skip columns.
 //!
-//! The prober runs `shifts x families` inferences against one fixed victim,
-//! and every probe image is a vertical stripe — one nonzero column. Two
-//! things are therefore constant across the whole campaign and worth
-//! computing once per device instead of once per inference:
+//! Every f32 inference — [`Network::forward`],
+//! [`Network::forward_with_policy`] and [`Network::forward_cached`] — is one
+//! call of the same walk over the graph. The walk carries a [`ColSpan`] for
+//! each map-valued node: the columns it computes there. Each column-local
+//! op (batch-norm affine, ReLU, residual add, max/avg pool) writes just its
+//! span into an output that already holds the rest.
 //!
-//! 1. **The weight compaction.** [`ForwardCache::build`] encodes every conv
-//!    layer's pruned weights filter-major into [`SparseFilters`] (the
-//!    operand of the output-stationary kernel [`conv2d_csc`]) and every
-//!    linear layer's rows into nonzero `(index, value)` lists.
-//! 2. **The zero-input baseline.** A stripe differs from the all-zero image
-//!    in one column, and every op in the graph is column-local, so each
-//!    layer's activation differs from its zero-input baseline only inside
-//!    the stripe's receptive field. [`Network::forward_cached`] tracks that
-//!    dirty interval with [`ColSpan`] and recomputes *only* the dirty
-//!    columns, copying everything else from the baseline trace. For a conv
-//!    layer that means one [`conv2d_csc`] call with the input's dirty span
-//!    and the baseline's output: the kernel tiles just the input columns
-//!    the dirty output columns read, and runs every filter over them.
+//! * **Full width** (no cache): every span is every column, so every output
+//!   is computed whole. Convs go through [`conv2d`] with the caller's
+//!   backend and dispatch policy; linear layers run the dense zero-skipping
+//!   row loop.
+//! * **Cached** ([`ForwardCache`]): the prober runs `shifts x families`
+//!   inferences against one fixed victim, and every probe image is a
+//!   vertical stripe — one nonzero column. Two things are therefore constant
+//!   across the whole campaign and computed once per device:
+//!
+//!   1. **The weight compaction.** [`ForwardCache::build`] encodes every
+//!      conv layer's pruned weights filter-major into [`SparseFilters`] (the
+//!      operand of the output-stationary kernel [`conv2d_csc`]) and every
+//!      linear layer's rows into nonzero `(index, value)` lists.
+//!   2. **The zero-input baseline.** A stripe differs from the all-zero
+//!      image in one column, and every op in the graph is column-local, so
+//!      each layer's activation differs from its zero-input baseline only
+//!      inside the stripe's receptive field. The input's span is every
+//!      column whose bits differ from `+0.0`; each later span is the
+//!      receptive field of the earlier ones, and every output starts from
+//!      the baseline trace's value. A conv is one [`conv2d_csc`] call with
+//!      the input's span and the baseline's output: the kernel tiles just
+//!      the input columns the span's output columns read, and runs every
+//!      filter over them. The `sparse_fwd.*` counters fire on this path
+//!      only.
 //!
 //! # Bit-identity
 //!
-//! The recomputed columns run the exact kernels (and accumulation orders) of
-//! [`Network::forward_with_policy`]; the copied columns are bit-equal to a
-//! full recomputation because their inputs are bit-equal to the baseline's and
-//! every op is column-local (batch-norm shifts and biases are absorbed by
-//! the baseline rather than widening the interval). The resulting
-//! [`ForwardTrace`] is therefore bit-identical to the ordinary forward pass
-//! — property-tested in this module and pinned end-to-end by the golden
-//! trace fixture.
+//! The recomputed columns run the same kernels, in the same accumulation
+//! order, in both modes; the columns a cached pass copies are bit-equal to
+//! a full recomputation because their inputs are bit-equal to the
+//! baseline's and every op is column-local (batch-norm shifts and biases
+//! are absorbed by the baseline rather than widening the span). A cached
+//! pass therefore returns the full-width [`ForwardTrace`] bit for bit —
+//! property-tested in `tests/forward_walk.rs` and pinned end-to-end by the
+//! golden trace fixtures.
 
 use hd_tensor::colspan::ColSpan;
-use hd_tensor::conv::{same_pad, BackendPolicy, Conv2dCfg, Padding};
+use hd_tensor::conv::{conv2d, same_pad, BackendPolicy, Conv2dCfg, ConvBackend, Padding};
 use hd_tensor::csc_conv::{conv2d_csc, SparseFilters};
 use hd_tensor::dwconv::dwconv2d;
-use hd_tensor::pool::{global_avg_pool, pool2d_cols};
-use hd_tensor::Tensor3;
+use hd_tensor::norm::Affine;
+use hd_tensor::pool::{global_avg_pool, pool2d};
+use hd_tensor::{Shape3, Tensor3};
 
 use crate::graph::{ForwardTrace, Network, NodeTrace, Op, Params, Value};
 
@@ -45,7 +59,6 @@ type SparseRow = Vec<(u32, f32)>;
 /// Per-victim precomputed state reused across probe inferences.
 #[derive(Clone, Debug)]
 pub struct ForwardCache {
-    policy: BackendPolicy,
     /// Filter-major weight compaction per conv node.
     filters: Vec<Option<SparseFilters>>,
     /// Compacted rows per linear node.
@@ -56,7 +69,7 @@ pub struct ForwardCache {
 
 impl ForwardCache {
     /// Compacts weights and records the zero-input baseline trace for
-    /// `net`/`params`.
+    /// `net`/`params`, dispatching the baseline's convs by `policy`.
     pub fn build(net: &Network, params: &Params, policy: BackendPolicy) -> Self {
         let mut filters: Vec<Option<SparseFilters>> = vec![None; net.len()];
         let mut linear_rows: Vec<Option<Vec<SparseRow>>> = vec![None; net.len()];
@@ -84,113 +97,264 @@ impl ForwardCache {
         }
         let shape = net.input_shape();
         let zeros = Tensor3::zeros(shape.c, shape.h, shape.w);
-        let baseline = net.forward_with_policy(params, &zeros, Default::default(), policy);
+        let baseline = net.forward_with_policy(params, &zeros, ConvBackend::default(), policy);
         ForwardCache {
-            policy,
             filters,
             linear_rows,
             baseline,
         }
     }
-
-    /// The dispatch policy the cache was built with.
-    pub fn policy(&self) -> BackendPolicy {
-        self.policy
-    }
 }
 
-/// The baseline tensor equal to a conv node's raw (pre-BN, pre-ReLU)
-/// output: the trace stores it in whichever slot the node's epilogue left
-/// it in.
-fn conv_baseline(trace: &NodeTrace, has_bn: bool, has_relu: bool) -> &Tensor3 {
-    if has_bn {
-        trace.pre_bn.as_ref().expect("BN node keeps pre_bn") // hd-lint: allow(no-panic) -- forward() populates pre_bn for every BN-bearing node
-    } else if has_relu {
+/// How [`walk`] computes each node.
+#[derive(Clone, Copy)]
+pub(crate) enum Walk<'a> {
+    /// Every column; convs dispatch through [`conv2d`].
+    Full(ConvBackend, BackendPolicy),
+    /// Only the columns that can differ from the cache's zero-input
+    /// baseline.
+    Cached(&'a ForwardCache),
+}
+
+/// The baseline trace's value for a stage of a node that a batch norm
+/// (`bn`) and/or a ReLU (`relu`) still follow: `pre_bn`, `pre_relu` or
+/// `out`.
+fn slot(trace: &NodeTrace, bn: bool, relu: bool) -> &Tensor3 {
+    if bn {
+        trace.pre_bn.as_ref().expect("BN node keeps pre_bn") // hd-lint: allow(no-panic) -- the walk populates pre_bn for every BN-bearing node
+    } else if relu {
         trace
             .pre_relu
             .as_ref()
-            .expect("ReLU node keeps pre_relu") // hd-lint: allow(no-panic) -- forward() populates pre_relu for every ReLU-bearing node
+            .expect("ReLU node keeps pre_relu") // hd-lint: allow(no-panic) -- the walk populates pre_relu for every ReLU-bearing node
             .map()
     } else {
         trace.out.map()
     }
 }
 
-/// The baseline tensor equal to a node's post-BN (pre-ReLU) value.
-fn bn_baseline(trace: &NodeTrace, has_relu: bool) -> &Tensor3 {
-    if has_relu {
-        trace
-            .pre_relu
-            .as_ref()
-            .expect("ReLU node keeps pre_relu") // hd-lint: allow(no-panic) -- forward() populates pre_relu for every ReLU-bearing node
-            .map()
-    } else {
-        trace.out.map()
-    }
+/// The output a column-local op writes its span into: a copy of the
+/// baseline's value (cached walk) or zeros (full width).
+fn init(base: Option<&Tensor3>, shape: Shape3) -> Tensor3 {
+    base.cloned()
+        .unwrap_or_else(|| Tensor3::zeros(shape.c, shape.h, shape.w))
 }
 
-/// Applies `scale/shift` to the `span` columns of `x`, copying the rest from
-/// `baseline` — the column-restricted form of `Affine::apply`.
-fn affine_cols(
-    x: &Tensor3,
-    scale: &[f32],
-    shift: &[f32],
+/// The conv/dwconv/add epilogue: batch-norm affine, then ReLU, each over
+/// `span`.
+fn epilogue(
+    raw: Tensor3,
+    bn: Option<&Affine>,
+    relu: bool,
     span: ColSpan,
-    baseline: &Tensor3,
-) -> Tensor3 {
-    let mut out = baseline.clone();
-    let (h, w) = (x.h(), x.w());
-    let plane = h * w;
-    let src = x.data();
-    let dst = out.data_mut();
-    for (c, (&s, &b)) in scale.iter().zip(shift).enumerate() {
-        for y in 0..h {
-            let row = c * plane + y * w;
-            for i in row + span.lo()..row + span.hi() {
-                dst[i] = s * src[i] + b;
-            }
+    base: Option<&NodeTrace>,
+) -> NodeTrace {
+    let (pre_bn, post_bn) = match bn {
+        Some(bn) => {
+            let mut o = init(base.map(|t| slot(t, false, relu)), raw.shape());
+            bn.apply_cols(&raw, span, &mut o);
+            (Some(raw), o)
         }
+        None => (None, raw),
+    };
+    let (pre_relu, out) = if relu {
+        let mut o = init(base.map(|t| t.out.map()), post_bn.shape());
+        o.relu_cols(&post_bn, span);
+        (Some(Value::Map(post_bn)), o)
+    } else {
+        (None, post_bn)
+    };
+    NodeTrace {
+        out: Value::Map(out),
+        pre_bn,
+        pre_relu,
     }
-    out
 }
 
-/// ReLU over the `span` columns of `x`, copying the rest from `baseline`.
-fn relu_cols(x: &Tensor3, span: ColSpan, baseline: &Tensor3) -> Tensor3 {
-    let mut out = baseline.clone();
-    let (h, w) = (x.h(), x.w());
-    let plane = h * w;
-    let src = x.data();
-    let dst = out.data_mut();
-    for c in 0..x.c() {
-        for y in 0..h {
-            let row = c * plane + y * w;
-            for i in row + span.lo()..row + span.hi() {
-                let v = src[i];
-                dst[i] = if v < 0.0 { 0.0 } else { v };
-            }
-        }
+fn plain(out: Value) -> NodeTrace {
+    NodeTrace {
+        out,
+        pre_bn: None,
+        pre_relu: None,
     }
-    out
 }
 
-/// Elementwise sum of the `span` columns of `a` and `b`, copying the rest
-/// from `baseline`.
-fn add_cols(a: &Tensor3, b: &Tensor3, span: ColSpan, baseline: &Tensor3) -> Tensor3 {
-    assert_eq!(a.shape(), b.shape(), "shape mismatch in add");
-    let mut out = baseline.clone();
-    let (h, w) = (a.h(), a.w());
-    let plane = h * w;
-    let (sa, sb) = (a.data(), b.data());
-    let dst = out.data_mut();
-    for c in 0..a.c() {
-        for y in 0..h {
-            let row = c * plane + y * w;
-            for i in row + span.lo()..row + span.hi() {
-                dst[i] = sa[i] + sb[i];
+/// Runs `net` on `input`: the one f32 inference loop.
+///
+/// # Panics
+///
+/// If the input shape does not match the network's, if parameters are
+/// missing for a weighted node, or if a cache was built for another
+/// network.
+pub(crate) fn walk(net: &Network, params: &Params, input: &Tensor3, how: Walk<'_>) -> ForwardTrace {
+    assert_eq!(
+        input.shape(),
+        net.input_shape(),
+        "input shape {} does not match network input {}",
+        input.shape(),
+        net.input_shape()
+    );
+    let cache = match how {
+        Walk::Full(..) => None,
+        Walk::Cached(cache) => {
+            assert_eq!(
+                cache.baseline.traces.len(),
+                net.len(),
+                "forward cache was built for a different network"
+            );
+            Some(cache)
+        }
+    };
+    let mut traces: Vec<NodeTrace> = Vec::with_capacity(net.len());
+    // Computed-column interval per map-valued node (None for vectors).
+    let mut spans: Vec<Option<ColSpan>> = Vec::with_capacity(net.len());
+    for (id, node) in net.nodes().iter().enumerate() {
+        let base = cache.map(|c| &c.baseline.traces[id]);
+        let map_in = |i: usize| {
+            let id = node.inputs[i];
+            let span = spans[id].expect("map input carries a span"); // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
+            (traces[id].out.map(), span)
+        };
+        let (trace, span) = match &node.op {
+            Op::Input => {
+                let span = match cache {
+                    Some(_) => ColSpan::of_tensor(input),
+                    None => ColSpan::full(input.w()),
+                };
+                (plain(Value::Map(input.clone())), Some(span))
+            }
+            Op::Conv(spec) => {
+                let (x, in_span) = map_in(0);
+                let lp = params.conv(id);
+                let bias = lp.b.as_deref();
+                let cfg = Conv2dCfg::new(spec.stride, spec.padding);
+                let raw = match how {
+                    Walk::Full(backend, policy) => conv2d(
+                        x,
+                        lp.w,
+                        bias,
+                        &cfg.with_backend(backend).with_policy(policy),
+                    ),
+                    Walk::Cached(cache) => {
+                        let filters = cache.filters[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front
+                        let b = slot(&cache.baseline.traces[id], lp.bn.is_some(), spec.relu);
+                        conv2d_csc(x, filters, bias, &cfg, in_span, Some(b))
+                    }
+                };
+                let pad_x = match spec.padding {
+                    Padding::Same => same_pad(x.w(), spec.kernel, spec.stride),
+                    Padding::Valid => 0,
+                };
+                let out_span = in_span
+                    .clamp(x.w())
+                    .conv(spec.kernel, spec.stride, pad_x, raw.w());
+                let trace = epilogue(raw, lp.bn.as_ref(), spec.relu, out_span, base);
+                (trace, Some(out_span))
+            }
+            Op::DwConv {
+                kernel,
+                stride,
+                batch_norm: _,
+                relu,
+            } => {
+                // Depthwise layers are cheap (one filter per channel): both
+                // modes run the full-map kernel.
+                let (x, in_span) = map_in(0);
+                let lp = params.dwconv(id);
+                let raw = dwconv2d(x, lp.w, &Conv2dCfg::new(*stride, Padding::Same));
+                let pad_x = same_pad(x.w(), *kernel, *stride);
+                let out_span = in_span.clamp(x.w()).conv(*kernel, *stride, pad_x, raw.w());
+                let trace = epilogue(raw, lp.bn.as_ref(), *relu, out_span, base);
+                (trace, Some(out_span))
+            }
+            Op::Pool { factor, kind } => {
+                let (x, in_span) = map_in(0);
+                let shape = Shape3::new(x.c(), x.h() / factor, x.w() / factor);
+                let out_span = in_span.pool(*factor, shape.w);
+                let mut out = init(base.map(|t| t.out.map()), shape);
+                pool2d(x, *factor, *kind, out_span, &mut out);
+                (plain(Value::Map(out)), Some(out_span))
+            }
+            Op::Add { relu } => {
+                let ((a, sa), (b, sb)) = (map_in(0), map_in(1));
+                let span = sa.union(sb);
+                let mut sum = init(base.map(|t| slot(t, false, *relu)), a.shape());
+                sum.add_cols(a, b, span);
+                (epilogue(sum, None, *relu, span, base), Some(span))
+            }
+            Op::GlobalAvgPool => {
+                let x = traces[node.inputs[0]].out.map();
+                (plain(Value::Vector(global_avg_pool(x))), None)
+            }
+            Op::Flatten => {
+                let x = traces[node.inputs[0]].out.map();
+                (plain(Value::Vector(x.data().to_vec())), None)
+            }
+            Op::Linear { out_features, relu } => {
+                let x = traces[node.inputs[0]].out.vector();
+                let lp = params.linear(id);
+                assert_eq!(lp.in_features, x.len(), "linear input size mismatch");
+                let mut y = vec![0.0f32; *out_features];
+                match how {
+                    Walk::Full(..) => {
+                        for (o, yo) in y.iter_mut().enumerate() {
+                            let row = &lp.w[o * lp.in_features..(o + 1) * lp.in_features];
+                            let mut acc = lp.b[o];
+                            for (wi, xi) in row.iter().zip(x) {
+                                if *wi != 0.0 && *xi != 0.0 {
+                                    acc += wi * xi;
+                                }
+                            }
+                            *yo = acc;
+                        }
+                    }
+                    Walk::Cached(cache) => {
+                        let rows = cache.linear_rows[id]
+                            .as_ref()
+                            .expect("linear weights cached"); // hd-lint: allow(no-panic) -- cache is built for every linear node up front
+                        for (o, yo) in y.iter_mut().enumerate() {
+                            // Ascending-index nonzero list: the same surviving
+                            // multiplies, in the same order, as the dense loop.
+                            let mut acc = lp.b[o];
+                            for &(i, w) in &rows[o] {
+                                let xi = x[i as usize];
+                                if xi != 0.0 {
+                                    acc += w * xi;
+                                }
+                            }
+                            *yo = acc;
+                        }
+                    }
+                }
+                let trace = if *relu {
+                    let out = y.iter().map(|&v| if v < 0.0 { 0.0 } else { v }).collect();
+                    NodeTrace {
+                        out: Value::Vector(out),
+                        pre_bn: None,
+                        pre_relu: Some(Value::Vector(y)),
+                    }
+                } else {
+                    plain(Value::Vector(y))
+                };
+                (trace, None)
+            }
+        };
+        // Telemetry: how much work the cached walk's spans saved on this
+        // node. Input nodes are excluded (nothing is recomputed there) and
+        // the span is clamped to the node's own width first.
+        if cache.is_some() && hd_obs::enabled() && !matches!(node.op, Op::Input) {
+            if let Some(node_span) = span {
+                let w = trace.out.map().w();
+                let recomputed = node_span.clamp(w).width() as u64;
+                hd_obs::counter_add("sparse_fwd.cols_recomputed", "", recomputed);
+                hd_obs::counter_add("sparse_fwd.cols_skipped", "", w as u64 - recomputed);
+                hd_obs::observe("sparse_fwd.colspan_width", "", recomputed as f64);
             }
         }
+        traces.push(trace);
+        spans.push(span);
     }
-    out
+    ForwardTrace { traces }
 }
 
 impl Network {
@@ -211,236 +375,7 @@ impl Network {
         input: &Tensor3,
         cache: &ForwardCache,
     ) -> ForwardTrace {
-        assert_eq!(
-            input.shape(),
-            self.input_shape(),
-            "input shape {} does not match network input {}",
-            input.shape(),
-            self.input_shape()
-        );
-        assert_eq!(
-            cache.baseline.traces.len(),
-            self.len(),
-            "forward cache was built for a different network"
-        );
-        let mut traces: Vec<NodeTrace> = Vec::with_capacity(self.len());
-        // Dirty-column interval per map-valued node (None for vectors).
-        let mut spans: Vec<Option<ColSpan>> = Vec::with_capacity(self.len());
-        for (id, node) in self.nodes().iter().enumerate() {
-            let base = &cache.baseline.traces[id];
-            let (trace, span) = match &node.op {
-                Op::Input => (
-                    NodeTrace {
-                        out: Value::Map(input.clone()),
-                        pre_bn: None,
-                        pre_relu: None,
-                    },
-                    Some(ColSpan::of_tensor(input)),
-                ),
-                Op::Conv(spec) => {
-                    let x = traces[node.inputs[0]].out.map();
-                    let in_span = spans[node.inputs[0]].expect("conv input is a map"); // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
-                    let lp = params.conv(id);
-                    let filters = cache.filters[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front
-                    let cfg = Conv2dCfg::new(spec.stride, spec.padding);
-                    let conv_out = conv2d_csc(
-                        x,
-                        filters,
-                        lp.b.as_deref(),
-                        &cfg,
-                        in_span,
-                        Some(conv_baseline(base, lp.bn.is_some(), spec.relu)),
-                    );
-                    let pad_x = match spec.padding {
-                        Padding::Same => same_pad(x.w(), spec.kernel, spec.stride),
-                        Padding::Valid => 0,
-                    };
-                    let out_span =
-                        in_span
-                            .clamp(x.w())
-                            .conv(spec.kernel, spec.stride, pad_x, conv_out.w());
-                    let (pre_bn, bn_out) = if let Some(bn) = &lp.bn {
-                        let o = affine_cols(
-                            &conv_out,
-                            bn.scale(),
-                            bn.shift(),
-                            out_span,
-                            bn_baseline(base, spec.relu),
-                        );
-                        (Some(conv_out), o)
-                    } else {
-                        (None, conv_out)
-                    };
-                    let (pre_relu, out) = if spec.relu {
-                        let o = relu_cols(&bn_out, out_span, base.out.map());
-                        (Some(bn_out), o)
-                    } else {
-                        (None, bn_out)
-                    };
-                    (
-                        NodeTrace {
-                            out: Value::Map(out),
-                            pre_bn,
-                            pre_relu: pre_relu.map(Value::Map),
-                        },
-                        Some(out_span),
-                    )
-                }
-                Op::DwConv {
-                    kernel,
-                    stride,
-                    batch_norm: _,
-                    relu,
-                } => {
-                    // Depthwise layers are cheap (one filter per channel);
-                    // recompute them fully with the ordinary kernels and
-                    // keep propagating the receptive-field interval.
-                    let x = traces[node.inputs[0]].out.map();
-                    let in_span = spans[node.inputs[0]].expect("dwconv input is a map"); // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
-                    let lp = params.dwconv(id);
-                    let cfg = Conv2dCfg::new(*stride, Padding::Same);
-                    let conv_out = dwconv2d(x, lp.w, &cfg);
-                    let pad_x = same_pad(x.w(), *kernel, *stride);
-                    let out_span = in_span
-                        .clamp(x.w())
-                        .conv(*kernel, *stride, pad_x, conv_out.w());
-                    let (pre_bn, bn_out) = if let Some(bn) = &lp.bn {
-                        (Some(conv_out.clone()), bn.apply(&conv_out))
-                    } else {
-                        (None, conv_out)
-                    };
-                    let (pre_relu, out) = if *relu {
-                        let mut o = bn_out.clone();
-                        o.relu_inplace();
-                        (Some(bn_out), o)
-                    } else {
-                        (None, bn_out)
-                    };
-                    (
-                        NodeTrace {
-                            out: Value::Map(out),
-                            pre_bn,
-                            pre_relu: pre_relu.map(Value::Map),
-                        },
-                        Some(out_span),
-                    )
-                }
-                Op::Pool { factor, kind } => {
-                    let x = traces[node.inputs[0]].out.map();
-                    let in_span = spans[node.inputs[0]].expect("pool input is a map"); // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
-                    let out_w = if *factor == 1 { x.w() } else { x.w() / *factor };
-                    let out_span = in_span.pool(*factor, out_w);
-                    let out = pool2d_cols(x, *factor, *kind, out_span, base.out.map());
-                    (
-                        NodeTrace {
-                            out: Value::Map(out),
-                            pre_bn: None,
-                            pre_relu: None,
-                        },
-                        Some(out_span),
-                    )
-                }
-                Op::Add { relu } => {
-                    let a = traces[node.inputs[0]].out.map();
-                    let b = traces[node.inputs[1]].out.map();
-                    let span = spans[node.inputs[0]]
-                        .expect("add input is a map") // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
-                        .union(spans[node.inputs[1]].expect("add input is a map")); // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
-                    let sum = add_cols(a, b, span, bn_baseline(base, *relu));
-                    let (pre_relu, out) = if *relu {
-                        let o = relu_cols(&sum, span, base.out.map());
-                        (Some(sum), o)
-                    } else {
-                        (None, sum)
-                    };
-                    (
-                        NodeTrace {
-                            out: Value::Map(out),
-                            pre_bn: None,
-                            pre_relu: pre_relu.map(Value::Map),
-                        },
-                        Some(span),
-                    )
-                }
-                Op::GlobalAvgPool => {
-                    let x = traces[node.inputs[0]].out.map();
-                    (
-                        NodeTrace {
-                            out: Value::Vector(global_avg_pool(x)),
-                            pre_bn: None,
-                            pre_relu: None,
-                        },
-                        None,
-                    )
-                }
-                Op::Flatten => {
-                    let x = traces[node.inputs[0]].out.map();
-                    (
-                        NodeTrace {
-                            out: Value::Vector(x.data().to_vec()),
-                            pre_bn: None,
-                            pre_relu: None,
-                        },
-                        None,
-                    )
-                }
-                Op::Linear { out_features, relu } => {
-                    let x = traces[node.inputs[0]].out.vector();
-                    let lp = params.linear(id);
-                    assert_eq!(lp.in_features, x.len(), "linear input size mismatch");
-                    let rows = cache.linear_rows[id]
-                        .as_ref()
-                        .expect("linear weights cached"); // hd-lint: allow(no-panic) -- cache is built for every linear node up front
-                    let mut y = vec![0.0f32; *out_features];
-                    for (o, yo) in y.iter_mut().enumerate() {
-                        // Ascending-index nonzero list: the same surviving
-                        // multiplies, in the same order, as the dense loop.
-                        let mut acc = lp.b[o];
-                        for &(i, w) in &rows[o] {
-                            let xi = x[i as usize];
-                            if xi != 0.0 {
-                                acc += w * xi;
-                            }
-                        }
-                        *yo = acc;
-                    }
-                    let (pre_relu, out) = if *relu {
-                        let pre = y.clone();
-                        for v in &mut y {
-                            if *v < 0.0 {
-                                *v = 0.0;
-                            }
-                        }
-                        (Some(Value::Vector(pre)), y)
-                    } else {
-                        (None, y)
-                    };
-                    (
-                        NodeTrace {
-                            out: Value::Vector(out),
-                            pre_bn: None,
-                            pre_relu,
-                        },
-                        None,
-                    )
-                }
-            };
-            // Telemetry: how much work the dirty-interval machinery saved on
-            // this node. Input nodes are excluded (nothing is recomputed
-            // there) and the span is clamped to the node's own width first.
-            if hd_obs::enabled() && !matches!(node.op, Op::Input) {
-                if let Some(node_span) = span {
-                    let w = trace.out.map().w();
-                    let recomputed = node_span.clamp(w).width() as u64;
-                    hd_obs::counter_add("sparse_fwd.cols_recomputed", "", recomputed);
-                    hd_obs::counter_add("sparse_fwd.cols_skipped", "", w as u64 - recomputed);
-                    hd_obs::observe("sparse_fwd.colspan_width", "", recomputed as f64);
-                }
-            }
-            traces.push(trace);
-            spans.push(span);
-        }
-        ForwardTrace { traces }
+        walk(self, params, input, Walk::Cached(cache))
     }
 }
 

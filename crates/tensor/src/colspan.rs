@@ -19,7 +19,8 @@
 //! The interval is conservative (a superset of the truly-dirty columns), so
 //! consumers may recompute more than strictly necessary but never less.
 
-use crate::Tensor3;
+use crate::{Shape3, Tensor3};
+use std::ops::Range;
 
 /// Half-open interval `[lo, hi)` of activation-map columns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,25 +49,24 @@ impl ColSpan {
         ColSpan::new(0, w)
     }
 
-    /// Tight interval covering every column of `t` holding a nonzero value.
+    /// Tight interval covering every column of `t` holding a value whose
+    /// bits differ from `+0.0`.
     ///
-    /// Uses the exact `!= 0.0` test of the conv kernels (not the transfer
-    /// codecs' epsilon), so a column carrying only denormals still counts —
-    /// anything the kernels would multiply by must stay inside the span.
+    /// The test is on bits, not `!= 0.0`: a column of `-0.0` is not the
+    /// zero-input baseline's column, because max pooling, ReLU and adds
+    /// keep its sign. Denormals count for the same reason — anything that
+    /// can reach an output bit must stay inside the span.
     pub fn of_tensor(t: &Tensor3) -> Self {
-        let (h, w) = (t.h(), t.w());
-        if w == 0 {
-            return ColSpan::empty();
-        }
+        let w = t.w();
         let mut lo = w;
         let mut hi = 0;
-        for row in t.data().chunks_exact(w) {
-            if let Some((first, last)) = crate::sparse::nonzero_bounds(row) {
+        for row in t.data().chunks_exact(w.max(1)) {
+            if let Some(first) = row.iter().position(|v| v.to_bits() != 0) {
+                let last = row.iter().rposition(|v| v.to_bits() != 0).unwrap_or(first);
                 lo = lo.min(first);
                 hi = hi.max(last + 1);
             }
         }
-        let _ = h;
         ColSpan::new(lo, hi)
     }
 
@@ -107,6 +107,19 @@ impl ColSpan {
     /// Clamps the interval to a `w`-column map.
     pub fn clamp(self, w: usize) -> ColSpan {
         ColSpan::new(self.lo.min(w), self.hi.min(w))
+    }
+
+    /// The flat index runs of the span's columns in a `shape` map, each
+    /// with its channel, in storage order: one run per row, or one per
+    /// channel plane when the span covers every column.
+    pub fn runs(self, shape: Shape3) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let span = self.clamp(shape.w);
+        let (per_c, len, lo, hi) = if span.width() == shape.w {
+            (1, shape.h * shape.w, 0, shape.h * shape.w)
+        } else {
+            (shape.h, shape.w, span.lo, span.hi)
+        };
+        (0..shape.c * per_c).map(move |run| (run / per_c, run * len + lo..run * len + hi))
     }
 
     /// Output columns of a convolution whose input window touches `self`.
@@ -157,6 +170,25 @@ mod tests {
         let s = ColSpan::of_tensor(&t);
         assert_eq!((s.lo(), s.hi()), (3, 7));
         assert_eq!(s.width(), 4);
+    }
+
+    #[test]
+    fn of_tensor_counts_negative_zero_columns() {
+        let mut t = Tensor3::zeros(1, 2, 6);
+        t.set(0, 0, 1, -0.0);
+        t.set(0, 1, 4, 1e-40);
+        let s = ColSpan::of_tensor(&t);
+        assert_eq!((s.lo(), s.hi()), (1, 5));
+    }
+
+    #[test]
+    fn runs_cover_the_span_columns_of_every_row() {
+        let runs: Vec<_> = ColSpan::new(1, 3).runs(Shape3::new(2, 2, 4)).collect();
+        assert_eq!(runs, vec![(0, 1..3), (0, 5..7), (1, 9..11), (1, 13..15)]);
+        let right: Vec<_> = ColSpan::new(2, 9).runs(Shape3::new(1, 2, 4)).collect();
+        assert_eq!(right, vec![(0, 2..4), (0, 6..8)]);
+        let full: Vec<_> = ColSpan::new(0, 9).runs(Shape3::new(2, 2, 4)).collect();
+        assert_eq!(full, vec![(0, 0..8), (1, 8..16)]);
     }
 
     #[test]

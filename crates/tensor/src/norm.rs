@@ -1,21 +1,24 @@
-//! Per-channel affine normalization (inference-mode batch norm) and ReLU.
+//! Per-channel affine normalization (inference-mode batch norm) and the
+//! ReLU backward pass.
 //!
 //! The paper models a "conv layer" as the composition CONV -> BatchNorm ->
 //! ReLU (§5.2); at inference time batch norm is a per-channel affine
 //! transform `y = gamma' * x + beta'`, which is what we implement here.
 
-use crate::Tensor3;
+use crate::{ColSpan, Tensor3};
 
 /// Per-channel affine parameters: `y[c] = scale[c] * x[c] + shift[c]`.
 ///
 /// # Examples
 ///
 /// ```
-/// use hd_tensor::{Tensor3, norm::Affine};
+/// use hd_tensor::{ColSpan, Tensor3, norm::Affine};
 ///
 /// let bn = Affine::new(vec![2.0], vec![1.0]);
-/// let x = Tensor3::from_vec(1, 1, 2, vec![3.0, -1.0]);
-/// assert_eq!(bn.apply(&x).data(), &[7.0, -1.0]);
+/// let x = Tensor3::from_vec(1, 1, 3, vec![3.0, -1.0, 5.0]);
+/// let mut y = Tensor3::zeros(1, 1, 3);
+/// bn.apply_cols(&x, ColSpan::new(0, 2), &mut y);
+/// assert_eq!(y.data(), &[7.0, -1.0, 0.0]);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Affine {
@@ -67,26 +70,20 @@ impl Affine {
         &mut self.shift
     }
 
-    /// Applies the transform.
+    /// Overwrites the `span` columns of `out` with the transform of `src`'s.
     ///
     /// # Panics
     ///
-    /// Panics if the tensor channel count does not match.
-    pub fn apply(&self, x: &Tensor3) -> Tensor3 {
-        assert_eq!(x.c(), self.scale.len(), "channel mismatch in affine");
-        let mut out = x.clone();
-        self.apply_inplace(&mut out);
-        out
-    }
-
-    /// Applies the transform in place.
-    pub fn apply_inplace(&self, x: &mut Tensor3) {
-        assert_eq!(x.c(), self.scale.len(), "channel mismatch in affine");
-        let plane = x.h() * x.w();
-        for c in 0..self.scale.len() {
+    /// Panics if the channel counts or shapes do not match.
+    pub fn apply_cols(&self, src: &Tensor3, span: ColSpan, out: &mut Tensor3) {
+        assert_eq!(src.c(), self.scale.len(), "channel mismatch in affine");
+        assert_eq!(src.shape(), out.shape(), "shape mismatch in affine");
+        let shape = src.shape();
+        let dst = out.data_mut();
+        for (c, run) in span.runs(shape) {
             let (s, b) = (self.scale[c], self.shift[c]);
-            for v in &mut x.data_mut()[c * plane..(c + 1) * plane] {
-                *v = s * *v + b;
+            for (o, &x) in dst[run.clone()].iter_mut().zip(&src.data()[run]) {
+                *o = s * x + b;
             }
         }
     }
@@ -111,13 +108,6 @@ impl Affine {
     }
 }
 
-/// ReLU forward.
-pub fn relu(x: &Tensor3) -> Tensor3 {
-    let mut out = x.clone();
-    out.relu_inplace();
-    out
-}
-
 /// ReLU backward: passes gradient only where the *pre-activation* input was
 /// positive.
 pub fn relu_backward(grad_out: &Tensor3, pre_activation: &Tensor3) -> Tensor3 {
@@ -134,17 +124,31 @@ pub fn relu_backward(grad_out: &Tensor3, pre_activation: &Tensor3) -> Tensor3 {
 mod tests {
     use super::*;
 
+    fn apply(bn: &Affine, x: &Tensor3) -> Tensor3 {
+        let mut out = Tensor3::zeros(x.c(), x.h(), x.w());
+        bn.apply_cols(x, ColSpan::full(x.w()), &mut out);
+        out
+    }
+
     #[test]
     fn identity_is_noop() {
         let x = Tensor3::from_vec(2, 1, 2, vec![1.0, -2.0, 3.0, -4.0]);
-        assert_eq!(Affine::identity(2).apply(&x), x);
+        assert_eq!(apply(&Affine::identity(2), &x), x);
     }
 
     #[test]
     fn per_channel_parameters() {
         let x = Tensor3::from_vec(2, 1, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let bn = Affine::new(vec![10.0, -1.0], vec![0.5, 0.0]);
-        assert_eq!(bn.apply(&x).data(), &[10.5, 20.5, -3.0, -4.0]);
+        assert_eq!(apply(&bn, &x).data(), &[10.5, 20.5, -3.0, -4.0]);
+    }
+
+    #[test]
+    fn span_leaves_other_columns_alone() {
+        let x = Tensor3::from_vec(2, 1, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut out = Tensor3::full(2, 1, 3, -1.0);
+        Affine::new(vec![2.0, 3.0], vec![1.0, 0.0]).apply_cols(&x, ColSpan::new(1, 2), &mut out);
+        assert_eq!(out.data(), &[-1.0, 5.0, -1.0, -1.0, 15.0, -1.0]);
     }
 
     #[test]
@@ -170,6 +174,6 @@ mod tests {
     #[should_panic(expected = "channel mismatch")]
     fn channel_mismatch_panics() {
         let x = Tensor3::zeros(3, 1, 1);
-        let _ = Affine::identity(2).apply(&x);
+        let _ = apply(&Affine::identity(2), &x);
     }
 }

@@ -13,83 +13,43 @@ pub enum PoolKind {
 }
 
 /// Non-overlapping symmetric pooling: window `factor x factor`, stride
-/// `factor` (the paper's `POOL_X = POOL_Y` model, Eq. 2).
+/// `factor` (the paper's `POOL_X = POOL_Y` model, Eq. 2), written into the
+/// `span` columns of `out`; the other columns of `out` are left as they
+/// are. A full span over a zeroed `out` pools the whole map; a narrower
+/// span over the pool of a reference input that agrees with `input`
+/// outside `span`'s pre-image gives the same bits as pooling the full map.
 ///
 /// Trailing rows/columns that do not fill a complete window are dropped,
 /// matching PyTorch's default (`ceil_mode = False`).
 ///
 /// # Panics
 ///
-/// Panics if `factor == 0`.
+/// Panics if `factor == 0` or `out` does not have the pooled shape.
 ///
 /// # Examples
 ///
 /// ```
-/// use hd_tensor::{Tensor3, pool::{pool2d, PoolKind}};
+/// use hd_tensor::{ColSpan, Tensor3, pool::{pool2d, PoolKind}};
 ///
 /// let x = Tensor3::from_vec(1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(pool2d(&x, 2, PoolKind::Max).data(), &[4.0]);
-/// assert_eq!(pool2d(&x, 2, PoolKind::Avg).data(), &[2.5]);
+/// let mut out = Tensor3::zeros(1, 1, 1);
+/// pool2d(&x, 2, PoolKind::Max, ColSpan::full(1), &mut out);
+/// assert_eq!(out.data(), &[4.0]);
+/// pool2d(&x, 2, PoolKind::Avg, ColSpan::full(1), &mut out);
+/// assert_eq!(out.data(), &[2.5]);
 /// ```
-pub fn pool2d(input: &Tensor3, factor: usize, kind: PoolKind) -> Tensor3 {
+pub fn pool2d(input: &Tensor3, factor: usize, kind: PoolKind, span: ColSpan, out: &mut Tensor3) {
     assert!(factor > 0, "pool factor must be positive");
-    if factor == 1 {
-        return input.clone();
-    }
-    let out_h = input.h() / factor;
-    let out_w = input.w() / factor;
-    let mut out = Tensor3::zeros(input.c(), out_h, out_w);
-    for c in 0..input.c() {
-        for p in 0..out_h {
-            for q in 0..out_w {
-                let mut best = f32::NEG_INFINITY;
-                let mut sum = 0.0;
-                for dy in 0..factor {
-                    for dx in 0..factor {
-                        let v = input.at(c, p * factor + dy, q * factor + dx);
-                        best = best.max(v);
-                        sum += v;
-                    }
-                }
-                let v = match kind {
-                    PoolKind::Max => best,
-                    PoolKind::Avg => sum / (factor * factor) as f32,
-                };
-                out.set(c, p, q, v);
-            }
-        }
-    }
-    out
-}
-
-/// [`pool2d`] restricted to the output columns in `span`: the rest are
-/// copied from `baseline` (the pool of a reference input agreeing with
-/// `input` outside `span`'s pre-image). Recomputed elements run the exact
-/// per-window loop of [`pool2d`], so the result is bit-identical to pooling
-/// the full map.
-///
-/// # Panics
-///
-/// Panics if `factor == 0` or `baseline` does not have the pooled shape.
-pub fn pool2d_cols(
-    input: &Tensor3,
-    factor: usize,
-    kind: PoolKind,
-    span: ColSpan,
-    baseline: &Tensor3,
-) -> Tensor3 {
-    assert!(factor > 0, "pool factor must be positive");
-    if factor == 1 {
-        return input.clone();
-    }
-    let out_h = input.h() / factor;
-    let out_w = input.w() / factor;
+    let (out_h, out_w) = (input.h() / factor, input.w() / factor);
     assert_eq!(
-        (baseline.c(), baseline.h(), baseline.w()),
+        (out.c(), out.h(), out.w()),
         (input.c(), out_h, out_w),
-        "baseline shape must match the pooled output"
+        "output shape must match the pooled input"
     );
-    let mut out = baseline.clone();
+    if factor == 1 {
+        out.copy_cols(input, span);
+        return;
+    }
     let span = span.clamp(out_w);
     for c in 0..input.c() {
         for p in 0..out_h {
@@ -111,7 +71,6 @@ pub fn pool2d_cols(
             }
         }
     }
-    out
 }
 
 /// Global average pooling: collapses each channel to a single value.
@@ -130,7 +89,7 @@ pub fn global_avg_pool(input: &Tensor3) -> Vec<f32> {
         .collect()
 }
 
-/// Backward pass of [`pool2d`]: routes the upstream gradient to the argmax
+/// Backward pass of [`pool2d`] over the full map: routes the upstream gradient to the argmax
 /// (for max pooling) or spreads it evenly (for average pooling).
 pub fn pool2d_backward(
     grad_out: &Tensor3,
@@ -189,30 +148,40 @@ pub fn pool2d_backward(
 mod tests {
     use super::*;
 
+    fn pool(x: &Tensor3, factor: usize, kind: PoolKind) -> Tensor3 {
+        let mut out = Tensor3::zeros(x.c(), x.h() / factor, x.w() / factor);
+        pool2d(x, factor, kind, ColSpan::full(out.w()), &mut out);
+        out
+    }
+
     #[test]
     fn max_pool_2x2() {
         let x = Tensor3::from_vec(1, 4, 4, (1..=16).map(|v| v as f32).collect());
-        let y = pool2d(&x, 2, PoolKind::Max);
+        let y = pool(&x, 2, PoolKind::Max);
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
     }
 
     #[test]
     fn avg_pool_2x2() {
         let x = Tensor3::from_vec(1, 2, 4, vec![1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0]);
-        let y = pool2d(&x, 2, PoolKind::Avg);
+        let y = pool(&x, 2, PoolKind::Avg);
         assert_eq!(y.data(), &[6.0, 10.0]);
     }
 
     #[test]
     fn factor_one_is_identity() {
-        let x = Tensor3::from_vec(1, 2, 2, vec![1.0, -2.0, 3.0, -4.0]);
-        assert_eq!(pool2d(&x, 1, PoolKind::Max), x);
+        let x = Tensor3::from_vec(1, 2, 2, vec![1.0, -2.0, -0.0, -4.0]);
+        assert_eq!(pool(&x, 1, PoolKind::Max).data(), x.data());
+        assert_eq!(
+            pool(&x, 1, PoolKind::Avg).data()[2].to_bits(),
+            (-0.0f32).to_bits()
+        );
     }
 
     #[test]
     fn odd_trailing_edge_dropped() {
         let x = Tensor3::full(1, 5, 5, 1.0);
-        let y = pool2d(&x, 2, PoolKind::Max);
+        let y = pool(&x, 2, PoolKind::Max);
         assert_eq!((y.h(), y.w()), (2, 2));
     }
 
@@ -223,17 +192,14 @@ mod tests {
     }
 
     #[test]
-    fn pool2d_cols_patches_only_span() {
+    fn span_patches_only_its_columns() {
         let x = Tensor3::from_vec(1, 2, 6, (1..=12).map(|v| v as f32).collect());
-        let base_in = Tensor3::zeros(1, 2, 6);
         for kind in [PoolKind::Max, PoolKind::Avg] {
-            let baseline = pool2d(&base_in, 2, kind);
-            // Patch all columns: must equal the full pool bit-for-bit.
-            let full = pool2d_cols(&x, 2, kind, ColSpan::full(3), &baseline);
-            assert_eq!(full.data(), pool2d(&x, 2, kind).data());
-            // Patch one column: the others keep the baseline value.
-            let partial = pool2d_cols(&x, 2, kind, ColSpan::new(1, 2), &baseline);
-            assert_eq!(partial.at(0, 0, 1), pool2d(&x, 2, kind).at(0, 0, 1));
+            let full = pool(&x, 2, kind);
+            let baseline = Tensor3::full(1, 1, 3, -7.0);
+            let mut partial = baseline.clone();
+            pool2d(&x, 2, kind, ColSpan::new(1, 2), &mut partial);
+            assert_eq!(partial.at(0, 0, 1), full.at(0, 0, 1));
             assert_eq!(partial.at(0, 0, 0), baseline.at(0, 0, 0));
             assert_eq!(partial.at(0, 0, 2), baseline.at(0, 0, 2));
         }

@@ -155,19 +155,6 @@ impl fmt::Display for CompressionScheme {
     }
 }
 
-/// Positions of the first and last nonzero values in `row`, if any.
-///
-/// This is the on-the-fly columns-of-nonzeros encoding used by the sparse
-/// conv path: [`crate::ColSpan::of_tensor`] folds the per-row bounds into a
-/// tensor-wide dirty-column interval. Unlike the transfer codecs above, it
-/// uses the compute kernels' exact `!= 0.0` zero test (not [`crate::ZERO_EPS`])
-/// so no operand a kernel would multiply is ever dropped from the span.
-pub fn nonzero_bounds(row: &[f32]) -> Option<(usize, usize)> {
-    let first = row.iter().position(|&v| v != 0.0)?;
-    let last = row.iter().rposition(|&v| v != 0.0)?;
-    Some((first, last))
-}
-
 /// Result of encoding a tensor for transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct EncodedSize {
@@ -290,15 +277,5 @@ mod tests {
     #[should_panic(expected = "element width")]
     fn zero_elem_bits_panics() {
         let _ = CompressionScheme::Dense.encoded_size(&[1.0], 0);
-    }
-
-    #[test]
-    fn nonzero_bounds_finds_extremes() {
-        assert_eq!(nonzero_bounds(&[0.0, 1.0, 0.0, -2.0, 0.0]), Some((1, 3)));
-        assert_eq!(nonzero_bounds(&[3.0]), Some((0, 0)));
-        assert_eq!(nonzero_bounds(&[0.0, 0.0]), None);
-        assert_eq!(nonzero_bounds(&[]), None);
-        // Exact test: denormals count, negative zero does not.
-        assert_eq!(nonzero_bounds(&[-0.0, 1e-40]), Some((1, 1)));
     }
 }

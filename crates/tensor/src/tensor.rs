@@ -1,5 +1,6 @@
 //! Dense tensor types.
 
+use crate::colspan::ColSpan;
 use crate::shape::Shape3;
 use rand::Rng;
 use std::fmt;
@@ -130,25 +131,57 @@ impl Tensor3 {
     ///
     /// Panics if shapes differ.
     pub fn add(&self, other: &Tensor3) -> Tensor3 {
-        assert_eq!(self.shape, other.shape, "shape mismatch in add");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Tensor3 {
-            shape: self.shape,
-            data,
+        let mut out = Tensor3::zeros(self.c(), self.h(), self.w());
+        out.add_cols(self, other, ColSpan::full(self.w()));
+        out
+    }
+
+    /// Overwrites the `span` columns with `a + b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn add_cols(&mut self, a: &Tensor3, b: &Tensor3, span: ColSpan) {
+        assert_eq!(a.shape, b.shape, "shape mismatch in add");
+        assert_eq!(self.shape, a.shape, "shape mismatch in add");
+        for (_, run) in span.runs(self.shape) {
+            let (a, b) = (&a.data[run.clone()], &b.data[run.clone()]);
+            for ((o, x), y) in self.data[run].iter_mut().zip(a).zip(b) {
+                *o = x + y;
+            }
         }
     }
 
     /// Applies ReLU in place.
     pub fn relu_inplace(&mut self) {
-        for v in &mut self.data {
-            if *v < 0.0 {
-                *v = 0.0;
+        let mut out = Tensor3::zeros(self.c(), self.h(), self.w());
+        out.relu_cols(self, ColSpan::full(self.w()));
+        *self = out;
+    }
+
+    /// Overwrites the `span` columns with `relu(src)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn relu_cols(&mut self, src: &Tensor3, span: ColSpan) {
+        assert_eq!(self.shape, src.shape, "shape mismatch in relu_cols");
+        for (_, run) in span.runs(self.shape) {
+            for (o, &x) in self.data[run.clone()].iter_mut().zip(&src.data[run]) {
+                *o = if x < 0.0 { 0.0 } else { x };
             }
+        }
+    }
+
+    /// Overwrites the `span` columns with `src`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn copy_cols(&mut self, src: &Tensor3, span: ColSpan) {
+        assert_eq!(self.shape, src.shape, "shape mismatch in copy_cols");
+        for (_, run) in span.runs(self.shape) {
+            self.data[run.clone()].copy_from_slice(&src.data[run]);
         }
     }
 }

@@ -19,7 +19,7 @@ mod streaming;
 
 pub use streaming::StreamingAnalyzer;
 
-use hd_accel::{AccessKind, Trace};
+use hd_accel::{AccessKind, Trace, TraceSink};
 use std::fmt;
 
 /// Index into [`TraceAnalysis::tensors`].
@@ -103,7 +103,8 @@ impl fmt::Display for AnalyzeTraceError {
 
 impl std::error::Error for AnalyzeTraceError {}
 
-/// Analyzes a bus trace into tensors, layers, and dataflow.
+/// Analyzes a buffered bus trace into tensors, layers, and dataflow by
+/// replaying its events through a [`StreamingAnalyzer`].
 ///
 /// # Errors
 ///
@@ -129,85 +130,11 @@ impl std::error::Error for AnalyzeTraceError {}
 /// # Ok::<(), hd_trace::AnalyzeTraceError>(())
 /// ```
 pub fn analyze(trace: &Trace) -> Result<TraceAnalysis, AnalyzeTraceError> {
-    if trace.events.windows(2).any(|w| w[0].time_ps > w[1].time_ps) {
-        return Err(AnalyzeTraceError::UnsortedEvents);
+    let mut sink = StreamingAnalyzer::new();
+    for &e in &trace.events {
+        sink.event(e);
     }
-
-    // --- Step 1: cluster write bursts into tensors by address adjacency. ---
-    let mut writes: Vec<(u64, u64, u64)> = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == AccessKind::Write)
-        .map(|e| (e.addr, e.bytes, e.time_ps))
-        .collect();
-    if writes.is_empty() {
-        return Err(AnalyzeTraceError::NoWrites);
-    }
-    writes.sort_by_key(|&(addr, _, _)| addr);
-
-    let mut tensors: Vec<TensorObs> = Vec::new();
-    for (addr, bytes, time) in writes {
-        match tensors.last_mut() {
-            Some(t) if addr <= t.addr_hi => {
-                t.addr_hi = t.addr_hi.max(addr + bytes);
-                t.bytes = t.addr_hi - t.addr_lo;
-                t.first_write_ps = t.first_write_ps.min(time);
-                t.last_write_ps = t.last_write_ps.max(time);
-            }
-            _ => tensors.push(TensorObs {
-                addr_lo: addr,
-                addr_hi: addr + bytes,
-                bytes,
-                first_write_ps: time,
-                last_write_ps: time,
-            }),
-        }
-    }
-    // Order tensors by production time.
-    tensors.sort_by_key(|t| t.first_write_ps);
-
-    // --- Step 2: assign reads to the layer producing the next tensor. ---
-    // Layer i produces tensor i+1; its read phase spans from tensor i's last
-    // write to tensor i+1's first write.
-    let mut layers: Vec<LayerObs> = Vec::new();
-    for out_id in 1..tensors.len() {
-        let window_lo = tensors[out_id - 1].last_write_ps;
-        let window_hi = tensors[out_id].first_write_ps;
-        let mut inputs: Vec<TensorId> = Vec::new();
-        // Footprints are *distinct addresses*, not transfer sums: a tiled
-        // accelerator re-reads tensors (paper §3.2: "possibly more than
-        // once"), but each address still names one tensor byte. Collect
-        // intervals and merge.
-        let mut weight_ranges: Vec<(u64, u64)> = Vec::new();
-        let mut input_ranges: Vec<(u64, u64)> = Vec::new();
-        for e in &trace.events {
-            if e.kind != AccessKind::Read || e.time_ps < window_lo || e.time_ps >= window_hi {
-                continue;
-            }
-            match tensors.iter().position(|t| t.contains(e.addr)) {
-                Some(src) => {
-                    input_ranges.push((e.addr, e.addr + e.bytes));
-                    if !inputs.contains(&src) {
-                        inputs.push(src);
-                    }
-                }
-                None => weight_ranges.push((e.addr, e.addr + e.bytes)),
-            }
-        }
-        let weight_bytes = merged_len(&mut weight_ranges);
-        let input_bytes = merged_len(&mut input_ranges);
-        layers.push(LayerObs {
-            index: out_id - 1,
-            inputs,
-            output: out_id,
-            weight_bytes,
-            input_bytes,
-            output_bytes: tensors[out_id].bytes,
-            encode_window_ps: tensors[out_id].encode_window_ps(),
-        });
-    }
-
-    Ok(TraceAnalysis { tensors, layers })
+    sink.finish()
 }
 
 /// Analyzes a trace from a device that *reuses* DRAM buffers: each write

@@ -2,25 +2,26 @@
 //!
 //! [`StreamingAnalyzer`] is a [`TraceSink`]: it folds each bus event into
 //! running tensor/footprint/encode-window state as `Device::try_run_with`
-//! emits it, instead of materializing the full `Vec<TraceEvent>` that
-//! [`crate::analyze`] consumes. On the phase-ordered traces a device
-//! produces, [`StreamingAnalyzer::finish`] returns a [`TraceAnalysis`]
-//! byte-identical to buffering the trace and calling [`crate::analyze`]
-//! (asserted by the differential suite in `tests/streaming_equiv.rs`).
+//! emits it, instead of materializing the full `Vec<TraceEvent>` of the
+//! run. It is the crate's only trace clusterer: [`crate::analyze`] replays
+//! a buffered trace through it. `tests/streaming_equiv.rs` keeps it equal
+//! to the address-sorting batch clustering of the paper's §3.2, which
+//! survives there as the test oracle.
 //!
 //! # Memory
 //!
-//! The buffered path retains every event of the run (~`O(bursts)`); the
-//! streaming path retains the tensor/layer summaries (`O(layers)`) plus
-//! the reads of the **currently open** layer window only — the reads are
+//! A buffered trace holds every event of the run (~`O(bursts)`); the
+//! analyzer retains the tensor/layer summaries (`O(layers)`) plus the
+//! reads of the **currently open** layer window only — the reads are
 //! dropped as soon as the next tensor's first write closes the window.
 //! [`StreamingAnalyzer::peak_pending_reads`] reports the high-water mark
 //! for comparison.
 //!
 //! # Contract
 //!
-//! The equivalence with [`crate::analyze`] relies on two properties every
-//! causal device trace has (and that the [`TraceSink`] contract states):
+//! Clustering writes in arrival order agrees with clustering them by
+//! address on every causal device trace, because such traces (as the
+//! [`TraceSink`] contract states) have two properties:
 //!
 //! * tensors' write phases do not interleave — each tensor is written by
 //!   one chronological run of address-adjacent bursts, and distinct
@@ -28,8 +29,8 @@
 //! * no read targets an address range before it has been written, except
 //!   read-only (weight) regions that are never written at all.
 //!
-//! Out-of-order timestamps are detected exactly as in the buffered path
-//! and reported by [`StreamingAnalyzer::finish`].
+//! Out-of-order timestamps are detected and reported by
+//! [`StreamingAnalyzer::finish`], ahead of an empty trace.
 
 use crate::{merged_len, AnalyzeTraceError, LayerObs, TensorId, TensorObs, TraceAnalysis};
 use hd_accel::{AccessKind, TraceEvent, TraceSink};
@@ -84,8 +85,8 @@ impl StreamingAnalyzer {
     }
 
     /// High-water mark of reads retained at any point so far — the
-    /// streaming path's event-retention peak (the buffered path retains
-    /// the whole trace).
+    /// analyzer's event-retention peak (a buffered trace retains every
+    /// event).
     pub fn peak_pending_reads(&self) -> usize {
         self.peak_pending
     }
@@ -94,8 +95,8 @@ impl StreamingAnalyzer {
     /// a newly opened tensor): attributes the buffered reads that fall in
     /// `[previous tensor's last write, window_hi)` and drops the rest.
     fn close_window(&mut self, window_hi: u64) {
-        // Reads at exactly `window_hi` belong to the *next* window (the
-        // buffered analyzer's windows are half-open on the right).
+        // Reads at exactly `window_hi` belong to the *next* window (windows
+        // are half-open on the right).
         let mut drained = Vec::new();
         self.pending_reads.retain(|&r| {
             if r.0 < window_hi {
@@ -117,7 +118,7 @@ impl StreamingAnalyzer {
             if time < window_lo {
                 continue; // mid-writeback read: outside every window
             }
-            match self.tensors.iter().position(|t| contains(t, lo)) {
+            match self.tensors.iter().position(|t| t.contains(lo)) {
                 Some(src) => {
                     input_ranges.push((lo, hi));
                     if !inputs.contains(&src) {
@@ -134,13 +135,13 @@ impl StreamingAnalyzer {
         });
     }
 
-    /// Consumes the stream, returning the same analysis the buffered
-    /// [`crate::analyze`] would produce for this run's trace.
+    /// Consumes the stream, returning the run's analysis.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalyzeTraceError`] for empty or out-of-order streams —
-    /// the same errors, with the same precedence, as the buffered path.
+    /// Returns [`AnalyzeTraceError::UnsortedEvents`] for an out-of-order
+    /// stream, else [`AnalyzeTraceError::NoWrites`] for a stream without
+    /// writes.
     pub fn finish(self) -> Result<TraceAnalysis, AnalyzeTraceError> {
         if self.unsorted {
             return Err(AnalyzeTraceError::UnsortedEvents);
@@ -167,12 +168,8 @@ impl StreamingAnalyzer {
     }
 }
 
-fn contains(t: &TensorObs, addr: u64) -> bool {
-    addr >= t.addr_lo && addr < t.addr_hi
-}
-
 /// Whether a write burst extends the open tensor (address-adjacent or
-/// overlapping — the same merge condition the buffered clustering uses).
+/// overlapping — the merge condition of the batch clustering).
 fn extends(t: &TensorObs, addr: u64, bytes: u64) -> bool {
     addr <= t.addr_hi && addr + bytes >= t.addr_lo
 }
@@ -221,16 +218,6 @@ impl TraceSink for StreamingAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze;
-    use hd_accel::Trace;
-
-    fn stream(trace: &Trace) -> StreamingAnalyzer {
-        let mut s = StreamingAnalyzer::new();
-        for &e in &trace.events {
-            s.event(e);
-        }
-        s
-    }
 
     #[test]
     fn empty_stream_is_no_writes() {
@@ -256,125 +243,5 @@ mod tests {
             bytes: 64,
         });
         assert_eq!(s.finish(), Err(AnalyzeTraceError::UnsortedEvents));
-    }
-
-    #[test]
-    fn matches_buffered_analyze_on_a_synthetic_trace() {
-        // input tensor, weight read, input read, output tensor.
-        let t = Trace {
-            events: vec![
-                TraceEvent {
-                    time_ps: 0,
-                    addr: 0x8000,
-                    kind: AccessKind::Write,
-                    bytes: 64,
-                },
-                TraceEvent {
-                    time_ps: 10,
-                    addr: 0x8040,
-                    kind: AccessKind::Write,
-                    bytes: 64,
-                },
-                TraceEvent {
-                    time_ps: 100,
-                    addr: 0x1000,
-                    kind: AccessKind::Read,
-                    bytes: 32,
-                },
-                TraceEvent {
-                    time_ps: 120,
-                    addr: 0x8000,
-                    kind: AccessKind::Read,
-                    bytes: 128,
-                },
-                TraceEvent {
-                    time_ps: 200,
-                    addr: 0x9000_0000,
-                    kind: AccessKind::Write,
-                    bytes: 96,
-                },
-            ],
-        };
-        let buffered = analyze(&t).unwrap();
-        let streamed = stream(&t).finish().unwrap();
-        assert_eq!(buffered, streamed);
-        assert_eq!(streamed.layers[0].weight_bytes, 32);
-        assert_eq!(streamed.layers[0].input_bytes, 128);
-        assert_eq!(streamed.layers[0].inputs, vec![0]);
-    }
-
-    #[test]
-    fn pending_reads_are_bounded_by_one_window() {
-        let mut events = vec![TraceEvent {
-            time_ps: 0,
-            addr: 0x8000,
-            kind: AccessKind::Write,
-            bytes: 64,
-        }];
-        // Three layers, two reads each.
-        for l in 0..3u64 {
-            for r in 0..2u64 {
-                events.push(TraceEvent {
-                    time_ps: 100 * l + 10 + r,
-                    addr: 0x1000 + 0x100 * l,
-                    kind: AccessKind::Read,
-                    bytes: 8,
-                });
-            }
-            events.push(TraceEvent {
-                time_ps: 100 * l + 50,
-                addr: 0x9_0000 * (l + 1),
-                kind: AccessKind::Write,
-                bytes: 16,
-            });
-        }
-        let t = Trace { events };
-        let mut s = StreamingAnalyzer::new();
-        for &e in &t.events {
-            s.event(e);
-        }
-        assert_eq!(s.peak_pending_reads(), 2, "windows must drain");
-        assert_eq!(s.finish().unwrap(), analyze(&t).unwrap());
-    }
-
-    #[test]
-    fn read_at_window_boundary_goes_to_the_next_layer() {
-        // A read whose timestamp equals the next tensor's first write must
-        // be attributed exactly as the buffered half-open window does.
-        let t = Trace {
-            events: vec![
-                TraceEvent {
-                    time_ps: 0,
-                    addr: 0x8000,
-                    kind: AccessKind::Write,
-                    bytes: 64,
-                },
-                TraceEvent {
-                    time_ps: 50,
-                    addr: 0x8000,
-                    kind: AccessKind::Read,
-                    bytes: 64,
-                },
-                TraceEvent {
-                    time_ps: 50,
-                    addr: 0x9_0000,
-                    kind: AccessKind::Write,
-                    bytes: 32,
-                },
-                TraceEvent {
-                    time_ps: 80,
-                    addr: 0x8000,
-                    kind: AccessKind::Read,
-                    bytes: 64,
-                },
-                TraceEvent {
-                    time_ps: 90,
-                    addr: 0xA_0000,
-                    kind: AccessKind::Write,
-                    bytes: 32,
-                },
-            ],
-        };
-        assert_eq!(stream(&t).finish().unwrap(), analyze(&t).unwrap());
     }
 }

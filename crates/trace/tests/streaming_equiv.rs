@@ -1,20 +1,120 @@
-//! Differential suite: the incremental [`StreamingAnalyzer`] must produce
-//! a `TraceAnalysis` byte-identical to buffering the full trace and
-//! calling [`hd_trace::analyze`] — on the pinned golden-trace fixture, on
-//! device runs over randomly pruned networks, and on both probe regimes
-//! (dense images and sparse stripes). It must also retain strictly fewer
-//! events than the buffered path on any multi-layer run.
+//! Differential suite: [`StreamingAnalyzer`] (and [`hd_trace::analyze`],
+//! which replays a buffered trace through it) must produce a
+//! `TraceAnalysis` byte-identical to the batch clustering of the paper's
+//! §3.2 — sort every write by address, merge adjacent bursts into tensors,
+//! order tensors by first write, then attribute each layer window's reads —
+//! kept below as the test oracle. Inputs: the pinned golden-trace fixture,
+//! device runs over randomly pruned networks in both probe regimes (dense
+//! images and sparse stripes), and hand-built synthetic traces for window
+//! boundaries, drained windows and error precedence. The streaming path must
+//! also retain strictly fewer events than the trace on any multi-layer run.
 
-use hd_accel::{AccelConfig, Device, Trace, TraceSink};
+use hd_accel::{AccelConfig, AccessKind, Device, Trace, TraceEvent, TraceSink};
 use hd_dnn::graph::{NetworkBuilder, Params};
 use hd_tensor::Tensor3;
-use hd_trace::{analyze, StreamingAnalyzer};
+use hd_trace::{analyze, AnalyzeTraceError, LayerObs, StreamingAnalyzer, TensorObs, TraceAnalysis};
 use proptest::prelude::*;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/fixtures/golden_trace.txt"
 );
+
+/// The batch clustering oracle: the analysis as a second pass over the
+/// whole buffered trace.
+fn batch_analyze(trace: &Trace) -> Result<TraceAnalysis, AnalyzeTraceError> {
+    if trace.events.windows(2).any(|w| w[0].time_ps > w[1].time_ps) {
+        return Err(AnalyzeTraceError::UnsortedEvents);
+    }
+
+    // Step 1: cluster write bursts into tensors by address adjacency.
+    let mut writes: Vec<(u64, u64, u64)> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == AccessKind::Write)
+        .map(|e| (e.addr, e.bytes, e.time_ps))
+        .collect();
+    if writes.is_empty() {
+        return Err(AnalyzeTraceError::NoWrites);
+    }
+    writes.sort_by_key(|&(addr, _, _)| addr);
+    let mut tensors: Vec<TensorObs> = Vec::new();
+    for (addr, bytes, time) in writes {
+        match tensors.last_mut() {
+            Some(t) if addr <= t.addr_hi => {
+                t.addr_hi = t.addr_hi.max(addr + bytes);
+                t.bytes = t.addr_hi - t.addr_lo;
+                t.first_write_ps = t.first_write_ps.min(time);
+                t.last_write_ps = t.last_write_ps.max(time);
+            }
+            _ => tensors.push(TensorObs {
+                addr_lo: addr,
+                addr_hi: addr + bytes,
+                bytes,
+                first_write_ps: time,
+                last_write_ps: time,
+            }),
+        }
+    }
+    tensors.sort_by_key(|t| t.first_write_ps);
+
+    // Step 2: layer i produces tensor i+1; its read phase spans from
+    // tensor i's last write to tensor i+1's first write. Footprints are
+    // distinct addresses, so ranges are merged.
+    let mut layers: Vec<LayerObs> = Vec::new();
+    for out_id in 1..tensors.len() {
+        let window_lo = tensors[out_id - 1].last_write_ps;
+        let window_hi = tensors[out_id].first_write_ps;
+        let mut inputs = Vec::new();
+        let mut weight_ranges: Vec<(u64, u64)> = Vec::new();
+        let mut input_ranges: Vec<(u64, u64)> = Vec::new();
+        for e in &trace.events {
+            if e.kind != AccessKind::Read || e.time_ps < window_lo || e.time_ps >= window_hi {
+                continue;
+            }
+            match tensors
+                .iter()
+                .position(|t| e.addr >= t.addr_lo && e.addr < t.addr_hi)
+            {
+                Some(src) => {
+                    input_ranges.push((e.addr, e.addr + e.bytes));
+                    if !inputs.contains(&src) {
+                        inputs.push(src);
+                    }
+                }
+                None => weight_ranges.push((e.addr, e.addr + e.bytes)),
+            }
+        }
+        layers.push(LayerObs {
+            index: out_id - 1,
+            inputs,
+            output: out_id,
+            weight_bytes: merged_len(&mut weight_ranges),
+            input_bytes: merged_len(&mut input_ranges),
+            output_bytes: tensors[out_id].bytes,
+            encode_window_ps: tensors[out_id].encode_window_ps(),
+        });
+    }
+    Ok(TraceAnalysis { tensors, layers })
+}
+
+/// Total length of a set of byte intervals after merging overlaps.
+fn merged_len(ranges: &mut [(u64, u64)]) -> u64 {
+    ranges.sort_unstable();
+    let mut total = 0;
+    let mut open: Option<(u64, u64)> = None;
+    for &(a, b) in ranges.iter() {
+        open = match open {
+            Some((lo, hi)) if a <= hi => Some((lo, hi.max(b))),
+            Some((lo, hi)) => {
+                total += hi - lo;
+                Some((a, b))
+            }
+            None => Some((a, b)),
+        };
+    }
+    total + open.map_or(0, |(lo, hi)| hi - lo)
+}
 
 /// Replays a buffered trace through the streaming sink.
 fn stream_trace(trace: &Trace) -> StreamingAnalyzer {
@@ -23,6 +123,24 @@ fn stream_trace(trace: &Trace) -> StreamingAnalyzer {
         s.event(e);
     }
     s
+}
+
+/// Asserts the sink, `analyze` and the batch oracle agree on `trace`,
+/// returning the analysis.
+fn assert_matches_oracle(trace: &Trace) -> Result<TraceAnalysis, AnalyzeTraceError> {
+    let want = batch_analyze(trace);
+    assert_eq!(stream_trace(trace).finish(), want);
+    assert_eq!(analyze(trace), want);
+    want
+}
+
+fn ev(time_ps: u64, addr: u64, kind: AccessKind, bytes: u64) -> TraceEvent {
+    TraceEvent {
+        time_ps,
+        addr,
+        kind,
+        bytes,
+    }
 }
 
 /// Extracts the CSV trace sections (`== trace NAME ==` blocks) from the
@@ -57,7 +175,12 @@ fn golden_fixture_traces_analyze_identically() {
     let traces = fixture_traces();
     assert_eq!(traces.len(), 2, "dense + impulse sections expected");
     for (name, trace) in traces {
-        let buffered = analyze(&trace).expect("fixture trace analyzes");
+        let buffered = batch_analyze(&trace).expect("fixture trace analyzes");
+        assert_eq!(
+            analyze(&trace),
+            Ok(buffered.clone()),
+            "trace {name}: analyze"
+        );
         let sink = stream_trace(&trace);
         assert!(
             sink.peak_pending_reads() < trace.len(),
@@ -89,7 +212,7 @@ fn device_streaming_run_matches_buffered_run() {
 
     // Buffered: materialize the trace, then analyze.
     let trace = dev.run(&img);
-    let buffered = analyze(&trace).unwrap();
+    let buffered = batch_analyze(&trace).unwrap();
     // Streaming: analyze while the device emits.
     let mut sink = StreamingAnalyzer::new();
     dev.try_run_with(&img, &mut sink).unwrap();
@@ -141,11 +264,88 @@ proptest! {
 
         for img in [&dense, &stripe] {
             let trace = dev.run(img);
-            let buffered = analyze(&trace).unwrap();
+            let buffered = batch_analyze(&trace).unwrap();
+            prop_assert_eq!(analyze(&trace), Ok(buffered.clone()));
             let mut sink = StreamingAnalyzer::new();
             dev.try_run_with(img, &mut sink).unwrap();
             prop_assert!(sink.peak_pending_reads() < trace.len());
             prop_assert_eq!(sink.finish().unwrap(), buffered);
         }
     }
+}
+
+#[test]
+fn synthetic_layer_attributes_weight_and_input_reads() {
+    // Input tensor, weight read, input read, output tensor.
+    let t = Trace {
+        events: vec![
+            ev(0, 0x8000, AccessKind::Write, 64),
+            ev(10, 0x8040, AccessKind::Write, 64),
+            ev(100, 0x1000, AccessKind::Read, 32),
+            ev(120, 0x8000, AccessKind::Read, 128),
+            ev(200, 0x9000_0000, AccessKind::Write, 96),
+        ],
+    };
+    let a = assert_matches_oracle(&t).unwrap();
+    assert_eq!(a.layers[0].weight_bytes, 32);
+    assert_eq!(a.layers[0].input_bytes, 128);
+    assert_eq!(a.layers[0].inputs, vec![0]);
+}
+
+#[test]
+fn pending_reads_are_bounded_by_one_window() {
+    let mut events = vec![ev(0, 0x8000, AccessKind::Write, 64)];
+    // Three layers, two reads each.
+    for l in 0..3u64 {
+        for r in 0..2u64 {
+            events.push(ev(
+                100 * l + 10 + r,
+                0x1000 + 0x100 * l,
+                AccessKind::Read,
+                8,
+            ));
+        }
+        events.push(ev(100 * l + 50, 0x9_0000 * (l + 1), AccessKind::Write, 16));
+    }
+    let t = Trace { events };
+    assert_eq!(
+        stream_trace(&t).peak_pending_reads(),
+        2,
+        "windows must drain"
+    );
+    assert_matches_oracle(&t).unwrap();
+}
+
+#[test]
+fn read_at_window_boundary_goes_to_the_next_layer() {
+    // A read whose timestamp equals the next tensor's first write belongs
+    // to the next, half-open window.
+    let t = Trace {
+        events: vec![
+            ev(0, 0x8000, AccessKind::Write, 64),
+            ev(50, 0x8000, AccessKind::Read, 64),
+            ev(50, 0x9_0000, AccessKind::Write, 32),
+            ev(80, 0x8000, AccessKind::Read, 64),
+            ev(90, 0xA_0000, AccessKind::Write, 32),
+        ],
+    };
+    assert_matches_oracle(&t).unwrap();
+}
+
+#[test]
+fn unsorted_events_take_precedence_over_no_writes() {
+    assert_eq!(
+        assert_matches_oracle(&Trace::default()),
+        Err(AnalyzeTraceError::NoWrites)
+    );
+    let reads_only = Trace {
+        events: vec![
+            ev(10, 0x1000, AccessKind::Read, 8),
+            ev(5, 0x2000, AccessKind::Read, 8),
+        ],
+    };
+    assert_eq!(
+        assert_matches_oracle(&reads_only),
+        Err(AnalyzeTraceError::UnsortedEvents)
+    );
 }
