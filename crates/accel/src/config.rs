@@ -170,12 +170,12 @@ pub struct AccelConfig {
     pub compute: Precision,
 }
 
-/// A rejected accelerator configuration (from [`AccelConfig::builder`]).
+/// A rejected accelerator configuration.
 ///
-/// Struct-literal construction stays possible and unvalidated — presets and
-/// tests may build exotic configs directly — but everything that goes
-/// through the builder is checked here instead of failing deep inside a
-/// simulation.
+/// Configs are plain structs (literals, presets, `with_*` setters); the
+/// check runs where one is consumed: [`crate::Device::try_new`] (and the
+/// panicking [`crate::Device::new`]) return this instead of failing deep
+/// inside a simulation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// DRAM channel count outside the supported 1..=2 range (0 would be a
@@ -199,7 +199,7 @@ pub enum ConfigError {
         got: f64,
     },
     /// The configuration is self-consistent but rejects the model it was
-    /// built for (see [`AccelConfigBuilder::build_for`]).
+    /// asked to run (see [`crate::Device::try_new`]).
     Model {
         /// The verifier's findings, in node order.
         diagnostics: Vec<hd_dnn::verify::Diagnostic>,
@@ -229,195 +229,42 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Validating builder for [`AccelConfig`], seeded from a preset.
-///
-/// ```
-/// use hd_accel::{AccelConfig, DramConfig, DramKind};
-/// let cfg = AccelConfig::builder()
-///     .dram(DramKind::Lpddr4x, 2)
-///     .freq_mhz(400.0)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.dram, DramConfig::new(DramKind::Lpddr4x, 2));
-///
-/// assert!(AccelConfig::builder().dram(DramKind::Lpddr3, 0).build().is_err());
-/// ```
-#[derive(Clone, Debug)]
-pub struct AccelConfigBuilder {
-    cfg: AccelConfig,
-    dram_kind: DramKind,
-    dram_channels: u8,
-}
-
-impl AccelConfigBuilder {
-    fn from_preset(cfg: AccelConfig) -> Self {
-        AccelConfigBuilder {
-            dram_kind: cfg.dram.kind,
-            dram_channels: cfg.dram.channels,
-            cfg,
-        }
-    }
-
-    /// External DRAM part. Channel counts are validated at [`build`]
-    /// (`AccelConfigBuilder::build`), not here, so invalid values surface
-    /// as a [`ConfigError`] rather than a panic.
-    pub fn dram(mut self, kind: DramKind, channels: u8) -> Self {
-        self.dram_kind = kind;
-        self.dram_channels = channels;
-        self
-    }
-
-    /// Core clock in MHz.
-    pub fn freq_mhz(mut self, mhz: f64) -> Self {
-        self.cfg.freq_mhz = mhz;
-        self
-    }
-
-    /// Activation and weight transfer codecs.
-    pub fn schemes(mut self, act: CompressionScheme, weight: CompressionScheme) -> Self {
-        self.cfg.act_scheme = act;
-        self.cfg.weight_scheme = weight;
-        self
-    }
-
-    /// Volume-channel defence.
-    pub fn defence(mut self, defence: Defence) -> Self {
-        self.cfg.defence = defence;
-        self
-    }
-
-    /// Host-side convolution backend.
-    pub fn conv_backend(mut self, backend: ConvBackend) -> Self {
-        self.cfg.conv_backend = backend;
-        self
-    }
-
-    /// Kernel-dispatch policy.
-    pub fn backend_policy(mut self, policy: BackendPolicy) -> Self {
-        self.cfg.backend_policy = policy;
-        self
-    }
-
-    /// PE-array numeric precision.
-    pub fn precision(mut self, compute: Precision) -> Self {
-        self.cfg.compute = compute;
-        self
-    }
-
-    /// GLB drain bandwidth multiplier.
-    pub fn glb_scale(mut self, scale: f64) -> Self {
-        self.cfg.glb_bandwidth_scale = scale;
-        self
-    }
-
-    /// Psum GLB geometry: parallel banks and words per bank row.
-    pub fn glb_geometry(mut self, banks: usize, bank_words: usize) -> Self {
-        self.cfg.glb_banks = banks;
-        self.cfg.bank_words = bank_words;
-        self
-    }
-
-    /// On-chip weight buffer capacity in bytes.
-    pub fn weight_glb_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.weight_glb_bytes = bytes;
-        self
-    }
-
-    /// DRAM burst size in bytes.
-    pub fn burst_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.burst_bytes = bytes;
-        self
-    }
-
-    /// Recycle freed DRAM activation buffers (paper footnote 4).
-    pub fn reuse_activations(mut self, on: bool) -> Self {
-        self.cfg.reuse_activations = on;
-        self
-    }
-
-    /// Run batch norm as a separate dense-psum pass (paper §2).
-    pub fn separate_batch_norm(mut self, on: bool) -> Self {
-        self.cfg.separate_batch_norm = on;
-        self
-    }
-
-    /// Validates and produces the configuration.
+impl AccelConfig {
+    /// Checks the configuration for values the simulator cannot run:
+    /// [`crate::Device::try_new`] calls this before sealing a device.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for unsupported DRAM channel counts, zero
     /// structural counts, or non-positive rates.
-    pub fn build(self) -> Result<AccelConfig, ConfigError> {
-        if !(1..=2).contains(&self.dram_channels) {
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(1..=2).contains(&self.dram.channels) {
             return Err(ConfigError::DramChannels {
-                got: self.dram_channels,
+                got: self.dram.channels,
             });
         }
-        let mut cfg = self.cfg;
-        cfg.dram = DramConfig {
-            kind: self.dram_kind,
-            channels: self.dram_channels,
-        };
         for (field, value) in [
-            ("glb_banks", cast::usize_to_u64(cfg.glb_banks)),
-            ("bank_words", cast::usize_to_u64(cfg.bank_words)),
-            ("acc_bits", u64::from(cfg.acc_bits)),
-            ("act_bits", u64::from(cfg.act_bits)),
-            ("weight_bits", u64::from(cfg.weight_bits)),
-            ("burst_bytes", cfg.burst_bytes),
+            ("glb_banks", cast::usize_to_u64(self.glb_banks)),
+            ("bank_words", cast::usize_to_u64(self.bank_words)),
+            ("acc_bits", u64::from(self.acc_bits)),
+            ("act_bits", u64::from(self.act_bits)),
+            ("weight_bits", u64::from(self.weight_bits)),
+            ("burst_bytes", self.burst_bytes),
         ] {
             if value == 0 {
                 return Err(ConfigError::ZeroField { field });
             }
         }
         for (field, value) in [
-            ("freq_mhz", cfg.freq_mhz),
-            ("macs_per_cycle", cfg.macs_per_cycle),
-            ("glb_bandwidth_scale", cfg.glb_bandwidth_scale),
+            ("freq_mhz", self.freq_mhz),
+            ("macs_per_cycle", self.macs_per_cycle),
+            ("glb_bandwidth_scale", self.glb_bandwidth_scale),
         ] {
             if !(value.is_finite() && value > 0.0) {
                 return Err(ConfigError::NonPositiveRate { field, got: value });
             }
         }
-        Ok(cfg)
-    }
-
-    /// [`build`](AccelConfigBuilder::build), then statically verifies the
-    /// configuration against the network it will execute (and its params,
-    /// when available): shape consistency, weight-buffer pass counts, and
-    /// backend preconditions — the same pass [`crate::Device::try_new`]
-    /// runs, surfaced at configuration time.
-    ///
-    /// # Errors
-    ///
-    /// Returns the builder's own [`ConfigError`]s first; then
-    /// [`ConfigError::Model`] carrying the verifier's diagnostics if the
-    /// config rejects the network.
-    pub fn build_for(
-        self,
-        net: &hd_dnn::Network,
-        params: Option<&hd_dnn::Params>,
-    ) -> Result<AccelConfig, ConfigError> {
-        let cfg = self.build()?;
-        hd_dnn::verify::verify_strict(net, params, &cfg.verify_limits()).map_err(|e| {
-            ConfigError::Model {
-                diagnostics: e.diagnostics,
-            }
-        })?;
-        Ok(cfg)
-    }
-}
-
-impl AccelConfig {
-    /// A validating builder seeded with the [`AccelConfig::eyeriss_v2`]
-    /// preset. Use [`AccelConfig::builder_from`] to start elsewhere.
-    pub fn builder() -> AccelConfigBuilder {
-        AccelConfigBuilder::from_preset(AccelConfig::eyeriss_v2())
-    }
-
-    /// A validating builder seeded with an arbitrary base configuration.
-    pub fn builder_from(base: AccelConfig) -> AccelConfigBuilder {
-        AccelConfigBuilder::from_preset(base)
+        Ok(())
     }
 
     /// Eyeriss-v2-like defaults (paper §8.2): 8 psum GLB banks x 3 words,
@@ -623,68 +470,73 @@ mod tests {
         assert!(!off.backend_policy.auto_sparse);
     }
 
+    /// Every invalid config is refused by the device constructor. A config
+    /// that slipped past it would reach `run` and panic there (DRAM
+    /// bandwidth of zero channels, zero-byte bursts, a zero clock).
     #[test]
-    fn builder_defaults_match_eyeriss_preset() {
-        assert_eq!(
-            AccelConfig::builder().build().unwrap(),
-            AccelConfig::eyeriss_v2()
-        );
-        assert_eq!(
-            AccelConfig::builder_from(AccelConfig::scnn_like())
-                .build()
-                .unwrap(),
-            AccelConfig::scnn_like()
-        );
-    }
+    fn try_new_rejects_invalid_configs() {
+        use crate::Device;
+        use hd_dnn::graph::{NetworkBuilder, Params};
+        use hd_tensor::Tensor3;
 
-    #[test]
-    fn builder_applies_setters() {
-        let cfg = AccelConfig::builder()
-            .dram(DramKind::Lpddr4x, 2)
-            .freq_mhz(400.0)
-            .glb_geometry(16, 2)
-            .burst_bytes(32)
-            .reuse_activations(true)
-            .separate_batch_norm(true)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.dram, DramConfig::new(DramKind::Lpddr4x, 2));
-        assert_eq!(cfg.freq_mhz, 400.0);
-        assert_eq!((cfg.glb_banks, cfg.bank_words), (16, 2));
-        assert_eq!(cfg.burst_bytes, 32);
-        assert!(cfg.reuse_activations && cfg.separate_batch_norm);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_configs() {
-        assert_eq!(
-            AccelConfig::builder().dram(DramKind::Lpddr3, 0).build(),
-            Err(ConfigError::DramChannels { got: 0 })
-        );
-        assert_eq!(
-            AccelConfig::builder().dram(DramKind::Lpddr3, 3).build(),
-            Err(ConfigError::DramChannels { got: 3 })
-        );
-        assert_eq!(
-            AccelConfig::builder().glb_geometry(0, 3).build(),
-            Err(ConfigError::ZeroField { field: "glb_banks" })
-        );
-        assert_eq!(
-            AccelConfig::builder().burst_bytes(0).build(),
-            Err(ConfigError::ZeroField {
-                field: "burst_bytes"
-            })
-        );
-        let err = AccelConfig::builder().freq_mhz(0.0).build().unwrap_err();
-        assert!(matches!(
-            err,
-            ConfigError::NonPositiveRate {
-                field: "freq_mhz",
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("freq_mhz"));
-        assert!(AccelConfig::builder().glb_scale(f64::NAN).build().is_err());
+        let mut b = NetworkBuilder::new(1, 8, 8);
+        let x = b.input();
+        b.conv(x, 4, 3, 1);
+        let net = b.build();
+        let params = Params::init(&net, 0);
+        let base = AccelConfig::eyeriss_v2();
+        let lpddr3 = |channels| DramConfig {
+            kind: DramKind::Lpddr3,
+            channels,
+        };
+        let cases = [
+            (
+                base.clone().with_dram(lpddr3(0)),
+                ConfigError::DramChannels { got: 0 },
+            ),
+            (
+                base.clone().with_dram(lpddr3(3)),
+                ConfigError::DramChannels { got: 3 },
+            ),
+            (
+                AccelConfig {
+                    glb_banks: 0,
+                    ..base.clone()
+                },
+                ConfigError::ZeroField { field: "glb_banks" },
+            ),
+            (
+                AccelConfig {
+                    burst_bytes: 0,
+                    ..base.clone()
+                },
+                ConfigError::ZeroField {
+                    field: "burst_bytes",
+                },
+            ),
+            (
+                AccelConfig {
+                    freq_mhz: 0.0,
+                    ..base.clone()
+                },
+                ConfigError::NonPositiveRate {
+                    field: "freq_mhz",
+                    got: 0.0,
+                },
+            ),
+        ];
+        for (cfg, want) in cases {
+            let got = Device::try_new(net.clone(), params.clone(), cfg)
+                .map(|dev| dev.run(&Tensor3::full(1, 8, 8, 0.5)).len());
+            assert_eq!(got, Err(want));
+        }
+        // NaN never compares equal, so check the message instead.
+        let nan = base.clone().with_glb_scale(f64::NAN);
+        let err = Device::try_new(net.clone(), params.clone(), nan)
+            .map(|_| ())
+            .expect_err("NaN GLB scale must be rejected");
+        assert!(err.to_string().contains("glb_bandwidth_scale"), "{err}");
+        assert!(Device::try_new(net, params, base).is_ok());
     }
 
     #[test]

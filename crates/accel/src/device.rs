@@ -7,7 +7,7 @@
 //! segregated under [`Device::oracle`] and must only be used by evaluation
 //! harnesses, never by attack code.
 
-use crate::config::{AccelConfig, Precision};
+use crate::config::{AccelConfig, ConfigError, Precision};
 use crate::defence::{defence_padding_bytes, Defence, NoiseState};
 use crate::encoder::{encode_timing, EncodeTiming};
 use crate::trace_event::{AccessKind, Trace, TraceEvent, TraceSink};
@@ -110,40 +110,46 @@ pub struct Oracle<'a> {
 
 impl Device {
     /// Seals `net`/`params` inside a device with the given configuration,
-    /// statically verifying the graph first (see [`hd_dnn::verify`]).
+    /// validating the config and statically verifying the graph first (see
+    /// [`Device::try_new`]).
     ///
     /// # Panics
     ///
-    /// Panics with the full diagnostic list if verification rejects the
-    /// graph. `#[track_caller]` pins the panic to the call site. Use
-    /// [`Device::try_new`] for the non-panicking variant, or
-    /// [`Device::new_unchecked`] to skip verification entirely (malformed
-    /// graphs then surface as [`DeviceError`]s from [`Device::try_run`]).
+    /// Panics if the config is invalid or verification rejects the graph
+    /// (with the full diagnostic list). `#[track_caller]` pins the panic to
+    /// the call site. Use [`Device::try_new`] for the non-panicking
+    /// variant, or [`Device::new_unchecked`] to skip both checks entirely
+    /// (malformed graphs then surface as [`DeviceError`]s from
+    /// [`Device::try_run`]).
     #[track_caller]
     pub fn new(net: Network, params: Params, cfg: AccelConfig) -> Self {
         match Device::try_new(net, params, cfg) {
             Ok(dev) => dev,
             // hd-lint: allow(no-panic) -- documented #[track_caller] wrapper; try_new is the fallible form
-            Err(e) => panic!("rejected malformed network: {e}"),
+            Err(e) => panic!("rejected device: {e}"),
         }
     }
 
-    /// Verifying constructor: runs [`hd_dnn::verify::verify_strict`] over
-    /// the graph, params, and config-derived [`Limits`]
-    /// (`hd_dnn::verify::Limits`) before sealing the device.
+    /// Validating constructor: runs [`AccelConfig::validate`], then
+    /// [`hd_dnn::verify::verify_strict`] over the graph, params, and
+    /// config-derived [`Limits`](hd_dnn::verify::Limits), before sealing the
+    /// device.
     ///
     /// # Errors
     ///
-    /// Returns the verifier's full diagnostic list when the graph cannot
-    /// execute correctly on this configuration: shape inconsistencies,
-    /// topology violations, param/geometry disagreements, or weight
-    /// buffer pass-count overflows.
-    pub fn try_new(
-        net: Network,
-        params: Params,
-        cfg: AccelConfig,
-    ) -> Result<Self, hd_dnn::verify::VerifyError> {
-        hd_dnn::verify::verify_strict(&net, Some(&params), &cfg.verify_limits())?;
+    /// Returns the config's own [`ConfigError`]s first (DRAM channel count,
+    /// zero structural counts, non-positive rates); then
+    /// [`ConfigError::Model`] with the verifier's full diagnostic list when
+    /// the graph cannot execute correctly on this configuration: shape
+    /// inconsistencies, topology violations, param/geometry disagreements,
+    /// or weight buffer pass-count overflows.
+    pub fn try_new(net: Network, params: Params, cfg: AccelConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        hd_dnn::verify::verify_strict(&net, Some(&params), &cfg.verify_limits()).map_err(|e| {
+            ConfigError::Model {
+                diagnostics: e.diagnostics,
+            }
+        })?;
         Ok(Device::new_unchecked(net, params, cfg))
     }
 
@@ -152,7 +158,7 @@ impl Device {
     /// Exists for tests that deliberately build malformed graphs (via
     /// `Network::from_raw_parts`) to exercise the device's late typed
     /// errors; everything else should use [`Device::new`] or
-    /// [`Device::try_new`].
+    /// [`Device::try_new`]. The config is not validated either.
     pub fn new_unchecked(net: Network, params: Params, cfg: AccelConfig) -> Self {
         // Statically place weights: one region per weighted node.
         let mut weight_regions = vec![None; net.len()];

@@ -35,7 +35,7 @@ pub mod energy;
 pub mod pipeline;
 pub mod trace_event;
 
-pub use config::{AccelConfig, AccelConfigBuilder, ConfigError, DramConfig, DramKind, Precision};
+pub use config::{AccelConfig, ConfigError, DramConfig, DramKind, Precision};
 pub use defence::Defence;
 pub use device::{Device, DeviceError, Oracle};
 pub use encoder::{encode_timing, EncodeBound, EncodeTiming};

@@ -38,86 +38,29 @@ impl Default for AttackConfig {
     }
 }
 
-/// Validating builder for [`AttackConfig`], seeded with the defaults.
-///
-/// ```
-/// use huffduff_core::attack::AttackConfig;
-/// use huffduff_core::prober::ProberConfig;
-/// let cfg = AttackConfig::builder()
-///     .prober(ProberConfig::builder().shifts(12).build().unwrap())
-///     .classes(4)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.classes, 4);
-///
-/// assert!(AttackConfig::builder().classes(0).build().is_err());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct AttackConfigBuilder {
-    cfg: AttackConfig,
-}
-
-impl AttackConfigBuilder {
-    /// Prober settings (validate them with [`ProberConfig::builder`] or
-    /// rely on the nested check in [`AttackConfigBuilder::build`]).
-    pub fn prober(mut self, prober: ProberConfig) -> Self {
-        self.cfg.prober = prober;
-        self
-    }
-
-    /// The attacker's codec model of the device.
-    pub fn codec(mut self, codec: CodecModel) -> Self {
-        self.cfg.codec = codec;
-        self
-    }
-
-    /// Empirical bound on first-layer weight sparsity.
-    pub fn first_layer_max_sparsity(mut self, bound: f64) -> Self {
-        self.cfg.first_layer_max_sparsity = bound;
-        self
-    }
-
-    /// Number of output classes.
-    pub fn classes(mut self, classes: usize) -> Self {
-        self.cfg.classes = classes;
-        self
-    }
-
-    /// Upper bound on any channel count considered.
-    pub fn max_k(mut self, max_k: usize) -> Self {
-        self.cfg.max_k = max_k;
-        self
-    }
-
-    /// Validates (including the nested prober config) and produces the
-    /// configuration.
+impl AttackConfig {
+    /// Checks the configuration, including the nested [`ProberConfig`]:
+    /// [`run`] calls this before any device run.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for zero counts, an out-of-range sparsity
     /// bound, or an invalid nested [`ProberConfig`].
-    pub fn build(self) -> Result<AttackConfig, ConfigError> {
-        self.cfg.prober.validate()?;
-        for (field, value) in [("classes", self.cfg.classes), ("max_k", self.cfg.max_k)] {
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.prober.validate()?;
+        for (field, value) in [("classes", self.classes), ("max_k", self.max_k)] {
             if value == 0 {
                 return Err(ConfigError::ZeroField { field });
             }
         }
-        let bound = self.cfg.first_layer_max_sparsity;
+        let bound = self.first_layer_max_sparsity;
         if !(bound.is_finite() && 0.0 < bound && bound <= 1.0) {
             return Err(ConfigError::FractionOutOfRange {
                 field: "first_layer_max_sparsity",
                 got: bound,
             });
         }
-        Ok(self.cfg)
-    }
-}
-
-impl AttackConfig {
-    /// A validating builder seeded with [`AttackConfig::default`].
-    pub fn builder() -> AttackConfigBuilder {
-        AttackConfigBuilder::default()
+        Ok(())
     }
 }
 
@@ -168,6 +111,8 @@ impl AttackOutcome {
 /// defence comparison, not an error).
 #[derive(Clone, Debug, PartialEq)]
 pub enum AttackError {
+    /// The attack configuration is invalid; no device run happened.
+    Config(ConfigError),
     /// Probing failed.
     Probe(ProbeError),
 }
@@ -175,6 +120,7 @@ pub enum AttackError {
 impl fmt::Display for AttackError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            AttackError::Config(e) => write!(f, "invalid attack config: {e}"),
             AttackError::Probe(e) => write!(f, "probing failed: {e}"),
         }
     }
@@ -192,12 +138,15 @@ impl From<ProbeError> for AttackError {
 ///
 /// # Errors
 ///
-/// Returns [`AttackError`] if probing cannot complete; downstream stages
-/// degrade to `None` fields instead of failing the attack.
+/// Returns [`AttackError::Config`] if `cfg` fails
+/// [`AttackConfig::validate`], and [`AttackError::Probe`] if probing cannot
+/// complete; downstream stages degrade to `None` fields instead of failing
+/// the attack.
 pub fn run(
     target: &dyn ObservationModel,
     cfg: &AttackConfig,
 ) -> Result<AttackOutcome, AttackError> {
+    cfg.validate().map_err(AttackError::Config)?;
     let _run_span = hd_obs::span("attack.run", "");
     let prober = {
         let _stage = hd_obs::span("attack.stage", "probe");
@@ -336,41 +285,49 @@ mod tests {
         assert!(rep.contains("solution space"));
     }
 
+    /// `run` validates its config, nested prober settings included,
+    /// before any device run. Without the check, zero shifts panic inside
+    /// the prober.
     #[test]
-    fn attack_builder_validates_nested_and_own_fields() {
+    fn run_rejects_invalid_configs() {
         use crate::prober::ConfigError;
-        let cfg = AttackConfig::builder()
-            .classes(4)
-            .max_k(256)
-            .first_layer_max_sparsity(0.5)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.classes, 4);
-        assert_eq!(cfg.max_k, 256);
-        assert_eq!(
-            AttackConfig::builder().classes(0).build(),
-            Err(ConfigError::ZeroField { field: "classes" })
-        );
-        assert_eq!(
-            AttackConfig::builder().max_k(0).build(),
-            Err(ConfigError::ZeroField { field: "max_k" })
-        );
-        assert!(matches!(
-            AttackConfig::builder()
-                .first_layer_max_sparsity(1.5)
-                .build(),
-            Err(ConfigError::FractionOutOfRange { .. })
-        ));
-        // The nested prober config is re-validated at attack build time.
-        assert_eq!(
-            AttackConfig::builder()
-                .prober(ProberConfig {
-                    shifts: 0,
-                    ..ProberConfig::default()
-                })
-                .build(),
-            Err(ConfigError::ZeroField { field: "shifts" })
-        );
+        let dev = victim();
+        let cases = [
+            (
+                AttackConfig {
+                    classes: 0,
+                    ..cfg()
+                },
+                ConfigError::ZeroField { field: "classes" },
+            ),
+            (
+                AttackConfig { max_k: 0, ..cfg() },
+                ConfigError::ZeroField { field: "max_k" },
+            ),
+            (
+                AttackConfig {
+                    first_layer_max_sparsity: 1.5,
+                    ..cfg()
+                },
+                ConfigError::FractionOutOfRange {
+                    field: "first_layer_max_sparsity",
+                    got: 1.5,
+                },
+            ),
+            (
+                AttackConfig {
+                    prober: ProberConfig {
+                        shifts: 0,
+                        ..cfg().prober
+                    },
+                    ..cfg()
+                },
+                ConfigError::ZeroField { field: "shifts" },
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(run(&dev, &cfg), Err(AttackError::Config(want)));
+        }
     }
 
     #[test]

@@ -65,14 +65,12 @@ pub mod solution;
 pub mod symbolic;
 pub mod timing;
 
-pub use attack::{run, AttackConfig, AttackConfigBuilder, AttackError, AttackOutcome};
+pub use attack::{run, AttackConfig, AttackError, AttackOutcome};
 pub use channel::{
     ChannelKind, FullChannel, GemmDims, LayerEvidence, Observation, ObservationModel, ObserveError,
     TimingOnly, TraceOnly,
 };
 pub use pattern::Pattern;
-pub use prober::{
-    probe as run_prober, ConfigError, LayerKind, ProberConfig, ProberConfigBuilder, ProberResult,
-};
+pub use prober::{probe as run_prober, ConfigError, LayerKind, ProberConfig, ProberResult};
 pub use solution::{CandidateArch, CodecModel, SolutionSpace};
 pub use timing::ChannelRatios;

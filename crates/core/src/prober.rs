@@ -133,13 +133,14 @@ impl Default for ProberConfig {
     }
 }
 
-/// A rejected attack-side configuration (from [`ProberConfig::builder`] or
-/// [`crate::attack::AttackConfig::builder`]).
+/// A rejected attack-side configuration.
 ///
-/// Struct-literal construction stays possible and unvalidated; the builders
-/// reject configurations that would silently degenerate (a campaign with
-/// zero probes, a hypothesis grid with no candidates, a zero-thread
-/// executor) before any device run happens.
+/// Configs are plain structs; [`probe`] and [`crate::attack::run`] validate
+/// theirs first ([`ProberConfig::validate`],
+/// [`crate::attack::AttackConfig::validate`]) and reject configurations
+/// that would silently degenerate (a campaign with zero probes, a
+/// hypothesis grid with no candidates, a zero-thread executor) before any
+/// device run happens.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// A count that must be positive (shifts, probe families, classes…)
@@ -186,93 +187,14 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Validating builder for [`ProberConfig`], seeded with the defaults.
-///
-/// ```
-/// use huffduff_core::prober::ProberConfig;
-/// let cfg = ProberConfig::builder()
-///     .shifts(12)
-///     .parallelism(Some(4))
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.shifts, 12);
-///
-/// assert!(ProberConfig::builder().parallelism(Some(0)).build().is_err());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct ProberConfigBuilder {
-    cfg: ProberConfig,
-}
-
-impl ProberConfigBuilder {
-    /// Number of stripe positions swept from the left edge.
-    pub fn shifts(mut self, shifts: usize) -> Self {
-        self.cfg.shifts = shifts;
-        self
-    }
-
-    /// Maximum independent probe families.
-    pub fn max_probes(mut self, max_probes: usize) -> Self {
-        self.cfg.max_probes = max_probes;
-        self
-    }
-
-    /// Consecutive stable families before early stop.
-    pub fn stable_probes(mut self, stable_probes: usize) -> Self {
-        self.cfg.stable_probes = stable_probes;
-        self
-    }
-
-    /// Candidate kernel sizes.
-    pub fn kernels(mut self, kernels: Vec<usize>) -> Self {
-        self.cfg.kernels = kernels;
-        self
-    }
-
-    /// Candidate strides.
-    pub fn strides(mut self, strides: Vec<usize>) -> Self {
-        self.cfg.strides = strides;
-        self
-    }
-
-    /// Candidate pooling factors.
-    pub fn pools(mut self, pools: Vec<usize>) -> Self {
-        self.cfg.pools = pools;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Worker threads (`None` = all cores, `Some(1)` = serial).
-    pub fn parallelism(mut self, parallelism: Option<usize>) -> Self {
-        self.cfg.parallelism = parallelism;
-        self
-    }
-
-    /// Validates and produces the configuration.
+impl ProberConfig {
+    /// Checks the configuration for values that would silently degenerate
+    /// the campaign: [`probe`] calls this before any device run.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for zero counts, empty candidate lists, or
     /// `parallelism == Some(0)`.
-    pub fn build(self) -> Result<ProberConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
-impl ProberConfig {
-    /// A validating builder seeded with [`ProberConfig::default`].
-    pub fn builder() -> ProberConfigBuilder {
-        ProberConfigBuilder::default()
-    }
-
-    /// The checks [`ProberConfigBuilder::build`] enforces, callable on any
-    /// config (e.g. one assembled as a struct literal).
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (field, value) in [
             ("shifts", self.shifts),
@@ -364,7 +286,7 @@ impl ProberResult {
 }
 
 /// Errors from the probing attack.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ProbeError {
     /// The bus trace could not be analyzed.
     Trace(hd_trace::AnalyzeTraceError),
@@ -376,6 +298,8 @@ pub enum ProbeError {
     ChannelUnavailable(&'static str),
     /// Probe runs disagreed on the number of layers (non-static victim).
     UnstableStructure,
+    /// The prober configuration is invalid; no device run happened.
+    Config(ConfigError),
 }
 
 impl fmt::Display for ProbeError {
@@ -387,6 +311,7 @@ impl fmt::Display for ProbeError {
             ProbeError::UnstableStructure => {
                 write!(f, "probe runs produced inconsistent layer structures")
             }
+            ProbeError::Config(e) => write!(f, "invalid prober config: {e}"),
         }
     }
 }
@@ -417,7 +342,8 @@ impl From<ObserveError> for ProbeError {
 ///
 /// # Errors
 ///
-/// Returns [`ProbeError`] if traces cannot be analyzed or the victim's layer
+/// Returns [`ProbeError::Config`] if `cfg` fails [`ProberConfig::validate`],
+/// and [`ProbeError`] if traces cannot be analyzed or the victim's layer
 /// structure varies across runs.
 pub fn probe(
     target: &dyn ObservationModel,
@@ -435,13 +361,15 @@ pub fn probe(
 ///
 /// # Errors
 ///
-/// Returns [`ProbeError`] if traces cannot be analyzed or the victim's layer
+/// Returns [`ProbeError::Config`] if `cfg` fails [`ProberConfig::validate`],
+/// and [`ProbeError`] if traces cannot be analyzed or the victim's layer
 /// structure varies across runs.
 pub fn probe_with_pool(
     target: &dyn ObservationModel,
     cfg: &ProberConfig,
     pool: &WorkerPool,
 ) -> Result<ProberResult, ProbeError> {
+    cfg.validate().map_err(ProbeError::Config)?;
     let _probe_span = hd_obs::span("prober.probe", "");
     let shape = target.input_shape();
     let shifts = cfg.shifts.min(shape.w);
@@ -491,7 +419,7 @@ pub fn probe_with_pool(
         bytes_per_family.push(bytes_this);
 
         // Refine patterns layer by layer.
-        // hd-lint: allow(no-panic) -- set on the first loop iteration, and the loop runs at least once
+        // hd-lint: allow(no-panic) -- cfg.validate()? at the top guarantees shifts >= 1, so the first family sets it
         let n_layers = first.as_ref().unwrap().layers.len();
         let mut changed = false;
         for l in 0..n_layers {
@@ -523,7 +451,7 @@ pub fn probe_with_pool(
         }
     }
 
-    // hd-lint: allow(no-panic) -- cfg.max_probes >= 1 is validated, so the probe loop always runs
+    // hd-lint: allow(no-panic) -- cfg.validate()? at the top guarantees max_probes, shifts >= 1, so a probe ran
     let first = first.expect("at least one probe ran");
 
     // --- Classify each layer against symbolic hypotheses. ---
@@ -1497,60 +1425,56 @@ mod tests {
         assert_eq!(via_global, via_pool);
     }
 
+    /// `probe` validates its config before any device run, so each
+    /// degenerate config is a typed error. Without the check, zero shifts
+    /// or probe families panic once the probe loop comes up empty.
     #[test]
-    fn builder_matches_defaults_and_applies_setters() {
-        let built = ProberConfig::builder().build().unwrap();
-        let defaults = ProberConfig::default();
-        assert_eq!(built.shifts, defaults.shifts);
-        assert_eq!(built.kernels, defaults.kernels);
-        let custom = ProberConfig::builder()
-            .shifts(12)
-            .max_probes(8)
-            .stable_probes(2)
-            .kernels(vec![3, 5])
-            .strides(vec![1])
-            .pools(vec![2])
-            .seed(99)
-            .parallelism(Some(2))
-            .build()
-            .unwrap();
-        assert_eq!(custom.shifts, 12);
-        assert_eq!(custom.kernels, vec![3, 5]);
-        assert_eq!(custom.parallelism, Some(2));
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_configs() {
-        assert_eq!(
-            ProberConfig::builder().shifts(0).build(),
-            Err(ConfigError::ZeroField { field: "shifts" })
-        );
-        assert_eq!(
-            ProberConfig::builder().max_probes(0).build(),
-            Err(ConfigError::ZeroField {
-                field: "max_probes"
-            })
-        );
-        assert_eq!(
-            ProberConfig::builder().kernels(vec![]).build(),
-            Err(ConfigError::EmptyCandidates { field: "kernels" })
-        );
-        assert_eq!(
-            ProberConfig::builder().pools(vec![]).build(),
-            Err(ConfigError::EmptyCandidates { field: "pools" })
-        );
-        let err = ProberConfig::builder()
-            .parallelism(Some(0))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroParallelism);
-        assert!(err.to_string().contains("Some(1)"));
-        // Struct literals remain unvalidated but can be checked explicitly.
-        let raw = ProberConfig {
-            shifts: 0,
-            ..ProberConfig::default()
-        };
-        assert!(raw.validate().is_err());
+    fn probe_rejects_degenerate_configs() {
+        let mut b = NetworkBuilder::new(3, 16, 16);
+        let x = b.input();
+        b.conv(x, 8, 3, 1);
+        let dev = device_for(b.build(), 24);
+        let cases = [
+            (
+                ProberConfig {
+                    shifts: 0,
+                    ..small_cfg()
+                },
+                ConfigError::ZeroField { field: "shifts" },
+            ),
+            (
+                ProberConfig {
+                    max_probes: 0,
+                    ..small_cfg()
+                },
+                ConfigError::ZeroField {
+                    field: "max_probes",
+                },
+            ),
+            (
+                ProberConfig {
+                    kernels: vec![],
+                    ..small_cfg()
+                },
+                ConfigError::EmptyCandidates { field: "kernels" },
+            ),
+            (
+                ProberConfig {
+                    pools: vec![],
+                    ..small_cfg()
+                },
+                ConfigError::EmptyCandidates { field: "pools" },
+            ),
+            (
+                small_cfg().with_parallelism(Some(0)),
+                ConfigError::ZeroParallelism,
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(probe(&dev, &cfg), Err(ProbeError::Config(want)));
+        }
+        let err = probe(&dev, &small_cfg().with_parallelism(Some(0))).unwrap_err();
+        assert!(err.to_string().contains("Some(1)"), "{err}");
     }
 
     /// The redesign's panic-removal regression: a malformed victim graph

@@ -13,12 +13,11 @@
 //! reports every problem as a typed [`Diagnostic`] with the layer path and
 //! the expected/actual shapes.
 //!
-//! The same diagnostics back three frontends:
+//! The same diagnostics back two frontends:
 //!
-//! * `hd_accel::Device::{new, try_new}` verify the sealed graph at
-//!   construction (fail-early instead of mid-simulation),
-//! * `hd_accel::AccelConfigBuilder::build_for` verifies a config *against*
-//!   a network,
+//! * `hd_accel::Device::{new, try_new}` verify the sealed graph against
+//!   the device's config at construction (fail-early instead of
+//!   mid-simulation),
 //! * the `hd-lint --models` CLI verifies every zoo topology against the
 //!   accelerator presets and prints the diagnostics below verbatim.
 //!

@@ -86,10 +86,7 @@ fn main() {
     };
     hd_dnn::prune::apply_sparsity_profile(&net, &mut params, &profile, 5);
 
-    let accel = AccelConfig::builder()
-        .conv_backend(args.backend_or_default())
-        .build()
-        .expect("valid accelerator config");
+    let accel = AccelConfig::eyeriss_v2().with_conv_backend(args.backend_or_default());
 
     cli::obs_begin(&args);
     println!("noise(B)  probes  geometry-exact");
@@ -99,19 +96,18 @@ fn main() {
             noise_bytes: noise,
             rng: Mutex::new(StdRng::seed_from_u64(noise ^ 0xD1CE)),
         };
-        let cfg = ProberConfig::builder()
-            .shifts(12)
-            .max_probes(12)
-            .stable_probes(3)
-            .kernels(vec![1, 3, 5])
-            .strides(vec![1, 2])
-            .pools(vec![2, 3])
-            .seed(31)
+        let cfg = ProberConfig {
+            shifts: 12,
+            max_probes: 12,
+            stable_probes: 3,
+            kernels: vec![1, 3, 5],
+            strides: vec![1, 2],
+            pools: vec![2, 3],
+            seed: 31,
             // The injected noise stream is consumed in probe order, so
             // keep this target on the serial path for reproducibility.
-            .parallelism(Some(1))
-            .build()
-            .expect("valid prober config");
+            parallelism: Some(1),
+        };
         let res = probe(&target, &cfg).expect("probe runs");
         let score = score_geometry(&net, &res);
         println!(

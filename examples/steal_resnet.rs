@@ -51,25 +51,18 @@ fn main() {
     );
 
     let backend = args.backend_or_default();
-    let accel = AccelConfig::builder()
-        .conv_backend(backend)
-        .precision(args.precision())
-        .build()
-        .expect("valid accelerator config");
+    let accel = AccelConfig::eyeriss_v2()
+        .with_conv_backend(backend)
+        .with_precision(args.precision());
     if args.quantized {
         println!("precision: INT8 (post-training quantized, BN folded)");
     }
     let device = Device::new(net.clone(), params, accel);
 
-    let cfg = huffduff_core::AttackConfig::builder()
-        .prober(
-            huffduff_core::ProberConfig::builder()
-                .parallelism(args.parallelism)
-                .build()
-                .expect("valid prober config"),
-        )
-        .build()
-        .expect("valid attack config");
+    let cfg = huffduff_core::AttackConfig {
+        prober: huffduff_core::ProberConfig::default().with_parallelism(args.parallelism),
+        ..Default::default()
+    };
     println!(
         "prober workers: {} ({} probe inferences fan out per family), conv backend: {}, \
          observation channel: {}",

@@ -230,22 +230,23 @@ fn malformed_graphs_rejected_with_typed_diagnostics() {
     assert!(verify_strict(&dead_layer_net(), None, &Limits::default()).is_ok());
 }
 
-/// The device constructor and the config builder surface the same
-/// verification, so a malformed graph can never reach simulation.
+/// The device constructor surfaces the verifier's typed diagnostics in
+/// its error, so a malformed graph can never reach simulation.
 #[test]
-fn device_and_builder_reject_malformed_graphs() {
-    let net = shape_mismatch_net();
+fn device_rejects_malformed_graphs() {
     let params = Params::init(&clean_net(), 3);
-    let err = Device::try_new(net.clone(), params.clone(), AccelConfig::eyeriss_v2())
+    let err = Device::try_new(shape_mismatch_net(), params, AccelConfig::eyeriss_v2())
         .map(|_| ())
         .expect_err("try_new must reject a shape-mismatched graph");
-    assert!(err
-        .errors()
-        .any(|d| matches!(d.kind, DiagKind::ShapeMismatch { .. })));
-
-    let err = AccelConfig::builder()
-        .build_for(&net, Some(&params))
-        .expect_err("build_for must reject a shape-mismatched graph");
+    let hd_accel::ConfigError::Model { diagnostics } = &err else {
+        panic!("expected a model rejection, got {err}");
+    };
+    assert!(
+        diagnostics
+            .iter()
+            .any(|d| d.severity == Severity::Error
+                && matches!(d.kind, DiagKind::ShapeMismatch { .. }))
+    );
     let msg = err.to_string();
     assert!(msg.contains("shape-mismatch"), "unhelpful error: {msg}");
 }

@@ -43,20 +43,18 @@ fn device() -> Device {
 }
 
 fn attack_config() -> AttackConfig {
-    AttackConfig::builder()
-        .prober(
-            ProberConfig::builder()
-                .shifts(12)
-                .max_probes(8)
-                .stable_probes(2)
-                .parallelism(Some(2))
-                .build()
-                .expect("valid prober config"),
-        )
-        .classes(10)
-        .max_k(256)
-        .build()
-        .expect("valid attack config")
+    AttackConfig {
+        prober: ProberConfig {
+            shifts: 12,
+            max_probes: 8,
+            stable_probes: 2,
+            parallelism: Some(2),
+            ..ProberConfig::default()
+        },
+        classes: 10,
+        max_k: 256,
+        ..AttackConfig::default()
+    }
 }
 
 fn run_attack() -> AttackOutcome {
@@ -111,20 +109,11 @@ fn attack_outcome_is_invariant_under_telemetry_and_wide_parallelism() {
     // -j4 exceeds this host's core count on CI's smallest runners, so the
     // pool oversubscribes; with telemetry on, every worker also bumps its
     // own counter shard. Neither may change the outcome.
-    let wide_config = AttackConfig::builder()
-        .prober(
-            ProberConfig::builder()
-                .shifts(12)
-                .max_probes(8)
-                .stable_probes(2)
-                .parallelism(Some(4))
-                .build()
-                .expect("valid prober config"),
-        )
-        .classes(10)
-        .max_k(256)
-        .build()
-        .expect("valid attack config");
+    let base = attack_config();
+    let wide_config = AttackConfig {
+        prober: base.prober.clone().with_parallelism(Some(4)),
+        ..base
+    };
     hd_obs::reset();
     hd_obs::set_enabled(true);
     let wide = huffduff_core::run(&device(), &wide_config).expect("attack succeeds");
