@@ -1,11 +1,11 @@
 //! Codec ablation bench: prints the codec comparison and times the bitmap
 //! encoder on a large activation tensor.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hd_bench::harness;
 use hd_bench::{experiments::codec_ablation, Scale};
 use hd_tensor::CompressionScheme;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     println!("{}", codec_ablation(Scale::Fast));
     let mut values = vec![0.0f32; 512 * 16 * 16];
     for (i, v) in values.iter_mut().enumerate() {
@@ -18,15 +18,8 @@ fn bench(c: &mut Criterion) {
         CompressionScheme::RunLength { run_bits: 5 },
         CompressionScheme::Csc { offset_bits: 10 },
     ] {
-        c.bench_function(&format!("encode_{scheme}_128k_elems"), |b| {
-            b.iter(|| scheme.encoded_size(std::hint::black_box(&values), 8))
+        harness::report(&format!("encode_{scheme}_128k_elems"), 10, || {
+            scheme.encoded_size(std::hint::black_box(&values), 8)
         });
     }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,12 +1,12 @@
 //! Bench for E7 (Figure 5, eps = 32): prints the fast-scale transfer
 //! figure and times a single BIM crafting step.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use hd_adversarial::{bim, BimConfig, Epsilon};
 use hd_bench::experiments::{fig5_fig6_transfer, prepare_models};
+use hd_bench::harness;
 use hd_bench::Scale;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let prepared = prepare_models(Scale::Smoke, 42);
     println!("{}", fig5_fig6_transfer(&prepared, Epsilon::fig5()));
 
@@ -16,14 +16,7 @@ fn bench(c: &mut Criterion) {
         steps: 2,
         ..BimConfig::for_epsilon(Epsilon::fig5())
     };
-    c.bench_function("bim_2_steps_mini_vgg", |b| {
-        b.iter(|| bim(net, params, std::hint::black_box(img), 3, &cfg))
+    harness::report("bim_2_steps_mini_vgg", 10, || {
+        bim(net, params, std::hint::black_box(img), 3, &cfg)
     });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -9,71 +9,56 @@
 //! ```
 //!
 //! Smoke mode shrinks the grid to one zoo entry and the {none, nn-rearch}
-//! defence pair, and skips the JSON write so CI cannot clobber the
-//! checked-in full-run artifact.
+//! defence pair and, instead of writing the artifact, checks that its key
+//! paths match the committed one.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use hd_bench::experiments::{channel_matrix_cells, render_channel_matrix, CHANNEL_MATRIX_WIDTH};
+use hd_bench::harness::{self, Artifact};
 use hd_bench::Scale;
-use std::time::Instant;
+use hd_obs::json::Json;
 
-const BENCH_JSON: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../BENCH_channel_matrix.json"
-);
+const ARTIFACT: Artifact = Artifact {
+    bench: "fig_channel_matrix",
+    name: "channel_matrix",
+    schema: "hd-bench/channel-matrix/v1",
+};
 
-fn bench(_c: &mut Criterion) {
-    let smoke = std::env::var("HD_BENCH_SMOKE").is_ok();
-    let scale = if smoke { Scale::Smoke } else { Scale::Full };
-    let t0 = Instant::now();
-    let cells = channel_matrix_cells(scale);
-    let wall_s = t0.elapsed().as_secs_f64();
+fn main() {
+    let scale = if harness::smoke() {
+        Scale::Smoke
+    } else {
+        Scale::Full
+    };
+    let (cells, wall_s) = harness::time(|| channel_matrix_cells(scale));
     println!("{}", render_channel_matrix(&cells));
     println!("{} cells in {wall_s:.1}s ({scale:?} scale)", cells.len());
 
-    if smoke {
-        println!("smoke mode: skipping BENCH_channel_matrix.json");
-        return;
-    }
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{ \"victim\": \"{}\", \"channel\": \"{}\", \"defence\": \"{}\", \
-                 \"probes_used\": {}, \"geometry_correct\": {}, \"geometry_total\": {}, \
-                 \"conv_correct\": {}, \"conv_total\": {}, \"ratios_recovered\": {}, \
-                 \"solution_count\": {}, \"k1_hit\": {} }}",
-                c.model.name(),
-                c.channel.label(),
-                c.defence,
-                c.probes_used,
-                c.geometry_correct,
-                c.geometry_total,
-                c.conv_correct,
-                c.conv_total,
-                c.ratios_recovered,
-                c.solution_count,
-                c.k1_hit,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fig_channel_matrix\",\n  \"width\": {CHANNEL_MATRIX_WIDTH},\n  \
-         \"wall_s\": {wall_s:.1},\n  \
-         \"note\": \"attack-stage recovery per zoo x observation-channel x defence cell; \
-         width-scaled victims on the im2col+GEMM backend; full = paper channel, gemm = \
-         Cache-Telepathy-style GEMM dimensions; nn-rearch pads scheduler-visible dims to \
-         the tile, degrading the gemm channel while volume channels pass through\",\n  \
-         \"cells\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write(BENCH_JSON, json).expect("write BENCH_channel_matrix.json");
-    println!("wrote {BENCH_JSON}");
+    let rows = cells.iter().map(|c| {
+        Json::obj([
+            ("victim", c.model.name().into()),
+            ("channel", c.channel.label().into()),
+            ("defence", c.defence.as_str().into()),
+            ("probes_used", c.probes_used.into()),
+            ("geometry_correct", c.geometry_correct.into()),
+            ("geometry_total", c.geometry_total.into()),
+            ("conv_correct", c.conv_correct.into()),
+            ("conv_total", c.conv_total.into()),
+            ("ratios_recovered", c.ratios_recovered.into()),
+            ("solution_count", c.solution_count.into()),
+            ("k1_hit", c.k1_hit.into()),
+        ])
+    });
+    ARTIFACT.finish(Json::obj([
+        ("width", CHANNEL_MATRIX_WIDTH.into()),
+        ("wall_s", harness::round(wall_s, 1)),
+        (
+            "note",
+            "attack-stage recovery per zoo x observation-channel x defence cell; \
+             width-scaled victims on the im2col+GEMM backend; full = paper channel, gemm = \
+             Cache-Telepathy-style GEMM dimensions; nn-rearch pads scheduler-visible dims to \
+             the tile, degrading the gemm channel while volume channels pass through"
+                .into(),
+        ),
+        ("cells", Json::Arr(rows.collect())),
+    ]));
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(2);
-    targets = bench
-}
-criterion_main!(benches);

@@ -2,8 +2,9 @@
 //! under the `Im2colGemm` backend — with the SIMD dispatcher on and forced
 //! to scalar — plus the INT8 `qconv2d` kernel, with dense and paper-style
 //! pruned weights. Asserts (untimed) that the GEMM output is bit-identical
-//! to the `conv2d_reference` oracle and across both SIMD paths, and writes
-//! the wall-clock numbers to `BENCH_conv_gemm.json` at the repository root.
+//! to the `conv2d_reference` oracle and that GEMM and INT8 outputs are
+//! byte-identical across both SIMD paths, and writes the wall-clock numbers
+//! to `BENCH_conv_gemm.json` at the repository root.
 //!
 //! ```text
 //! cargo bench -p hd-bench --bench fig_conv_backend
@@ -11,15 +12,17 @@
 //! HD_BENCH_GUARD=1 cargo bench -p hd-bench --bench fig_conv_backend   # guard
 //! ```
 //!
-//! Smoke mode benches only the first and largest layers and skips the JSON
-//! write (so CI cannot clobber the checked-in full-run artifact), which
-//! keeps the run to seconds while still exercising every kernel end to end.
-//! `HD_BENCH_GUARD=1` re-times the largest layer's SIMD GEMM and INT8
-//! kernels and fails if either regressed more than 2% over the recorded
-//! artifact (skipped with a notice when the recording host's ISA differs).
+//! Smoke mode benches only the first and last layers and, instead of
+//! writing the artifact, checks that its key paths match the committed
+//! one; the run takes seconds while still exercising every kernel end to
+//! end. `HD_BENCH_GUARD=1` runs only the guard: 10 alternating SIMD/scalar
+//! pairs of the largest layer's dense GEMM conv, failing unless SIMD wins
+//! at least 9 pairs and has the lower median (skipped when the host has no
+//! SIMD path). Every run records the same comparison in the artifact.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hd_bench::harness::{self, Artifact, Pairs};
 use hd_dnn::graph::{Op, ValueShape};
+use hd_obs::json::Json;
 use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, ConvBackend};
 use hd_tensor::gemm::{gemm, GemmBlocking};
 use hd_tensor::qconv::{qconv2d, QConvParams};
@@ -27,8 +30,16 @@ use hd_tensor::qtensor::{QTensor3, QTensor4, QuantParams};
 use hd_tensor::{simd, Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
-use std::time::Instant;
+
+const ARTIFACT: Artifact = Artifact {
+    bench: "fig_conv_backend",
+    name: "conv_gemm",
+    schema: "hd-bench/conv-gemm/v1",
+};
+
+/// Alternating SIMD/scalar pairs in the guard, and the wins SIMD needs.
+const GUARD_PAIRS: usize = 10;
+const GUARD_WINS: usize = 9;
 
 /// One VGG-S convolution workload: input tensor + weights + cfg skeleton.
 struct Layer {
@@ -120,114 +131,64 @@ fn quantize_workload(x: &Tensor3, w: &Tensor4, cfg: &Conv2dCfg) -> (QTensor3, QC
     )
 }
 
-/// Times one closure under criterion, recording every sample (first
-/// sample dropped as warmup) and returning the last result.
-fn timed<T: Send>(c: &mut Criterion, id: &str, f: impl Fn() -> T + Sync) -> (T, Vec<f64>) {
-    let times = Mutex::new(Vec::new());
-    let last = Mutex::new(None);
-    c.bench_function(id, |b| {
-        b.iter(|| {
-            let t0 = Instant::now();
-            let out = f();
-            times.lock().unwrap().push(t0.elapsed().as_secs_f64());
-            *last.lock().unwrap() = Some(out);
-        })
-    });
-    let mut times = times.into_inner().unwrap();
-    if times.len() > 1 {
-        times.remove(0); // warmup sample
+/// The guard layer: the largest by weight count, first on ties.
+fn guard_layer(layers: &[Layer]) -> &Layer {
+    let mut g = &layers[0];
+    for l in layers {
+        if l.weights.len() > g.weights.len() {
+            g = l;
+        }
     }
-    (last.into_inner().unwrap().expect("kernel ran"), times)
+    g
 }
 
-const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_conv_gemm.json");
-
-/// Times the guard layer's dense SIMD GEMM conv and INT8 conv: warmup,
-/// then best of five runs. Used by both the recorder (to stamp
-/// `guard_*_ms` into the artifact) and the guard (to check against it),
-/// so the two numbers come from the identical procedure.
-fn guard_measure(guard_layer: &str) -> (f64, f64) {
-    let layer = vgg_s_layers()
-        .into_iter()
-        .find(|l| l.name == guard_layer)
-        .expect("guard layer exists in the zoo");
+/// Alternating pairs of `layer`'s dense GEMM conv: arm A with the SIMD
+/// dispatcher on, arm B forced to scalar.
+fn gemm_pairs(layer: &Layer) -> Pairs {
     let cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same)
         .with_backend(ConvBackend::Im2colGemm);
-    let (qx, qp) = quantize_workload(&layer.input, &layer.weights, &cfg);
-    let best_of = |f: &dyn Fn()| {
-        f(); // warmup
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        best
+    let conv = |simd_on| {
+        simd::set_enabled(simd_on);
+        conv2d(&layer.input, &layer.weights, None, &cfg)
     };
-    let gemm_ms = best_of(&|| {
-        conv2d(&layer.input, &layer.weights, None, &cfg);
-    });
-    let int8_ms = best_of(&|| {
-        qconv2d(&qx, &qp, &cfg);
-    });
-    (gemm_ms, int8_ms)
+    let pairs = harness::pairs(GUARD_PAIRS, || conv(true), || conv(false));
+    simd::set_enabled(true);
+    pairs
 }
 
-/// `HD_BENCH_GUARD=1`: the largest layer's dense SIMD GEMM and INT8
-/// kernels must stay within 2% of the recorded artifact. Best of five
-/// measured runs after a warmup, against a baseline recorded with the
-/// same procedure, so scheduler noise on a loaded host cannot easily
-/// produce a false regression. Skipped (loudly) when the host ISA
-/// differs from the recording.
+/// `HD_BENCH_GUARD=1`: on the guard layer's dense GEMM conv, SIMD must win
+/// at least [`GUARD_WINS`] of [`GUARD_PAIRS`] alternating pairs against
+/// scalar and have the lower median. Both arms run in this process, so
+/// the comparison does not depend on a recording from another host.
 fn kernel_regression_guard() {
-    use hd_obs::json::Json;
-    let text = std::fs::read_to_string(BENCH_JSON).expect("BENCH_conv_gemm.json missing");
-    let json = Json::parse(&text).expect("BENCH_conv_gemm.json is valid JSON");
-    let recorded_isa = json
-        .get("isa")
-        .and_then(|v| v.as_str())
-        .expect("isa recorded");
-    if recorded_isa != simd::active_isa() {
-        println!(
-            "guard: skipped — artifact recorded on `{recorded_isa}`, host runs `{}`",
-            simd::active_isa()
-        );
+    if !simd::simd_available() {
+        println!("guard: skipped, no SIMD path on this host");
         return;
     }
-    let guard_layer = json
-        .get("guard_layer")
-        .and_then(|v| v.as_str())
-        .expect("guard_layer recorded");
-    // Baselines recorded by `guard_measure` itself at record time, so
-    // check and record use the exact same measurement procedure.
-    let gemm_baseline = json
-        .get("guard_gemm_ms")
-        .and_then(|v| v.as_f64())
-        .expect("guard_gemm_ms recorded");
-    let int8_baseline = json
-        .get("guard_int8_ms")
-        .and_then(|v| v.as_f64())
-        .expect("guard_int8_ms recorded");
-    let (gemm_ms, int8_ms) = guard_measure(guard_layer);
-    for (name, got, baseline) in [
-        ("simd gemm", gemm_ms, gemm_baseline),
-        ("int8 qconv", int8_ms, int8_baseline),
-    ] {
-        let limit = baseline * 1.02;
-        println!("guard: {guard_layer} {name} {got:.3} ms (recorded {baseline:.3} ms, limit {limit:.3} ms)");
-        assert!(
-            got <= limit,
-            "{name} regressed more than 2% on {guard_layer}: {got:.3} ms vs recorded {baseline:.3} ms"
-        );
-    }
+    let layers = vgg_s_layers();
+    let layer = guard_layer(&layers);
+    let p = gemm_pairs(layer);
+    let (simd_ms, scalar_ms) = (p.a.median * 1e3, p.b.median * 1e3);
+    let verdict = format!(
+        "fig_conv_backend guard, {}: SIMD GEMM median {simd_ms:.3} ms vs scalar \
+         {scalar_ms:.3} ms, SIMD won {}/{GUARD_PAIRS} pairs ({})",
+        layer.name,
+        p.a.wins,
+        simd::active_isa()
+    );
+    println!("{verdict}");
+    assert!(
+        p.a.wins >= GUARD_WINS && p.a.median < p.b.median,
+        "{verdict}; needs at least {GUARD_WINS} wins and the lower median"
+    );
 }
 
-fn bench(c: &mut Criterion) {
-    if std::env::var("HD_BENCH_GUARD").is_ok() {
+fn main() {
+    if harness::guard() {
         kernel_regression_guard();
         return;
     }
-    let smoke = std::env::var("HD_BENCH_SMOKE").is_ok();
+    let smoke = harness::smoke();
     let mut layers = vgg_s_layers();
     if smoke {
         // First (stem) and last (largest, conv5_3 at 512x512x3x3) layers only.
@@ -236,23 +197,19 @@ fn bench(c: &mut Criterion) {
         layers.reverse();
     }
 
-    // Guard baselines are measured FIRST, before the criterion sweep
-    // heats the machine, so they match the state a standalone
-    // `HD_BENCH_GUARD=1` run sees. The guard layer is the largest by
-    // weight count (first on ties, matching the loop below).
-    let guard_baselines = if smoke {
-        None
-    } else {
-        let mut g = &layers[0];
-        for l in &layers {
-            if l.weights.len() > g.weights.len() {
-                g = l;
-            }
-        }
-        Some((g.name.clone(), guard_measure(&g.name)))
+    // The guard comparison runs first, before the sweep heats the machine.
+    let guard = {
+        let layer = guard_layer(&layers);
+        let p = gemm_pairs(layer);
+        Json::obj([
+            ("layer", layer.name.as_str().into()),
+            ("pairs", GUARD_PAIRS.into()),
+            ("simd_wins", p.a.wins.into()),
+            ("simd_median_ms", harness::round(p.a.median * 1e3, 3)),
+            ("scalar_median_ms", harness::round(p.b.median * 1e3, 3)),
+        ])
     };
 
-    let mean = |ts: &[f64]| ts.iter().sum::<f64>() / ts.len() as f64;
     let mut rows = Vec::new();
     let mut kernel_rows = Vec::new();
     // Per-layer SIMD-over-scalar ratios of the bare GEMM kernel.
@@ -275,23 +232,20 @@ fn bench(c: &mut Criterion) {
                 simd::set_enabled(simd_on);
                 let tag = if simd_on { "simd" } else { "scalar" };
                 let (g_out, g_times) =
-                    timed(c, &format!("{}_{variant}_gemm_{tag}", layer.name), || {
-                        conv2d(&layer.input, &weights, None, &gemm_cfg)
-                    });
-                let (q_out, q_times) =
-                    timed(c, &format!("{}_{variant}_int8_{tag}", layer.name), || {
-                        qconv2d(&qx, &qp, &gemm_cfg)
-                    });
-                let (g_ms, q_ms) = (mean(&g_times) * 1e3, mean(&q_times) * 1e3);
+                    harness::sample(2, || conv2d(&layer.input, &weights, None, &gemm_cfg));
+                let (q_out, q_times) = harness::sample(2, || qconv2d(&qx, &qp, &gemm_cfg));
+                let (g_ms, q_ms) = (g_times.mean() * 1e3, q_times.mean() * 1e3);
                 println!(
                     "{} [{variant}, {tag}]: gemm {g_ms:.3} ms, int8 {q_ms:.3} ms",
                     layer.name
                 );
-                rows.push(format!(
-                    "    {{ \"layer\": \"{}\", \"weights\": \"{variant}\", \"simd\": {simd_on}, \
-                     \"gemm_ms\": {g_ms:.3}, \"int8_ms\": {q_ms:.3} }}",
-                    layer.name
-                ));
+                rows.push(Json::obj([
+                    ("layer", layer.name.as_str().into()),
+                    ("weights", variant.into()),
+                    ("simd", simd_on.into()),
+                    ("gemm_ms", harness::round(g_ms, 3)),
+                    ("int8_ms", harness::round(q_ms, 3)),
+                ]));
                 outputs.push((simd_on, g_out, q_out.data().to_vec()));
             }
             simd::set_enabled(true);
@@ -349,13 +303,12 @@ fn bench(c: &mut Criterion) {
         let mut kernel_ms = [0.0f64; 2];
         for (slot, simd_on) in [true, false].into_iter().enumerate() {
             simd::set_enabled(simd_on);
-            let tag = if simd_on { "simd" } else { "scalar" };
-            let (out, times) = timed(c, &format!("{}_gemm_kernel_{tag}", layer.name), || {
+            let (out, times) = harness::sample(2, || {
                 let mut cmat = vec![0.0f32; m * n];
                 gemm(m, n, k, &a, k, &b, n, &mut cmat, n, &blk);
                 cmat
             });
-            kernel_ms[slot] = mean(&times) * 1e3;
+            kernel_ms[slot] = times.mean() * 1e3;
             kernel_out.push(out);
         }
         simd::set_enabled(true);
@@ -370,11 +323,15 @@ fn bench(c: &mut Criterion) {
             layer.name, kernel_ms[0], kernel_ms[1]
         );
         gemm_ratios.push(ratio);
-        kernel_rows.push(format!(
-            "    {{ \"layer\": \"{}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
-             \"simd_ms\": {:.3}, \"scalar_ms\": {:.3}, \"speedup\": {ratio:.3} }}",
-            layer.name, kernel_ms[0], kernel_ms[1]
-        ));
+        kernel_rows.push(Json::obj([
+            ("layer", layer.name.as_str().into()),
+            ("m", m.into()),
+            ("k", k.into()),
+            ("n", n.into()),
+            ("simd_ms", harness::round(kernel_ms[0], 3)),
+            ("scalar_ms", harness::round(kernel_ms[1], 3)),
+            ("speedup", harness::round(ratio, 3)),
+        ]));
     }
 
     let geomean =
@@ -383,33 +340,13 @@ fn bench(c: &mut Criterion) {
         "SIMD-over-scalar GEMM geomean {geomean:.2}x (ISA {})",
         simd::active_isa()
     );
-    if smoke {
-        // Don't clobber the checked-in full-run artifact with smoke numbers.
-        println!("smoke mode: skipping BENCH_conv_gemm.json");
-        return;
-    }
-    let (guard_layer, (guard_gemm_ms, guard_int8_ms)) =
-        guard_baselines.expect("measured before the sweep");
-    let json = format!(
-        "{{\n  \"bench\": \"fig_conv_backend\",\n  \"victim\": \"VGG-S conv layer shapes\",\n  \
-         \"smoke\": {smoke},\n  \"isa\": \"{isa}\",\n  \"simd_available\": {avail},\n  \
-         \"gemm_simd_speedup_geomean\": {geomean:.3},\n  \
-         \"guard_layer\": \"{guard_layer}\",\n  \
-         \"guard_gemm_ms\": {guard_gemm_ms:.3},\n  \"guard_int8_ms\": {guard_int8_ms:.3},\n  \
-         \"results_bit_identical\": true,\n  \"gemm_kernel\": [\n{}\n  ],\n  \
-         \"layers\": [\n{}\n  ]\n}}\n",
-        kernel_rows.join(",\n"),
-        rows.join(",\n"),
-        isa = simd::active_isa(),
-        avail = simd::simd_available(),
-    );
-    std::fs::write(BENCH_JSON, json).expect("write BENCH_conv_gemm.json");
-    println!("wrote {BENCH_JSON} (SIMD GEMM geomean {geomean:.2}x)");
+    ARTIFACT.finish(Json::obj([
+        ("victim", "VGG-S conv layer shapes".into()),
+        ("simd_available", simd::simd_available().into()),
+        ("gemm_simd_speedup_geomean", harness::round(geomean, 3)),
+        ("guard", guard),
+        ("results_bit_identical", true.into()),
+        ("gemm_kernel", Json::Arr(kernel_rows)),
+        ("layers", Json::Arr(rows)),
+    ]));
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(2);
-    targets = bench
-}
-criterion_main!(benches);

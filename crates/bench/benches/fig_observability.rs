@@ -1,24 +1,17 @@
 //! Bench for E2 (§5.2): prints the observability table and times the
 //! Monte-Carlo estimator.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hd_bench::harness;
 use hd_bench::{experiments::observability_table, Scale};
 use huffduff_core::boundary_obs::{observability_rate, ObservabilityConfig};
 
-fn bench(c: &mut Criterion) {
+fn main() {
     println!("{}", observability_table(Scale::Fast));
     let cfg = ObservabilityConfig {
         trials: 200,
         ..Default::default()
     };
-    c.bench_function("observability_200_trials", |b| {
-        b.iter(|| observability_rate(std::hint::black_box(&cfg), 7))
+    harness::report("observability_200_trials", 10, || {
+        observability_rate(std::hint::black_box(&cfg), 7)
     });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

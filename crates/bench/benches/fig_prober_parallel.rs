@@ -12,60 +12,34 @@
 //! ```
 //!
 //! `HD_BENCH_GUARD=1` validates the checked-in artifact instead of timing:
-//! the schema must be `v2`, and the honesty invariants must hold — a row
+//! the schema must be `v3`, and the honesty invariants must hold — a row
 //! whose effective worker count is 1 carries `"speedup_vs_serial": null`,
 //! and `measured_parallel_speedup` is `true` only when the recording host
 //! had more than one core. A 1-core recording therefore *cannot* report a
 //! measured parallel speedup; it self-describes as unmeasured instead of
-//! presenting serial noise as a result.
+//! presenting serial noise as a result. Smoke mode shrinks the probe
+//! budget and, instead of writing the artifact, checks that its key paths
+//! match the committed one.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hd_bench::harness::{self, Artifact};
 use hd_bench::victims::{paper_victim, Model};
+use hd_obs::json::Json;
 use hd_trace::StreamingAnalyzer;
 use huffduff_core::prober::{probe, ProberConfig};
-use std::sync::Mutex;
-use std::time::Instant;
 
-const BENCH_JSON: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../BENCH_prober_parallel.json"
-);
-
-/// Times `probe(device, cfg)` under criterion, recording every sample
-/// (including the warmup, which the caller discards).
-fn timed_bench(
-    c: &mut Criterion,
-    id: &str,
-    device: &hd_accel::Device,
-    cfg: &ProberConfig,
-) -> (huffduff_core::prober::ProberResult, Vec<f64>) {
-    let times = Mutex::new(Vec::new());
-    let last = Mutex::new(None);
-    c.bench_function(id, |b| {
-        b.iter(|| {
-            let t0 = Instant::now();
-            let r = probe(device, cfg).expect("probe succeeds");
-            times.lock().unwrap().push(t0.elapsed().as_secs_f64());
-            *last.lock().unwrap() = Some(r);
-        })
-    });
-    let mut times = times.into_inner().unwrap();
-    if times.len() > 1 {
-        times.remove(0); // warmup sample
-    }
-    (last.into_inner().unwrap().expect("probe ran"), times)
-}
+const ARTIFACT: Artifact = Artifact {
+    bench: "fig_prober_parallel",
+    name: "prober_parallel",
+    schema: "hd-bench/prober-parallel/v3",
+};
 
 /// `HD_BENCH_GUARD=1`: schema/honesty validation of the recorded artifact.
 fn schema_guard() {
-    use hd_obs::json::Json;
-    let text = std::fs::read_to_string(BENCH_JSON).expect("BENCH_prober_parallel.json missing");
-    let json = Json::parse(&text).expect("BENCH_prober_parallel.json is valid JSON");
-
+    let json = ARTIFACT.committed();
     assert_eq!(
         json.get("schema").and_then(|s| s.as_str()),
-        Some("hd-bench/prober-parallel/v2"),
-        "artifact must carry the v2 schema tag"
+        Some(ARTIFACT.schema),
+        "artifact must carry the v3 schema tag"
     );
     let host_cores = json
         .get("host_cores")
@@ -99,7 +73,7 @@ fn schema_guard() {
     assert_eq!(
         ids,
         ["serial", "j2", "j4", "jN"],
-        "v2 artifact must record the serial, -j2, -j4, and -jN rows"
+        "v3 artifact must record the serial, -j2, -j4, and -jN rows"
     );
     for row in rows {
         let id = row.get("id").and_then(|i| i.as_str()).unwrap_or("?");
@@ -134,7 +108,7 @@ fn schema_guard() {
         "memory comparison missing"
     );
     println!(
-        "guard: BENCH_prober_parallel.json schema v2 OK \
+        "guard: BENCH_prober_parallel.json schema v3 OK \
          (host_cores = {host_cores}, measured = {measured})"
     );
 }
@@ -158,13 +132,12 @@ fn memory_comparison(device: &hd_accel::Device) -> (usize, usize) {
     (trace.len(), sink.peak_pending_reads())
 }
 
-fn bench(c: &mut Criterion) {
-    if std::env::var("HD_BENCH_GUARD").is_ok() {
+fn main() {
+    if harness::guard() {
         schema_guard();
         return;
     }
-    let smoke = std::env::var("HD_BENCH_SMOKE").is_ok();
-    let base = if smoke {
+    let base = if harness::smoke() {
         ProberConfig {
             shifts: 8,
             max_probes: 2,
@@ -184,22 +157,15 @@ fn bench(c: &mut Criterion) {
         ("j4", Some(4)),
         ("jN", None),
     ];
-    let mean = |ts: &[f64]| ts.iter().sum::<f64>() / ts.len() as f64;
-    let fmt_samples = |ts: &[f64]| {
-        ts.iter()
-            .map(|t| format!("{t:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-
     let mut serial_result = None;
     let mut serial_mean = 0.0;
     let mut rows = Vec::new();
     for (id, requested) in rows_cfg {
         let cfg = base.clone().with_parallelism(requested);
         let workers = cfg.effective_parallelism(cfg.shifts);
-        let (result, samples) = timed_bench(c, &format!("vgg_probe_{id}"), &device, &cfg);
-        let m = mean(&samples);
+        let (result, samples) =
+            harness::sample(2, || probe(&device, &cfg).expect("probe succeeds"));
+        let m = samples.mean();
         match &serial_result {
             None => {
                 serial_result = Some(result);
@@ -214,17 +180,21 @@ fn bench(c: &mut Criterion) {
         // than one worker on more than one core; otherwise it is serial
         // noise and the artifact must say so with a null.
         let measured_row = workers > 1 && host_cores > 1;
-        let speedup = if id != "serial" && measured_row {
-            format!("{:.3}", serial_mean / m)
-        } else {
-            "null".to_string()
-        };
-        println!("{id}: {m:.2}s on {workers} worker(s), speedup_vs_serial = {speedup}");
-        rows.push(format!(
-            "    {{ \"id\": \"{id}\", \"requested\": {}, \"workers\": {workers}, \
-             \"mean_s\": {m:.3}, \"samples_s\": [{}], \"speedup_vs_serial\": {speedup} }}",
-            requested.map_or("null".to_string(), |r| r.to_string()),
-            fmt_samples(&samples),
+        let speedup = (id != "serial" && measured_row).then(|| serial_mean / m);
+        let speedup = speedup.map_or(Json::Null, |s| harness::round(s, 3));
+        println!(
+            "{id}: {m:.2}s on {workers} worker(s), speedup_vs_serial = {}",
+            speedup.write()
+        );
+        rows.push(Json::obj(
+            [
+                ("id", id.into()),
+                ("requested", requested.into()),
+                ("workers", workers.into()),
+            ]
+            .into_iter()
+            .chain(samples.fields())
+            .chain([("speedup_vs_serial", speedup)]),
         ));
     }
 
@@ -234,11 +204,6 @@ fn bench(c: &mut Criterion) {
          streaming analyzer peaks at {peak_pending} pending reads"
     );
 
-    if smoke {
-        // Don't clobber the checked-in full-run artifact with smoke numbers.
-        println!("smoke mode: skipping BENCH_prober_parallel.json");
-        return;
-    }
     let measured = host_cores > 1;
     let note = if measured {
         "speedup_vs_serial is mean serial / mean row wall-clock on this host; \
@@ -248,22 +213,18 @@ fn bench(c: &mut Criterion) {
          parallel speedup exists to report; re-record on a multicore host for \
          measured numbers"
     };
-    let json = format!(
-        "{{\n  \"bench\": \"fig_prober_parallel\",\n  \
-         \"schema\": \"hd-bench/prober-parallel/v2\",\n  \"victim\": \"VGG-S\",\n  \
-         \"host_cores\": {host_cores},\n  \"measured_parallel_speedup\": {measured},\n  \
-         \"results_bit_identical\": true,\n  \"rows\": [\n{}\n  ],\n  \
-         \"memory\": {{ \"buffered_trace_events\": {buffered_events}, \
-         \"streaming_peak_pending_reads\": {peak_pending} }},\n  \"note\": \"{note}\"\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write(BENCH_JSON, json).expect("write BENCH_prober_parallel.json");
-    println!("wrote {BENCH_JSON}");
+    ARTIFACT.finish(Json::obj([
+        ("victim", "VGG-S".into()),
+        ("measured_parallel_speedup", measured.into()),
+        ("results_bit_identical", true.into()),
+        ("rows", Json::Arr(rows)),
+        (
+            "memory",
+            Json::obj([
+                ("buffered_trace_events", buffered_events.into()),
+                ("streaming_peak_pending_reads", peak_pending.into()),
+            ]),
+        ),
+        ("note", note.into()),
+    ]));
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(2);
-    targets = bench
-}
-criterion_main!(benches);

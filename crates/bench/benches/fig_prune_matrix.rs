@@ -8,66 +8,56 @@
 //! HD_BENCH_SMOKE=1 cargo bench -p hd-bench --bench fig_prune_matrix   # CI
 //! ```
 //!
-//! Smoke mode shrinks the grid to one zoo entry per pruning mode and
-//! skips the JSON write so CI cannot clobber the checked-in full-run
-//! artifact. The cross-backend agreement contract (cells differing only
-//! in backend are indistinguishable to the prober) is asserted inside
+//! Smoke mode shrinks the grid to one zoo entry per pruning mode and,
+//! instead of writing the artifact, checks that its key paths match the
+//! committed one. The cross-backend agreement contract (cells differing
+//! only in backend are indistinguishable to the prober) is asserted inside
 //! [`hd_bench::experiments::render_matrix`] on every run.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use hd_bench::experiments::{backend_label, prune_matrix_cells, render_matrix, MATRIX_WIDTH};
+use hd_bench::harness::{self, Artifact};
 use hd_bench::Scale;
-use std::time::Instant;
+use hd_obs::json::Json;
 
-const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prune_matrix.json");
+const ARTIFACT: Artifact = Artifact {
+    bench: "fig_prune_matrix",
+    name: "prune_matrix",
+    schema: "hd-bench/prune-matrix/v1",
+};
 
-fn bench(_c: &mut Criterion) {
-    let smoke = std::env::var("HD_BENCH_SMOKE").is_ok();
-    let scale = if smoke { Scale::Smoke } else { Scale::Full };
-    let t0 = Instant::now();
-    let cells = prune_matrix_cells(scale);
-    let wall_s = t0.elapsed().as_secs_f64();
+fn main() {
+    let scale = if harness::smoke() {
+        Scale::Smoke
+    } else {
+        Scale::Full
+    };
+    let (cells, wall_s) = harness::time(|| prune_matrix_cells(scale));
     // render_matrix asserts cross-backend agreement before printing.
     println!("{}", render_matrix(&cells));
     println!("{} cells in {wall_s:.1}s ({:?} scale)", cells.len(), scale);
 
-    if smoke {
-        println!("smoke mode: skipping BENCH_prune_matrix.json");
-        return;
-    }
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{ \"victim\": \"{}\", \"pruning\": \"{}\", \"defence\": \"{}\", \
-                 \"backend\": \"{}\", \"probes_used\": {}, \"geometry_correct\": {}, \
-                 \"geometry_total\": {} }}",
-                c.model.name(),
-                c.mode.name(),
-                c.defence,
-                backend_label(c.backend),
-                c.probes_used,
-                c.geometry_correct,
-                c.geometry_total,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fig_prune_matrix\",\n  \"width\": {MATRIX_WIDTH},\n  \
-         \"wall_s\": {wall_s:.1},\n  \
-         \"note\": \"geometry recovery and probe budget per zoo x pruning-mode x defence x \
-         conv-backend cell; width-scaled victims; cells differing only in backend are \
-         asserted identical (bit-identity contract)\",\n  \
-         \"cross_backend_identical\": true,\n  \"cells\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write(BENCH_JSON, json).expect("write BENCH_prune_matrix.json");
-    println!("wrote {BENCH_JSON}");
+    let rows = cells.iter().map(|c| {
+        Json::obj([
+            ("victim", c.model.name().into()),
+            ("pruning", c.mode.name().into()),
+            ("defence", c.defence.as_str().into()),
+            ("backend", backend_label(c.backend).into()),
+            ("probes_used", c.probes_used.into()),
+            ("geometry_correct", c.geometry_correct.into()),
+            ("geometry_total", c.geometry_total.into()),
+        ])
+    });
+    ARTIFACT.finish(Json::obj([
+        ("width", MATRIX_WIDTH.into()),
+        ("wall_s", harness::round(wall_s, 1)),
+        (
+            "note",
+            "geometry recovery and probe budget per zoo x pruning-mode x defence x \
+             conv-backend cell; width-scaled victims; cells differing only in backend are \
+             asserted identical (bit-identity contract)"
+                .into(),
+        ),
+        ("cross_backend_identical", true.into()),
+        ("cells", Json::Arr(rows.collect())),
+    ]));
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(2);
-    targets = bench
-}
-criterion_main!(benches);

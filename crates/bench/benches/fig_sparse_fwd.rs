@@ -8,105 +8,28 @@
 //! ```text
 //! cargo bench -p hd-bench --bench fig_sparse_fwd
 //! HD_BENCH_SMOKE=1 cargo bench -p hd-bench --bench fig_sparse_fwd   # CI
-//! HD_BENCH_GUARD=1 cargo bench -p hd-bench --bench fig_sparse_fwd   # guard
 //! ```
-//!
-//! `HD_BENCH_GUARD=1` additionally runs the full (non-smoke) VGG-S sparse
-//! prober once with telemetry explicitly disabled and fails if its
-//! wall-clock regresses more than 2% over the `mean_s` recorded in
-//! `BENCH_sparse_fwd.json` — the contract that the `hd-obs` disabled path
-//! (one relaxed atomic load per hook) stays free.
 //!
 //! Both rows run with `parallelism = Some(1)`: the sparse path accelerates
 //! each inference, so its speedup is orthogonal to (and composes with) the
 //! `-j` probe-level parallelism measured by `fig_prober_parallel`. Smoke
-//! mode shrinks the probe budget and skips the JSON write so CI cannot
-//! clobber the checked-in full-run artifact.
+//! mode shrinks the probe budget and, instead of writing the artifact,
+//! checks that its key paths match the committed one.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hd_bench::harness::{self, Artifact};
 use hd_bench::victims::{paper_victim_with, Model};
+use hd_obs::json::Json;
 use hd_tensor::BackendPolicy;
 use huffduff_core::prober::{probe, ProberConfig};
-use std::sync::Mutex;
-use std::time::Instant;
 
-/// Times `probe(device, cfg)` under criterion, recording every sample
-/// (including the warmup, which the caller discards).
-fn timed_bench(
-    c: &mut Criterion,
-    id: &str,
-    device: &hd_accel::Device,
-    cfg: &ProberConfig,
-) -> (huffduff_core::prober::ProberResult, Vec<f64>) {
-    let times = Mutex::new(Vec::new());
-    let last = Mutex::new(None);
-    c.bench_function(id, |b| {
-        b.iter(|| {
-            let t0 = Instant::now();
-            let r = probe(device, cfg).expect("probe succeeds");
-            times.lock().unwrap().push(t0.elapsed().as_secs_f64());
-            *last.lock().unwrap() = Some(r);
-        })
-    });
-    let mut times = times.into_inner().unwrap();
-    if times.len() > 1 {
-        times.remove(0); // warmup sample
-    }
-    (last.into_inner().unwrap().expect("probe ran"), times)
-}
+const ARTIFACT: Artifact = Artifact {
+    bench: "fig_sparse_fwd",
+    name: "sparse_fwd",
+    schema: "hd-bench/sparse-fwd/v1",
+};
 
-const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sparse_fwd.json");
-
-/// `HD_BENCH_GUARD=1` regression guard: with telemetry disabled, the full
-/// single-threaded VGG-S sparse prober must stay within 2% of the `mean_s`
-/// recorded in `BENCH_sparse_fwd.json`. Uses the best of two measured runs
-/// (after a warmup) so one scheduler hiccup cannot fail the guard, and the
-/// vendored `hd_obs::json` parser so the artifact schema stays honest.
-fn telemetry_overhead_guard() {
-    use hd_obs::json::Json;
-    let text = std::fs::read_to_string(BENCH_JSON).expect("BENCH_sparse_fwd.json missing");
-    let json = Json::parse(&text).expect("BENCH_sparse_fwd.json is valid JSON");
-    let baseline = json
-        .get("victims")
-        .and_then(|v| v.as_array())
-        .and_then(|victims| {
-            victims
-                .iter()
-                .find(|v| v.get("victim").and_then(|n| n.as_str()) == Some("VGG-S"))
-        })
-        .and_then(|v| v.get("sparse"))
-        .and_then(|s| s.get("mean_s"))
-        .and_then(|m| m.as_f64())
-        .expect("VGG-S sparse mean_s present in BENCH_sparse_fwd.json");
-
-    hd_obs::set_enabled(false);
-    let (device, _) = paper_victim_with(Model::VggS, 3, hd_accel::AccelConfig::eyeriss_v2());
-    let cfg = ProberConfig::default().with_parallelism(Some(1));
-    probe(&device, &cfg).expect("probe succeeds"); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..2 {
-        let t0 = Instant::now();
-        probe(&device, &cfg).expect("probe succeeds");
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let limit = baseline * 1.02;
-    println!(
-        "guard: telemetry-disabled VGG-S sparse probe {best:.3}s \
-         (recorded {baseline:.3}s, limit {limit:.3}s)"
-    );
-    assert!(
-        best <= limit,
-        "telemetry-disabled prober regressed more than 2%: {best:.3}s vs \
-         recorded mean {baseline:.3}s"
-    );
-}
-
-fn bench(c: &mut Criterion) {
-    if std::env::var("HD_BENCH_GUARD").is_ok() {
-        telemetry_overhead_guard();
-        return;
-    }
-    let smoke = std::env::var("HD_BENCH_SMOKE").is_ok();
+fn main() {
+    let smoke = harness::smoke();
     let probe_cfg = if smoke {
         ProberConfig {
             shifts: 8,
@@ -131,13 +54,6 @@ fn bench(c: &mut Criterion) {
         Model::BOTH.to_vec()
     };
 
-    let mean = |ts: &[f64]| ts.iter().sum::<f64>() / ts.len() as f64;
-    let fmt_samples = |ts: &[f64]| {
-        ts.iter()
-            .map(|t| format!("{t:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     let mut rows = Vec::new();
     for model in models {
         let (dense_dev, _) = paper_victim_with(
@@ -149,11 +65,11 @@ fn bench(c: &mut Criterion) {
         // cached-CSC forward for sparse inputs (every stripe probe).
         let (sparse_dev, _) = paper_victim_with(model, 3, hd_accel::AccelConfig::eyeriss_v2());
 
-        let tag = model.name().to_lowercase().replace('-', "_");
-        let (dense_res, dense_s) =
-            timed_bench(c, &format!("{tag}_probe_dense"), &dense_dev, &probe_cfg);
-        let (sparse_res, sparse_s) =
-            timed_bench(c, &format!("{tag}_probe_sparse"), &sparse_dev, &probe_cfg);
+        let (dense_res, dense) =
+            harness::sample(2, || probe(&dense_dev, &probe_cfg).expect("probe succeeds"));
+        let (sparse_res, sparse) = harness::sample(2, || {
+            probe(&sparse_dev, &probe_cfg).expect("probe succeeds")
+        });
         assert_eq!(
             dense_res,
             sparse_res,
@@ -161,43 +77,31 @@ fn bench(c: &mut Criterion) {
             model.name()
         );
 
-        let (d_mean, s_mean) = (mean(&dense_s), mean(&sparse_s));
+        let (d_mean, s_mean) = (dense.mean(), sparse.mean());
         let speedup = d_mean / s_mean;
         println!(
             "{}: dense {d_mean:.2}s vs sparse {s_mean:.2}s (single-threaded): \
              {speedup:.2}x, results identical",
             model.name()
         );
-        rows.push(format!(
-            "    {{ \"victim\": \"{}\", \"dense\": {{ \"mean_s\": {d_mean:.3}, \
-             \"samples_s\": [{}] }}, \"sparse\": {{ \"mean_s\": {s_mean:.3}, \
-             \"samples_s\": [{}] }}, \"speedup\": {speedup:.3} }}",
-            model.name(),
-            fmt_samples(&dense_s),
-            fmt_samples(&sparse_s),
-        ));
+        rows.push(Json::obj([
+            ("victim", model.name().into()),
+            ("dense", Json::obj(dense.fields())),
+            ("sparse", Json::obj(sparse.fields())),
+            ("speedup", harness::round(speedup, 3)),
+        ]));
     }
 
-    if smoke {
-        // Don't clobber the checked-in full-run artifact with smoke numbers.
-        println!("smoke mode: skipping BENCH_sparse_fwd.json");
-        return;
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"fig_sparse_fwd\",\n  \"parallelism\": 1,\n  \
-         \"note\": \"single-threaded end-to-end prober wall-clock; dense row pins the \
-         default im2col+GEMM backend via auto_sparse=false, sparse row is the default \
-         device config (auto CSC on stripe probes); orthogonal to -j probe fan-out\",\n  \
-         \"results_bit_identical\": true,\n  \"victims\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write(BENCH_JSON, json).expect("write BENCH_sparse_fwd.json");
-    println!("wrote {BENCH_JSON}");
+    ARTIFACT.finish(Json::obj([
+        ("parallelism", 1usize.into()),
+        (
+            "note",
+            "single-threaded end-to-end prober wall-clock; dense row pins the \
+             default im2col+GEMM backend via auto_sparse=false, sparse row is the default \
+             device config (auto CSC on stripe probes); orthogonal to -j probe fan-out"
+                .into(),
+        ),
+        ("results_bit_identical", true.into()),
+        ("victims", Json::Arr(rows)),
+    ]));
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(2);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,29 +1,20 @@
 //! Bench for E5 (§8.2 finalization): prints the solution-space table and
 //! times the first-layer range computation.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hd_bench::harness;
 use hd_bench::{experiments::final_solution_table, Scale};
 use huffduff_core::solution::{first_layer_k_range, CodecModel};
 
-fn bench(c: &mut Criterion) {
+fn main() {
     println!("{}", final_solution_table(Scale::Fast));
-    c.bench_function("first_layer_k_range", |b| {
-        b.iter(|| {
-            first_layer_k_range(
-                std::hint::black_box(9_000),
-                7,
-                3,
-                &CodecModel::default(),
-                0.6,
-                1024,
-            )
-        })
+    harness::report("first_layer_k_range", 10, || {
+        first_layer_k_range(
+            std::hint::black_box(9_000),
+            7,
+            3,
+            &CodecModel::default(),
+            0.6,
+            1024,
+        )
     });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

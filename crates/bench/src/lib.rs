@@ -2,11 +2,12 @@
 //!
 //! Every table and figure in the paper's evaluation (§8) has a regenerator
 //! here; the `experiments` binary prints them at full scale and the
-//! Criterion benches print fast-scale versions while timing the hot
-//! kernels. See `EXPERIMENTS.md` at the workspace root for the
-//! paper-vs-measured record.
+//! benches print fast-scale versions while timing the hot kernels through
+//! [`harness`], which also records the `BENCH_*.json` artifacts. See
+//! `EXPERIMENTS.md` at the workspace root for the paper-vs-measured record.
 
 pub mod experiments;
+pub mod harness;
 pub mod table;
 pub mod victims;
 

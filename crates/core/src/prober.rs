@@ -254,16 +254,6 @@ pub struct ProberResult {
 }
 
 impl ProberResult {
-    /// Indices (into `layers`) of recovered conv layers, in order.
-    pub fn conv_layers(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l.kind, LayerKind::Conv { .. }))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Human-readable summary.
     pub fn report(&self) -> String {
         let mut s = format!(

@@ -77,11 +77,6 @@ impl ChannelPlan {
         }
         removed
     }
-
-    /// The keep mask over node `id`'s output channels, if it produces a map.
-    pub fn keep_for(&self, id: NodeId) -> Option<&[bool]> {
-        self.keep[id].as_deref()
-    }
 }
 
 /// Minimal union-find over node ids.

@@ -84,11 +84,6 @@ pub struct QuantizedNet {
 }
 
 impl QuantizedNet {
-    /// Quantization of the network input.
-    pub fn input_qp(&self) -> QuantParams {
-        self.act_qp[0]
-    }
-
     /// Total non-zero quantized weight count (INT8 sparse footprint).
     pub fn sparse_weight_count(&self) -> usize {
         self.layers

@@ -7,6 +7,7 @@
 //!   in `chrome://tracing` or <https://ui.perfetto.dev> to see the span
 //!   timeline across threads.
 
+use crate::json::{number, quote};
 use std::fmt::Write as _;
 
 /// One counter at snapshot time.
@@ -172,8 +173,8 @@ impl Snapshot {
             let _ = write!(
                 s,
                 "\n    {{\"name\": {}, \"label\": {}, \"value\": {}}}",
-                json_str(&c.name),
-                json_str(&c.label),
+                quote(&c.name),
+                quote(&c.label),
                 c.value
             );
         }
@@ -191,13 +192,13 @@ impl Snapshot {
                 s,
                 "\n    {{\"name\": {}, \"label\": {}, \"count\": {}, \"sum\": {}, \
                  \"min\": {}, \"max\": {}, \"mean\": {}}}",
-                json_str(&h.name),
-                json_str(&h.label),
+                quote(&h.name),
+                quote(&h.label),
                 h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-                json_f64(h.mean())
+                number(h.sum),
+                number(h.min),
+                number(h.max),
+                number(h.mean())
             );
         }
         s.push_str(if self.hists.is_empty() {
@@ -214,7 +215,7 @@ impl Snapshot {
             let _ = write!(
                 s,
                 "\n    {{\"name\": {}, \"count\": {count}, \"total_us\": {total_us}}}",
-                json_str(name)
+                quote(name)
             );
         }
         s.push_str(if aggs.is_empty() { "],\n" } else { "\n  ],\n" });
@@ -234,11 +235,11 @@ impl Snapshot {
                 s,
                 "\n  {{\"name\": {}, \"cat\": \"hd-obs\", \"ph\": \"X\", \"ts\": {}, \
                  \"dur\": {}, \"pid\": 1, \"tid\": {}, \"args\": {{\"label\": {}}}}}",
-                json_str(&sp.name),
+                quote(&sp.name),
                 sp.start_us,
                 sp.dur_us,
                 sp.tid,
-                json_str(&sp.label)
+                quote(&sp.label)
             );
         }
         s.push_str(if self.spans.is_empty() {
@@ -269,38 +270,6 @@ fn key_of(name: &str, label: &str) -> String {
         name.to_string()
     } else {
         format!("{name}/{label}")
-    }
-}
-
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number literal: Rust's shortest-round-trip `{}` format is valid
-/// JSON for finite values; non-finite values (which [`crate::observe`]
-/// already filters) degrade to 0 rather than emitting invalid tokens.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -407,6 +376,6 @@ mod tests {
 
     #[test]
     fn json_strings_escape_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -1,10 +1,12 @@
-//! A minimal JSON value + recursive-descent parser.
+//! A minimal JSON value, recursive-descent parser and writer.
 //!
-//! Exists so that telemetry round-trip tests and the bench regression
-//! guard can read JSON without an external dependency (the registry
-//! mirror is unreachable in this build environment — see `vendor/`).
-//! Supports the full JSON grammar except `\u` surrogate pairs, which
-//! none of our exports produce.
+//! Exists so that telemetry exports, round-trip tests and the bench
+//! artifacts can read and write JSON without an external dependency (no
+//! registry mirror is reachable from the build environment — see
+//! `vendor/`). Supports the full JSON grammar except `\u` surrogate pairs,
+//! which none of our exports produce.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,6 +102,137 @@ impl Json {
             Json::Bool(b) => Some(*b),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Renders the value as JSON text in the layout of the `BENCH_*.json`
+    /// artifacts: a top-level container puts one member per line, and so
+    /// does an array of containers directly beneath it (one row per line);
+    /// everything deeper stays on its row's line. [`Json::parse`] reads the
+    /// text back to an equal value.
+    pub fn write(&self) -> String {
+        let mut out = String::new();
+        self.write_at(&mut out, 0);
+        out
+    }
+
+    fn write_at(&self, out: &mut String, depth: usize) {
+        let members: Vec<(Option<&str>, &Json)> = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => return out.push_str(&number(*n)),
+            Json::Str(s) => return out.push_str(&quote(s)),
+            Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+            Json::Obj(fields) => fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        };
+        let is_obj = matches!(self, Json::Obj(_));
+        let rows = !is_obj
+            && members
+                .iter()
+                .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+        let multiline = !members.is_empty() && (depth == 0 || (depth == 1 && rows));
+        let indent = |d: usize| format!("\n{}", "  ".repeat(d));
+        let (first, between, last) = if multiline {
+            let inner = indent(depth + 1);
+            (inner.clone(), format!(",{inner}"), indent(depth))
+        } else {
+            let pad = if is_obj && !members.is_empty() {
+                " "
+            } else {
+                ""
+            };
+            (pad.to_string(), ", ".to_string(), pad.to_string())
+        };
+        out.push(if is_obj { '{' } else { '[' });
+        out.push_str(&first);
+        for (i, (key, v)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(&between);
+            }
+            if let Some(k) = key {
+                let _ = write!(out, "{}: ", quote(k));
+            }
+            v.write_at(out, depth + 1);
+        }
+        out.push_str(&last);
+        out.push(if is_obj { '}' } else { ']' });
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// JSON string literal with escaping.
+pub(crate) fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// JSON number literal: Rust's shortest-round-trip `{}` format is valid
+/// JSON for finite values; non-finite values (which [`crate::observe`]
+/// already filters) degrade to 0 rather than emitting invalid tokens.
+pub(crate) fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
     }
 }
 
@@ -344,6 +477,55 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    fn arr<T: Into<Json>>(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    #[test]
+    fn written_values_parse_back_equal() {
+        let v = Json::obj([
+            ("schema", "hd-bench/x/v1".into()),
+            ("none", Json::Null),
+            ("flags", arr(vec![true, false])),
+            ("ints", arr(vec![0usize, 7, 35908])),
+            ("fracs", arr(vec![0.25, -2.5e-7, 6.36, 1.0 / 3.0, 1e300])),
+            ("escapes", "q\" b\\ n\n t\t r\r c\u{1} é".into()),
+            ("empty", Json::obj([])),
+            ("nothing", Json::Arr(vec![])),
+            (
+                "rows",
+                arr(vec![
+                    Json::obj([
+                        ("id", "serial".into()),
+                        ("requested", Some(1usize).into()),
+                        ("inner", Json::obj([("deep", arr(vec![Json::Null]))])),
+                    ]),
+                    Json::obj([("requested", None::<usize>.into())]),
+                ]),
+            ),
+        ]);
+        let text = v.write();
+        assert_eq!(Json::parse(&text).unwrap(), v, "{text}");
+        let nan = Json::Num(f64::NAN).write();
+        assert_eq!(Json::parse(&nan).unwrap(), Json::Num(0.0));
+    }
+
+    #[test]
+    fn writes_the_artifact_layout() {
+        let row = Json::obj([("a", 1usize.into()), ("s", arr(vec![0.5]))]);
+        let v = Json::obj([
+            ("bench", "b".into()),
+            ("rows", arr(vec![row])),
+            ("memory", Json::obj([("n", 2usize.into())])),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        assert_eq!(
+            v.write(),
+            "{\n  \"bench\": \"b\",\n  \"rows\": [\n    { \"a\": 1, \"s\": [0.5] }\n  ],\n  \
+             \"memory\": { \"n\": 2 },\n  \"empty\": []\n}"
+        );
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl Span {
             }),
         }
     }
-
-    /// Whether this span is actually recording (telemetry was enabled at
-    /// construction).
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
 }
 
 impl Drop for Span {

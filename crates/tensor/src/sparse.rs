@@ -41,11 +41,6 @@ pub enum CompressionScheme {
 }
 
 impl CompressionScheme {
-    /// The Eyeriss-v2-like default used by the paper's victim device.
-    pub fn device_default() -> Self {
-        CompressionScheme::Bitmap
-    }
-
     /// Encoded size for `values` with `elem_bits`-wide payload elements.
     ///
     /// The result is rounded up to whole bytes, since the bus transfers

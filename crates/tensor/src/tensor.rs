@@ -94,11 +94,6 @@ impl Tensor3 {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element read.
     #[inline]
     pub fn at(&self, c: usize, y: usize, x: usize) -> f32 {

@@ -275,11 +275,6 @@ impl TraceAnalysis {
         self.layers.iter().map(|l| l.output_bytes).collect()
     }
 
-    /// Encode windows per layer, in execution order (timing channel).
-    pub fn encode_windows_per_layer(&self) -> Vec<u64> {
-        self.layers.iter().map(|l| l.encode_window_ps).collect()
-    }
-
     /// Layers that read weights (conv/linear as opposed to pool/add/GAP).
     pub fn weighted_layers(&self) -> Vec<usize> {
         self.layers
