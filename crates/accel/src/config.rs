@@ -146,7 +146,8 @@ pub struct AccelConfig {
     /// Reuse freed activation buffers in DRAM instead of bump-allocating a
     /// fresh region per tensor. Exercises the paper's footnote 4: each
     /// write then creates a new "version" of the address, which the
-    /// attacker must disambiguate by time (see `hd_trace::analyze_versioned`).
+    /// attacker disambiguates by time (`hd_trace::StreamingAnalyzer`
+    /// attributes each read to the newest version).
     pub reuse_activations: bool,
     /// Execute batch normalization as a separate pass: the convolution
     /// writes its *dense* pre-BN partial sums to DRAM, and a second pass

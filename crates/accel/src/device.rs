@@ -446,10 +446,7 @@ impl Device {
             }
 
             // 4) Encode + writeback phase: the timing side channel.
-            let out_value = &trace.traces[id].out;
-            let out_bytes = self.value_transfer_bytes(out_value, &noise);
-            let psum_elems = self.scheduled_psum_elems(out_value);
-            let timing = encode_timing(&self.cfg, psum_elems, out_bytes);
+            let (out_bytes, timing) = self.encode_output(&trace.traces[id].out, &noise);
             hd_obs::observe(
                 "device.encode.duration_ps",
                 self.net.name(id),
@@ -485,12 +482,17 @@ impl Device {
             if matches!(node.op, Op::Input | Op::Flatten) {
                 continue;
             }
-            let out_value = &trace.traces[id].out;
-            let out_bytes = self.value_transfer_bytes(out_value, &noise);
-            let psum_elems = self.scheduled_psum_elems(out_value);
-            v.push((id, encode_timing(&self.cfg, psum_elems, out_bytes)));
+            v.push((id, self.encode_output(&trace.traces[id].out, &noise).1));
         }
         v
+    }
+
+    /// One output's encode step: its transfer bytes, and the timing of the
+    /// psum drain that writes them back.
+    fn encode_output(&self, out: &Value, noise: &NoiseState) -> (u64, EncodeTiming) {
+        let out_bytes = self.value_transfer_bytes(out, noise);
+        let timing = encode_timing(&self.cfg, self.scheduled_psum_elems(out), out_bytes);
+        (out_bytes, timing)
     }
 
     /// Psum count the encode pipeline actually drains for one output.

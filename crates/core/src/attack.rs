@@ -351,10 +351,10 @@ mod tests {
     /// GEMM dims recover the channel counts exactly.
     #[test]
     fn restricted_channels_degrade_gracefully() {
-        use crate::channel::{GemmDims, TimingOnly, TraceOnly};
+        use crate::channel::ChannelKind;
         let dev = victim();
 
-        let trace = run(&TraceOnly::new(&dev), &cfg()).unwrap();
+        let trace = run(ChannelKind::Trace.model(&dev).as_ref(), &cfg()).unwrap();
         assert!(trace.ratios.is_none(), "no timing, no ratios");
         // Geometry still comes through the volume channel alone.
         use crate::prober::LayerKind;
@@ -369,12 +369,12 @@ mod tests {
         let space = trace.space.as_ref().unwrap();
         assert!(space.k1_candidates.contains(&8));
 
-        let timing = run(&TimingOnly::new(&dev), &cfg()).unwrap();
+        let timing = run(ChannelKind::Timing.model(&dev).as_ref(), &cfg()).unwrap();
         // Without sizes the trunk/head split is unobservable; the report
         // still renders (no panics on missing stages).
         assert!(timing.report().contains("prober"));
 
-        let gemm = run(&GemmDims::new(&dev), &cfg()).unwrap();
+        let gemm = run(ChannelKind::Gemm.model(&dev).as_ref(), &cfg()).unwrap();
         assert!(gemm
             .prober
             .layers

@@ -8,17 +8,19 @@
 //! never raw traces, so restricted or entirely different side channels plug
 //! in without touching the recovery logic.
 //!
-//! Four models ship with the crate:
+//! [`ChannelKind::model`] boxes one of the four shipped channels over a
+//! device:
 //!
-//! * [`FullChannel`] — trace + timing, the paper's channel. Bit-identical
-//!   to the pre-redesign attack *by construction*: its observation carries
-//!   exactly the fields the prober used to read off [`TraceAnalysis`], and
-//!   every projection-only field ([`LayerEvidence::gemm`]) stays `None`.
-//! * [`TraceOnly`] — transfer volumes and dataflow without timestamps
-//!   (an attacker on a bus probe with no cycle-accurate clock).
-//! * [`TimingOnly`] — per-layer encode windows without addresses or sizes
-//!   (an attacker co-located enough to time, not to read, the bus).
-//! * [`GemmDims`] — the Cache-Telepathy channel (Yan et al.): the
+//! * [`ChannelKind::Full`] — trace + timing, the paper's channel. It
+//!   observes exactly as probing the [`Device`] directly does: every field
+//!   the prober used to read off [`TraceAnalysis`], and every
+//!   projection-only field ([`LayerEvidence::gemm`]) stays `None`.
+//! * [`ChannelKind::Trace`] — transfer volumes and dataflow without
+//!   timestamps (an attacker on a bus probe with no cycle-accurate clock).
+//! * [`ChannelKind::Timing`] — per-layer encode windows without addresses
+//!   or sizes (an attacker co-located enough to time, not to read, the
+//!   bus).
+//! * [`ChannelKind::Gemm`] — the Cache-Telepathy channel (Yan et al.): the
 //!   `(m, k, n)` dimensions of each im2col GEMM invocation, as leaked by
 //!   cache-set conflicts on a shared CPU/accelerator. `m` counts live
 //!   filter rows (the layer's output channels, exactly), `k` the live
@@ -119,7 +121,7 @@ impl Observation {
 
     /// Restricts this observation to what `kind` would have revealed.
     ///
-    /// [`TraceOnly`] and [`TimingOnly`] observe through exactly this
+    /// The trace and timing channels observe through exactly this
     /// function, so "restricted channels are projections of the full one"
     /// holds by construction (and is property-tested anyway).
     pub fn project(&self, kind: ChannelKind) -> Observation {
@@ -178,31 +180,32 @@ impl Observation {
                 tensor_count: self.layers.len() + 1,
                 structure: None,
             },
-            ChannelKind::Gemm => {
-                let layers: Vec<LayerEvidence> = self
-                    .layers
-                    .iter()
-                    .filter_map(|l| l.gemm)
-                    .enumerate()
-                    .map(|(i, g)| LayerEvidence {
-                        index: i,
-                        inputs: vec![i],
-                        output: i + 1,
-                        weight_bytes: None,
-                        input_bytes: None,
-                        output_bytes: None,
-                        encode_window_ps: None,
-                        gemm: Some(g),
-                    })
-                    .collect();
-                let tensor_count = layers.len() + 1;
-                Observation {
-                    layers,
-                    tensor_count,
-                    structure: None,
-                }
-            }
+            ChannelKind::Gemm => gemm_observation(self.layers.iter().filter_map(|l| l.gemm)),
         }
+    }
+}
+
+/// The GEMM channel's observation: one address-blind chain link per call,
+/// in execution order.
+fn gemm_observation(calls: impl Iterator<Item = GemmShape>) -> Observation {
+    let layers: Vec<LayerEvidence> = calls
+        .enumerate()
+        .map(|(i, g)| LayerEvidence {
+            index: i,
+            inputs: vec![i],
+            output: i + 1,
+            weight_bytes: None,
+            input_bytes: None,
+            output_bytes: None,
+            encode_window_ps: None,
+            gemm: Some(g),
+        })
+        .collect();
+    let tensor_count = layers.len() + 1;
+    Observation {
+        layers,
+        tensor_count,
+        structure: None,
     }
 }
 
@@ -217,6 +220,15 @@ pub enum ChannelKind {
     /// Encode windows only.
     Timing,
     /// GEMM call dimensions from the im2col backend.
+    ///
+    /// The dimensions are a pure function of the (pruned) weights and the
+    /// layer geometry — input images never change them — so the model
+    /// reads the device's cached call list instead of re-simulating an
+    /// inference per probe. A real attacker would watch one inference
+    /// through a cache monitor; repeating it adds nothing, which is
+    /// precisely this channel's weakness (no probe-dependent signal) and
+    /// its strength (`m` is the live output-channel count, read off
+    /// exactly).
     Gemm,
 }
 
@@ -253,12 +265,7 @@ impl ChannelKind {
     /// Boxes the matching observation model over a device (the trait is
     /// object-safe precisely so channel choice can be a runtime value).
     pub fn model<'d>(self, device: &'d Device) -> Box<dyn ObservationModel + 'd> {
-        match self {
-            ChannelKind::Full => Box::new(FullChannel::new(device)),
-            ChannelKind::Trace => Box::new(TraceOnly::new(device)),
-            ChannelKind::Timing => Box::new(TimingOnly::new(device)),
-            ChannelKind::Gemm => Box::new(GemmDims::new(device)),
-        }
+        Box::new(Channel { device, kind: self })
     }
 }
 
@@ -275,8 +282,8 @@ pub enum ObserveError {
     Trace(hd_trace::AnalyzeTraceError),
     /// The device simulation itself failed (malformed victim graph).
     Device(DeviceError),
-    /// The channel does not exist on this target (e.g. [`GemmDims`] on a
-    /// device whose conv backend never issues GEMM calls).
+    /// The channel does not exist on this target (e.g. the GEMM channel on
+    /// a device whose conv backend never issues GEMM calls).
     ChannelUnavailable(&'static str),
 }
 
@@ -333,7 +340,7 @@ fn observe_device(device: &Device, image: &Tensor3) -> Result<Observation, Obser
 }
 
 /// The simulated device *is* the paper's observation model: probing it
-/// directly is the [`FullChannel`].
+/// directly is the [`ChannelKind::Full`] channel.
 impl ObservationModel for Device {
     fn input_shape(&self) -> Shape3 {
         Device::input_shape(self)
@@ -344,128 +351,33 @@ impl ObservationModel for Device {
     }
 }
 
-/// Trace + timing: the paper's channel, as an explicit named model.
-///
-/// Observes identically to probing the [`Device`] directly — the named
-/// wrapper exists so channel choice can be uniform (`-c full`).
-pub struct FullChannel<'d> {
+/// One shipped channel over a device — what [`ChannelKind::model`] boxes.
+struct Channel<'d> {
     device: &'d Device,
+    kind: ChannelKind,
 }
 
-impl<'d> FullChannel<'d> {
-    /// Wraps a device.
-    pub fn new(device: &'d Device) -> Self {
-        FullChannel { device }
-    }
-}
-
-impl ObservationModel for FullChannel<'_> {
+impl ObservationModel for Channel<'_> {
     fn input_shape(&self) -> Shape3 {
         self.device.input_shape()
     }
 
     fn observe(&self, image: &Tensor3) -> Result<Observation, ObserveError> {
-        observe_device(self.device, image)
-    }
-}
-
-/// Transfer volumes and dataflow without timestamps.
-pub struct TraceOnly<'d> {
-    device: &'d Device,
-}
-
-impl<'d> TraceOnly<'d> {
-    /// Wraps a device.
-    pub fn new(device: &'d Device) -> Self {
-        TraceOnly { device }
-    }
-}
-
-impl ObservationModel for TraceOnly<'_> {
-    fn input_shape(&self) -> Shape3 {
-        self.device.input_shape()
-    }
-
-    fn observe(&self, image: &Tensor3) -> Result<Observation, ObserveError> {
-        Ok(observe_device(self.device, image)?.project(ChannelKind::Trace))
-    }
-}
-
-/// Per-layer encode windows without addresses or sizes.
-pub struct TimingOnly<'d> {
-    device: &'d Device,
-}
-
-impl<'d> TimingOnly<'d> {
-    /// Wraps a device.
-    pub fn new(device: &'d Device) -> Self {
-        TimingOnly { device }
-    }
-}
-
-impl ObservationModel for TimingOnly<'_> {
-    fn input_shape(&self) -> Shape3 {
-        self.device.input_shape()
-    }
-
-    fn observe(&self, image: &Tensor3) -> Result<Observation, ObserveError> {
-        Ok(observe_device(self.device, image)?.project(ChannelKind::Timing))
-    }
-}
-
-/// The Cache-Telepathy channel: `(m, k, n)` of every GEMM call the im2col
-/// backend issues, in execution order.
-///
-/// The dimensions are a pure function of the (pruned) weights and the layer
-/// geometry — input images never change them — so the model reads the
-/// device's cached call list instead of re-simulating an inference per
-/// probe. A real attacker would watch one inference through a cache
-/// monitor; repeating it adds nothing, which is precisely this channel's
-/// weakness (no probe-dependent signal) and its strength (`m` is the live
-/// output-channel count, read off exactly).
-pub struct GemmDims<'d> {
-    device: &'d Device,
-}
-
-impl<'d> GemmDims<'d> {
-    /// Wraps a device.
-    pub fn new(device: &'d Device) -> Self {
-        GemmDims { device }
-    }
-}
-
-impl ObservationModel for GemmDims<'_> {
-    fn input_shape(&self) -> Shape3 {
-        self.device.input_shape()
-    }
-
-    fn observe(&self, _image: &Tensor3) -> Result<Observation, ObserveError> {
-        let calls = self.device.gemm_calls();
-        if calls.is_empty() {
-            return Err(ObserveError::ChannelUnavailable(
-                "device issues no GEMM calls (conv backend is not im2col+GEMM)",
-            ));
+        match self.kind {
+            ChannelKind::Full => observe_device(self.device, image),
+            ChannelKind::Trace | ChannelKind::Timing => {
+                Ok(observe_device(self.device, image)?.project(self.kind))
+            }
+            ChannelKind::Gemm => {
+                let calls = self.device.gemm_calls();
+                if calls.is_empty() {
+                    return Err(ObserveError::ChannelUnavailable(
+                        "device issues no GEMM calls (conv backend is not im2col+GEMM)",
+                    ));
+                }
+                Ok(gemm_observation(calls.iter().map(|&(_node, g)| g)))
+            }
         }
-        let layers: Vec<LayerEvidence> = calls
-            .iter()
-            .enumerate()
-            .map(|(i, &(_node, g))| LayerEvidence {
-                index: i,
-                inputs: vec![i],
-                output: i + 1,
-                weight_bytes: None,
-                input_bytes: None,
-                output_bytes: None,
-                encode_window_ps: None,
-                gemm: Some(g),
-            })
-            .collect();
-        let tensor_count = layers.len() + 1;
-        Ok(Observation {
-            layers,
-            tensor_count,
-            structure: None,
-        })
     }
 }
 
@@ -511,21 +423,21 @@ mod tests {
     }
 
     #[test]
-    fn full_channel_wrapper_is_the_device_observation() {
+    fn full_channel_is_the_device_observation() {
         let dev = device();
         let img = image(&dev);
         let direct = dev.observe(&img).unwrap();
-        let wrapped = FullChannel::new(&dev).observe(&img).unwrap();
-        assert_eq!(direct, wrapped);
+        let full = ChannelKind::Full.model(&dev).observe(&img).unwrap();
+        assert_eq!(direct, full);
     }
 
     #[test]
-    fn trace_and_timing_wrappers_observe_exact_projections() {
+    fn trace_and_timing_channels_observe_exact_projections() {
         let dev = device();
         let img = image(&dev);
         let full = dev.observe(&img).unwrap();
-        let trace = TraceOnly::new(&dev).observe(&img).unwrap();
-        let timing = TimingOnly::new(&dev).observe(&img).unwrap();
+        let trace = ChannelKind::Trace.model(&dev).observe(&img).unwrap();
+        let timing = ChannelKind::Timing.model(&dev).observe(&img).unwrap();
         assert_eq!(trace, full.project(ChannelKind::Trace));
         assert_eq!(timing, full.project(ChannelKind::Timing));
         // Trace: volumes survive, every timestamp is gone.
@@ -551,9 +463,9 @@ mod tests {
     }
 
     #[test]
-    fn gemm_dims_report_one_call_per_conv() {
+    fn gemm_channel_reports_one_call_per_conv() {
         let dev = device();
-        let obs = GemmDims::new(&dev).observe(&image(&dev)).unwrap();
+        let obs = ChannelKind::Gemm.model(&dev).observe(&image(&dev)).unwrap();
         assert_eq!(obs.layers.len(), 2, "two convs, pool issues no GEMM");
         for (i, l) in obs.layers.iter().enumerate() {
             assert_eq!(l.index, i);
@@ -568,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_dims_unavailable_without_the_im2col_backend() {
+    fn gemm_channel_unavailable_without_the_im2col_backend() {
         let mut b = NetworkBuilder::new(3, 8, 8);
         let x = b.input();
         b.conv(x, 4, 3, 1);
@@ -576,7 +488,10 @@ mod tests {
         let params = Params::init(&net, 1);
         let cfg = AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::SparseCsc);
         let dev = Device::new(net, params, cfg);
-        let err = GemmDims::new(&dev).observe(&image(&dev)).unwrap_err();
+        let err = ChannelKind::Gemm
+            .model(&dev)
+            .observe(&image(&dev))
+            .unwrap_err();
         assert!(matches!(err, ObserveError::ChannelUnavailable(_)), "{err}");
     }
 
@@ -587,14 +502,6 @@ mod tests {
             assert_eq!(kind.to_string(), kind.label());
         }
         assert_eq!(ChannelKind::parse("cache"), None);
-        // The boxed constructor observes like the concrete model.
-        let dev = device();
-        let img = image(&dev);
-        let boxed = ChannelKind::Trace.model(&dev);
-        assert_eq!(
-            boxed.observe(&img).unwrap(),
-            TraceOnly::new(&dev).observe(&img).unwrap()
-        );
     }
 
     /// A target implementing [`ObservationModel`] directly over a buffered

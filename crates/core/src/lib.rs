@@ -52,7 +52,6 @@
 //! paper, or restricted ones (trace-only, timing-only, GEMM dimensions)
 //! for comparing attacker capability against defences.
 
-pub mod anm;
 pub mod attack;
 pub mod boundary_obs;
 pub mod channel;
@@ -66,10 +65,7 @@ pub mod symbolic;
 pub mod timing;
 
 pub use attack::{run, AttackConfig, AttackError, AttackOutcome};
-pub use channel::{
-    ChannelKind, FullChannel, GemmDims, LayerEvidence, Observation, ObservationModel, ObserveError,
-    TimingOnly, TraceOnly,
-};
+pub use channel::{ChannelKind, LayerEvidence, Observation, ObservationModel, ObserveError};
 pub use pattern::Pattern;
 pub use prober::{probe as run_prober, ConfigError, LayerKind, ProberConfig, ProberResult};
 pub use solution::{CandidateArch, CodecModel, SolutionSpace};

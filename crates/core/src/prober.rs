@@ -1522,7 +1522,8 @@ mod tests {
         // Dense init: the tap counts are exact, so the kernel bound is tight.
         let params = Params::init(&net, 5);
         let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
-        let res = probe(&crate::channel::GemmDims::new(&dev), &small_cfg()).unwrap();
+        let gemm = crate::channel::ChannelKind::Gemm.model(&dev);
+        let res = probe(gemm.as_ref(), &small_cfg()).unwrap();
         assert_eq!(res.layers.len(), 2);
         assert_eq!(
             res.layers[0].kind,
@@ -1558,7 +1559,8 @@ mod tests {
         let net = b.build();
         let params = Params::init(&net, 5);
         let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
-        let res = probe(&crate::channel::GemmDims::new(&dev), &small_cfg()).unwrap();
+        let gemm = crate::channel::ChannelKind::Gemm.model(&dev);
+        let res = probe(gemm.as_ref(), &small_cfg()).unwrap();
         assert_eq!(res.layers.len(), 2, "the pool issues no GEMM");
         assert_eq!(
             res.layers[1].kind,

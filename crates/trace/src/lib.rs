@@ -19,7 +19,7 @@ mod streaming;
 
 pub use streaming::StreamingAnalyzer;
 
-use hd_accel::{AccessKind, Trace, TraceSink};
+use hd_accel::{Trace, TraceSink};
 use std::fmt;
 
 /// Index into [`TraceAnalysis::tensors`].
@@ -137,112 +137,6 @@ pub fn analyze(trace: &Trace) -> Result<TraceAnalysis, AnalyzeTraceError> {
     sink.finish()
 }
 
-/// Analyzes a trace from a device that *reuses* DRAM buffers: each write
-/// creates a new version of its addresses (paper footnote 4, the SSA
-/// analogy), so tensors are identified by **write streams in time** —
-/// maximal runs of chronologically consecutive, address-contiguous write
-/// bursts — and each read is attributed to the most recent version
-/// covering its address.
-///
-/// On traces from non-reusing devices this agrees with [`analyze`].
-///
-/// # Errors
-///
-/// Returns [`AnalyzeTraceError`] for empty or malformed traces.
-pub fn analyze_versioned(trace: &Trace) -> Result<TraceAnalysis, AnalyzeTraceError> {
-    if trace.events.windows(2).any(|w| w[0].time_ps > w[1].time_ps) {
-        return Err(AnalyzeTraceError::UnsortedEvents);
-    }
-
-    // --- Step 1: tensors = chronological write streams. ---
-    let mut tensors: Vec<TensorObs> = Vec::new();
-    let mut open: Option<TensorObs> = None;
-    for e in &trace.events {
-        if e.kind != AccessKind::Write {
-            // Any interleaved read ends the current stream (layer phases
-            // never interleave reads inside a tensor's writeback).
-            if let Some(t) = open.take() {
-                tensors.push(t);
-            }
-            continue;
-        }
-        match &mut open {
-            Some(t) if e.addr == t.addr_hi => {
-                t.addr_hi += e.bytes;
-                t.bytes = t.addr_hi - t.addr_lo;
-                t.last_write_ps = e.time_ps;
-            }
-            Some(t) => {
-                let next = TensorObs {
-                    addr_lo: e.addr,
-                    addr_hi: e.addr + e.bytes,
-                    bytes: e.bytes,
-                    first_write_ps: e.time_ps,
-                    last_write_ps: e.time_ps,
-                };
-                tensors.push(std::mem::replace(t, next));
-            }
-            None => {
-                open = Some(TensorObs {
-                    addr_lo: e.addr,
-                    addr_hi: e.addr + e.bytes,
-                    bytes: e.bytes,
-                    first_write_ps: e.time_ps,
-                    last_write_ps: e.time_ps,
-                });
-            }
-        }
-    }
-    if let Some(t) = open.take() {
-        tensors.push(t);
-    }
-    if tensors.is_empty() {
-        return Err(AnalyzeTraceError::NoWrites);
-    }
-
-    // --- Step 2: attribute reads to the latest covering version. ---
-    let mut layers: Vec<LayerObs> = Vec::new();
-    for out_id in 1..tensors.len() {
-        let window_lo = tensors[out_id - 1].last_write_ps;
-        let window_hi = tensors[out_id].first_write_ps;
-        let mut inputs: Vec<TensorId> = Vec::new();
-        let mut weight_ranges: Vec<(u64, u64)> = Vec::new();
-        let mut input_ranges: Vec<(u64, u64)> = Vec::new();
-        for e in &trace.events {
-            if e.kind != AccessKind::Read || e.time_ps < window_lo || e.time_ps >= window_hi {
-                continue;
-            }
-            // Latest version written before this read that covers the addr.
-            let src = tensors
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.contains(e.addr) && t.last_write_ps <= e.time_ps)
-                .max_by_key(|(_, t)| t.last_write_ps)
-                .map(|(i, _)| i);
-            match src {
-                Some(src) => {
-                    input_ranges.push((e.addr, e.addr + e.bytes));
-                    if !inputs.contains(&src) {
-                        inputs.push(src);
-                    }
-                }
-                None => weight_ranges.push((e.addr, e.addr + e.bytes)),
-            }
-        }
-        layers.push(LayerObs {
-            index: out_id - 1,
-            inputs,
-            output: out_id,
-            weight_bytes: merged_len(&mut weight_ranges),
-            input_bytes: merged_len(&mut input_ranges),
-            output_bytes: tensors[out_id].bytes,
-            encode_window_ps: tensors[out_id].encode_window_ps(),
-        });
-    }
-
-    Ok(TraceAnalysis { tensors, layers })
-}
-
 /// Total length of a set of byte intervals after merging overlaps.
 pub(crate) fn merged_len(ranges: &mut [(u64, u64)]) -> u64 {
     if ranges.is_empty() {
@@ -275,15 +169,6 @@ impl TraceAnalysis {
         self.layers.iter().map(|l| l.output_bytes).collect()
     }
 
-    /// Layers that read weights (conv/linear as opposed to pool/add/GAP).
-    pub fn weighted_layers(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .filter(|l| l.weight_bytes > 0)
-            .map(|l| l.index)
-            .collect()
-    }
-
     /// Renders a compact report of the recovered dataflow.
     pub fn report(&self) -> String {
         let mut s = String::new();
@@ -309,7 +194,7 @@ impl TraceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_accel::{AccelConfig, Device, TraceEvent};
+    use hd_accel::{AccelConfig, AccessKind, Device, TraceEvent};
     use hd_dnn::graph::{NetworkBuilder, Params};
     use hd_tensor::Tensor3;
 
@@ -377,15 +262,6 @@ mod tests {
                 l.index
             );
         }
-    }
-
-    #[test]
-    fn weighted_layers_identified() {
-        let dev = chain_device();
-        let trace = dev.run(&Tensor3::full(2, 8, 8, 0.5));
-        let a = analyze(&trace).unwrap();
-        // conv(0), conv(2), linear(4) carry weights; pool(1), gap(3) do not.
-        assert_eq!(a.weighted_layers(), vec![0, 2, 4]);
     }
 
     #[test]
@@ -474,76 +350,5 @@ mod tests {
         let r = a.report();
         assert!(r.contains("layer"));
         assert!(r.contains("input tensor"));
-    }
-}
-
-#[cfg(test)]
-mod versioned_tests {
-    use super::*;
-    use hd_accel::{AccelConfig, Device};
-    use hd_dnn::graph::{NetworkBuilder, Params};
-    use hd_tensor::Tensor3;
-
-    fn chain_net() -> (hd_dnn::graph::Network, Params) {
-        let mut b = NetworkBuilder::new(2, 8, 8);
-        let x = b.input();
-        let x = b.conv(x, 4, 3, 1);
-        let x = b.conv(x, 4, 3, 1);
-        let x = b.conv(x, 4, 3, 1);
-        b.conv(x, 4, 3, 1);
-        let net = b.build();
-        let params = Params::init(&net, 42);
-        (net, params)
-    }
-
-    #[test]
-    fn versioned_matches_plain_on_fresh_alloc_traces() {
-        let (net, params) = chain_net();
-        let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
-        let trace = dev.run(&Tensor3::full(2, 8, 8, 0.5));
-        let plain = analyze(&trace).unwrap();
-        let versioned = analyze_versioned(&trace).unwrap();
-        assert_eq!(plain.layers.len(), versioned.layers.len());
-        for (a, b) in plain.layers.iter().zip(&versioned.layers) {
-            assert_eq!(a.weight_bytes, b.weight_bytes);
-            assert_eq!(a.output_bytes, b.output_bytes);
-            assert_eq!(a.inputs, b.inputs);
-        }
-    }
-
-    #[test]
-    fn versioned_handles_buffer_reuse() {
-        let (net, params) = chain_net();
-        let mut cfg = AccelConfig::eyeriss_v2();
-        cfg.reuse_activations = true;
-        let reuse_dev = Device::new(net.clone(), params.clone(), cfg);
-        let fresh_dev = Device::new(net, params, AccelConfig::eyeriss_v2());
-        let img = Tensor3::full(2, 8, 8, 0.5);
-
-        let reuse_trace = reuse_dev.run(&img);
-        let fresh_trace = fresh_dev.run(&img);
-
-        // The reuse device really recycles addresses: fewer distinct
-        // address ranges are touched.
-        let distinct = |t: &hd_accel::Trace| {
-            t.events
-                .iter()
-                .filter(|e| e.kind == AccessKind::Write)
-                .map(|e| e.addr)
-                .collect::<std::collections::HashSet<_>>()
-                .len()
-        };
-        assert!(distinct(&reuse_trace) < distinct(&fresh_trace));
-
-        // Versioned analysis on the reuse trace reconstructs the same
-        // per-layer footprints and chain dataflow as the fresh device.
-        let a = analyze_versioned(&reuse_trace).unwrap();
-        let b = analyze(&fresh_trace).unwrap();
-        assert_eq!(a.layers.len(), b.layers.len());
-        for (x, y) in a.layers.iter().zip(&b.layers) {
-            assert_eq!(x.weight_bytes, y.weight_bytes, "layer {}", x.index);
-            assert_eq!(x.output_bytes, y.output_bytes, "layer {}", x.index);
-            assert_eq!(x.inputs.len(), y.inputs.len());
-        }
     }
 }

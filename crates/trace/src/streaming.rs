@@ -6,7 +6,8 @@
 //! run. It is the crate's only trace clusterer: [`crate::analyze`] replays
 //! a buffered trace through it. `tests/streaming_equiv.rs` keeps it equal
 //! to the address-sorting batch clustering of the paper's §3.2, which
-//! survives there as the test oracle.
+//! survives there as the test oracle — on buffer-reusing devices, to the
+//! oracle's analysis of the fresh-allocation trace.
 //!
 //! # Memory
 //!
@@ -19,15 +20,21 @@
 //!
 //! # Contract
 //!
-//! Clustering writes in arrival order agrees with clustering them by
-//! address on every causal device trace, because such traces (as the
-//! [`TraceSink`] contract states) have two properties:
+//! The analyzer clusters writes in arrival order. On a causal device trace
+//! that is footnote 4's versioned reading of the paper's §3.2, because
+//! such traces have two properties:
 //!
 //! * tensors' write phases do not interleave — each tensor is written by
-//!   one chronological run of address-adjacent bursts, and distinct
-//!   tensors occupy disjoint address regions,
+//!   one chronological run of address-adjacent bursts,
 //! * no read targets an address range before it has been written, except
 //!   read-only (weight) regions that are never written at all.
+//!
+//! A later write may re-version an address: a device that recycles DRAM
+//! buffers (`AccelConfig::reuse_activations`) writes a new tensor over a
+//! dead one. A read belongs to the newest version of its address, i.e. the
+//! latest tensor covering it; every such tensor was fully written before
+//! the read's window opened. On fresh-allocation traces tensors occupy
+//! disjoint regions, and this agrees with clustering writes by address.
 //!
 //! Out-of-order timestamps are detected and reported by
 //! [`StreamingAnalyzer::finish`], ahead of an empty trace.
@@ -118,7 +125,8 @@ impl StreamingAnalyzer {
             if time < window_lo {
                 continue; // mid-writeback read: outside every window
             }
-            match self.tensors.iter().position(|t| t.contains(lo)) {
+            // The newest version of the address (see the module contract).
+            match self.tensors.iter().rposition(|t| t.contains(lo)) {
                 Some(src) => {
                     input_ranges.push((lo, hi));
                     if !inputs.contains(&src) {

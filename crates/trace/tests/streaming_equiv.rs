@@ -8,9 +8,12 @@
 //! images and sparse stripes), and hand-built synthetic traces for window
 //! boundaries, drained windows and error precedence. The streaming path must
 //! also retain strictly fewer events than the trace on any multi-layer run.
+//! On a device that recycles its DRAM buffers (paper footnote 4) addresses
+//! are re-versioned, and the analysis must instead equal, layer for layer,
+//! the oracle's analysis of the fresh-allocation trace.
 
 use hd_accel::{AccelConfig, AccessKind, Device, Trace, TraceEvent, TraceSink};
-use hd_dnn::graph::{NetworkBuilder, Params};
+use hd_dnn::graph::{Network, NetworkBuilder, Params};
 use hd_tensor::Tensor3;
 use hd_trace::{analyze, AnalyzeTraceError, LayerObs, StreamingAnalyzer, TensorObs, TraceAnalysis};
 use proptest::prelude::*;
@@ -143,6 +146,43 @@ fn ev(time_ps: u64, addr: u64, kind: AccessKind, bytes: u64) -> TraceEvent {
     }
 }
 
+/// Distinct write addresses of a trace.
+fn write_addrs(trace: &Trace) -> usize {
+    let mut addrs: Vec<u64> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == AccessKind::Write)
+        .map(|e| e.addr)
+        .collect();
+    addrs.sort_unstable();
+    addrs.dedup();
+    addrs.len()
+}
+
+/// Asserts that `cfg` with DRAM buffer reuse switched on analyzes —
+/// buffered and streamed — to the same layers the batch oracle finds on
+/// the fresh-allocation trace: a read belongs to the newest version of its
+/// address (paper footnote 4). Returns whether the reuse trace really
+/// recycled a write address.
+fn assert_reuse_matches_fresh(
+    net: &Network,
+    params: &Params,
+    cfg: &AccelConfig,
+    img: &Tensor3,
+) -> bool {
+    let fresh = Device::new(net.clone(), params.clone(), cfg.clone()).run(img);
+    let want = batch_analyze(&fresh).unwrap().layers;
+    let mut reuse_cfg = cfg.clone();
+    reuse_cfg.reuse_activations = true;
+    let reuse_dev = Device::new(net.clone(), params.clone(), reuse_cfg);
+    let reuse = reuse_dev.run(img);
+    assert_eq!(analyze(&reuse).unwrap().layers, want);
+    let mut sink = StreamingAnalyzer::new();
+    reuse_dev.try_run_with(img, &mut sink).unwrap();
+    assert_eq!(sink.finish().unwrap().layers, want);
+    write_addrs(&reuse) < write_addrs(&fresh)
+}
+
 /// Extracts the CSV trace sections (`== trace NAME ==` blocks) from the
 /// golden fixture.
 fn fixture_traces() -> Vec<(String, Trace)> {
@@ -204,7 +244,7 @@ fn device_streaming_run_matches_buffered_run() {
     let mut params = Params::init(&net, 20230813);
     let profile = hd_dnn::prune::paper_profile(&net);
     hd_dnn::prune::apply_sparsity_profile(&net, &mut params, &profile, 0x60_1D);
-    let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
+    let dev = Device::new(net.clone(), params.clone(), AccelConfig::eyeriss_v2());
 
     let mut img = Tensor3::zeros(3, 12, 12);
     img.set(0, 0, 3, -1.0);
@@ -218,13 +258,41 @@ fn device_streaming_run_matches_buffered_run() {
     dev.try_run_with(&img, &mut sink).unwrap();
     assert!(sink.peak_pending_reads() < trace.len());
     assert_eq!(sink.finish().unwrap(), buffered);
+    assert!(
+        assert_reuse_matches_fresh(&net, &params, dev.config(), &img),
+        "the reuse device must recycle a write address"
+    );
+}
+
+#[test]
+fn vgg_s_buffer_reuse_analyzes_like_fresh_allocation() {
+    // Deep enough that buffers are recycled many times over; both
+    // batch-norm execution modes.
+    let net = hd_dnn::zoo::vgg_s_scaled(10, 0.25);
+    let mut params = Params::init(&net, 11);
+    let profile = hd_dnn::prune::paper_profile(&net);
+    hd_dnn::prune::apply_sparsity_profile(&net, &mut params, &profile, 12);
+    let s = net.input_shape();
+    let mut stripe = Tensor3::zeros(s.c, s.h, s.w);
+    for y in 0..s.h {
+        stripe.set(0, y, s.w / 2, 1.0);
+    }
+    for separate_batch_norm in [false, true] {
+        let mut cfg = AccelConfig::eyeriss_v2();
+        cfg.separate_batch_norm = separate_batch_norm;
+        assert!(
+            assert_reuse_matches_fresh(&net, &params, &cfg, &stripe),
+            "separate_batch_norm = {separate_batch_norm}: the reuse device must recycle"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Streaming == buffered on device traces of random pruned networks,
-    /// across seeds, geometries, sparsity levels, and probe regimes.
+    /// across seeds, geometries, sparsity levels, and probe regimes; with
+    /// DRAM buffer reuse on, the same layers as fresh allocation.
     #[test]
     fn streaming_equals_buffered_on_random_pruned_networks(
         seed in 0u64..1000,
@@ -252,7 +320,7 @@ proptest! {
                 .collect(),
         };
         hd_dnn::prune::apply_sparsity_profile(&net, &mut params, &profile, seed ^ 0xBEEF);
-        let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
+        let dev = Device::new(net.clone(), params.clone(), AccelConfig::eyeriss_v2());
 
         let mut dense = Tensor3::zeros(2, 12, 12);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -270,6 +338,7 @@ proptest! {
             dev.try_run_with(img, &mut sink).unwrap();
             prop_assert!(sink.peak_pending_reads() < trace.len());
             prop_assert_eq!(sink.finish().unwrap(), buffered);
+            prop_assert!(assert_reuse_matches_fresh(&net, &params, dev.config(), img));
         }
     }
 }

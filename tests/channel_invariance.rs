@@ -1,8 +1,10 @@
-//! Channel invariance: the [`FullChannel`] wrapper is bit-identical to
-//! probing the raw `Device` — same `AttackOutcome`, byte for byte — across
-//! conv backends and prober parallelism, and the restricted channels
-//! observe *exact projections* of the full channel's evidence (never
-//! independently-measured, possibly-diverging views).
+//! Channel invariance: the boxed [`ChannelKind::Full`] channel is
+//! bit-identical to probing the raw `Device` — same `AttackOutcome`, byte
+//! for byte — across conv backends and prober parallelism; the restricted
+//! channels observe *exact projections* of the full channel's evidence
+//! (never independently-measured, possibly-diverging views); and a device
+//! that recycles its DRAM buffers yields the same attack as one that
+//! allocates fresh.
 //!
 //! The first property is what makes the ObservationModel boundary safe to
 //! introduce: every pre-existing result (golden fixtures included) is
@@ -12,9 +14,7 @@
 
 use hd_tensor::ConvBackend;
 use huffduff::prelude::*;
-use huffduff_core::{
-    AttackConfig, AttackOutcome, ChannelKind, FullChannel, ObservationModel, TimingOnly, TraceOnly,
-};
+use huffduff_core::{AttackConfig, AttackOutcome, ChannelKind, ObservationModel};
 use proptest::prelude::*;
 
 fn victim() -> (hd_dnn::graph::Network, hd_dnn::graph::Params) {
@@ -77,39 +77,69 @@ fn full_channel_is_bit_identical_to_the_raw_device() {
     ] {
         let dev = device(backend);
         let raw = attack(&dev, par);
-        let wrapped = attack(&FullChannel::new(&dev), par);
-        assert_eq!(
-            raw, wrapped,
-            "FullChannel diverged from the raw device on {backend} with parallelism {par:?}"
-        );
-        // The boxed runtime-selected form must be the same model too.
-        let boxed = ChannelKind::Full.model(&dev);
+        let full = ChannelKind::Full.model(&dev);
         assert_eq!(
             raw,
-            attack(boxed.as_ref(), par),
-            "ChannelKind::Full boxed model diverged on {backend} with parallelism {par:?}"
+            attack(full.as_ref(), par),
+            "the full channel diverged from the raw device on {backend} with parallelism {par:?}"
         );
     }
 }
 
 #[test]
 fn full_channel_attack_is_backend_invariant() {
-    // The attack outcome through the wrapper keeps the invariance the raw
-    // device already guarantees (tests/backend_invariance.rs).
-    let baseline = attack(&FullChannel::new(&device(ConvBackend::Im2colGemm)), Some(1));
-    let got = attack(&FullChannel::new(&device(ConvBackend::SparseCsc)), Some(1));
+    // The attack outcome through the boxed channel keeps the invariance
+    // the raw device already guarantees (tests/backend_invariance.rs).
+    let full = |backend| attack(ChannelKind::Full.model(&device(backend)).as_ref(), Some(1));
+    let baseline = full(ConvBackend::Im2colGemm);
+    let got = full(ConvBackend::SparseCsc);
     assert_eq!(
         baseline, got,
-        "FullChannel outcome diverged on the CSC backend"
+        "the full channel's outcome diverged on the CSC backend"
     );
     let space = baseline.space.as_ref().expect("full channel finalizes");
     assert!(space.k1_candidates.contains(&8));
 }
 
+/// A pruned residual victim: the stem output stays live across the
+/// branch conv and is read again by the `add`.
+fn residual_victim() -> (hd_dnn::graph::Network, hd_dnn::graph::Params) {
+    let mut b = hd_dnn::graph::NetworkBuilder::new(3, 16, 16);
+    let x = b.input();
+    let stem = b.conv(x, 8, 3, 1);
+    let y = b.conv(stem, 8, 3, 1);
+    let j = b.add(stem, y);
+    let x = b.global_avg_pool(j);
+    b.linear(x, 10);
+    let net = b.build();
+    let mut params = hd_dnn::graph::Params::init(&net, 9);
+    let profile = hd_dnn::prune::paper_profile(&net);
+    hd_dnn::prune::apply_sparsity_profile(&net, &mut params, &profile, 9 ^ 0xF00D);
+    (net, params)
+}
+
+#[test]
+fn buffer_reuse_leaves_the_attack_unchanged() {
+    // Recycled DRAM buffers re-version addresses (paper footnote 4); the
+    // attacker must recover the same geometry, ratios and candidates. The
+    // whole outcome cannot match: its `structure` holds addresses.
+    for (name, (net, params)) in [("chain", victim()), ("residual", residual_victim())] {
+        let fresh = Device::new(net.clone(), params.clone(), AccelConfig::eyeriss_v2());
+        let mut cfg = AccelConfig::eyeriss_v2();
+        cfg.reuse_activations = true;
+        let reuse = Device::new(net, params, cfg);
+        let want = attack(&fresh, Some(1));
+        let got = attack(&reuse, Some(1));
+        assert_eq!(got.prober.layers, want.prober.layers, "{name}: geometry");
+        assert_eq!(got.ratios, want.ratios, "{name}: ratios");
+        assert_eq!(got.space, want.space, "{name}: solution space");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The restricted wrappers are *projections*: every field they report
+    /// The restricted channels are *projections*: every field they report
     /// equals the corresponding field of the full channel's observation of
     /// the same image, and every field they hide is uniformly absent —
     /// across randomly drawn victims and probe images.
@@ -129,11 +159,12 @@ proptest! {
         let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
         let image = Tensor3::full(3, 10, 10, fill);
 
-        let full = FullChannel::new(&dev).observe(&image).unwrap();
-        let trace = TraceOnly::new(&dev).observe(&image).unwrap();
-        let timing = TimingOnly::new(&dev).observe(&image).unwrap();
+        let observe = |kind: ChannelKind| kind.model(&dev).observe(&image).unwrap();
+        let full = observe(ChannelKind::Full);
+        let trace = observe(ChannelKind::Trace);
+        let timing = observe(ChannelKind::Timing);
 
-        // Wrapper output is literally the projection of the full evidence.
+        // Channel output is literally the projection of the full evidence.
         prop_assert_eq!(&trace, &full.project(ChannelKind::Trace));
         prop_assert_eq!(&timing, &full.project(ChannelKind::Timing));
 
@@ -175,7 +206,7 @@ proptest! {
         let params = hd_dnn::graph::Params::init(&net, seed);
         let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
         let image = Tensor3::full(3, 8, 8, 0.5);
-        let full = FullChannel::new(&dev).observe(&image).unwrap();
+        let full = ChannelKind::Full.model(&dev).observe(&image).unwrap();
         for kind in [ChannelKind::Trace, ChannelKind::Timing] {
             let once = full.project(kind);
             prop_assert_eq!(&once.project(kind), &once);
