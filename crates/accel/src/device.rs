@@ -10,7 +10,7 @@
 use crate::config::{AccelConfig, ConfigError, Precision};
 use crate::defence::{defence_padding_bytes, Defence, NoiseState};
 use crate::encoder::{encode_timing, EncodeTiming};
-use crate::trace_event::{AccessKind, Trace, TraceEvent, TraceSink};
+use crate::trace_event::{AccessKind, Trace, TraceSink, Transfer};
 use hd_dnn::graph::{ForwardTrace, Network, NodeId, Op, Params, Value};
 use hd_dnn::ForwardCache;
 use hd_tensor::cast;
@@ -293,14 +293,16 @@ impl Device {
         Ok(out)
     }
 
-    /// Executes one inference, streaming each bus event into `sink` as it
-    /// is emitted instead of materializing a [`Trace`].
+    /// Executes one inference, streaming each DRAM transfer into `sink`
+    /// ([`TraceSink::transfer`]) as it is issued instead of materializing
+    /// a [`Trace`].
     ///
     /// This is the memory-bounded observation path: an incremental
     /// analyzer consuming the stream retains only its running state, while
-    /// [`Device::try_run`] (a thin wrapper buffering into a [`Trace`] sink)
-    /// keeps the whole event vector alive for fixtures and CSV export.
-    /// Events reach the sink in nondecreasing `time_ps` order.
+    /// [`Device::try_run`] (a thin wrapper buffering into a [`Trace`] sink,
+    /// which expands each transfer into its bursts) keeps the whole event
+    /// vector alive for fixtures and CSV export. Bursts reach the sink in
+    /// nondecreasing `time_ps` order.
     ///
     /// # Errors
     ///
@@ -320,7 +322,6 @@ impl Device {
         let noise = self.noise_for(image);
         let trace = self.forward_for(image);
         let mut t: u64 = 0;
-        let dram_bw = self.cfg.dram.bandwidth_bytes_per_sec();
 
         // Activation regions are (re)allocated per run. With
         // `reuse_activations`, freed buffers are recycled once their last
@@ -344,15 +345,7 @@ impl Device {
             .bytes;
         let input_region = allocator.alloc(input_bytes);
         act_regions[0] = Some(input_region);
-        t = self.emit_stream(
-            sink,
-            t,
-            input_region.0,
-            input_bytes,
-            AccessKind::Write,
-            bytes_duration_ps(input_bytes, dram_bw),
-            0,
-        );
+        t = self.emit_stream(sink, t, input_region, AccessKind::Write, None);
         hd_obs::counter_add("dram.write.bytes", "input_dma", input_bytes);
         t += PHASE_GAP_PS;
 
@@ -371,15 +364,7 @@ impl Device {
 
             // 1) Weight fetch.
             if let Some((addr, bytes)) = self.weight_regions[id] {
-                t = self.emit_stream(
-                    sink,
-                    t,
-                    addr,
-                    bytes,
-                    AccessKind::Read,
-                    bytes_duration_ps(bytes, dram_bw),
-                    0,
-                );
+                t = self.emit_stream(sink, t, (addr, bytes), AccessKind::Read, None);
                 hd_obs::counter_add("dram.read.bytes", "weights", bytes);
             }
             // 2) Input activation fetch. Layers whose weights exceed the
@@ -391,20 +376,12 @@ impl Device {
                 .unwrap_or(1);
             for _ in 0..passes {
                 for &src in &node.inputs {
-                    let (addr, bytes) = act_regions[src].ok_or(DeviceError::MissingProducer {
+                    let region = act_regions[src].ok_or(DeviceError::MissingProducer {
                         node: id,
                         input: src,
                     })?;
-                    t = self.emit_stream(
-                        sink,
-                        t,
-                        addr,
-                        bytes,
-                        AccessKind::Read,
-                        bytes_duration_ps(bytes, dram_bw),
-                        0,
-                    );
-                    hd_obs::counter_add("dram.read.bytes", "activations", bytes);
+                    t = self.emit_stream(sink, t, region, AccessKind::Read, None);
+                    hd_obs::counter_add("dram.read.bytes", "activations", region.1);
                 }
             }
 
@@ -421,26 +398,10 @@ impl Device {
                         * u64::from(self.cfg.act_bits))
                     .div_ceil(8);
                     let psum_region = allocator.alloc(dense_bytes);
-                    t = self.emit_stream(
-                        sink,
-                        t,
-                        psum_region.0,
-                        dense_bytes,
-                        AccessKind::Write,
-                        bytes_duration_ps(dense_bytes, dram_bw),
-                        0,
-                    );
+                    t = self.emit_stream(sink, t, psum_region, AccessKind::Write, None);
                     hd_obs::counter_add("dram.write.bytes", "psum", dense_bytes);
                     t += PHASE_GAP_PS;
-                    t = self.emit_stream(
-                        sink,
-                        t,
-                        psum_region.0,
-                        dense_bytes,
-                        AccessKind::Read,
-                        bytes_duration_ps(dense_bytes, dram_bw),
-                        0,
-                    );
+                    t = self.emit_stream(sink, t, psum_region, AccessKind::Read, None);
                     hd_obs::counter_add("dram.read.bytes", "psum", dense_bytes);
                 }
             }
@@ -454,7 +415,7 @@ impl Device {
             );
             let region = allocator.alloc(out_bytes);
             act_regions[id] = Some(region);
-            t = self.emit_encode_writes(sink, t, region.0, out_bytes, &timing);
+            t = self.emit_stream(sink, t, region, AccessKind::Write, Some(&timing));
             hd_obs::counter_add("dram.write.bytes", "activations", out_bytes);
             t += PHASE_GAP_PS;
 
@@ -602,22 +563,7 @@ impl Device {
             .encoded_size(v.flat(), self.cfg.act_bits)
             .bytes;
         let edge_zero_cells = match (&self.cfg.defence, v) {
-            (Defence::PadEdges { band }, Value::Map(t)) => {
-                let (h, w) = (t.h(), t.w());
-                let mut zeros = 0usize;
-                for c in 0..t.c() {
-                    for y in 0..h {
-                        for x in 0..w {
-                            let on_edge =
-                                y < *band || x < *band || y + *band >= h || x + *band >= w;
-                            if on_edge && t.at(c, y, x) == 0.0 {
-                                zeros += 1;
-                            }
-                        }
-                    }
-                }
-                zeros
-            }
+            (Defence::PadEdges { band }, Value::Map(t)) => edge_zero_cells(t, *band),
             _ => 0,
         };
         base + defence_padding_bytes(&self.cfg.defence, noise, edge_zero_cells, self.cfg.act_bits)
@@ -643,58 +589,38 @@ impl Device {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Streams the transfer of `region = (addr, bytes)` into `sink` as one
+    /// [`Transfer`] and returns the time its phase ends. A plain transfer
+    /// (`encode: None`) moves at DRAM bandwidth; an encode writeback takes
+    /// the encoder's duration, its first burst `first_write_offset_ps` in.
     fn emit_stream(
         &self,
         sink: &mut dyn TraceSink,
         start_ps: u64,
-        addr: u64,
-        bytes: u64,
+        (addr, bytes): (u64, u64),
         kind: AccessKind,
-        duration_ps: u64,
-        offset_ps: u64,
+        encode: Option<&EncodeTiming>,
     ) -> u64 {
         if bytes == 0 {
             return start_ps;
         }
-        let burst = self.cfg.burst_bytes;
-        let n_bursts = bytes.div_ceil(burst);
-        let window = duration_ps.saturating_sub(offset_ps).max(1);
-        for i in 0..n_bursts {
-            let frac = if n_bursts == 1 {
-                0.0
-            } else {
-                i as f64 / (n_bursts - 1) as f64
-            };
-            let time_ps = start_ps + offset_ps + cast::f64_round_to_u64(frac * window as f64);
-            let this_bytes = burst.min(bytes - i * burst);
-            sink.event(TraceEvent {
-                time_ps,
-                addr: addr + i * burst,
-                kind,
-                bytes: this_bytes,
-            });
-        }
-        start_ps + duration_ps.max(1)
-    }
-
-    fn emit_encode_writes(
-        &self,
-        sink: &mut dyn TraceSink,
-        start_ps: u64,
-        addr: u64,
-        bytes: u64,
-        timing: &EncodeTiming,
-    ) -> u64 {
-        self.emit_stream(
-            sink,
+        let (duration_ps, offset_ps) = match encode {
+            Some(timing) => (timing.duration_ps, timing.first_write_offset_ps),
+            None => (
+                bytes_duration_ps(bytes, self.cfg.dram.bandwidth_bytes_per_sec()),
+                0,
+            ),
+        };
+        sink.transfer(Transfer {
             start_ps,
+            offset_ps,
+            window_ps: duration_ps.saturating_sub(offset_ps).max(1),
             addr,
             bytes,
-            AccessKind::Write,
-            timing.duration_ps,
-            timing.first_write_offset_ps,
-        )
+            burst_bytes: self.cfg.burst_bytes,
+            kind,
+        });
+        start_ps + duration_ps.max(1)
     }
 }
 
@@ -740,6 +666,27 @@ impl ActAllocator {
             self.free.push((region.0, cap));
         }
     }
+}
+
+/// Zero cells within `band` cells of an edge of each channel of `t`.
+/// Only the band is visited: every cell of the top and bottom `band` rows,
+/// and the first and last `band` cells of each row between them.
+fn edge_zero_cells(t: &Tensor3, band: usize) -> usize {
+    let (h, w) = (t.h(), t.w());
+    let left = band.min(w);
+    let right = w.saturating_sub(band).max(left);
+    let mut zeros = 0;
+    for c in 0..t.c() {
+        for y in 0..h {
+            let zero = |&x: &usize| t.at(c, y, x) == 0.0;
+            zeros += if y < band || y + band >= h {
+                (0..w).filter(zero).count()
+            } else {
+                (0..left).chain(right..w).filter(zero).count()
+            };
+        }
+    }
+    zeros
 }
 
 fn align(addr: u64) -> u64 {
@@ -835,6 +782,46 @@ fn effective_macs(net: &Network, params: &Params, id: NodeId) -> Result<f64, Dev
 mod tests {
     use super::*;
     use hd_dnn::graph::NetworkBuilder;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn edge_zero_cells_visits_the_band_like_a_full_scan() {
+        let full_scan = |t: &Tensor3, band: usize| {
+            let (h, w) = (t.h(), t.w());
+            let mut zeros = 0;
+            for c in 0..t.c() {
+                for y in 0..h {
+                    for x in 0..w {
+                        let on_edge = y < band || x < band || y + band >= h || x + band >= w;
+                        zeros += usize::from(on_edge && t.at(c, y, x) == 0.0);
+                    }
+                }
+            }
+            zeros
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xED6E);
+        for _ in 0..64 {
+            let (c, h, w) = (
+                rng.gen_range(1..4usize),
+                rng.gen_range(1..12usize),
+                rng.gen_range(1..12usize),
+            );
+            let mut t = Tensor3::zeros(c, h, w);
+            let density = rng.gen_range(0.0..1.0f64);
+            for v in t.data_mut() {
+                if rng.gen_bool(density) {
+                    *v = rng.gen_range(-1.0..1.0f32);
+                }
+            }
+            for band in [0, 1, h / 2, h.div_ceil(2), h.max(w), h + w + 3] {
+                assert_eq!(
+                    edge_zero_cells(&t, band),
+                    full_scan(&t, band),
+                    "{c}x{h}x{w} map, band {band}"
+                );
+            }
+        }
+    }
 
     fn tiny_device() -> Device {
         let mut b = NetworkBuilder::new(2, 8, 8);

@@ -41,4 +41,4 @@ pub use device::{Device, DeviceError, Oracle};
 pub use encoder::{encode_timing, EncodeBound, EncodeTiming};
 pub use energy::{EnergyModel, EnergyReport};
 pub use pipeline::{simulate_drain, PipelineResult};
-pub use trace_event::{AccessKind, Trace, TraceEvent, TraceSink};
+pub use trace_event::{AccessKind, Trace, TraceEvent, TraceSink, Transfer};

@@ -114,8 +114,8 @@ fn schema_guard() {
 }
 
 /// Buffered-vs-streaming memory for one representative probe trace: the
-/// buffered path retains every bus event; the streaming analyzer's
-/// transient state peaks at one encode window of pending reads.
+/// buffered path retains every bus event; the streaming analyzer, fed
+/// whole transfers, peaks at one encode window of pending read transfers.
 fn memory_comparison(device: &hd_accel::Device) -> (usize, usize) {
     let shape = device.input_shape();
     let mut img = hd_tensor::Tensor3::zeros(shape.c, shape.h, shape.w);

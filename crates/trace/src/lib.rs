@@ -49,6 +49,10 @@ impl TensorObs {
     fn contains(&self, addr: u64) -> bool {
         addr >= self.addr_lo && addr < self.addr_hi
     }
+
+    fn overlaps(&self, lo: u64, hi: u64) -> bool {
+        self.addr_lo < hi && lo < self.addr_hi
+    }
 }
 
 /// One inferred layer execution.

@@ -11,12 +11,19 @@
 //! On a device that recycles its DRAM buffers (paper footnote 4) addresses
 //! are re-versioned, and the analysis must instead equal, layer for layer,
 //! the oracle's analysis of the fresh-allocation trace.
+//!
+//! The analyzer also takes whole transfers ([`TraceSink::transfer`]), and
+//! there the burst stream is the oracle: random transfer sequences, and
+//! device runs under every defence with and without buffer reuse, must
+//! analyze exactly as their bursts fed one by one through `event`.
 
-use hd_accel::{AccelConfig, AccessKind, Device, Trace, TraceEvent, TraceSink};
+use hd_accel::{AccelConfig, AccessKind, Defence, Device, Trace, TraceEvent, TraceSink, Transfer};
 use hd_dnn::graph::{Network, NetworkBuilder, Params};
 use hd_tensor::Tensor3;
 use hd_trace::{analyze, AnalyzeTraceError, LayerObs, StreamingAnalyzer, TensorObs, TraceAnalysis};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -339,8 +346,126 @@ proptest! {
             prop_assert!(sink.peak_pending_reads() < trace.len());
             prop_assert_eq!(sink.finish().unwrap(), buffered);
             prop_assert!(assert_reuse_matches_fresh(&net, &params, dev.config(), img));
+            assert_transfers_analyze_like_bursts(&net, &params, img, seed);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Whole transfers analyze exactly as their bursts do, on random
+    /// transfer sequences built to hit every fallback of the range path.
+    /// A third of the cases hand some transfers over burst by burst, so
+    /// single reads queue behind whole ones.
+    #[test]
+    fn transfers_analyze_like_their_bursts(seed in 0u64..u64::MAX) {
+        let transfers = random_transfers(seed);
+        let mixed = seed % 3 == 0;
+        let mut whole = StreamingAnalyzer::new();
+        let mut bursts = StreamingAnalyzer::new();
+        let mut latest = None;
+        let mut stepped_back = false;
+        for (i, &t) in transfers.iter().enumerate() {
+            let split = mixed && (seed >> (i % 64)) & 1 == 1;
+            if !split {
+                whole.transfer(t);
+            }
+            for i in 0..t.bursts() {
+                let b = t.burst(i);
+                stepped_back |= latest.is_some_and(|l| b.time_ps < l);
+                latest = latest.max(Some(b.time_ps));
+                bursts.event(b);
+                if split {
+                    whole.event(b);
+                }
+            }
+        }
+        let want = bursts.finish();
+        prop_assert_eq!(stepped_back, want == Err(AnalyzeTraceError::UnsortedEvents));
+        prop_assert_eq!(whole.finish(), want, "transfers {:?}", transfers);
+    }
+}
+
+/// Device runs under every defence, with fresh and recycled buffers: the
+/// analyzer fed whole transfers equals `analyze` of the buffered bursts.
+fn assert_transfers_analyze_like_bursts(net: &Network, params: &Params, img: &Tensor3, seed: u64) {
+    let defences = [
+        Defence::None,
+        Defence::PadEdges { band: 1 },
+        Defence::RandomZeros {
+            max_bytes: 96,
+            seed,
+        },
+        Defence::NnRearch { tile: 4 },
+    ];
+    for defence in defences {
+        for reuse_activations in [false, true] {
+            let mut cfg = AccelConfig::eyeriss_v2();
+            cfg.defence = defence.clone();
+            cfg.reuse_activations = reuse_activations;
+            let dev = Device::new(net.clone(), params.clone(), cfg);
+            let want = analyze(&dev.try_run(img).unwrap());
+            let mut sink = StreamingAnalyzer::new();
+            dev.try_run_with(img, &mut sink).unwrap();
+            assert_eq!(
+                sink.finish(),
+                want,
+                "{defence:?}, reuse_activations = {reuse_activations}"
+            );
+        }
+    }
+}
+
+/// A random transfer sequence over a small address grid: writes abut,
+/// overlap and re-version each other (a newer tensor may cover only the
+/// middle of an older one), and reads span several tensors, window edges
+/// and never-written memory. Transfers mostly follow each other in time,
+/// often touching (the next first burst at the previous last burst, so a
+/// read's last burst lands on the next write's first), and now and then
+/// step back in time. Windows of 0 and 1 ps and single-burst transfers
+/// are common.
+fn random_transfers(seed: u64) -> Vec<Transfer> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut clock = 0u64;
+    let n = rng.gen_range(1..32);
+    (0..n)
+        .map(|_| {
+            let kind = if rng.gen_bool(0.4) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let addr = if kind == AccessKind::Read && rng.gen_bool(0.2) {
+                0x8000 + 64 * rng.gen_range(0..4u64)
+            } else {
+                0x1000 + 48 * rng.gen_range(0..16u64)
+            };
+            let first_ps = if rng.gen_bool(0.02) {
+                clock.saturating_sub(rng.gen_range(1..50u64))
+            } else if rng.gen_bool(0.3) {
+                clock
+            } else {
+                clock + rng.gen_range(1..200u64)
+            };
+            let offset_ps = rng.gen_range(0..=first_ps.min(20));
+            let t = Transfer {
+                start_ps: first_ps - offset_ps,
+                offset_ps,
+                window_ps: match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => 1,
+                    _ => rng.gen_range(2..400u64),
+                },
+                addr,
+                bytes: rng.gen_range(1..=320u64),
+                burst_bytes: [1, 7, 16, 64][rng.gen_range(0..4usize)],
+                kind,
+            };
+            clock = clock.max(t.last_burst().time_ps);
+            t
+        })
+        .collect()
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! bit-identical to probing the raw `Device` — same `AttackOutcome`, byte
 //! for byte — across conv backends and prober parallelism; the restricted
 //! channels observe *exact projections* of the full channel's evidence
-//! (never independently-measured, possibly-diverging views); and a device
+//! (never independently-measured, possibly-diverging views); a device
 //! that recycles its DRAM buffers yields the same attack as one that
-//! allocates fresh.
+//! allocates fresh; and the full channel, which analyzes whole DRAM
+//! transfers, observes exactly what the buffered burst trace shows.
 //!
 //! The first property is what makes the ObservationModel boundary safe to
 //! introduce: every pre-existing result (golden fixtures included) is
@@ -14,7 +15,7 @@
 
 use hd_tensor::ConvBackend;
 use huffduff::prelude::*;
-use huffduff_core::{AttackConfig, AttackOutcome, ChannelKind, ObservationModel};
+use huffduff_core::{AttackConfig, AttackOutcome, ChannelKind, Observation, ObservationModel};
 use proptest::prelude::*;
 
 fn victim() -> (hd_dnn::graph::Network, hd_dnn::graph::Params) {
@@ -133,6 +134,45 @@ fn buffer_reuse_leaves_the_attack_unchanged() {
         assert_eq!(got.prober.layers, want.prober.layers, "{name}: geometry");
         assert_eq!(got.ratios, want.ratios, "{name}: ratios");
         assert_eq!(got.space, want.space, "{name}: solution space");
+    }
+}
+
+#[test]
+fn full_channel_observes_what_the_burst_trace_shows() {
+    // The device hands the analyzer whole transfers; the buffered trace of
+    // bursts, replayed through `analyze`, is the oracle.
+    let defences = [
+        hd_accel::Defence::None,
+        hd_accel::Defence::PadEdges { band: 1 },
+        hd_accel::Defence::RandomZeros {
+            max_bytes: 128,
+            seed: 5,
+        },
+        hd_accel::Defence::NnRearch { tile: 4 },
+    ];
+    let mut stripe = Tensor3::zeros(3, 16, 16);
+    for y in 0..16 {
+        stripe.set(0, y, 7, 1.0);
+    }
+    let images = [Tensor3::full(3, 16, 16, 0.5), stripe];
+    for (name, (net, params)) in [("chain", victim()), ("residual", residual_victim())] {
+        for defence in &defences {
+            for reuse_activations in [false, true] {
+                let mut cfg = AccelConfig::eyeriss_v2();
+                cfg.defence = defence.clone();
+                cfg.reuse_activations = reuse_activations;
+                let dev = Device::new(net.clone(), params.clone(), cfg);
+                let full = ChannelKind::Full.model(&dev);
+                for image in &images {
+                    let bursts = hd_trace::analyze(&dev.try_run(image).unwrap()).unwrap();
+                    assert_eq!(
+                        full.observe(image).unwrap(),
+                        Observation::from_trace(bursts),
+                        "{name}, {defence:?}, reuse_activations = {reuse_activations}"
+                    );
+                }
+            }
+        }
     }
 }
 
