@@ -151,9 +151,9 @@ impl NoiseState {
 
 /// Extra transfer bytes the defence adds for one output tensor.
 ///
-/// `edge_zero_cells` is the number of zero-valued cells inside the
-/// protected boundary band (they would have been elided), and `elem_bits`
-/// the activation width.
+/// `edge_zero_cells` is the number of cells inside the protected boundary
+/// band that the codec would elide (zero under `hd_tensor::nnz`), and
+/// `elem_bits` the activation width.
 pub fn defence_padding_bytes(
     defence: &Defence,
     noise: &NoiseState,

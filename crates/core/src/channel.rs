@@ -280,7 +280,8 @@ impl fmt::Display for ChannelKind {
 pub enum ObserveError {
     /// The bus trace could not be analyzed into tensors and layers.
     Trace(hd_trace::AnalyzeTraceError),
-    /// The device simulation itself failed (malformed victim graph).
+    /// The device refused the image (its shape is not the device's input
+    /// shape).
     Device(DeviceError),
     /// The channel does not exist on this target (e.g. the GEMM channel on
     /// a device whose conv backend never issues GEMM calls).
@@ -329,8 +330,8 @@ pub trait ObservationModel: Sync {
 }
 
 /// The full-channel observation of one device run: stream the bus events
-/// through the incremental analyzer (bounded memory), surface simulation
-/// failures as typed errors instead of panicking.
+/// through the incremental analyzer (bounded memory), surface a refused
+/// image as a typed error instead of panicking.
 fn observe_device(device: &Device, image: &Tensor3) -> Result<Observation, ObserveError> {
     let mut sink = StreamingAnalyzer::new();
     device

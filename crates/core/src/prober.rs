@@ -280,9 +280,8 @@ impl ProberResult {
 pub enum ProbeError {
     /// The bus trace could not be analyzed.
     Trace(hd_trace::AnalyzeTraceError),
-    /// The device simulation itself failed (malformed victim graph). The
-    /// pre-redesign boundary panicked here; the typed variant lets callers
-    /// probing many victims skip the broken one.
+    /// The device refused a probe image (its shape is not the device's
+    /// input shape); callers probing many targets can skip this one.
     Device(hd_accel::DeviceError),
     /// The chosen observation channel does not exist on this target.
     ChannelUnavailable(&'static str),
@@ -1467,44 +1466,34 @@ mod tests {
         assert!(err.to_string().contains("Some(1)"), "{err}");
     }
 
-    /// The redesign's panic-removal regression: a malformed victim graph
-    /// (stray `Input` node, unreachable via `NetworkBuilder`) used to abort
-    /// the whole campaign inside `probe_into`; it must now surface as
-    /// [`ProbeError::Device`].
+    /// A failing device run surfaces as [`ProbeError::Device`] instead of
+    /// aborting the campaign: here the target advertises an input shape
+    /// its device does not accept, so every probe image is refused.
     #[test]
     fn failing_device_surfaces_probe_error_instead_of_aborting() {
-        use hd_dnn::graph::{ConvSpec, Network, Node, Op, ValueShape};
-        let shape = Shape3::new(2, 8, 8);
-        let net = Network::from_raw_parts(
-            vec![
-                Node {
-                    op: Op::Input,
-                    inputs: vec![],
-                },
-                Node {
-                    op: Op::Input,
-                    inputs: vec![],
-                },
-                Node {
-                    op: Op::Conv(ConvSpec::standard(4, 3, 1)),
-                    inputs: vec![1],
-                },
-            ],
-            shape,
-            vec![
-                ValueShape::Map(shape),
-                ValueShape::Map(shape),
-                ValueShape::Map(Shape3::new(4, 8, 8)),
-            ],
-            vec!["input0".into(), "input1".into(), "conv2".into()],
-        );
+        struct Misadvertised(Device);
+        impl ObservationModel for Misadvertised {
+            fn input_shape(&self) -> Shape3 {
+                Shape3::new(2, 6, 6)
+            }
+            fn observe(&self, image: &Tensor3) -> Result<Observation, ObserveError> {
+                self.0.observe(image)
+            }
+        }
+        let mut b = NetworkBuilder::new(2, 8, 8);
+        let x = b.input();
+        b.conv(x, 4, 3, 1);
+        let net = b.build();
         let params = Params::init(&net, 1);
-        let dev = Device::new_unchecked(net, params, AccelConfig::eyeriss_v2());
+        let target = Misadvertised(Device::new(net, params, AccelConfig::eyeriss_v2()));
         for parallelism in [Some(1), Some(4)] {
-            let err = probe(&dev, &small_cfg().with_parallelism(parallelism)).unwrap_err();
+            let err = probe(&target, &small_cfg().with_parallelism(parallelism)).unwrap_err();
             assert_eq!(
                 err,
-                ProbeError::Device(hd_accel::DeviceError::MissingProducer { node: 2, input: 1 }),
+                ProbeError::Device(hd_accel::DeviceError::InputShape {
+                    expected: Shape3::new(2, 8, 8),
+                    got: Shape3::new(2, 6, 6),
+                }),
                 "parallelism {parallelism:?}"
             );
         }

@@ -8,7 +8,8 @@
 //! geometry directly.
 
 use crate::sparse_forward::{walk, Walk};
-use hd_tensor::conv::{conv_out_dim, BackendPolicy, ConvBackend, Padding};
+use crate::verify::{implied_shape, Severity};
+use hd_tensor::conv::{BackendPolicy, ConvBackend, Padding};
 use hd_tensor::norm::Affine;
 use hd_tensor::pool::PoolKind;
 use hd_tensor::{Shape3, Tensor3, Tensor4};
@@ -199,12 +200,12 @@ pub struct Network {
 impl Network {
     /// Assembles a network from pre-built parts **without validation**.
     ///
-    /// [`NetworkBuilder`] runs eager shape inference and is the supported
-    /// construction path; this escape hatch exists for tests (and future
-    /// deserializers) that need to materialize graphs the builder would
-    /// reject — e.g. to exercise [`hd-accel`]'s typed device errors on
-    /// malformed graphs. `nodes`, `shapes`, and `names` must be
-    /// index-aligned.
+    /// [`NetworkBuilder`] takes every shape from the verifier's rule and is
+    /// the supported construction path. This escape hatch exists for tests
+    /// (and future deserializers) that need graphs the builder would
+    /// reject, e.g. to pin what [`crate::verify`] reports on them and that
+    /// `hd_accel::Device::try_new` refuses them. `nodes`, `shapes`, and
+    /// `names` must be index-aligned.
     ///
     /// # Panics
     ///
@@ -248,6 +249,11 @@ impl Network {
     /// Output shape of node `id`.
     pub fn value_shape(&self, id: NodeId) -> ValueShape {
         self.shapes[id]
+    }
+
+    /// Output shapes of every node, indexed by id.
+    pub(crate) fn shapes(&self) -> &[ValueShape] {
+        &self.shapes
     }
 
     /// Debug name of node `id`.
@@ -633,15 +639,15 @@ impl Params {
 
 /// Incremental builder for [`Network`].
 ///
-/// Nodes are appended in topological order; shape inference runs eagerly so
-/// geometry errors surface at construction time.
+/// Nodes are appended in topological order. Each node takes its shape from
+/// [`implied_shape`], the rule [`crate::verify`] checks, so geometry errors
+/// surface at construction time with the verifier's message.
 #[derive(Debug)]
 pub struct NetworkBuilder {
     nodes: Vec<Node>,
     shapes: Vec<ValueShape>,
     names: Vec<String>,
     input_shape: Shape3,
-    input_added: bool,
 }
 
 impl NetworkBuilder {
@@ -652,7 +658,6 @@ impl NetworkBuilder {
             shapes: Vec::new(),
             names: Vec::new(),
             input_shape: Shape3::new(c, h, w),
-            input_added: false,
         }
     }
 
@@ -662,29 +667,39 @@ impl NetworkBuilder {
     ///
     /// Panics if called twice.
     pub fn input(&mut self) -> NodeId {
-        assert!(!self.input_added, "input() may only be called once");
-        self.input_added = true;
-        self.push(
-            Op::Input,
-            vec![],
-            ValueShape::Map(self.input_shape),
-            "input",
-        )
+        assert!(self.nodes.is_empty(), "input() may only be called once");
+        self.push(Op::Input, vec![], "input")
     }
 
-    fn push(&mut self, op: Op, inputs: Vec<NodeId>, shape: ValueShape, name: &str) -> NodeId {
+    fn push(&mut self, op: Op, inputs: Vec<NodeId>, prefix: &str) -> NodeId {
+        let name = format!("{prefix}{}", self.nodes.len());
+        self.push_named(op, inputs, name)
+    }
+
+    /// Appends `op` reading `inputs` under the debug name `name`, with the
+    /// output shape [`implied_shape`] gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the verifier's message if the shape rule reports an
+    /// error, e.g. a zero stride or a residual join of unequal maps.
+    pub(crate) fn push_named(&mut self, op: Op, inputs: Vec<NodeId>, name: String) -> NodeId {
+        let (shape, findings) = implied_shape(&op, &inputs, &self.shapes, self.input_shape);
+        let errors: Vec<String> = findings
+            .iter()
+            .filter(|f| f.severity() == Severity::Error)
+            .map(ToString::to_string)
+            .collect();
+        assert!(
+            shape.is_some() && errors.is_empty(),
+            "{name}: {}",
+            errors.join("; ")
+        );
         let id = self.nodes.len();
         self.nodes.push(Node { op, inputs });
-        self.shapes.push(shape);
-        self.names.push(format!("{name}{id}"));
+        self.shapes.extend(shape);
+        self.names.push(name);
         id
-    }
-
-    fn map_shape(&self, id: NodeId) -> Shape3 {
-        self.shapes[id]
-            .as_map()
-            // hd-lint: allow(no-panic) -- builder-internal: every op below requires a map-producing input
-            .unwrap_or_else(|| panic!("node {id} does not produce an activation map"))
     }
 
     /// Standard CONV+BN+ReLU layer.
@@ -694,30 +709,18 @@ impl NetworkBuilder {
 
     /// Convolution with full control over the spec.
     pub fn conv_spec(&mut self, x: NodeId, spec: ConvSpec) -> NodeId {
-        let s = self.map_shape(x);
-        let oh = conv_out_dim(s.h, spec.kernel, spec.stride, spec.padding);
-        let ow = conv_out_dim(s.w, spec.kernel, spec.stride, spec.padding);
-        let shape = ValueShape::Map(Shape3::new(spec.out_channels, oh, ow));
-        self.push(Op::Conv(spec), vec![x], shape, "conv")
+        self.push(Op::Conv(spec), vec![x], "conv")
     }
 
     /// Depthwise CONV+BN+ReLU layer.
     pub fn dwconv(&mut self, x: NodeId, kernel: usize, stride: usize, relu: bool) -> NodeId {
-        let s = self.map_shape(x);
-        let oh = conv_out_dim(s.h, kernel, stride, Padding::Same);
-        let ow = conv_out_dim(s.w, kernel, stride, Padding::Same);
-        let shape = ValueShape::Map(Shape3::new(s.c, oh, ow));
-        self.push(
-            Op::DwConv {
-                kernel,
-                stride,
-                batch_norm: true,
-                relu,
-            },
-            vec![x],
-            shape,
-            "dwconv",
-        )
+        let op = Op::DwConv {
+            kernel,
+            stride,
+            batch_norm: true,
+            relu,
+        };
+        self.push(op, vec![x], "dwconv")
     }
 
     /// Max pooling.
@@ -731,9 +734,7 @@ impl NetworkBuilder {
     }
 
     fn pool(&mut self, x: NodeId, factor: usize, kind: PoolKind) -> NodeId {
-        let s = self.map_shape(x);
-        let shape = ValueShape::Map(Shape3::new(s.c, s.h / factor, s.w / factor));
-        self.push(Op::Pool { factor, kind }, vec![x], shape, "pool")
+        self.push(Op::Pool { factor, kind }, vec![x], "pool")
     }
 
     /// Residual join with ReLU.
@@ -747,22 +748,17 @@ impl NetworkBuilder {
 
     /// Residual join with optional ReLU.
     pub fn add_opts(&mut self, a: NodeId, b: NodeId, relu: bool) -> NodeId {
-        let sa = self.map_shape(a);
-        let sb = self.map_shape(b);
-        assert_eq!(sa, sb, "residual join of mismatched shapes {sa} vs {sb}");
-        self.push(Op::Add { relu }, vec![a, b], ValueShape::Map(sa), "add")
+        self.push(Op::Add { relu }, vec![a, b], "add")
     }
 
     /// Global average pooling (map -> vector).
     pub fn global_avg_pool(&mut self, x: NodeId) -> NodeId {
-        let s = self.map_shape(x);
-        self.push(Op::GlobalAvgPool, vec![x], ValueShape::Vector(s.c), "gap")
+        self.push(Op::GlobalAvgPool, vec![x], "gap")
     }
 
     /// Flatten (map -> vector).
     pub fn flatten(&mut self, x: NodeId) -> NodeId {
-        let s = self.map_shape(x);
-        self.push(Op::Flatten, vec![x], ValueShape::Vector(s.len()), "flatten")
+        self.push(Op::Flatten, vec![x], "flatten")
     }
 
     /// Fully connected layer without activation (e.g. final logits).
@@ -770,18 +766,10 @@ impl NetworkBuilder {
         self.linear_opts(x, out_features, false)
     }
 
-    /// Fully connected layer with optional ReLU.
+    /// Fully connected layer with optional ReLU; its input must be a
+    /// vector (insert flatten/global_avg_pool first).
     pub fn linear_opts(&mut self, x: NodeId, out_features: usize, relu: bool) -> NodeId {
-        assert!(
-            matches!(self.shapes[x], ValueShape::Vector(_)),
-            "linear layers require a vector input; insert flatten/global_avg_pool first"
-        );
-        self.push(
-            Op::Linear { out_features, relu },
-            vec![x],
-            ValueShape::Vector(out_features),
-            "fc",
-        )
+        self.push(Op::Linear { out_features, relu }, vec![x], "fc")
     }
 
     /// Finalizes the network.
@@ -790,7 +778,7 @@ impl NetworkBuilder {
     ///
     /// Panics if no input node was added.
     pub fn build(self) -> Network {
-        assert!(self.input_added, "network has no input node");
+        assert!(!self.nodes.is_empty(), "network has no input node");
         Network {
             nodes: self.nodes,
             input_shape: self.input_shape,
@@ -900,6 +888,63 @@ mod tests {
         let mut b = NetworkBuilder::new(1, 4, 4);
         let x = b.input();
         b.linear(x, 2);
+    }
+
+    #[test]
+    fn builder_refuses_what_verify_rejects_with_its_message() {
+        use crate::verify::DiagKind;
+        type Build<'a> = &'a dyn Fn(&mut NetworkBuilder, NodeId) -> NodeId;
+        let refusal = |build: Build| -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut b = NetworkBuilder::new(1, 4, 4);
+                let x = b.input();
+                build(&mut b, x);
+            }))
+            .expect_err("the builder must refuse this node");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let zero = |attr| DiagKind::ZeroAttr { attr };
+        let (map, wide) = (Shape3::new(1, 4, 4), Shape3::new(3, 4, 4));
+        let valid5 = ConvSpec {
+            padding: Padding::Valid,
+            ..ConvSpec::standard(2, 5, 1)
+        };
+        let too_big = DiagKind::StrideExceedsInput {
+            kernel: 5,
+            stride: 1,
+            input: map,
+        };
+        let cases: [(Build, String); 5] = [
+            (
+                &|b, x| b.max_pool(x, 0),
+                format!("pool1: {}", zero("factor")),
+            ),
+            (
+                &|b, x| b.conv(x, 2, 3, 0),
+                format!("conv1: {}", zero("stride")),
+            ),
+            (
+                &|b, x| b.dwconv(x, 3, 0, true),
+                format!("dwconv1: {}", zero("stride")),
+            ),
+            (&|b, x| b.conv_spec(x, valid5), format!("conv1: {too_big}")),
+            (
+                &|b, x| {
+                    let y = b.conv(x, 3, 3, 1);
+                    b.add(x, y)
+                },
+                format!(
+                    "add2: {}",
+                    DiagKind::AddMismatch {
+                        left: map,
+                        right: wide
+                    }
+                ),
+            ),
+        ];
+        for (build, want) in cases {
+            assert_eq!(refusal(build), want);
+        }
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! (orphaned BN length, mismatched residual operands) is a bug, not a
 //! victim.
 
-use crate::graph::{LayerParams, Network, Node, NodeId, Op, Params, ValueShape};
-use hd_tensor::conv::{conv_out_dim, Padding};
+use crate::graph::{
+    ConvSpec, LayerParams, Network, NetworkBuilder, NodeId, Op, Params, ValueShape,
+};
 use hd_tensor::norm::Affine;
-use hd_tensor::Shape3;
 
 /// Configuration for [`structured_prune`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -254,13 +254,14 @@ fn slice_affine(bn: &Affine, keep: &[bool]) -> Affine {
 /// Physically rewrites `net`/`params` according to `plan`: producer `K`
 /// axes, consumer `C` axes, biases, BN affines, and the flatten/GAP-fed
 /// linear head all shrink to the surviving channels. Returns the new
-/// network and parameters; shapes are re-inferred from scratch.
+/// network and parameters; every shape comes from
+/// [`implied_shape`](crate::verify::implied_shape).
 ///
 /// # Panics
 ///
-/// Panics if `plan` was built for a different graph, or if the rewrite
-/// produces a graph that fails [`crate::verify`] (an internal invariant:
-/// dangling channels are a bug, not a result).
+/// Panics if `plan` was built for a different graph, or if the rewritten
+/// graph breaks the shape rule (an internal invariant: dangling channels
+/// are a bug, not a result).
 pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Network, Params) {
     assert_eq!(
         plan.keep.len(),
@@ -268,20 +269,13 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
         "plan built for a different graph"
     );
     let n = net.len();
-    let mut nodes: Vec<Node> = Vec::with_capacity(n);
-    let mut shapes: Vec<ValueShape> = Vec::with_capacity(n);
+    let input = net.input_shape();
+    let mut builder = NetworkBuilder::new(input.c, input.h, input.w);
     let mut layers: Vec<Option<LayerParams>> = Vec::with_capacity(n);
     // Element-level keep mask per node output: channel mask for maps,
     // expanded per-element mask for vectors (drives linear-column slicing).
     let mut out_keep: Vec<Vec<bool>> = Vec::with_capacity(n);
 
-    let map_shape = |shapes: &[ValueShape], id: NodeId| -> Shape3 {
-        match shapes[id] {
-            ValueShape::Map(s) => s,
-            // hd-lint: allow(no-panic) -- restructure only runs on verify-clean graphs where map consumers read map producers
-            ValueShape::Vector(_) => panic!("node {id} does not produce an activation map"),
-        }
-    };
     let keep_of = |plan: &ChannelPlan, id: NodeId| -> Vec<bool> {
         match &plan.keep[id] {
             Some(k) => k.clone(),
@@ -291,20 +285,19 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
     };
 
     for (id, node) in net.nodes().iter().enumerate() {
+        let mut op = node.op.clone();
         match &node.op {
             Op::Input => {
-                nodes.push(node.clone());
-                shapes.push(ValueShape::Map(net.input_shape()));
                 layers.push(None);
-                out_keep.push(vec![true; net.input_shape().c]);
+                out_keep.push(vec![true; input.c]);
             }
             Op::Conv(spec) => {
-                let src = node.inputs[0];
-                let in_shape = map_shape(&shapes, src);
-                let in_keep = &out_keep[src];
+                let in_keep = &out_keep[node.inputs[0]];
                 let ch_keep = keep_of(plan, id);
-                let mut new_spec = *spec;
-                new_spec.out_channels = count(&ch_keep);
+                op = Op::Conv(ConvSpec {
+                    out_channels: count(&ch_keep),
+                    ..*spec
+                });
                 let lp = match &params.layers[id] {
                     Some(LayerParams::Conv { w, b, bn }) => LayerParams::Conv {
                         w: w.select_k(&ch_keep).select_c(in_keep),
@@ -314,30 +307,11 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
                     // hd-lint: allow(no-panic) -- verify-clean graphs carry conv params on conv nodes
                     other => panic!("conv node {id} has no conv params: {other:?}"),
                 };
-                let oh = conv_out_dim(
-                    in_shape.h,
-                    new_spec.kernel,
-                    new_spec.stride,
-                    new_spec.padding,
-                );
-                let ow = conv_out_dim(
-                    in_shape.w,
-                    new_spec.kernel,
-                    new_spec.stride,
-                    new_spec.padding,
-                );
-                nodes.push(Node {
-                    op: Op::Conv(new_spec),
-                    inputs: node.inputs.clone(),
-                });
-                shapes.push(ValueShape::Map(Shape3::new(new_spec.out_channels, oh, ow)));
                 layers.push(Some(lp));
                 out_keep.push(ch_keep);
             }
-            Op::DwConv { kernel, stride, .. } => {
-                let src = node.inputs[0];
-                let in_shape = map_shape(&shapes, src);
-                let ch_keep = out_keep[src].clone();
+            Op::DwConv { .. } => {
+                let ch_keep = out_keep[node.inputs[0]].clone();
                 let lp = match &params.layers[id] {
                     Some(LayerParams::DwConv { w, bn }) => LayerParams::DwConv {
                         w: w.select_k(&ch_keep),
@@ -346,63 +320,27 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
                     // hd-lint: allow(no-panic) -- verify-clean graphs carry dwconv params on dwconv nodes
                     other => panic!("dwconv node {id} has no dwconv params: {other:?}"),
                 };
-                let oh = conv_out_dim(in_shape.h, *kernel, *stride, Padding::Same);
-                let ow = conv_out_dim(in_shape.w, *kernel, *stride, Padding::Same);
-                nodes.push(node.clone());
-                shapes.push(ValueShape::Map(Shape3::new(count(&ch_keep), oh, ow)));
                 layers.push(Some(lp));
                 out_keep.push(ch_keep);
             }
-            Op::Pool { factor, .. } => {
-                let src = node.inputs[0];
-                let s = map_shape(&shapes, src);
-                nodes.push(node.clone());
-                shapes.push(ValueShape::Map(Shape3::new(
-                    s.c,
-                    s.h / factor,
-                    s.w / factor,
-                )));
-                layers.push(None);
-                out_keep.push(out_keep[src].clone());
-            }
-            Op::Add { .. } => {
-                let s = map_shape(&shapes, node.inputs[0]);
-                nodes.push(node.clone());
-                shapes.push(ValueShape::Map(s));
+            Op::Pool { .. } | Op::Add { .. } | Op::GlobalAvgPool => {
                 layers.push(None);
                 out_keep.push(out_keep[node.inputs[0]].clone());
             }
-            Op::GlobalAvgPool => {
-                let src = node.inputs[0];
-                let s = map_shape(&shapes, src);
-                nodes.push(node.clone());
-                shapes.push(ValueShape::Vector(s.c));
-                layers.push(None);
-                out_keep.push(out_keep[src].clone());
-            }
             Op::Flatten => {
-                let src = node.inputs[0];
-                let new_shape = map_shape(&shapes, src);
                 // Expand the channel mask over the *original* map layout:
                 // flatten is channel-major, so channel k owns h*w columns.
-                let old_shape = match net.value_shape(src) {
-                    ValueShape::Map(s) => s,
-                    // hd-lint: allow(no-panic) -- flatten reads a map in any verify-clean graph
-                    ValueShape::Vector(_) => panic!("flatten input {src} is not a map"),
-                };
-                let plane = old_shape.h * old_shape.w;
-                let mut elems = Vec::with_capacity(old_shape.len());
-                for &keep_ch in &out_keep[src] {
-                    elems.extend(std::iter::repeat_n(keep_ch, plane));
-                }
-                nodes.push(node.clone());
-                shapes.push(ValueShape::Vector(new_shape.len()));
+                let src = node.inputs[0];
+                let plane = net.value_shape(src).len() / out_keep[src].len().max(1);
+                let elems = out_keep[src]
+                    .iter()
+                    .flat_map(|&keep_ch| std::iter::repeat_n(keep_ch, plane))
+                    .collect();
                 layers.push(None);
                 out_keep.push(elems);
             }
             Op::Linear { out_features, .. } => {
-                let src = node.inputs[0];
-                let in_keep = &out_keep[src];
+                let in_keep = &out_keep[node.inputs[0]];
                 let new_in = count(in_keep);
                 let lp = match &params.layers[id] {
                     Some(LayerParams::Linear {
@@ -429,18 +367,13 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
                     // hd-lint: allow(no-panic) -- verify-clean graphs carry linear params on linear nodes
                     other => panic!("linear node {id} has no linear params: {other:?}"),
                 };
-                nodes.push(node.clone());
-                shapes.push(ValueShape::Vector(*out_features));
                 layers.push(Some(lp));
                 out_keep.push(vec![true; *out_features]);
             }
         }
+        builder.push_named(op, node.inputs.clone(), net.name(id).to_string());
     }
-
-    let names = (0..n).map(|id| net.name(id).to_string()).collect();
-    let new_net = Network::from_raw_parts(nodes, net.input_shape(), shapes, names);
-    let new_params = Params { layers };
-    (new_net, new_params)
+    (builder.build(), Params { layers })
 }
 
 /// A structured-pruning result: the rewritten network and parameters plus

@@ -1,17 +1,16 @@
 //! Static verification of a [`Network`] (and optionally its [`Params`])
 //! *before* execution.
 //!
-//! [`NetworkBuilder`](crate::graph::NetworkBuilder) rejects malformed
-//! geometry eagerly, but graphs assembled through
-//! [`Network::from_raw_parts`] — tests, future deserializers, fuzzers —
-//! carry whatever shapes their author recorded. Until this pass existed,
-//! such graphs were accepted silently and failed deep inside
-//! `hd_accel::Device::run` (or worse, produced a plausible-looking trace
-//! from inconsistent shape bookkeeping). `verify` re-infers every node's
-//! output shape from its op and inputs, checks the graph topology, params
-//! consistency, buffer-capacity limits, and backend preconditions, and
-//! reports every problem as a typed [`Diagnostic`] with the layer path and
-//! the expected/actual shapes.
+//! One shape rule, [`implied_shape`], decides what each node's output
+//! shape is and which findings the node itself raises.
+//! [`NetworkBuilder`](crate::graph::NetworkBuilder) and structured pruning
+//! take their shapes from it and refuse its errors eagerly. Graphs
+//! assembled through [`Network::from_raw_parts`] (tests, future
+//! deserializers, fuzzers) carry whatever shapes their author recorded, so
+//! `verify` runs the same rule over every node and compares. It also
+//! checks the graph topology, params consistency, buffer-capacity limits,
+//! and backend preconditions, and reports every problem as a typed
+//! [`Diagnostic`] with the layer path and the expected/actual shapes.
 //!
 //! The same diagnostics back two frontends:
 //!
@@ -447,50 +446,38 @@ pub fn verify(net: &Network, params: Option<&Params>, limits: &Limits) -> Vec<Di
         return diags;
     }
 
-    // --- Topology: one input at node 0, back-references only. ---
+    // --- Topology and shapes: one input at node 0, then the shape rule. ---
     let first_ok = matches!(net.nodes()[0].op, Op::Input)
         && net.value_shape(0) == ValueShape::Map(net.input_shape());
     if !first_ok {
         diags.push(Diagnostic::global(DiagKind::NoInput));
     }
+    let shapes = net.shapes();
     let mut consumers = vec![0usize; net.len()];
     for (id, node) in net.nodes().iter().enumerate() {
         if id > 0 && matches!(node.op, Op::Input) {
             diags.push(Diagnostic::at(net, id, DiagKind::ExtraInput));
         }
-        let expected_arity = match node.op {
-            Op::Input => 0,
-            Op::Add { .. } => 2,
-            _ => 1,
-        };
-        if node.inputs.len() != expected_arity {
+        for &src in node.inputs.iter().filter(|&&src| src < id) {
+            consumers[src] += 1;
+        }
+        let (implied, findings) =
+            implied_shape(&node.op, &node.inputs, &shapes[..id], net.input_shape());
+        diags.extend(
+            findings
+                .into_iter()
+                .map(|kind| Diagnostic::at(net, id, kind)),
+        );
+        if let Some(expected) = implied.filter(|&s| s != shapes[id]) {
             diags.push(Diagnostic::at(
                 net,
                 id,
-                DiagKind::BadArity {
-                    expected: expected_arity,
-                    got: node.inputs.len(),
+                DiagKind::ShapeMismatch {
+                    expected,
+                    actual: shapes[id],
                 },
             ));
-            continue; // Shape checks below index node.inputs positionally.
         }
-        let mut ordered = true;
-        for &src in &node.inputs {
-            if src >= id {
-                diags.push(Diagnostic::at(
-                    net,
-                    id,
-                    DiagKind::ForwardReference { input: src },
-                ));
-                ordered = false;
-            } else {
-                consumers[src] += 1;
-            }
-        }
-        if !ordered {
-            continue;
-        }
-        check_node_shape(net, id, &mut diags);
     }
 
     // --- Dead layers: every non-terminal node must feed something. ---
@@ -547,23 +534,51 @@ pub fn verify_strict(
     }
 }
 
-/// Re-infers node `id`'s output shape from its op and the *recorded* input
-/// shapes, and reports any disagreement with the recorded output shape.
-fn check_node_shape(net: &Network, id: NodeId, diags: &mut Vec<Diagnostic>) {
-    let node = &net.nodes()[id];
-    let actual = net.value_shape(id);
-    let map_input = |idx: usize, diags: &mut Vec<Diagnostic>| -> Option<Shape3> {
-        let src = node.inputs[idx];
-        match net.value_shape(src).as_map() {
-            Some(s) => Some(s),
-            None => {
-                diags.push(Diagnostic::at(net, id, DiagKind::NotAMap { input: src }));
-                None
-            }
-        }
+/// The shape rule, shared by [`verify`], `NetworkBuilder` and structured
+/// pruning: the output shape `op` implies when it reads `inputs` in a
+/// network fed `net_input`, plus every finding about the node itself.
+///
+/// `earlier` holds the output shapes of the nodes before this one, so an
+/// input at or past `earlier.len()` is a forward reference. The shape is
+/// `None` only alongside an error finding: a wrong arity, a forward
+/// reference, a zero attribute, a vector where a map belongs, a residual
+/// join of unequal maps, or an op that leaves no output elements.
+pub fn implied_shape(
+    op: &Op,
+    inputs: &[NodeId],
+    earlier: &[ValueShape],
+    net_input: Shape3,
+) -> (Option<ValueShape>, Vec<DiagKind>) {
+    let mut findings = Vec::new();
+    let arity = match op {
+        Op::Input => 0,
+        Op::Add { .. } => 2,
+        _ => 1,
     };
-    let expected = match &node.op {
-        Op::Input => Some(ValueShape::Map(net.input_shape())),
+    if inputs.len() != arity {
+        findings.push(DiagKind::BadArity {
+            expected: arity,
+            got: inputs.len(),
+        });
+        return (None, findings);
+    }
+    for &src in inputs.iter().filter(|&&src| src >= earlier.len()) {
+        findings.push(DiagKind::ForwardReference { input: src });
+    }
+    if !findings.is_empty() {
+        return (None, findings);
+    }
+    // Arity and order are checked, so both indexings below are in bounds.
+    let map_input = |idx: usize, findings: &mut Vec<DiagKind>| -> Option<Shape3> {
+        let src = inputs[idx];
+        let s = earlier[src].as_map();
+        if s.is_none() {
+            findings.push(DiagKind::NotAMap { input: src });
+        }
+        s
+    };
+    let implied = match op {
+        Op::Input => Some(ValueShape::Map(net_input)),
         Op::Conv(spec) => {
             let mut ok = true;
             for (attr, v) in [
@@ -572,25 +587,21 @@ fn check_node_shape(net: &Network, id: NodeId, diags: &mut Vec<Diagnostic>) {
                 ("out_channels", spec.out_channels),
             ] {
                 if v == 0 {
-                    diags.push(Diagnostic::at(net, id, DiagKind::ZeroAttr { attr }));
+                    findings.push(DiagKind::ZeroAttr { attr });
                     ok = false;
                 }
             }
-            let s = map_input(0, diags);
+            let s = map_input(0, &mut findings);
             match (ok, s) {
                 (true, Some(s)) => {
                     let oh = conv_out_dim(s.h, spec.kernel, spec.stride, spec.padding);
                     let ow = conv_out_dim(s.w, spec.kernel, spec.stride, spec.padding);
                     if oh == 0 || ow == 0 {
-                        diags.push(Diagnostic::at(
-                            net,
-                            id,
-                            DiagKind::StrideExceedsInput {
-                                kernel: spec.kernel,
-                                stride: spec.stride,
-                                input: s,
-                            },
-                        ));
+                        findings.push(DiagKind::StrideExceedsInput {
+                            kernel: spec.kernel,
+                            stride: spec.stride,
+                            input: s,
+                        });
                         None
                     } else {
                         Some(ValueShape::Map(Shape3::new(spec.out_channels, oh, ow)))
@@ -603,11 +614,11 @@ fn check_node_shape(net: &Network, id: NodeId, diags: &mut Vec<Diagnostic>) {
             let mut ok = true;
             for (attr, v) in [("kernel", *kernel), ("stride", *stride)] {
                 if v == 0 {
-                    diags.push(Diagnostic::at(net, id, DiagKind::ZeroAttr { attr }));
+                    findings.push(DiagKind::ZeroAttr { attr });
                     ok = false;
                 }
             }
-            let s = map_input(0, diags);
+            let s = map_input(0, &mut findings);
             match (ok, s) {
                 (true, Some(s)) => {
                     let oh = conv_out_dim(s.h, *kernel, *stride, Padding::Same);
@@ -619,77 +630,52 @@ fn check_node_shape(net: &Network, id: NodeId, diags: &mut Vec<Diagnostic>) {
         }
         Op::Pool { factor, .. } => {
             if *factor == 0 {
-                diags.push(Diagnostic::at(
-                    net,
-                    id,
-                    DiagKind::ZeroAttr { attr: "factor" },
-                ));
+                findings.push(DiagKind::ZeroAttr { attr: "factor" });
                 None
             } else {
-                map_input(0, diags).map(|s| {
+                map_input(0, &mut findings).map(|s| {
                     if s.h % factor != 0 || s.w % factor != 0 {
-                        diags.push(Diagnostic::at(
-                            net,
-                            id,
-                            DiagKind::PoolRemainder {
-                                factor: *factor,
-                                input: s,
-                            },
-                        ));
+                        findings.push(DiagKind::PoolRemainder {
+                            factor: *factor,
+                            input: s,
+                        });
                     }
                     ValueShape::Map(Shape3::new(s.c, s.h / factor, s.w / factor))
                 })
             }
         }
         Op::Add { .. } => {
-            let a = map_input(0, diags);
-            let b = map_input(1, diags);
+            let a = map_input(0, &mut findings);
+            let b = map_input(1, &mut findings);
             match (a, b) {
                 (Some(a), Some(b)) if a == b => Some(ValueShape::Map(a)),
                 (Some(a), Some(b)) => {
-                    diags.push(Diagnostic::at(
-                        net,
-                        id,
-                        DiagKind::AddMismatch { left: a, right: b },
-                    ));
+                    findings.push(DiagKind::AddMismatch { left: a, right: b });
                     None
                 }
                 _ => None,
             }
         }
-        Op::GlobalAvgPool => map_input(0, diags).map(|s| ValueShape::Vector(s.c)),
-        Op::Flatten => map_input(0, diags).map(|s| ValueShape::Vector(s.len())),
+        Op::GlobalAvgPool => map_input(0, &mut findings).map(|s| ValueShape::Vector(s.c)),
+        Op::Flatten => map_input(0, &mut findings).map(|s| ValueShape::Vector(s.len())),
         Op::Linear { out_features, .. } => {
             if *out_features == 0 {
-                diags.push(Diagnostic::at(
-                    net,
-                    id,
-                    DiagKind::ZeroAttr {
-                        attr: "out_features",
-                    },
-                ));
+                findings.push(DiagKind::ZeroAttr {
+                    attr: "out_features",
+                });
             }
-            let src = node.inputs[0];
-            if !matches!(net.value_shape(src), ValueShape::Vector(_)) {
-                diags.push(Diagnostic::at(net, id, DiagKind::NotAVector { input: src }));
+            if !matches!(earlier[inputs[0]], ValueShape::Vector(_)) {
+                findings.push(DiagKind::NotAVector { input: inputs[0] });
             }
             (*out_features > 0).then_some(ValueShape::Vector(*out_features))
         }
     };
-    if let Some(expected) = expected {
-        if expected != actual {
-            diags.push(Diagnostic::at(
-                net,
-                id,
-                DiagKind::ShapeMismatch { expected, actual },
-            ));
-        } else if actual.is_empty() {
-            diags.push(Diagnostic::at(
-                net,
-                id,
-                DiagKind::ZeroOutput { shape: actual },
-            ));
+    match implied {
+        Some(shape) if shape.is_empty() => {
+            findings.push(DiagKind::ZeroOutput { shape });
+            (None, findings)
         }
+        implied => (implied, findings),
     }
 }
 

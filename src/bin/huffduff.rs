@@ -22,7 +22,17 @@ fn main() -> ExitCode {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let seed: u64 = get_opt("--seed").and_then(|s| s.parse().ok()).unwrap_or(3);
+    // A present `--seed` must parse: a typo must not attack the default victim.
+    let seed: u64 = match args.iter().position(|a| a == "--seed") {
+        None => 3,
+        Some(i) => match args.get(i + 1).and_then(|s| s.parse().ok()) {
+            Some(seed) => seed,
+            None => {
+                eprintln!("--seed needs an unsigned decimal integer");
+                return usage();
+            }
+        },
+    };
 
     match cmd {
         "steal" => {

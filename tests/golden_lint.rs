@@ -231,22 +231,38 @@ fn malformed_graphs_rejected_with_typed_diagnostics() {
 }
 
 /// The device constructor surfaces the verifier's typed diagnostics in
-/// its error, so a malformed graph can never reach simulation.
+/// its error, so a malformed graph can never reach simulation. There is
+/// no unchecked constructor: these graphs cannot be sealed at all.
 #[test]
 fn device_rejects_malformed_graphs() {
-    let params = Params::init(&clean_net(), 3);
-    let err = Device::try_new(shape_mismatch_net(), params, AccelConfig::eyeriss_v2())
-        .map(|_| ())
-        .expect_err("try_new must reject a shape-mismatched graph");
-    let hd_accel::ConfigError::Model { diagnostics } = &err else {
-        panic!("expected a model rejection, got {err}");
+    let rejection = |net: Network| {
+        let params = Params::init(&net, 3);
+        let err = Device::try_new(net, params, AccelConfig::eyeriss_v2())
+            .map(|_| ())
+            .expect_err("try_new must reject a malformed graph");
+        let hd_accel::ConfigError::Model { diagnostics } = &err else {
+            panic!("expected a model rejection, got {err}");
+        };
+        (diagnostics.clone(), err.to_string())
     };
-    assert!(
-        diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error
-                && matches!(d.kind, DiagKind::ShapeMismatch { .. }))
-    );
-    let msg = err.to_string();
+    let is_error = |d: &hd_dnn::verify::Diagnostic, kind: fn(&DiagKind) -> bool| {
+        d.severity == Severity::Error && kind(&d.kind)
+    };
+
+    let (diagnostics, msg) = rejection(shape_mismatch_net());
+    assert!(diagnostics
+        .iter()
+        .any(|d| is_error(d, |k| matches!(k, DiagKind::ShapeMismatch { .. }))));
     assert!(msg.contains("shape-mismatch"), "unhelpful error: {msg}");
+
+    // A stray second input with a conv reading past itself: the graph
+    // behind the device's old late `MissingProducer` error.
+    let (diagnostics, msg) = rejection(forward_reference_net());
+    assert!(diagnostics
+        .iter()
+        .any(|d| is_error(d, |k| matches!(k, DiagKind::ExtraInput))));
+    assert!(diagnostics
+        .iter()
+        .any(|d| is_error(d, |k| matches!(k, DiagKind::ForwardReference { input: 3 }))));
+    assert!(msg.contains("forward-reference"), "unhelpful error: {msg}");
 }
