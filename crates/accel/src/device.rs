@@ -11,8 +11,8 @@ use crate::config::{AccelConfig, ConfigError, Precision};
 use crate::defence::{defence_padding_bytes, Defence, NoiseState};
 use crate::encoder::{encode_timing, EncodeTiming};
 use crate::trace_event::{AccessKind, Trace, TraceSink, Transfer};
-use hd_dnn::graph::{ForwardTrace, Network, NodeId, Op, Params, Value};
-use hd_dnn::ForwardCache;
+use hd_dnn::graph::{Network, NodeId, Op, Params, ValueShape};
+use hd_dnn::{ForwardCache, SpanTrace};
 use hd_tensor::cast;
 use hd_tensor::{ConvBackend, Shape3, Tensor3};
 use std::fmt;
@@ -178,10 +178,15 @@ impl Device {
     /// `auto_sparse` is set and the image is below the input density
     /// threshold — the stripe-probe regime of the prober hot loop. Every
     /// backend is bit-identical, so this only changes speed, never the
-    /// trace or the encode timings.
-    fn forward_for(&self, image: &Tensor3) -> ForwardTrace {
+    /// trace or the encode timings. The sparse path's outputs stay span
+    /// deltas over the cached baseline: the device sizes them without
+    /// materialising whole maps.
+    fn forward_for(&self, image: &Tensor3) -> SpanTrace<'_> {
         if self.cfg.compute == Precision::Int8 {
-            return self.net.forward_quantized(self.quantized_net(), image);
+            return self
+                .net
+                .forward_quantized(self.quantized_net(), image)
+                .into();
         }
         let policy = self.cfg.backend_policy;
         let sparse = self.cfg.conv_backend == ConvBackend::SparseCsc
@@ -193,10 +198,11 @@ impl Device {
                 ForwardCache::build(&self.net, &self.params, policy)
             });
             hd_obs::counter_add("device.fwd_cache", if built { "miss" } else { "hit" }, 1);
-            self.net.forward_cached(&self.params, image, cache)
+            self.net.forward_spans(&self.params, image, cache)
         } else {
             self.net
                 .forward_with_policy(&self.params, image, self.cfg.conv_backend, policy)
+                .into()
         }
     }
 
@@ -368,22 +374,20 @@ impl Device {
             //     psums to DRAM, then read them back for the BN pass. The
             //     attacker sees an uncompressed tensor whose size equals
             //     P*Q*K exactly (paper §2, "Broader application").
-            if self.cfg.separate_batch_norm {
-                if let Some(pre_bn) = &trace.traces[id].pre_bn {
-                    let dense_bytes = (cast::usize_to_u64(pre_bn.data().len())
-                        * u64::from(self.cfg.act_bits))
-                    .div_ceil(8);
-                    let psum_region = allocator.alloc(dense_bytes);
-                    t = self.emit_stream(sink, t, psum_region, AccessKind::Write, None);
-                    hd_obs::counter_add("dram.write.bytes", "psum", dense_bytes);
-                    t += PHASE_GAP_PS;
-                    t = self.emit_stream(sink, t, psum_region, AccessKind::Read, None);
-                    hd_obs::counter_add("dram.read.bytes", "psum", dense_bytes);
-                }
+            if self.cfg.separate_batch_norm && trace.nodes[id].pre_bn.is_some() {
+                let dense_bytes = (cast::usize_to_u64(self.net.value_shape(id).len())
+                    * u64::from(self.cfg.act_bits))
+                .div_ceil(8);
+                let psum_region = allocator.alloc(dense_bytes);
+                t = self.emit_stream(sink, t, psum_region, AccessKind::Write, None);
+                hd_obs::counter_add("dram.write.bytes", "psum", dense_bytes);
+                t += PHASE_GAP_PS;
+                t = self.emit_stream(sink, t, psum_region, AccessKind::Read, None);
+                hd_obs::counter_add("dram.read.bytes", "psum", dense_bytes);
             }
 
             // 4) Encode + writeback phase: the timing side channel.
-            let (out_bytes, timing) = self.encode_output(&trace.traces[id].out, &noise);
+            let (out_bytes, timing) = self.encode_output(&trace, id, &noise);
             hd_obs::observe(
                 "device.encode.duration_ps",
                 self.net.name(id),
@@ -417,16 +421,21 @@ impl Device {
             if matches!(node.op, Op::Input | Op::Flatten) {
                 continue;
             }
-            v.push((id, self.encode_output(&trace.traces[id].out, &noise).1));
+            v.push((id, self.encode_output(&trace, id, &noise).1));
         }
         v
     }
 
-    /// One output's encode step: its transfer bytes, and the timing of the
-    /// psum drain that writes them back.
-    fn encode_output(&self, out: &Value, noise: &NoiseState) -> (u64, EncodeTiming) {
-        let out_bytes = self.value_transfer_bytes(out, noise);
-        let timing = encode_timing(&self.cfg, self.scheduled_psum_elems(out), out_bytes);
+    /// Node `id`'s encode step: its output's transfer bytes, and the
+    /// timing of the psum drain that writes them back.
+    fn encode_output(
+        &self,
+        trace: &SpanTrace<'_>,
+        id: NodeId,
+        noise: &NoiseState,
+    ) -> (u64, EncodeTiming) {
+        let out_bytes = self.value_transfer_bytes(trace, id, noise);
+        let timing = encode_timing(&self.cfg, self.scheduled_psum_elems(id), out_bytes);
         (out_bytes, timing)
     }
 
@@ -438,14 +447,14 @@ impl Device {
     /// lanes are architectural zeros that cost cycles but, being elided by
     /// the sparse encoder, never move a byte (transfer volumes and traces
     /// are untouched).
-    fn scheduled_psum_elems(&self, v: &Value) -> u64 {
-        let elems = cast::usize_to_u64(v.flat().len());
+    fn scheduled_psum_elems(&self, id: NodeId) -> u64 {
+        let shape = self.net.value_shape(id);
         if self.cfg.defence.schedule_tile() == 1 {
-            return elems;
+            return cast::usize_to_u64(shape.len());
         }
-        match v {
-            Value::Map(t) => cast::usize_to_u64(self.cfg.defence.pad_dim(t.c()) * t.h() * t.w()),
-            Value::Vector(x) => cast::usize_to_u64(self.cfg.defence.pad_dim(x.len())),
+        match shape {
+            ValueShape::Map(s) => cast::usize_to_u64(self.cfg.defence.pad_dim(s.c) * s.h * s.w),
+            ValueShape::Vector(n) => cast::usize_to_u64(self.cfg.defence.pad_dim(n)),
         }
     }
 
@@ -535,17 +544,26 @@ impl Device {
         ))
     }
 
-    fn value_transfer_bytes(&self, v: &Value, noise: &NoiseState) -> u64 {
-        let base = self
-            .cfg
-            .act_scheme
-            .encoded_size(v.flat(), self.cfg.act_bits)
-            .bytes;
-        let edge_zero_cells = match (&self.cfg.defence, v) {
-            (Defence::PadEdges { band }, Value::Map(t)) => edge_zero_cells(t, *band),
+    /// Transfer bytes of node `id`'s output. Dense, Bitmap and Csc sizes
+    /// follow from the nonzero count alone, which the span trace gives in
+    /// O(span); run-length, Huffman and the PadEdges band read the whole
+    /// output. The output is one Csc channel, as in
+    /// [`CompressionScheme::encoded_size`](hd_tensor::CompressionScheme::encoded_size).
+    fn value_transfer_bytes(&self, trace: &SpanTrace<'_>, id: NodeId, noise: &NoiseState) -> u64 {
+        let (scheme, bits) = (self.cfg.act_scheme, self.cfg.act_bits);
+        let shape = self.net.value_shape(id);
+        let total = shape.len();
+        let base = match scheme.size_from_nnz(total, total.max(1), trace.out_nnz(id), bits) {
+            Some(size) => size.bytes,
+            None => scheme.encoded_size(&trace.out_values(id), bits).bytes,
+        };
+        let edge_zero_cells = match (&self.cfg.defence, shape) {
+            (Defence::PadEdges { band }, ValueShape::Map(s)) => {
+                edge_zero_cells(s, &trace.out_values(id), *band)
+            }
             _ => 0,
         };
-        base + defence_padding_bytes(&self.cfg.defence, noise, edge_zero_cells, self.cfg.act_bits)
+        base + defence_padding_bytes(&self.cfg.defence, noise, edge_zero_cells, bits)
     }
 
     fn compute_duration_ps(&self, id: NodeId) -> u64 {
@@ -645,17 +663,17 @@ impl ActAllocator {
     }
 }
 
-/// Cells within `band` cells of an edge of each channel of `t` that the
-/// codec elides, judged by its own predicate ([`hd_tensor::nnz`]).
-/// Only the band is visited: every cell of the top and bottom `band` rows,
-/// and the first and last `band` cells of each row between them.
-fn edge_zero_cells(t: &Tensor3, band: usize) -> usize {
-    let (h, w) = (t.h(), t.w());
+/// Cells within `band` cells of an edge of each channel of the `shape`
+/// map `data` that the codec elides, judged by its own predicate
+/// ([`hd_tensor::nnz`]). Only the band is visited: every cell of the top
+/// and bottom `band` rows, and the first and last `band` cells of each row
+/// between them.
+fn edge_zero_cells(shape: Shape3, data: &[f32], band: usize) -> usize {
+    let (h, w) = (shape.h, shape.w);
     let left = band.min(w);
     let right = w.saturating_sub(band).max(left);
     let zeros = |cells: &[f32]| cells.len() - hd_tensor::nnz(cells);
-    t.data()
-        .chunks_exact(w.max(1))
+    data.chunks_exact(w.max(1))
         .enumerate()
         .map(|(row, cells)| {
             let y = row % h;
@@ -754,7 +772,8 @@ fn effective_macs(net: &Network, params: &Params, id: NodeId) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_dnn::graph::NetworkBuilder;
+    use hd_dnn::graph::{ForwardTrace, NetworkBuilder, NodeTrace, Value};
+    use hd_tensor::CompressionScheme;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -793,7 +812,7 @@ mod tests {
             }
             for band in [0, 1, h / 2, h.div_ceil(2), h.max(w), h + w + 3] {
                 assert_eq!(
-                    edge_zero_cells(&t, band),
+                    edge_zero_cells(t.shape(), t.data(), band),
                     full_scan(&t, band),
                     "{c}x{h}x{w} map, band {band}"
                 );
@@ -1046,14 +1065,70 @@ mod tests {
                     t.set(c, i, 7, edge);
                 }
             }
-            Value::Map(t)
+            // The conv's output in a trace of the device's two nodes.
+            let node = |out| NodeTrace {
+                out,
+                pre_bn: None,
+                pre_relu: None,
+            };
+            let input = node(Value::Map(Tensor3::zeros(2, 8, 8)));
+            SpanTrace::from(ForwardTrace {
+                traces: vec![input, node(Value::Map(t))],
+            })
         };
         // The codec elides 1e-30 like 0.0, so the defence must pad it too:
         // otherwise the band's volume still moves with the input.
         assert_eq!(
-            dev.value_transfer_bytes(&map_with_band(1e-30), &noise),
-            dev.value_transfer_bytes(&map_with_band(0.0), &noise)
+            dev.value_transfer_bytes(&map_with_band(1e-30), 1, &noise),
+            dev.value_transfer_bytes(&map_with_band(0.0), 1, &noise)
         );
+    }
+
+    #[test]
+    fn transfer_bytes_are_the_codec_size_of_the_whole_output() {
+        // Dense, Bitmap and Csc are sized from the nonzero count, the
+        // others from the values: every codec must give its size of the
+        // whole output as one channel.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut t = Tensor3::zeros(4, 8, 8);
+        for v in t.data_mut() {
+            if rng.gen_bool(0.4) {
+                *v = rng.gen_range(-1.0..1.0f32);
+            }
+        }
+        let node = |out| NodeTrace {
+            out,
+            pre_bn: None,
+            pre_relu: None,
+        };
+        let trace = SpanTrace::from(ForwardTrace {
+            traces: vec![
+                node(Value::Map(Tensor3::zeros(2, 8, 8))),
+                node(Value::Map(t.clone())),
+            ],
+        });
+        let schemes = [
+            CompressionScheme::Dense,
+            CompressionScheme::Bitmap,
+            CompressionScheme::Csc { offset_bits: 6 },
+            CompressionScheme::RunLength { run_bits: 3 },
+            CompressionScheme::Huffman { quant_bits: 4 },
+        ];
+        for scheme in schemes {
+            let mut cfg = AccelConfig::eyeriss_v2();
+            cfg.act_scheme = scheme;
+            let mut b = NetworkBuilder::new(2, 8, 8);
+            let x = b.input();
+            b.conv(x, 4, 3, 1);
+            let net = b.build();
+            let params = Params::init(&net, 1);
+            let dev = Device::new(net, params, cfg);
+            assert_eq!(
+                dev.value_transfer_bytes(&trace, 1, &NoiseState::for_run(0, 0)),
+                scheme.encoded_size(t.data(), dev.cfg.act_bits).bytes,
+                "{scheme}"
+            );
+        }
     }
 
     #[test]

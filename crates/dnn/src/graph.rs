@@ -315,11 +315,11 @@ impl Network {
     /// Panics if the input shape does not match the network's declared input
     /// shape, or if parameters are missing for a weighted node.
     pub fn forward(&self, params: &Params, input: &Tensor3) -> ForwardTrace {
-        walk(
-            self,
+        self.forward_with_policy(
             params,
             input,
-            Walk::Full(ConvBackend::default(), BackendPolicy::default()),
+            ConvBackend::default(),
+            BackendPolicy::default(),
         )
     }
 
@@ -340,7 +340,7 @@ impl Network {
         backend: ConvBackend,
         policy: BackendPolicy,
     ) -> ForwardTrace {
-        walk(self, params, input, Walk::Full(backend, policy))
+        walk(self, params, input, Walk::Full(backend, policy)).into_forward_trace()
     }
 }
 

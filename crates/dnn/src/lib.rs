@@ -44,4 +44,4 @@ pub mod verify;
 pub mod zoo;
 
 pub use graph::{ConvSpec, Network, NetworkBuilder, NodeId, Op, Params};
-pub use sparse_forward::ForwardCache;
+pub use sparse_forward::{ForwardCache, SpanTrace};

@@ -27,7 +27,7 @@ use hd_tensor::conv::Conv2dCfg;
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::pool::PoolKind;
 use hd_tensor::qconv::{qconv2d, requantize, QConvParams};
-use hd_tensor::{ColSpan, QTensor3, QTensor4, QuantParams, Shape3, Tensor3};
+use hd_tensor::{QTensor3, QTensor4, QuantParams, Shape3, Tensor3};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -363,8 +363,7 @@ impl Network {
                     let cfg = Conv2dCfg::new(*stride, hd_tensor::conv::Padding::Same);
                     let mut out = dwconv2d(&x.dequantize(), w, &cfg);
                     if let Some(bn) = bn {
-                        let raw = out.clone();
-                        bn.apply_cols(&raw, ColSpan::full(raw.w()), &mut out);
+                        out = bn.apply(&out);
                     }
                     if *do_relu {
                         out.relu_inplace();

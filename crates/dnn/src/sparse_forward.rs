@@ -1,57 +1,70 @@
 //! The f32 forward walk, and the per-victim cache that lets it skip columns.
 //!
 //! Every f32 inference — [`Network::forward`],
-//! [`Network::forward_with_policy`] and [`Network::forward_cached`] — is one
-//! call of the same walk over the graph. The walk carries a [`ColSpan`] for
-//! each map-valued node: the columns it computes there. Each column-local
-//! op (batch-norm affine, ReLU, residual add, max/avg pool) writes just its
-//! span into an output that already holds the rest.
+//! [`Network::forward_with_policy`], [`Network::forward_cached`] and
+//! [`Network::forward_spans`] — is one call of the same walk over the graph.
+//! The walk produces each map-valued stage (`out`, `pre_bn`, `pre_relu`) as
+//! a *span delta* ([`SpanDelta`]): a [`ColSpan`] plus a `c x h x span`
+//! tensor holding only those columns. Each column-local op (conv tile
+//! build, batch-norm affine and ReLU fused per element, residual add,
+//! max/avg pool) reads its input's span columns from the delta and the rest
+//! from the input's baseline value, and computes only its own span. No op
+//! copies a whole map.
 //!
-//! * **Full width** (no cache): every span is every column, so every output
-//!   is computed whole. Convs go through [`conv2d`] with the caller's
-//!   backend and dispatch policy; linear layers run the dense zero-skipping
-//!   row loop.
+//! * **Full width** (no cache): every span is every column, so every delta
+//!   *is* its map, moved from op to op without a copy. Convs go through
+//!   [`conv2d`] with the caller's backend and dispatch policy; linear layers
+//!   run the dense zero-skipping row loop.
 //! * **Cached** ([`ForwardCache`]): the prober runs `shifts x families`
 //!   inferences against one fixed victim, and every probe image is a
 //!   vertical stripe — one nonzero column. Two things are therefore constant
 //!   across the whole campaign and computed once per device:
 //!
 //!   1. **The weight compaction.** [`ForwardCache::build`] encodes every
-//!      conv layer's pruned weights filter-major into [`SparseFilters`] (the
-//!      operand of the output-stationary kernel [`conv2d_csc`]) and every
-//!      linear layer's rows into nonzero `(index, value)` lists.
+//!      conv layer's pruned weights filter-major into a [`SparseConv`] (the
+//!      operand of the output-stationary kernel [`conv2d_csc`], placed for
+//!      the layer's input shape) and every linear layer's rows into nonzero
+//!      `(index, value)` lists.
 //!   2. **The zero-input baseline.** A stripe differs from the all-zero
 //!      image in one column, and every op in the graph is column-local, so
 //!      each layer's activation differs from its zero-input baseline only
-//!      inside the stripe's receptive field. The input's span is every
-//!      column whose bits differ from `+0.0`; each later span is the
-//!      receptive field of the earlier ones, and every output starts from
-//!      the baseline trace's value. A conv is one [`conv2d_csc`] call with
-//!      the input's span and the baseline's output: the kernel tiles just
-//!      the input columns the span's output columns read, and runs every
-//!      filter over them. The `sparse_fwd.*` counters fire on this path
-//!      only.
+//!      inside the stripe's receptive field (paper §4, the boundary effect).
+//!      The input's span is every column whose bits differ from `+0.0`;
+//!      each later span is the receptive field of the earlier ones, and the
+//!      columns outside it are the baseline trace's. The cache also keeps,
+//!      per baseline output map, its nonzero count column by column, so
+//!      [`SpanTrace::out_nnz`] counts a whole output in O(span). The
+//!      `sparse_fwd.*` counters fire on this path only.
+//!
+//! Depthwise convs and the vector head (global average pool, flatten,
+//! linear) take their input whole: the walk materialises it, which is
+//! cheap at their sizes. [`Network::forward_spans`] returns the deltas as a
+//! [`SpanTrace`]; the other three names materialise them into a
+//! [`ForwardTrace`] (a move at full width; a copy of the baseline with the
+//! span overwritten when cached).
 //!
 //! # Bit-identity
 //!
 //! The recomputed columns run the same kernels, in the same accumulation
-//! order, in both modes; the columns a cached pass copies are bit-equal to
-//! a full recomputation because their inputs are bit-equal to the
-//! baseline's and every op is column-local (batch-norm shifts and biases
-//! are absorbed by the baseline rather than widening the span). A cached
-//! pass therefore returns the full-width [`ForwardTrace`] bit for bit —
-//! property-tested in `tests/forward_walk.rs` and pinned end-to-end by the
-//! golden trace fixtures.
+//! order, in both modes; the columns a cached pass leaves at the baseline
+//! are bit-equal to a full recomputation because their inputs are bit-equal
+//! to the baseline's and every op is column-local (batch-norm shifts and
+//! biases are absorbed by the baseline rather than widening the span). A
+//! cached pass therefore materialises to the full-width [`ForwardTrace`]
+//! bit for bit — property-tested in `tests/forward_walk.rs` and pinned
+//! end-to-end by the golden trace fixtures.
 
-use hd_tensor::colspan::ColSpan;
+use std::borrow::Cow;
+
+use hd_tensor::colspan::{ColSpan, SpanDelta};
 use hd_tensor::conv::{conv2d, same_pad, BackendPolicy, Conv2dCfg, ConvBackend, Padding};
-use hd_tensor::csc_conv::{conv2d_csc, SparseFilters};
+use hd_tensor::csc_conv::{conv2d_csc, SparseConv};
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::norm::Affine;
 use hd_tensor::pool::{global_avg_pool, pool2d};
-use hd_tensor::{Shape3, Tensor3};
+use hd_tensor::Tensor3;
 
-use crate::graph::{ForwardTrace, Network, NodeTrace, Op, Params, Value};
+use crate::graph::{ForwardTrace, Network, NodeId, NodeTrace, Op, Params, Value};
 
 /// Nonzero `(input index, weight)` list of one linear-layer row.
 type SparseRow = Vec<(u32, f32)>;
@@ -59,24 +72,32 @@ type SparseRow = Vec<(u32, f32)>;
 /// Per-victim precomputed state reused across probe inferences.
 #[derive(Clone, Debug)]
 pub struct ForwardCache {
-    /// Filter-major weight compaction per conv node.
-    filters: Vec<Option<SparseFilters>>,
+    /// Filter-major weight compaction per conv node, placed for the
+    /// node's input shape.
+    convs: Vec<Option<SparseConv>>,
     /// Compacted rows per linear node.
     linear_rows: Vec<Option<Vec<SparseRow>>>,
     /// Full forward trace on the all-zero input.
     baseline: ForwardTrace,
+    /// Per node whose baseline output is a map: entry `x` counts its
+    /// nonzeros ([`hd_tensor::is_nonzero`]) in columns `0..x`, for every
+    /// `x` up to the width. Empty for vectors.
+    col_nnz: Vec<Vec<usize>>,
 }
 
 impl ForwardCache {
     /// Compacts weights and records the zero-input baseline trace for
     /// `net`/`params`, dispatching the baseline's convs by `policy`.
     pub fn build(net: &Network, params: &Params, policy: BackendPolicy) -> Self {
-        let mut filters: Vec<Option<SparseFilters>> = vec![None; net.len()];
+        let mut convs: Vec<Option<SparseConv>> = vec![None; net.len()];
         let mut linear_rows: Vec<Option<Vec<SparseRow>>> = vec![None; net.len()];
         for (id, node) in net.nodes().iter().enumerate() {
             match &node.op {
-                Op::Conv(_) => {
-                    filters[id] = Some(SparseFilters::build(params.conv(id).w));
+                Op::Conv(spec) => {
+                    if let Some(in_shape) = net.value_shape(node.inputs[0]).as_map() {
+                        let cfg = Conv2dCfg::new(spec.stride, spec.padding);
+                        convs[id] = Some(SparseConv::new(params.conv(id).w, in_shape, &cfg));
+                    }
                 }
                 Op::Linear { out_features, .. } => {
                     let lp = params.linear(id);
@@ -98,11 +119,181 @@ impl ForwardCache {
         let shape = net.input_shape();
         let zeros = Tensor3::zeros(shape.c, shape.h, shape.w);
         let baseline = net.forward_with_policy(params, &zeros, ConvBackend::default(), policy);
+        let col_nnz = baseline
+            .traces
+            .iter()
+            .map(|t| match &t.out {
+                Value::Map(m) => col_nnz_prefix(m),
+                Value::Vector(_) => Vec::new(),
+            })
+            .collect();
         ForwardCache {
-            filters,
+            convs,
             linear_rows,
             baseline,
+            col_nnz,
         }
+    }
+}
+
+/// Running nonzero counts of `m`'s columns: entry `x` counts columns
+/// `0..x`.
+fn col_nnz_prefix(m: &Tensor3) -> Vec<usize> {
+    let w = m.w();
+    let mut prefix = vec![0usize; w + 1];
+    for row in m.data().chunks_exact(w.max(1)) {
+        for (count, &v) in prefix[1..].iter_mut().zip(row) {
+            *count += usize::from(hd_tensor::is_nonzero(v));
+        }
+    }
+    for x in 1..=w {
+        prefix[x] += prefix[x - 1];
+    }
+    prefix
+}
+
+/// A node value in span form: a map as a [`SpanDelta`] over the baseline's
+/// value of the same stage, or a whole vector.
+#[derive(Clone, Debug)]
+pub enum SpanValue {
+    /// Activation map.
+    Map(SpanDelta),
+    /// Feature vector.
+    Vector(Vec<f32>),
+}
+
+impl SpanValue {
+    fn map(&self) -> &SpanDelta {
+        match self {
+            SpanValue::Map(d) => d,
+            // hd-lint: allow(no-panic) -- the verified graph feeds maps to map ops; NodeTrace's Value::map panics alike
+            SpanValue::Vector(_) => panic!("expected activation map, found vector"),
+        }
+    }
+
+    fn vector(&self) -> &[f32] {
+        match self {
+            SpanValue::Vector(v) => v,
+            // hd-lint: allow(no-panic) -- the verified graph feeds vectors to linear layers; NodeTrace's Value::vector panics alike
+            SpanValue::Map(_) => panic!("expected vector, found activation map"),
+        }
+    }
+
+    /// The whole value over `base`, the baseline's value of the same stage.
+    fn into_value(self, base: Option<&Value>) -> Value {
+        match self {
+            SpanValue::Map(d) => Value::Map(d.into_map(base.map(Value::map))),
+            SpanValue::Vector(v) => Value::Vector(v),
+        }
+    }
+}
+
+impl From<Value> for SpanValue {
+    /// A whole value: a map becomes a full-span delta, without a copy.
+    fn from(v: Value) -> Self {
+        match v {
+            Value::Map(t) => SpanValue::Map(SpanDelta::full(t)),
+            Value::Vector(v) => SpanValue::Vector(v),
+        }
+    }
+}
+
+/// One node's stages in span form: the [`NodeTrace`] fields as deltas.
+#[derive(Clone, Debug)]
+pub struct SpanNode {
+    /// Final node output.
+    pub out: SpanValue,
+    /// Pre-batch-norm convolution output (when BN is present).
+    pub pre_bn: Option<SpanDelta>,
+    /// Pre-ReLU value (when ReLU is present).
+    pub pre_relu: Option<SpanValue>,
+}
+
+/// A forward pass in span form, one [`SpanNode`] per node: what
+/// [`Network::forward_spans`] returns, and what the other forward names
+/// materialise into a [`ForwardTrace`].
+#[derive(Clone, Debug)]
+pub struct SpanTrace<'a> {
+    /// One entry per node, in topological order.
+    pub nodes: Vec<SpanNode>,
+    /// The cache whose baseline the deltas are read over (none at full
+    /// width, where every delta is its whole map).
+    cache: Option<&'a ForwardCache>,
+}
+
+impl<'a> SpanTrace<'a> {
+    /// The baseline stages node `id`'s deltas are read over: `None` when
+    /// the trace was computed at full width.
+    pub fn baseline(&self, id: NodeId) -> Option<&'a NodeTrace> {
+        self.cache.map(|c| &c.baseline.traces[id])
+    }
+
+    /// Nonzeros of node `id`'s output under [`hd_tensor::nnz`]. For a map
+    /// over the baseline this is the baseline's count minus its count in
+    /// the span, plus the delta's: O(span) instead of O(map).
+    pub fn out_nnz(&self, id: NodeId) -> usize {
+        match &self.nodes[id].out {
+            SpanValue::Vector(v) => hd_tensor::nnz(v),
+            SpanValue::Map(d) => {
+                let outside = self.cache.map_or(0, |cache| {
+                    let (prefix, span) = (&cache.col_nnz[id], d.span());
+                    prefix[d.shape().w] - prefix[span.hi()] + prefix[span.lo()]
+                });
+                outside + hd_tensor::nnz(d.cols().data())
+            }
+        }
+    }
+
+    /// Node `id`'s whole output, flat: borrowed unless a map's columns
+    /// outside its span must be copied in from the baseline.
+    pub fn out_values(&self, id: NodeId) -> Cow<'_, [f32]> {
+        match &self.nodes[id].out {
+            SpanValue::Vector(v) => Cow::Borrowed(v),
+            SpanValue::Map(d) => match d.to_map(self.baseline(id).map(|b| b.out.map())) {
+                Cow::Borrowed(t) => Cow::Borrowed(t.data()),
+                Cow::Owned(t) => Cow::Owned(t.into_data()),
+            },
+        }
+    }
+
+    /// Every stage of every node as a whole value: the full-width
+    /// [`ForwardTrace`], bit for bit.
+    pub fn into_forward_trace(self) -> ForwardTrace {
+        let cache = self.cache;
+        let traces = self
+            .nodes
+            .into_iter()
+            .enumerate()
+            .map(|(id, node)| {
+                let base = cache.map(|c| &c.baseline.traces[id]);
+                NodeTrace {
+                    out: node.out.into_value(base.map(|b| &b.out)),
+                    pre_bn: node
+                        .pre_bn
+                        .map(|d| d.into_map(base.and_then(|b| b.pre_bn.as_ref()))),
+                    pre_relu: node
+                        .pre_relu
+                        .map(|v| v.into_value(base.and_then(|b| b.pre_relu.as_ref()))),
+                }
+            })
+            .collect();
+        ForwardTrace { traces }
+    }
+}
+
+impl From<ForwardTrace> for SpanTrace<'static> {
+    /// A whole trace in span form: every map a full-span delta, moved in.
+    fn from(trace: ForwardTrace) -> Self {
+        let nodes = trace
+            .traces
+            .into_iter()
+            .map(|t| SpanNode {
+                out: t.out.into(),
+                pre_bn: t.pre_bn.map(SpanDelta::full),
+                pre_relu: t.pre_relu.map(SpanValue::from),
+            })
+            .collect();
+        SpanTrace { nodes, cache: None }
     }
 }
 
@@ -116,63 +307,53 @@ pub(crate) enum Walk<'a> {
     Cached(&'a ForwardCache),
 }
 
-/// The baseline trace's value for a stage of a node that a batch norm
-/// (`bn`) and/or a ReLU (`relu`) still follow: `pre_bn`, `pre_relu` or
-/// `out`.
-fn slot(trace: &NodeTrace, bn: bool, relu: bool) -> &Tensor3 {
-    if bn {
-        trace.pre_bn.as_ref().expect("BN node keeps pre_bn") // hd-lint: allow(no-panic) -- the walk populates pre_bn for every BN-bearing node
-    } else if relu {
-        trace
-            .pre_relu
-            .as_ref()
-            .expect("ReLU node keeps pre_relu") // hd-lint: allow(no-panic) -- the walk populates pre_relu for every ReLU-bearing node
-            .map()
-    } else {
-        trace.out.map()
-    }
-}
-
-/// The output a column-local op writes its span into: a copy of the
-/// baseline's value (cached walk) or zeros (full width).
-fn init(base: Option<&Tensor3>, shape: Shape3) -> Tensor3 {
-    base.cloned()
-        .unwrap_or_else(|| Tensor3::zeros(shape.c, shape.h, shape.w))
-}
-
-/// The conv/dwconv/add epilogue: batch-norm affine, then ReLU, each over
-/// `span`.
-fn epilogue(
-    raw: Tensor3,
-    bn: Option<&Affine>,
-    relu: bool,
-    span: ColSpan,
-    base: Option<&NodeTrace>,
-) -> NodeTrace {
-    let (pre_bn, post_bn) = match bn {
-        Some(bn) => {
-            let mut o = init(base.map(|t| slot(t, false, relu)), raw.shape());
-            bn.apply_cols(&raw, span, &mut o);
-            (Some(raw), o)
+/// The conv/dwconv/add epilogue over the raw output's span: batch-norm
+/// affine, then ReLU, fused per element when both are present.
+fn epilogue(raw: SpanDelta, bn: Option<&Affine>, relu: bool) -> SpanNode {
+    let (span, w) = (raw.span(), raw.shape().w);
+    let delta = |cols: Tensor3| SpanDelta::new(span, w, cols);
+    let (out, pre_bn, pre_relu) = match (bn, relu) {
+        (None, false) => (raw, None, None),
+        (None, true) => (delta(raw.cols().relu()), None, Some(raw)),
+        (Some(bn), false) => (delta(bn.apply(raw.cols())), Some(raw), None),
+        (Some(bn), true) => {
+            let (post_bn, out) = bn.apply_relu(raw.cols());
+            (delta(out), Some(raw), Some(delta(post_bn)))
         }
-        None => (None, raw),
     };
-    let (pre_relu, out) = if relu {
-        let mut o = init(base.map(|t| t.out.map()), post_bn.shape());
-        o.relu_cols(&post_bn, span);
-        (Some(Value::Map(post_bn)), o)
-    } else {
-        (None, post_bn)
-    };
-    NodeTrace {
-        out: Value::Map(out),
+    SpanNode {
+        out: SpanValue::Map(out),
         pre_bn,
-        pre_relu,
+        pre_relu: pre_relu.map(SpanValue::Map),
     }
 }
 
-fn plain(out: Value) -> NodeTrace {
-    NodeTrace {
+/// `a + b` over the union of their spans, each read over its baseline.
+fn add(
+    a: &SpanDelta,
+    a_base: Option<&Tensor3>,
+    b: &SpanDelta,
+    b_base: Option<&Tensor3>,
+) -> SpanDelta {
+    let shape = a.shape();
+    assert_eq!(shape, b.shape(), "shape mismatch in add");
+    let span = a.span().union(b.span());
+    let sw = span.width();
+    let mut sum = Tensor3::zeros(shape.c, shape.h, sw);
+    let mut b_row = vec![0.0; sw];
+    for (row, dst) in sum.data_mut().chunks_exact_mut(sw.max(1)).enumerate() {
+        let (c, y) = (row / shape.h, row % shape.h);
+        a.read_row(a_base, c, y, span.range(), dst);
+        b.read_row(b_base, c, y, span.range(), &mut b_row);
+        for (o, v) in dst.iter_mut().zip(&b_row) {
+            *o += v;
+        }
+    }
+    SpanDelta::new(span, shape.w, sum)
+}
+
+fn plain(out: SpanValue) -> SpanNode {
+    SpanNode {
         out,
         pre_bn: None,
         pre_relu: None,
@@ -186,7 +367,12 @@ fn plain(out: Value) -> NodeTrace {
 /// If the input shape does not match the network's, if parameters are
 /// missing for a weighted node, or if a cache was built for another
 /// network.
-pub(crate) fn walk(net: &Network, params: &Params, input: &Tensor3, how: Walk<'_>) -> ForwardTrace {
+pub(crate) fn walk<'a>(
+    net: &Network,
+    params: &Params,
+    input: &Tensor3,
+    how: Walk<'a>,
+) -> SpanTrace<'a> {
     assert_eq!(
         input.shape(),
         net.input_shape(),
@@ -205,51 +391,37 @@ pub(crate) fn walk(net: &Network, params: &Params, input: &Tensor3, how: Walk<'_
             Some(cache)
         }
     };
-    let mut traces: Vec<NodeTrace> = Vec::with_capacity(net.len());
-    // Computed-column interval per map-valued node (None for vectors).
-    let mut spans: Vec<Option<ColSpan>> = Vec::with_capacity(net.len());
+    let mut nodes: Vec<SpanNode> = Vec::with_capacity(net.len());
     for (id, node) in net.nodes().iter().enumerate() {
-        let base = cache.map(|c| &c.baseline.traces[id]);
+        // Input `i` as a delta, with the baseline map it is read over.
         let map_in = |i: usize| {
-            let id = node.inputs[i];
-            let span = spans[id].expect("map input carries a span"); // hd-lint: allow(no-panic) -- topology validated by Network construction; map inputs carry spans
-            (traces[id].out.map(), span)
+            let src = node.inputs[i];
+            let base = cache.map(|c| c.baseline.traces[src].out.map());
+            (nodes[src].out.map(), base)
         };
-        let (trace, span) = match &node.op {
-            Op::Input => {
-                let span = match cache {
-                    Some(_) => ColSpan::of_tensor(input),
-                    None => ColSpan::full(input.w()),
-                };
-                (plain(Value::Map(input.clone())), Some(span))
-            }
+        let trace = match &node.op {
+            Op::Input => plain(SpanValue::Map(match cache {
+                Some(_) => SpanDelta::of_cols(input, ColSpan::of_tensor(input)),
+                None => SpanDelta::full(input.clone()),
+            })),
             Op::Conv(spec) => {
-                let (x, in_span) = map_in(0);
+                let (x, x_base) = map_in(0);
                 let lp = params.conv(id);
                 let bias = lp.b.as_deref();
                 let cfg = Conv2dCfg::new(spec.stride, spec.padding);
                 let raw = match how {
-                    Walk::Full(backend, policy) => conv2d(
-                        x,
+                    Walk::Full(backend, policy) => SpanDelta::full(conv2d(
+                        &x.to_map(x_base),
                         lp.w,
                         bias,
                         &cfg.with_backend(backend).with_policy(policy),
-                    ),
+                    )),
                     Walk::Cached(cache) => {
-                        let filters = cache.filters[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front
-                        let b = slot(&cache.baseline.traces[id], lp.bn.is_some(), spec.relu);
-                        conv2d_csc(x, filters, bias, &cfg, in_span, Some(b))
+                        let conv = cache.convs[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front
+                        conv2d_csc(x, x_base, conv, bias)
                     }
                 };
-                let pad_x = match spec.padding {
-                    Padding::Same => same_pad(x.w(), spec.kernel, spec.stride),
-                    Padding::Valid => 0,
-                };
-                let out_span = in_span
-                    .clamp(x.w())
-                    .conv(spec.kernel, spec.stride, pad_x, raw.w());
-                let trace = epilogue(raw, lp.bn.as_ref(), spec.relu, out_span, base);
-                (trace, Some(out_span))
+                epilogue(raw, lp.bn.as_ref(), spec.relu)
             }
             Op::DwConv {
                 kernel,
@@ -258,40 +430,36 @@ pub(crate) fn walk(net: &Network, params: &Params, input: &Tensor3, how: Walk<'_
                 relu,
             } => {
                 // Depthwise layers are cheap (one filter per channel): both
-                // modes run the full-map kernel.
-                let (x, in_span) = map_in(0);
+                // modes run the full-map kernel on the whole input.
+                let (x, x_base) = map_in(0);
                 let lp = params.dwconv(id);
-                let raw = dwconv2d(x, lp.w, &Conv2dCfg::new(*stride, Padding::Same));
-                let pad_x = same_pad(x.w(), *kernel, *stride);
-                let out_span = in_span.clamp(x.w()).conv(*kernel, *stride, pad_x, raw.w());
-                let trace = epilogue(raw, lp.bn.as_ref(), *relu, out_span, base);
-                (trace, Some(out_span))
+                let raw = dwconv2d(
+                    &x.to_map(x_base),
+                    lp.w,
+                    &Conv2dCfg::new(*stride, Padding::Same),
+                );
+                let pad_x = same_pad(x.shape().w, *kernel, *stride);
+                let out_span = x.span().conv(*kernel, *stride, pad_x, raw.w());
+                epilogue(SpanDelta::from_map(raw, out_span), lp.bn.as_ref(), *relu)
             }
             Op::Pool { factor, kind } => {
-                let (x, in_span) = map_in(0);
-                let shape = Shape3::new(x.c(), x.h() / factor, x.w() / factor);
-                let out_span = in_span.pool(*factor, shape.w);
-                let mut out = init(base.map(|t| t.out.map()), shape);
-                pool2d(x, *factor, *kind, out_span, &mut out);
-                (plain(Value::Map(out)), Some(out_span))
+                let (x, x_base) = map_in(0);
+                plain(SpanValue::Map(pool2d(x, x_base, *factor, *kind)))
             }
             Op::Add { relu } => {
-                let ((a, sa), (b, sb)) = (map_in(0), map_in(1));
-                let span = sa.union(sb);
-                let mut sum = init(base.map(|t| slot(t, false, *relu)), a.shape());
-                sum.add_cols(a, b, span);
-                (epilogue(sum, None, *relu, span, base), Some(span))
+                let ((a, a_base), (b, b_base)) = (map_in(0), map_in(1));
+                epilogue(add(a, a_base, b, b_base), None, *relu)
             }
             Op::GlobalAvgPool => {
-                let x = traces[node.inputs[0]].out.map();
-                (plain(Value::Vector(global_avg_pool(x))), None)
+                let (x, x_base) = map_in(0);
+                plain(SpanValue::Vector(global_avg_pool(&x.to_map(x_base))))
             }
             Op::Flatten => {
-                let x = traces[node.inputs[0]].out.map();
-                (plain(Value::Vector(x.data().to_vec())), None)
+                let (x, x_base) = map_in(0);
+                plain(SpanValue::Vector(x.to_map(x_base).into_owned().into_data()))
             }
             Op::Linear { out_features, relu } => {
-                let x = traces[node.inputs[0]].out.vector();
+                let x = nodes[node.inputs[0]].out.vector();
                 let lp = params.linear(id);
                 assert_eq!(lp.in_features, x.len(), "linear input size mismatch");
                 let mut y = vec![0.0f32; *out_features];
@@ -326,38 +494,54 @@ pub(crate) fn walk(net: &Network, params: &Params, input: &Tensor3, how: Walk<'_
                         }
                     }
                 }
-                let trace = if *relu {
+                if *relu {
                     let out = y.iter().map(|&v| if v < 0.0 { 0.0 } else { v }).collect();
-                    NodeTrace {
-                        out: Value::Vector(out),
+                    SpanNode {
+                        out: SpanValue::Vector(out),
                         pre_bn: None,
-                        pre_relu: Some(Value::Vector(y)),
+                        pre_relu: Some(SpanValue::Vector(y)),
                     }
                 } else {
-                    plain(Value::Vector(y))
-                };
-                (trace, None)
+                    plain(SpanValue::Vector(y))
+                }
             }
         };
         // Telemetry: how much work the cached walk's spans saved on this
-        // node. Input nodes are excluded (nothing is recomputed there) and
-        // the span is clamped to the node's own width first.
+        // node. Input nodes are excluded (nothing is recomputed there).
         if cache.is_some() && hd_obs::enabled() && !matches!(node.op, Op::Input) {
-            if let Some(node_span) = span {
-                let w = trace.out.map().w();
-                let recomputed = node_span.clamp(w).width() as u64;
+            if let SpanValue::Map(out) = &trace.out {
+                let w = out.shape().w;
+                let recomputed = out.span().width() as u64;
                 hd_obs::counter_add("sparse_fwd.cols_recomputed", "", recomputed);
                 hd_obs::counter_add("sparse_fwd.cols_skipped", "", w as u64 - recomputed);
                 hd_obs::observe("sparse_fwd.colspan_width", "", recomputed as f64);
             }
         }
-        traces.push(trace);
-        spans.push(span);
+        nodes.push(trace);
     }
-    ForwardTrace { traces }
+    SpanTrace { nodes, cache }
 }
 
 impl Network {
+    /// Runs the network through `cache`, recomputing only the columns that
+    /// can differ from the cached zero-input baseline, and returns every
+    /// stage as a span delta over the baseline's.
+    ///
+    /// [`SpanTrace::into_forward_trace`] materialises the result into
+    /// exactly [`Network::forward_cached`]'s trace.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Network::forward_cached`].
+    pub fn forward_spans<'a>(
+        &self,
+        params: &Params,
+        input: &Tensor3,
+        cache: &'a ForwardCache,
+    ) -> SpanTrace<'a> {
+        walk(self, params, input, Walk::Cached(cache))
+    }
+
     /// Runs the network through `cache`, recomputing only the columns that
     /// can differ from the cached zero-input baseline.
     ///
@@ -375,7 +559,8 @@ impl Network {
         input: &Tensor3,
         cache: &ForwardCache,
     ) -> ForwardTrace {
-        walk(self, params, input, Walk::Cached(cache))
+        self.forward_spans(params, input, cache)
+            .into_forward_trace()
     }
 }
 

@@ -2,7 +2,10 @@
 //! (`Network::forward_cached`) must reproduce the full-width pass
 //! (`Network::forward_with_policy`) bit for bit — every node's `out`,
 //! `pre_bn` and `pre_relu`, compared by `to_bits` so `-0.0` and `+0.0`
-//! stay distinct.
+//! stay distinct. The span deltas themselves (`Network::forward_spans`),
+//! read element by element through the cache's baseline, must give the
+//! same bits, and each output's O(span) nonzero count must equal a full
+//! count.
 //!
 //! Graphs are drawn at random from convs (stride 1-3, Same/Valid, kernel
 //! 1-5, bias/BN/ReLU each on or off), depthwise convs, max/avg pools
@@ -15,6 +18,7 @@
 
 use hd_dnn::graph::{ConvSpec, ForwardTrace, Network, NetworkBuilder, NodeId, Params, Value};
 use hd_dnn::prune::{apply_sparsity_profile, SparsityProfile};
+use hd_dnn::sparse_forward::{SpanTrace, SpanValue};
 use hd_dnn::ForwardCache;
 use hd_tensor::conv::{BackendPolicy, Padding};
 use hd_tensor::{ConvBackend, Shape3, Tensor3};
@@ -55,6 +59,69 @@ fn assert_bit_identical(want: &ForwardTrace, got: &ForwardTrace, what: &str) {
     }
 }
 
+/// Shape and bit pattern of a span value, read element by element over
+/// `base`, the baseline's value of the same stage.
+fn read_back(v: &SpanValue, base: Option<&Value>) -> (Option<Shape3>, Vec<u32>) {
+    match v {
+        SpanValue::Map(delta) => {
+            let base = base.map(Value::map);
+            let s = delta.shape();
+            let mut out = Vec::with_capacity(s.len());
+            for c in 0..s.c {
+                for y in 0..s.h {
+                    for x in 0..s.w {
+                        out.push(delta.at(base, c, y, x).to_bits());
+                    }
+                }
+            }
+            (Some(s), out)
+        }
+        SpanValue::Vector(x) => (None, x.iter().map(|x| x.to_bits()).collect()),
+    }
+}
+
+/// Every stage of `spans` read back through the cache's baseline equals
+/// `want` by bits, and every output's nonzero count and flat values are
+/// the whole output's.
+fn assert_spans_read_back(want: &ForwardTrace, spans: &SpanTrace<'_>, what: &str) {
+    assert_eq!(want.traces.len(), spans.nodes.len());
+    for (id, (a, node)) in want.traces.iter().zip(&spans.nodes).enumerate() {
+        let base = spans
+            .baseline(id)
+            .expect("a cached walk reads over its baseline");
+        assert_eq!(
+            bits(&a.out),
+            read_back(&node.out, Some(&base.out)),
+            "{what}: out differs at node {id}"
+        );
+        let pre_bn = node.pre_bn.clone().map(SpanValue::Map);
+        let base_pre_bn = base.pre_bn.clone().map(Value::Map);
+        assert_eq!(
+            a.pre_bn.clone().map(|m| bits(&Value::Map(m))),
+            pre_bn.map(|d| read_back(&d, base_pre_bn.as_ref())),
+            "{what}: pre_bn differs at node {id}"
+        );
+        assert_eq!(
+            a.pre_relu.as_ref().map(bits),
+            node.pre_relu
+                .as_ref()
+                .map(|d| read_back(d, base.pre_relu.as_ref())),
+            "{what}: pre_relu differs at node {id}"
+        );
+        assert_eq!(
+            spans.out_nnz(id),
+            hd_tensor::nnz(a.out.flat()),
+            "{what}: nonzero count differs at node {id}"
+        );
+        let flat: Vec<u32> = spans.out_values(id).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(
+            bits(&a.out).1,
+            flat,
+            "{what}: flat output differs at node {id}"
+        );
+    }
+}
+
 /// Runs every probe image through the cached walk and both full-width
 /// configurations, asserting bit identity.
 fn check(net: &Network, params: &Params, images: &[Tensor3]) {
@@ -74,6 +141,8 @@ fn check(net: &Network, params: &Params, images: &[Tensor3]) {
             BackendPolicy::default(),
         );
         assert_bit_identical(&csc, &got, &format!("image {i} vs SparseCsc"));
+        let spans = net.forward_spans(params, img, &cache);
+        assert_spans_read_back(&gemm, &spans, &format!("image {i} span deltas"));
     }
 }
 

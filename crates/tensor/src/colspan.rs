@@ -18,8 +18,14 @@
 //!
 //! The interval is conservative (a superset of the truly-dirty columns), so
 //! consumers may recompute more than strictly necessary but never less.
+//!
+//! A [`SpanDelta`] is an activation map held as just its span's columns:
+//! every other column is a baseline map's. The span kernels
+//! ([`crate::csc_conv::conv2d_csc`], [`crate::pool::pool2d`]) read their
+//! input through it and write only their output span.
 
 use crate::{Shape3, Tensor3};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Half-open interval `[lo, hi)` of activation-map columns.
@@ -109,19 +115,6 @@ impl ColSpan {
         ColSpan::new(self.lo.min(w), self.hi.min(w))
     }
 
-    /// The flat index runs of the span's columns in a `shape` map, each
-    /// with its channel, in storage order: one run per row, or one per
-    /// channel plane when the span covers every column.
-    pub fn runs(self, shape: Shape3) -> impl Iterator<Item = (usize, Range<usize>)> {
-        let span = self.clamp(shape.w);
-        let (per_c, len, lo, hi) = if span.width() == shape.w {
-            (1, shape.h * shape.w, 0, shape.h * shape.w)
-        } else {
-            (shape.h, shape.w, span.lo, span.hi)
-        };
-        (0..shape.c * per_c).map(move |run| (run / per_c, run * len + lo..run * len + hi))
-    }
-
     /// Output columns of a convolution whose input window touches `self`.
     ///
     /// A kernel with `s_taps` horizontal taps, stride `stride` and left
@@ -156,6 +149,183 @@ impl ColSpan {
         }
         ColSpan::new(self.lo / factor, (self.hi - 1) / factor + 1).clamp(out_w)
     }
+
+    /// The covered columns as a range.
+    pub fn range(self) -> Range<usize> {
+        self.lo..self.hi
+    }
+}
+
+/// A `c x h x w` map held as the columns of one [`ColSpan`]: a
+/// `c x h x span.width()` tensor. Every column outside the span is a
+/// baseline map's, or zero where no baseline is given.
+///
+/// A full span holds the map itself, so a full-width walk moves its maps
+/// through deltas without copying them.
+#[derive(Clone, Debug)]
+pub struct SpanDelta {
+    span: ColSpan,
+    w: usize,
+    cols: Tensor3,
+}
+
+impl SpanDelta {
+    /// The delta holding `cols` as the `span` columns of a `w`-column map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` reaches past `w` or `cols` is not `span.width()`
+    /// columns wide.
+    pub fn new(span: ColSpan, w: usize, cols: Tensor3) -> Self {
+        assert!(span.hi() <= w, "span {span:?} exceeds a {w}-column map");
+        assert_eq!(cols.w(), span.width(), "delta width must match its span");
+        SpanDelta { span, w, cols }
+    }
+
+    /// The whole of `map`, moved in without a copy.
+    pub fn full(map: Tensor3) -> Self {
+        SpanDelta {
+            span: ColSpan::full(map.w()),
+            w: map.w(),
+            cols: map,
+        }
+    }
+
+    /// The `span` columns of `map` (clamped to its width), copied.
+    pub fn of_cols(map: &Tensor3, span: ColSpan) -> Self {
+        let span = span.clamp(map.w());
+        let (lo, sw) = (span.lo(), span.width());
+        let mut cols = Tensor3::zeros(map.c(), map.h(), sw);
+        if sw > 0 {
+            let rows = map.data().chunks_exact(map.w());
+            for (dst, src) in cols.data_mut().chunks_exact_mut(sw).zip(rows) {
+                dst.copy_from_slice(&src[lo..lo + sw]);
+            }
+        }
+        SpanDelta::new(span, map.w(), cols)
+    }
+
+    /// The `span` columns of `map`: moved in when the span covers it.
+    pub fn from_map(map: Tensor3, span: ColSpan) -> Self {
+        if span.clamp(map.w()).width() == map.w() {
+            SpanDelta::full(map)
+        } else {
+            SpanDelta::of_cols(&map, span)
+        }
+    }
+
+    /// The held columns.
+    pub fn span(&self) -> ColSpan {
+        self.span
+    }
+
+    /// Shape of the whole map.
+    pub fn shape(&self) -> Shape3 {
+        Shape3::new(self.cols.c(), self.cols.h(), self.w)
+    }
+
+    /// Whether the span covers the whole map.
+    pub fn is_full(&self) -> bool {
+        self.span.width() == self.w
+    }
+
+    /// The span's columns, `c x h x span.width()`.
+    pub fn cols(&self) -> &Tensor3 {
+        &self.cols
+    }
+
+    /// Value at `(c, y, x)` of the map over `base`.
+    pub fn at(&self, base: Option<&Tensor3>, c: usize, y: usize, x: usize) -> f32 {
+        if self.span.contains(x) {
+            self.cols.at(c, y, x - self.span.lo())
+        } else {
+            base.map_or(0.0, |b| b.at(c, y, x))
+        }
+    }
+
+    /// Copies columns `xs` of row `(c, y)` of the map over `base` into
+    /// `dst`: the span's part from the delta, the rest from `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not `xs.len()` long, `xs` reaches past the map,
+    /// or `base` does not have the map's shape.
+    pub fn read_row(
+        &self,
+        base: Option<&Tensor3>,
+        c: usize,
+        y: usize,
+        xs: Range<usize>,
+        dst: &mut [f32],
+    ) {
+        assert_eq!(dst.len(), xs.len(), "row destination length");
+        assert!(xs.end <= self.w, "row columns exceed the map");
+        let (span_lo, sw) = (self.span.lo(), self.span.width());
+        let row = c * self.cols.h() + y;
+        // The span's part of `xs`, as `lo..hi` (empty when they miss).
+        let lo = span_lo.clamp(xs.start, xs.end);
+        let hi = self.span.hi().clamp(lo, xs.end);
+        if hi > lo {
+            let at = row * sw + lo - span_lo;
+            dst[lo - xs.start..hi - xs.start]
+                .copy_from_slice(&self.cols.data()[at..at + (hi - lo)]);
+        }
+        if lo == xs.start && hi == xs.end {
+            return;
+        }
+        let (left, right) = (xs.start..lo, hi..xs.end);
+        match base {
+            Some(b) => {
+                assert_eq!(b.shape(), self.shape(), "baseline shape must match the map");
+                let b_row = &b.data()[row * self.w..(row + 1) * self.w];
+                dst[..left.len()].copy_from_slice(&b_row[left.clone()]);
+                dst[hi - xs.start..].copy_from_slice(&b_row[right]);
+            }
+            None => {
+                dst[..left.len()].fill(0.0);
+                dst[hi - xs.start..].fill(0.0);
+            }
+        }
+    }
+
+    /// Overwrites the span's columns of `map` with the delta's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `map` does not have the delta's shape.
+    pub fn write_into(&self, map: &mut Tensor3) {
+        assert_eq!(map.shape(), self.shape(), "map shape must match the delta");
+        let (lo, sw) = (self.span.lo(), self.span.width());
+        if sw == 0 {
+            return;
+        }
+        let rows = map.data_mut().chunks_exact_mut(self.w);
+        for (dst, src) in rows.zip(self.cols.data().chunks_exact(sw)) {
+            dst[lo..lo + sw].copy_from_slice(src);
+        }
+    }
+
+    /// The whole map over `base`: borrowed when the span covers it, else
+    /// a copy of `base` (zeros without one) with the span overwritten.
+    pub fn to_map(&self, base: Option<&Tensor3>) -> Cow<'_, Tensor3> {
+        if self.is_full() {
+            return Cow::Borrowed(&self.cols);
+        }
+        let shape = self.shape();
+        let mut map = base
+            .cloned()
+            .unwrap_or_else(|| Tensor3::zeros(shape.c, shape.h, shape.w));
+        self.write_into(&mut map);
+        Cow::Owned(map)
+    }
+
+    /// [`SpanDelta::to_map`] by value: a full span is moved out.
+    pub fn into_map(self, base: Option<&Tensor3>) -> Tensor3 {
+        if self.is_full() {
+            return self.cols;
+        }
+        self.to_map(base).into_owned()
+    }
 }
 
 #[cfg(test)]
@@ -181,14 +351,75 @@ mod tests {
         assert_eq!((s.lo(), s.hi()), (1, 5));
     }
 
+    /// A 2x2x6 map whose value encodes its coordinates.
+    fn coords(offset: f32) -> Tensor3 {
+        let data = (0..24).map(|i| i as f32 + offset).collect();
+        Tensor3::from_vec(2, 2, 6, data)
+    }
+
     #[test]
-    fn runs_cover_the_span_columns_of_every_row() {
-        let runs: Vec<_> = ColSpan::new(1, 3).runs(Shape3::new(2, 2, 4)).collect();
-        assert_eq!(runs, vec![(0, 1..3), (0, 5..7), (1, 9..11), (1, 13..15)]);
-        let right: Vec<_> = ColSpan::new(2, 9).runs(Shape3::new(1, 2, 4)).collect();
-        assert_eq!(right, vec![(0, 2..4), (0, 6..8)]);
-        let full: Vec<_> = ColSpan::new(0, 9).runs(Shape3::new(2, 2, 4)).collect();
-        assert_eq!(full, vec![(0, 0..8), (1, 8..16)]);
+    fn delta_reads_its_span_and_the_baseline_elsewhere() {
+        let (map, base) = (coords(100.0), coords(0.0));
+        let delta = SpanDelta::of_cols(&map, ColSpan::new(2, 4));
+        assert_eq!(delta.cols().shape(), Shape3::new(2, 2, 2));
+        assert_eq!(delta.shape(), map.shape());
+        for xs in [0..6, 0..2, 1..3, 2..4, 3..6, 4..6, 3..3] {
+            let mut row = vec![f32::NAN; xs.len()];
+            delta.read_row(Some(&base), 1, 1, xs.clone(), &mut row);
+            let want: Vec<f32> = xs
+                .clone()
+                .map(|x| {
+                    if (2..4).contains(&x) {
+                        map.at(1, 1, x)
+                    } else {
+                        base.at(1, 1, x)
+                    }
+                })
+                .collect();
+            assert_eq!(row, want, "columns {xs:?}");
+            delta.read_row(None, 1, 1, xs.clone(), &mut row);
+            let zeros: Vec<f32> = xs
+                .map(|x| {
+                    if (2..4).contains(&x) {
+                        map.at(1, 1, x)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            assert_eq!(row, zeros);
+        }
+        assert_eq!(delta.at(Some(&base), 0, 1, 3), map.at(0, 1, 3));
+        assert_eq!(delta.at(Some(&base), 0, 1, 4), base.at(0, 1, 4));
+        let mut spliced = base.clone();
+        for c in 0..2 {
+            for y in 0..2 {
+                for x in 2..4 {
+                    spliced.set(c, y, x, map.at(c, y, x));
+                }
+            }
+        }
+        assert_eq!(*delta.to_map(Some(&base)), spliced);
+        assert_eq!(delta.into_map(Some(&base)), spliced);
+    }
+
+    #[test]
+    fn full_and_empty_deltas() {
+        let map = coords(1.0);
+        let full = SpanDelta::from_map(map.clone(), ColSpan::full(6));
+        assert!(full.is_full());
+        assert!(matches!(full.to_map(None), Cow::Borrowed(_)));
+        assert_eq!(full.into_map(None), map);
+        let empty = SpanDelta::of_cols(&map, ColSpan::empty());
+        assert_eq!(empty.cols().data().len(), 0);
+        assert_eq!(empty.to_map(Some(&map)).into_owned(), map);
+        assert_eq!(empty.into_map(None), Tensor3::zeros(2, 2, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "delta width must match its span")]
+    fn delta_rejects_a_mismatched_width() {
+        let _ = SpanDelta::new(ColSpan::new(1, 3), 6, Tensor3::zeros(1, 1, 3));
     }
 
     #[test]

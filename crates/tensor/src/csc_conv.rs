@@ -9,16 +9,20 @@
 //! elements in place while it walks one filter's nonzeros, streaming the
 //! activations past the accumulators (an output-stationary dataflow).
 //!
-//! Each call of [`conv2d_csc`]:
+//! Each call of [`conv2d_csc`] takes its input as a [`SpanDelta`] over a
+//! baseline map and returns only the output span's columns:
 //!
-//! 1. copies the input columns the recomputed output span reads into a
-//!    zero-padded tile, laid out by column phase (`x mod stride`) so every
-//!    stride reads each tap's lanes from one contiguous run;
-//! 2. maps each nonzero's tap index to its tile offset through a per-call
-//!    `C·R·S` table;
-//! 3. for each filter, each block of [`CONV_ROWS`] output rows and each
-//!    [`LANES`]-wide chunk of the span, runs [`simd::sparse_conv_block`]
-//!    from the bias and stores the lanes inside the span.
+//! 1. copies the input columns the output span reads (the delta's inside
+//!    its span, the baseline's outside it) into a zero-padded tile, laid
+//!    out by column phase (`x mod stride`) so every stride reads each
+//!    tap's lanes from one contiguous run; at stride 1 each tile row is
+//!    one run of row copies;
+//! 2. takes each nonzero's tile offset from the [`SparseConv`] the layer
+//!    was placed into once for its input shape (the tile layout does not
+//!    depend on the span);
+//! 3. for each filter, runs [`simd::sparse_conv_blocks`] over every block
+//!    of [`CONV_ROWS`] output rows and [`LANES`]-wide chunk of the span,
+//!    from the bias, and stores the lanes inside the span.
 //!
 //! # Bit-identity contract
 //!
@@ -28,12 +32,13 @@
 //! `(c, r, s)` order — the reference's order. Taps whose activation is zero
 //! (including the zeros that stand for padding) are skipped lanewise by the
 //! mask, exactly as the reference skips them, so both perform the same f32
-//! additions in the same order.
+//! additions in the same order. (Where dropping the mask provably changes
+//! no bit, the register blocks drop it: see [`simd::sparse_conv_blocks`].)
 
-use crate::colspan::ColSpan;
+use crate::colspan::{ColSpan, SpanDelta};
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
 use crate::simd::{self, CONV_ROWS, LANES};
-use crate::{Tensor3, Tensor4};
+use crate::{Shape3, Tensor3, Tensor4};
 
 /// Filter-major compaction of a pruned weight tensor.
 ///
@@ -53,6 +58,8 @@ pub struct SparseFilters {
     taps: Vec<u32>,
     /// Weight value per surviving weight.
     values: Vec<f32>,
+    /// Whether every surviving weight is finite.
+    finite: bool,
 }
 
 impl SparseFilters {
@@ -84,6 +91,7 @@ impl SparseFilters {
             s,
             offsets,
             taps,
+            finite: values.iter().all(|v| v.is_finite()),
             values,
         }
     }
@@ -120,43 +128,135 @@ impl SparseFilters {
     }
 }
 
-/// Output-stationary sparse × sparse convolution restricted to the output
-/// columns reachable from `in_span`.
+/// A sparse conv layer placed for one input shape: its filter-major
+/// compaction with every nonzero keyed by its offset in the input tile
+/// [`conv2d_csc`] builds at that shape, instead of by its tap index.
 ///
-/// The caller guarantees one of two contracts:
+/// Every call at the shape uses one tile layout, whatever its span: rows
+/// are laid out for the full output width, and a narrower span fills and
+/// runs only its own columns of them. So the tap-to-offset map runs once,
+/// here, and never per call.
+#[derive(Clone, Debug)]
+pub struct SparseConv {
+    /// The compaction, its `taps` holding tile offsets.
+    filters: SparseFilters,
+    in_shape: Shape3,
+    stride: usize,
+    out_h: usize,
+    out_w: usize,
+    pad_y: usize,
+    pad_x: usize,
+    /// Columns of one tile row phase (lanes for the full output width,
+    /// plus the kernel's reach past the last one).
+    u_len: usize,
+    /// Tile rows per channel.
+    t_len: usize,
+}
+
+impl SparseConv {
+    /// Compacts `weight` (layout `K x C x R x S`) and places it for
+    /// `in_shape` inputs under `cfg`'s stride and padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` does not take `in_shape.c` input channels, if
+    /// `cfg.stride == 0`, or if the tile would exceed `u32` offsets.
+    pub fn new(weight: &Tensor4, in_shape: Shape3, cfg: &Conv2dCfg) -> Self {
+        let mut filters = SparseFilters::build(weight);
+        assert!(cfg.stride > 0, "stride must be positive");
+        assert_eq!(
+            in_shape.c, filters.c,
+            "input channels {} do not match weight channels {}",
+            in_shape.c, filters.c
+        );
+        let (kr, ks, st) = (filters.r, filters.s, cfg.stride);
+        let out_h = conv_out_dim(in_shape.h, kr, st, cfg.padding);
+        let out_w = conv_out_dim(in_shape.w, ks, st, cfg.padding);
+        let (pad_y, pad_x) = match cfg.padding {
+            Padding::Same => (same_pad(in_shape.h, kr, st), same_pad(in_shape.w, ks, st)),
+            Padding::Valid => (0, 0),
+        };
+        // Tile geometry. Output row p, lane j (column q_lo + j) and tap
+        // (c, r, s) read input row p*st + r - pad_y and column
+        // x0 + (j + s/st)*st + s%st, where x0 = q_lo*st - pad_x. The tile
+        // holds, per channel, `t_len` input rows (row t is input row
+        // t - pad_y); each row holds `st` phases of `u_len` columns (phase
+        // f, column u is input column x0 + u*st + f). Rows and lanes are
+        // padded up to whole register blocks.
+        let u_len = out_w.div_ceil(LANES) * LANES + (ks - 1) / st;
+        let t_len = (out_h.div_ceil(CONV_ROWS) * CONV_ROWS).saturating_sub(1) * st + kr;
+        let (row_len, chan_len) = (st * u_len, t_len * st * u_len);
+        assert!(
+            in_shape.c * chan_len <= u32::MAX as usize,
+            "input tile exceeds u32 offsets"
+        );
+        let mut tap_offset = Vec::with_capacity(in_shape.c * kr * ks);
+        for c in 0..in_shape.c {
+            for r in 0..kr {
+                for s in 0..ks {
+                    tap_offset
+                        .push((c * chan_len + r * row_len + (s % st) * u_len + s / st) as u32);
+                }
+            }
+        }
+        for tap in &mut filters.taps {
+            *tap = tap_offset[*tap as usize];
+        }
+        SparseConv {
+            filters,
+            in_shape,
+            stride: st,
+            out_h,
+            out_w,
+            pad_y,
+            pad_x,
+            u_len,
+            t_len,
+        }
+    }
+
+    /// Floats in one tile row: `stride` phases.
+    fn row_len(&self) -> usize {
+        self.stride * self.u_len
+    }
+
+    /// Floats in one channel of the tile.
+    fn chan_len(&self) -> usize {
+        self.t_len * self.row_len()
+    }
+}
+
+/// Output-stationary sparse × sparse convolution of a span delta: the
+/// output columns reachable from `input`'s span, as a delta over the
+/// output's own baseline.
 ///
-/// * `baseline == None`: every input column outside `in_span` is zero. The
-///   untouched output columns are then exactly `bias[k]`, which is what this
-///   kernel writes there.
-/// * `baseline == Some(base)`: `base` is this convolution's output for a
-///   reference input that agrees with `input` on every column outside
-///   `in_span` (the incremental-forward case, where `base` comes from the
-///   zero-input baseline trace). Untouched output columns are copied from
-///   `base`; columns reachable from `in_span` are recomputed from scratch.
-///
-/// Under either contract the result is bit-identical to running the
-/// reference loop nest over the full map.
+/// `input` is read as a [`SpanDelta`] over `base`: the input columns the
+/// output span's windows reach outside the delta's span come from `base`
+/// (zeros when `None`). If `base` is the input of a reference run, the
+/// returned columns are bit-identical to the same columns of
+/// [`crate::conv::conv2d_reference`] on the whole map, and every other
+/// output column equals the reference run's output (with `base == None`,
+/// that is the bias).
 ///
 /// # Panics
 ///
-/// Panics if the input channel count does not match `weights`, if a provided
-/// `baseline` has the wrong shape, or if `cfg.stride == 0`.
+/// Panics if `input` or `base` does not have the shape `conv` is placed
+/// for, or if `bias` does not hold one value per output channel.
 pub fn conv2d_csc(
-    input: &Tensor3,
-    weights: &SparseFilters,
+    input: &SpanDelta,
+    base: Option<&Tensor3>,
+    conv: &SparseConv,
     bias: Option<&[f32]>,
-    cfg: &Conv2dCfg,
-    in_span: ColSpan,
-    baseline: Option<&Tensor3>,
-) -> Tensor3 {
-    assert!(cfg.stride > 0, "stride must be positive");
+) -> SpanDelta {
+    let in_shape = input.shape();
     assert_eq!(
-        input.c(),
-        weights.c(),
-        "input channels {} do not match weight channels {}",
-        input.c(),
-        weights.c()
+        in_shape, conv.in_shape,
+        "input shape must be the one the conv is placed for"
     );
+    if let Some(b) = base {
+        assert_eq!(b.shape(), in_shape, "baseline shape must match the input");
+    }
+    let weights = &conv.filters;
     if let Some(b) = bias {
         assert_eq!(
             b.len(),
@@ -165,125 +265,102 @@ pub fn conv2d_csc(
         );
     }
 
-    let (kr, ks, st) = (weights.r(), weights.s(), cfg.stride);
-    let (in_h, in_w) = (input.h(), input.w());
-    let out_h = conv_out_dim(in_h, kr, st, cfg.padding);
-    let out_w = conv_out_dim(in_w, ks, st, cfg.padding);
-    let (pad_y, pad_x) = match cfg.padding {
-        Padding::Same => (same_pad(in_h, kr, st), same_pad(in_w, ks, st)),
-        Padding::Valid => (0, 0),
-    };
-
-    let plane = out_h * out_w;
-    let mut out = match baseline {
-        Some(base) => {
-            assert_eq!(
-                (base.c(), base.h(), base.w()),
-                (weights.k(), out_h, out_w),
-                "baseline shape must match the convolution output"
-            );
-            base.clone()
-        }
-        None => {
-            let mut t = Tensor3::zeros(weights.k(), out_h, out_w);
-            if let Some(b) = bias {
-                for (k, chunk) in t.data_mut().chunks_exact_mut(plane.max(1)).enumerate() {
-                    chunk.fill(b[k]);
-                }
-            }
-            t
-        }
-    };
-    let out_span = in_span.clamp(in_w).conv(ks, st, pad_x, out_w);
+    let (ks, st) = (weights.s(), conv.stride);
+    let (in_h, in_w) = (in_shape.h, in_shape.w);
+    let (out_h, out_w) = (conv.out_h, conv.out_w);
+    let out_span = input.span().conv(ks, st, conv.pad_x, out_w);
+    let (q_lo, span_w) = (out_span.lo(), out_span.width());
+    let mut out = Tensor3::zeros(weights.k(), out_h, span_w);
     if out_h == 0 || out_span.is_empty() {
-        return out;
+        return SpanDelta::new(out_span, out_w, out);
     }
 
-    // Tile geometry. Output row p, lane j (column q_lo + j) and tap
-    // (c, r, s) read input row p*st + r - pad_y and column
-    // x0 + (j + s/st)*st + s%st, where x0 = q_lo*st - pad_x. The tile holds,
-    // per channel, `t_len` input rows (row t is input row t - pad_y); each
-    // row holds `st` phases of `u_len` columns (phase f, column u is input
-    // column x0 + u*st + f). Rows and lanes are padded up to whole register
-    // blocks; everything outside the input stays zero.
-    let (q_lo, span_w) = (out_span.lo(), out_span.width());
-    let rows = out_h.div_ceil(CONV_ROWS) * CONV_ROWS;
-    let u_len = span_w.div_ceil(LANES) * LANES + (ks - 1) / st;
-    let row_len = st * u_len;
-    let t_len = (rows - 1) * st + kr;
-    let chan_len = t_len * row_len;
-    let mut tile = vec![0.0f32; input.c() * chan_len];
-    assert!(
-        tile.len() <= u32::MAX as usize,
-        "input tile exceeds u32 offsets"
-    );
-    let x0 = (q_lo * st) as isize - pad_x as isize;
-    let in_data = input.data();
+    // The tile (see `SparseConv::new` for its layout) starts at input
+    // column x0 = q_lo*st - pad_x. Of each row phase, the span's lanes
+    // read the first `u_span` columns: input columns `x0..x0 + st*u_span`,
+    // clamped to the map. Stride 1 copies them straight into the tile
+    // row; a larger stride gathers them once and deals them out by phase.
+    // Everything else stays zero.
+    let (u_len, row_len, chan_len) = (conv.u_len, conv.row_len(), conv.chan_len());
+    let mut tile = vec![0.0f32; in_shape.c * chan_len];
+    let u_span = span_w.div_ceil(LANES) * LANES + (ks - 1) / st;
+    let x0 = (q_lo * st) as isize - conv.pad_x as isize;
+    let xa = x0.max(0) as usize;
+    let xb = ((x0 + (st * u_span) as isize).min(in_w as isize).max(0) as usize).max(xa);
+    let skip = (xa as isize - x0) as usize;
+    let mut gathered = vec![0.0f32; xb - xa];
     for (c, chan) in tile.chunks_exact_mut(chan_len).enumerate() {
         for (t, row) in chan.chunks_exact_mut(row_len).enumerate() {
-            let Some(iy) = t.checked_sub(pad_y).filter(|&iy| iy < in_h) else {
+            let Some(iy) = t.checked_sub(conv.pad_y).filter(|&iy| iy < in_h) else {
                 continue;
             };
-            let src = &in_data[(c * in_h + iy) * in_w..(c * in_h + iy + 1) * in_w];
+            if st == 1 {
+                input.read_row(base, c, iy, xa..xb, &mut row[skip..skip + (xb - xa)]);
+                continue;
+            }
+            input.read_row(base, c, iy, xa..xb, &mut gathered);
             for (phase, dst) in row.chunks_exact_mut(u_len).enumerate() {
-                for (u, d) in dst.iter_mut().enumerate() {
+                for (u, d) in dst[..u_span].iter_mut().enumerate() {
                     let x = x0 + (u * st + phase) as isize;
-                    if (0..in_w as isize).contains(&x) {
-                        *d = src[x as usize];
+                    if (xa as isize..xb as isize).contains(&x) {
+                        *d = gathered[x as usize - xa];
                     }
                 }
             }
         }
     }
 
-    // Tap index -> tile offset, then every nonzero's offset in one pass.
-    let mut tap_offset = Vec::with_capacity(input.c() * kr * ks);
-    for c in 0..input.c() {
-        for r in 0..kr {
-            for s in 0..ks {
-                tap_offset.push((c * chan_len + r * row_len + (s % st) * u_len + s / st) as u32);
-            }
-        }
-    }
-    let offs: Vec<u32> = weights
-        .taps
-        .iter()
-        .map(|&t| tap_offset[t as usize])
-        .collect();
-
     let row_step = st * row_len;
-    let out_data = out.data_mut();
-    for k in 0..weights.k() {
+    let plane = out_h * span_w;
+    let (row_blocks, lane_blocks) = (out_h.div_ceil(CONV_ROWS), span_w.div_ceil(LANES));
+    for (k, out_k) in out.data_mut().chunks_exact_mut(plane).enumerate() {
         let nz = weights.filter(k);
-        let (f_offs, f_vals) = (&offs[nz.clone()], &weights.values[nz]);
-        let b = bias.map_or(0.0, |b| b[k]);
-        for p0 in (0..out_h).step_by(CONV_ROWS) {
-            for j0 in (0..span_w).step_by(LANES) {
-                let block =
-                    simd::sparse_conv_block(&tile, p0 * row_step + j0, row_step, f_offs, f_vals, b);
+        simd::sparse_conv_blocks(
+            &tile,
+            row_blocks,
+            lane_blocks,
+            row_step,
+            &weights.taps[nz.clone()],
+            &weights.values[nz],
+            bias.map_or(0.0, |b| b[k]),
+            weights.finite,
+            |pb, jb, block| {
+                let (p0, j0) = (pb * CONV_ROWS, jb * LANES);
                 let n = LANES.min(span_w - j0);
-                for (p, lanes) in (p0..out_h).zip(&block) {
-                    let at = k * plane + p * out_w + q_lo + j0;
-                    out_data[at..at + n].copy_from_slice(&lanes[..n]);
+                for (p, lanes) in (p0..out_h).zip(block) {
+                    let at = p * span_w + j0;
+                    out_k[at..at + n].copy_from_slice(&lanes[..n]);
                 }
-            }
-        }
+            },
+        );
     }
-    out
+    SpanDelta::new(out_span, out_w, out)
 }
 
-/// [`conv2d_csc`] with the weight compaction and span scan done on the fly —
-/// the dispatch target of [`crate::conv::conv2d`] for sparse inputs and
-/// sparse weights (callers with reusable [`SparseFilters`] should invoke the
-/// kernel directly).
+/// [`conv2d_csc`] over a whole map, with the weight compaction, placement
+/// and span scan done on the fly — the dispatch target of
+/// [`crate::conv::conv2d`] for sparse inputs and sparse weights (callers
+/// with a reusable [`SparseConv`] should invoke the kernel directly).
+/// Output columns the input's nonzero span cannot reach are the bias.
 pub fn conv2d_sparse_csc(
     input: &Tensor3,
     weight: &Tensor4,
     bias: Option<&[f32]>,
     cfg: &Conv2dCfg,
 ) -> Tensor3 {
-    let filters = SparseFilters::build(weight);
-    conv2d_csc(input, &filters, bias, cfg, ColSpan::of_tensor(input), None)
+    let conv = SparseConv::new(weight, input.shape(), cfg);
+    let delta = SpanDelta::of_cols(input, ColSpan::of_tensor(input));
+    let span_out = conv2d_csc(&delta, None, &conv, bias);
+    let shape = span_out.shape();
+    let mut out = Tensor3::zeros(shape.c, shape.h, shape.w);
+    if let Some(b) = bias {
+        let plane = (shape.h * shape.w).max(1);
+        for (k, chunk) in out.data_mut().chunks_exact_mut(plane).enumerate() {
+            chunk.fill(b[k]);
+        }
+    }
+    span_out.write_into(&mut out);
+    out
 }
 
 #[cfg(test)]
@@ -368,30 +445,35 @@ mod tests {
         // column, must equal the from-scratch result bit-for-bit.
         let mut rng = StdRng::seed_from_u64(0x1D1);
         let weight = pruned_weights(6, 2, 3, 3, 0.5, 0x51);
-        let filters = SparseFilters::build(&weight);
         for stride in [1, 2] {
             let cfg = Conv2dCfg::new(stride, Padding::Same);
             let mut base_in = Tensor3::zeros(2, 8, 8);
             for v in base_in.data_mut().iter_mut() {
                 *v = rng.gen_range(-1.0..1.0);
             }
-            let base_out = conv2d_csc(&base_in, &filters, None, &cfg, ColSpan::full(8), None);
+            let conv = SparseConv::new(&weight, Shape3::new(2, 8, 8), &cfg);
+            let whole = |x: &Tensor3| {
+                conv2d_csc(&SpanDelta::full(x.clone()), None, &conv, None).into_map(None)
+            };
+            let base_out = whole(&base_in);
             let mut patched = base_in.clone();
             for ch in 0..2 {
                 for y in 0..8 {
                     patched.set(ch, y, 5, rng.gen_range(-1.0..1.0));
                 }
             }
-            let incremental = conv2d_csc(
-                &patched,
-                &filters,
-                None,
-                &cfg,
-                ColSpan::new(5, 6),
-                Some(&base_out),
+            let delta = SpanDelta::of_cols(&patched, ColSpan::new(5, 6));
+            let incremental = conv2d_csc(&delta, Some(&base_in), &conv, None);
+            assert!(
+                incremental.span().width() < 8,
+                "stride {stride}: span not narrowed"
             );
-            let full = conv2d_csc(&patched, &filters, None, &cfg, ColSpan::full(8), None);
-            assert_eq!(bits(&incremental), bits(&full), "stride {stride}");
+            let incremental = incremental.into_map(Some(&base_out));
+            assert_eq!(
+                bits(&incremental),
+                bits(&whole(&patched)),
+                "stride {stride}"
+            );
         }
     }
 
@@ -399,16 +481,8 @@ mod tests {
     fn empty_span_returns_bias_planes() {
         let weight = pruned_weights(3, 1, 3, 3, 0.5, 4);
         let x = Tensor3::zeros(1, 5, 5);
-        let filters = SparseFilters::build(&weight);
         let bias = [1.0, -2.0, -0.0];
-        let out = conv2d_csc(
-            &x,
-            &filters,
-            Some(&bias),
-            &Conv2dCfg::default(),
-            ColSpan::empty(),
-            None,
-        );
+        let out = conv2d_sparse_csc(&x, &weight, Some(&bias), &Conv2dCfg::default());
         for (k, b) in bias.iter().enumerate() {
             assert!(out.data()[k * 25..(k + 1) * 25]
                 .iter()

@@ -61,9 +61,15 @@ pub use tensor::{Tensor3, Tensor4};
 /// post-ReLU values; a small epsilon guards against `-0.0` and denormals.
 pub const ZERO_EPS: f32 = 1e-12;
 
-/// Counts the non-zero entries of a slice under [`ZERO_EPS`].
+/// Whether `v` counts as non-zero under [`ZERO_EPS`].
+#[inline]
+pub fn is_nonzero(v: f32) -> bool {
+    v.abs() > ZERO_EPS
+}
+
+/// Counts the non-zero entries of a slice ([`is_nonzero`]).
 pub fn nnz(values: &[f32]) -> usize {
-    values.iter().filter(|v| v.abs() > ZERO_EPS).count()
+    values.iter().filter(|&&v| is_nonzero(v)).count()
 }
 
 #[cfg(test)]

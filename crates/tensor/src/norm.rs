@@ -5,20 +5,20 @@
 //! ReLU (§5.2); at inference time batch norm is a per-channel affine
 //! transform `y = gamma' * x + beta'`, which is what we implement here.
 
-use crate::{ColSpan, Tensor3};
+use crate::Tensor3;
 
 /// Per-channel affine parameters: `y[c] = scale[c] * x[c] + shift[c]`.
 ///
 /// # Examples
 ///
 /// ```
-/// use hd_tensor::{ColSpan, Tensor3, norm::Affine};
+/// use hd_tensor::{Tensor3, norm::Affine};
 ///
 /// let bn = Affine::new(vec![2.0], vec![1.0]);
 /// let x = Tensor3::from_vec(1, 1, 3, vec![3.0, -1.0, 5.0]);
-/// let mut y = Tensor3::zeros(1, 1, 3);
-/// bn.apply_cols(&x, ColSpan::new(0, 2), &mut y);
-/// assert_eq!(y.data(), &[7.0, -1.0, 0.0]);
+/// assert_eq!(bn.apply(&x).data(), &[7.0, -1.0, 11.0]);
+/// let (post_bn, out) = bn.apply_relu(&x);
+/// assert_eq!((post_bn.data(), out.data()), (&[7.0, -1.0, 11.0][..], &[7.0, 0.0, 11.0][..]));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Affine {
@@ -70,22 +70,49 @@ impl Affine {
         &mut self.shift
     }
 
-    /// Overwrites the `span` columns of `out` with the transform of `src`'s.
+    /// The transform of every element of `src`.
     ///
     /// # Panics
     ///
-    /// Panics if the channel counts or shapes do not match.
-    pub fn apply_cols(&self, src: &Tensor3, span: ColSpan, out: &mut Tensor3) {
+    /// Panics if the channel counts do not match.
+    pub fn apply(&self, src: &Tensor3) -> Tensor3 {
         assert_eq!(src.c(), self.scale.len(), "channel mismatch in affine");
-        assert_eq!(src.shape(), out.shape(), "shape mismatch in affine");
-        let shape = src.shape();
-        let dst = out.data_mut();
-        for (c, run) in span.runs(shape) {
+        let mut out = src.clone();
+        let plane = (src.h() * src.w()).max(1);
+        for (c, chan) in out.data_mut().chunks_exact_mut(plane).enumerate() {
             let (s, b) = (self.scale[c], self.shift[c]);
-            for (o, &x) in dst[run.clone()].iter_mut().zip(&src.data()[run]) {
-                *o = s * x + b;
+            for v in chan {
+                *v = s * *v + b;
             }
         }
+        out
+    }
+
+    /// [`Affine::apply`] and a ReLU after it, fused in one pass: returns
+    /// `(s*x + b, relu(s*x + b))`, where the ReLU maps exactly the values
+    /// `< 0.0` to `0.0`, as [`Tensor3::relu`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel counts do not match.
+    pub fn apply_relu(&self, src: &Tensor3) -> (Tensor3, Tensor3) {
+        assert_eq!(src.c(), self.scale.len(), "channel mismatch in affine");
+        let mut post_bn = src.clone();
+        let mut out = Tensor3::zeros(src.c(), src.h(), src.w());
+        let plane = (src.h() * src.w()).max(1);
+        let chans = post_bn
+            .data_mut()
+            .chunks_exact_mut(plane)
+            .zip(out.data_mut().chunks_exact_mut(plane));
+        for (c, (pre, relu)) in chans.enumerate() {
+            let (s, b) = (self.scale[c], self.shift[c]);
+            for (p, r) in pre.iter_mut().zip(relu) {
+                let y = s * *p + b;
+                *p = y;
+                *r = if y < 0.0 { 0.0 } else { y };
+            }
+        }
+        (post_bn, out)
     }
 
     /// Backward pass: returns (grad wrt input, grad wrt scale, grad wrt shift).
@@ -124,31 +151,27 @@ pub fn relu_backward(grad_out: &Tensor3, pre_activation: &Tensor3) -> Tensor3 {
 mod tests {
     use super::*;
 
-    fn apply(bn: &Affine, x: &Tensor3) -> Tensor3 {
-        let mut out = Tensor3::zeros(x.c(), x.h(), x.w());
-        bn.apply_cols(x, ColSpan::full(x.w()), &mut out);
-        out
-    }
-
     #[test]
     fn identity_is_noop() {
         let x = Tensor3::from_vec(2, 1, 2, vec![1.0, -2.0, 3.0, -4.0]);
-        assert_eq!(apply(&Affine::identity(2), &x), x);
+        assert_eq!(Affine::identity(2).apply(&x), x);
     }
 
     #[test]
     fn per_channel_parameters() {
         let x = Tensor3::from_vec(2, 1, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let bn = Affine::new(vec![10.0, -1.0], vec![0.5, 0.0]);
-        assert_eq!(apply(&bn, &x).data(), &[10.5, 20.5, -3.0, -4.0]);
+        assert_eq!(bn.apply(&x).data(), &[10.5, 20.5, -3.0, -4.0]);
     }
 
     #[test]
-    fn span_leaves_other_columns_alone() {
-        let x = Tensor3::from_vec(2, 1, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let mut out = Tensor3::full(2, 1, 3, -1.0);
-        Affine::new(vec![2.0, 3.0], vec![1.0, 0.0]).apply_cols(&x, ColSpan::new(1, 2), &mut out);
-        assert_eq!(out.data(), &[-1.0, 5.0, -1.0, -1.0, 15.0, -1.0]);
+    fn fused_relu_matches_apply_then_relu_bitwise() {
+        let x = Tensor3::from_vec(2, 1, 3, vec![1.0, -0.0, 3.0, -4.0, 0.5, f32::NAN]);
+        let bn = Affine::new(vec![2.0, -3.0], vec![-2.0, 0.0]);
+        let (post_bn, out) = bn.apply_relu(&x);
+        let bits = |t: &Tensor3| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&post_bn), bits(&bn.apply(&x)));
+        assert_eq!(bits(&out), bits(&bn.apply(&x).relu()));
     }
 
     #[test]
@@ -174,6 +197,6 @@ mod tests {
     #[should_panic(expected = "channel mismatch")]
     fn channel_mismatch_panics() {
         let x = Tensor3::zeros(3, 1, 1);
-        let _ = apply(&Affine::identity(2), &x);
+        let _ = Affine::identity(2).apply(&x);
     }
 }

@@ -1,6 +1,6 @@
 //! Pooling kernels (max / average) and their gradients.
 
-use crate::colspan::ColSpan;
+use crate::colspan::SpanDelta;
 use crate::Tensor3;
 
 /// Pooling flavour.
@@ -13,62 +13,123 @@ pub enum PoolKind {
 }
 
 /// Non-overlapping symmetric pooling: window `factor x factor`, stride
-/// `factor` (the paper's `POOL_X = POOL_Y` model, Eq. 2), written into the
-/// `span` columns of `out`; the other columns of `out` are left as they
-/// are. A full span over a zeroed `out` pools the whole map; a narrower
-/// span over the pool of a reference input that agrees with `input`
-/// outside `span`'s pre-image gives the same bits as pooling the full map.
+/// `factor` (the paper's `POOL_X = POOL_Y` model, Eq. 2), of the map
+/// `input` holds over `base`. Returns the output columns whose windows
+/// touch `input`'s span, as a delta over the output's own baseline: a full
+/// span pools the whole map; a narrower one over the input of a reference
+/// run gives the bits the whole map's pool has there, and the reference
+/// run's pool everywhere else.
 ///
 /// Trailing rows/columns that do not fill a complete window are dropped,
 /// matching PyTorch's default (`ceil_mode = False`).
 ///
 /// # Panics
 ///
-/// Panics if `factor == 0` or `out` does not have the pooled shape.
+/// Panics if `factor == 0` or `base` does not have the input's shape.
 ///
 /// # Examples
 ///
 /// ```
-/// use hd_tensor::{ColSpan, Tensor3, pool::{pool2d, PoolKind}};
+/// use hd_tensor::{colspan::SpanDelta, Tensor3, pool::{pool2d, PoolKind}};
 ///
-/// let x = Tensor3::from_vec(1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-/// let mut out = Tensor3::zeros(1, 1, 1);
-/// pool2d(&x, 2, PoolKind::Max, ColSpan::full(1), &mut out);
-/// assert_eq!(out.data(), &[4.0]);
-/// pool2d(&x, 2, PoolKind::Avg, ColSpan::full(1), &mut out);
-/// assert_eq!(out.data(), &[2.5]);
+/// let x = SpanDelta::full(Tensor3::from_vec(1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+/// assert_eq!(pool2d(&x, None, 2, PoolKind::Max).cols().data(), &[4.0]);
+/// assert_eq!(pool2d(&x, None, 2, PoolKind::Avg).cols().data(), &[2.5]);
 /// ```
-pub fn pool2d(input: &Tensor3, factor: usize, kind: PoolKind, span: ColSpan, out: &mut Tensor3) {
+pub fn pool2d(
+    input: &SpanDelta,
+    base: Option<&Tensor3>,
+    factor: usize,
+    kind: PoolKind,
+) -> SpanDelta {
     assert!(factor > 0, "pool factor must be positive");
-    let (out_h, out_w) = (input.h() / factor, input.w() / factor);
-    assert_eq!(
-        (out.c(), out.h(), out.w()),
-        (input.c(), out_h, out_w),
-        "output shape must match the pooled input"
-    );
-    if factor == 1 {
-        out.copy_cols(input, span);
-        return;
+    let shape = input.shape();
+    if let Some(b) = base {
+        assert_eq!(b.shape(), shape, "baseline shape must match the input");
     }
-    let span = span.clamp(out_w);
-    for c in 0..input.c() {
-        for p in 0..out_h {
-            for q in span.lo()..span.hi() {
-                let mut best = f32::NEG_INFINITY;
-                let mut sum = 0.0;
-                for dy in 0..factor {
-                    for dx in 0..factor {
-                        let v = input.at(c, p * factor + dy, q * factor + dx);
-                        best = best.max(v);
-                        sum += v;
+    if factor == 1 {
+        return input.clone();
+    }
+    let (out_h, out_w) = (shape.h / factor, shape.w / factor);
+    let span = input.span().pool(factor, out_w);
+    let sw = span.width();
+    let mut out = Tensor3::zeros(shape.c, out_h, sw);
+    if sw == 0 {
+        return SpanDelta::new(span, out_w, out);
+    }
+    match kind {
+        PoolKind::Max => fold_windows(
+            input,
+            base,
+            factor,
+            span.lo(),
+            &mut out,
+            f32::NEG_INFINITY,
+            f32::max,
+        ),
+        PoolKind::Avg => {
+            fold_windows(input, base, factor, span.lo(), &mut out, 0.0, |acc, v| {
+                acc + v
+            });
+            let area = (factor * factor) as f32;
+            for v in out.data_mut() {
+                *v /= area;
+            }
+        }
+    }
+    SpanDelta::new(span, out_w, out)
+}
+
+/// Folds every `factor x factor` window into one element of `out`, whose
+/// rows are the pooled rows channel by channel and whose first column is
+/// output column `q_lo`, from `init` by `op`. Each window is visited row
+/// by row, left to right (the order of a whole-map loop over `(dy, dx)`),
+/// in a register: an input column is read from the delta inside its span
+/// and from `base` (or zero) outside it.
+fn fold_windows(
+    input: &SpanDelta,
+    base: Option<&Tensor3>,
+    factor: usize,
+    q_lo: usize,
+    out: &mut Tensor3,
+    init: f32,
+    op: impl Fn(f32, f32) -> f32,
+) {
+    let shape = input.shape();
+    let (lo, hi, dw) = (input.span().lo(), input.span().hi(), input.span().width());
+    let (out_h, sw) = (out.h(), out.w());
+    let mut rows: Vec<(&[f32], Option<&[f32]>)> = Vec::with_capacity(factor);
+    for (row, dst) in out.data_mut().chunks_exact_mut(sw).enumerate() {
+        let (c, p) = (row / out_h, row % out_h);
+        rows.clear();
+        rows.extend((0..factor).map(|dy| {
+            let r = c * shape.h + p * factor + dy;
+            let delta = &input.cols().data()[r * dw..(r + 1) * dw];
+            (
+                delta,
+                base.map(|b| &b.data()[r * shape.w..(r + 1) * shape.w]),
+            )
+        }));
+        for (j, d) in dst.iter_mut().enumerate() {
+            let x0 = (q_lo + j) * factor;
+            let mut acc = init;
+            for &(delta, base_row) in &rows {
+                if x0 >= lo && x0 + factor <= hi {
+                    for &v in &delta[x0 - lo..x0 - lo + factor] {
+                        acc = op(acc, v);
+                    }
+                } else {
+                    for x in x0..x0 + factor {
+                        let v = if (lo..hi).contains(&x) {
+                            delta[x - lo]
+                        } else {
+                            base_row.map_or(0.0, |b| b[x])
+                        };
+                        acc = op(acc, v);
                     }
                 }
-                let v = match kind {
-                    PoolKind::Max => best,
-                    PoolKind::Avg => sum / (factor * factor) as f32,
-                };
-                out.set(c, p, q, v);
             }
+            *d = acc;
         }
     }
 }
@@ -149,9 +210,7 @@ mod tests {
     use super::*;
 
     fn pool(x: &Tensor3, factor: usize, kind: PoolKind) -> Tensor3 {
-        let mut out = Tensor3::zeros(x.c(), x.h() / factor, x.w() / factor);
-        pool2d(x, factor, kind, ColSpan::full(out.w()), &mut out);
-        out
+        pool2d(&SpanDelta::full(x.clone()), None, factor, kind).into_map(None)
     }
 
     #[test]
@@ -192,16 +251,21 @@ mod tests {
     }
 
     #[test]
-    fn span_patches_only_its_columns() {
+    fn span_reads_its_windows_through_the_baseline() {
+        use crate::ColSpan;
         let x = Tensor3::from_vec(1, 2, 6, (1..=12).map(|v| v as f32).collect());
+        let base = Tensor3::full(1, 2, 6, 100.0);
         for kind in [PoolKind::Max, PoolKind::Avg] {
             let full = pool(&x, 2, kind);
-            let baseline = Tensor3::full(1, 1, 3, -7.0);
-            let mut partial = baseline.clone();
-            pool2d(&x, 2, kind, ColSpan::new(1, 2), &mut partial);
-            assert_eq!(partial.at(0, 0, 1), full.at(0, 0, 1));
-            assert_eq!(partial.at(0, 0, 0), baseline.at(0, 0, 0));
-            assert_eq!(partial.at(0, 0, 2), baseline.at(0, 0, 2));
+            // Column 3's window also reads column 2, from the baseline.
+            let delta = SpanDelta::of_cols(&x, ColSpan::new(3, 4));
+            let got = pool2d(&delta, Some(&base), 2, kind);
+            assert_eq!(got.span(), ColSpan::new(1, 2));
+            let mut mixed = base.clone();
+            delta.write_into(&mut mixed);
+            let got = got.into_map(Some(&pool(&base, 2, kind)));
+            assert_eq!(got, pool(&mixed, 2, kind));
+            assert_ne!(got.at(0, 0, 1), full.at(0, 0, 1));
         }
     }
 

@@ -223,24 +223,107 @@ pub fn sparse_conv_block(
     init: f32,
 ) -> [[f32; LANES]; CONV_ROWS] {
     assert_eq!(offs.len(), vals.len(), "tap offset/value length mismatch");
+    check_reach(tile, Some(origin), row_step, offs);
+    #[cfg(target_arch = "x86_64")]
+    if mode() == MODE_VECTOR {
+        // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
+        // `check_reach` bounds every load the kernel issues.
+        return unsafe {
+            x86::sparse_conv_block_avx2::<true>(tile, origin, row_step, offs, vals, init)
+        };
+    }
+    scalar::sparse_conv_block(tile, origin, row_step, offs, vals, init)
+}
+
+/// [`sparse_conv_block`] over a grid of register blocks of one filter:
+/// block `(pb, jb)`, for `pb < row_blocks` and `jb < lane_blocks` in that
+/// order, has origin `pb * CONV_ROWS * row_step + jb * LANES` and is
+/// handed to `store(pb, jb, &block)`.
+///
+/// The reach check that guards the AVX2 body's raw loads runs once, for
+/// the last block (every other block reads below it), and the dispatch
+/// mode is read once.
+///
+/// `vals_finite` says every value is finite (the caller's compaction
+/// knows). Then, if `init` is not `-0.0`, no accumulator is ever `-0.0`:
+/// a round-to-nearest add returns `-0.0` only for two `-0.0` operands. A
+/// zero activation's product is then `±0.0`, and adding it leaves every
+/// accumulator's bits as they are (NaN and infinities included), so the
+/// AVX2 body skips the compare and blend with the same result.
+///
+/// # Panics
+///
+/// Panics if `offs` and `vals` differ in length or if the last block's
+/// reach (see [`sparse_conv_block`]) exceeds `tile`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn sparse_conv_blocks(
+    tile: &[f32],
+    row_blocks: usize,
+    lane_blocks: usize,
+    row_step: usize,
+    offs: &[u32],
+    vals: &[f32],
+    init: f32,
+    vals_finite: bool,
+    mut store: impl FnMut(usize, usize, &[[f32; LANES]; CONV_ROWS]),
+) {
+    assert_eq!(offs.len(), vals.len(), "tap offset/value length mismatch");
+    debug_assert!(!vals_finite || vals.iter().all(|v| v.is_finite()));
+    if row_blocks == 0 || lane_blocks == 0 {
+        return;
+    }
+    let block_step = CONV_ROWS.checked_mul(row_step);
+    let last = block_step
+        .and_then(|step| step.checked_mul(row_blocks - 1))
+        .zip((lane_blocks - 1).checked_mul(LANES))
+        .and_then(|(rows, lanes)| rows.checked_add(lanes));
+    check_reach(tile, last, row_step, offs);
+    let block_step = block_step.unwrap_or(0);
+    let origins = (0..row_blocks)
+        .flat_map(|pb| (0..lane_blocks).map(move |jb| (pb, jb, pb * block_step + jb * LANES)));
+    #[cfg(target_arch = "x86_64")]
+    if mode() == MODE_VECTOR {
+        let masked = !vals_finite || init.to_bits() == (-0.0f32).to_bits();
+        for (pb, jb, origin) in origins {
+            // SAFETY: AVX2 presence verified before MODE_VECTOR was
+            // stored; `check_reach` bounds every load of the last block,
+            // and every other block's origin is below the last one's.
+            let block = unsafe {
+                if masked {
+                    x86::sparse_conv_block_avx2::<true>(tile, origin, row_step, offs, vals, init)
+                } else {
+                    x86::sparse_conv_block_avx2::<false>(tile, origin, row_step, offs, vals, init)
+                }
+            };
+            store(pb, jb, &block);
+        }
+        return;
+    }
+    for (pb, jb, origin) in origins {
+        store(
+            pb,
+            jb,
+            &scalar::sparse_conv_block(tile, origin, row_step, offs, vals, init),
+        );
+    }
+}
+
+/// Asserts that a register block at `origin` (`None`: the origin
+/// overflowed) reads inside `tile`.
+fn check_reach(tile: &[f32], origin: Option<usize>, row_step: usize, offs: &[u32]) {
     // Checked: the AVX2 body's raw loads rely on this bound.
     let reach = offs.iter().copied().max().unwrap_or(0) as usize;
     let end = (CONV_ROWS - 1)
         .checked_mul(row_step)
-        .and_then(|rows| rows.checked_add(origin))
+        .zip(origin)
+        .and_then(|(rows, origin)| rows.checked_add(origin))
         .and_then(|at| at.checked_add(reach))
         .and_then(|at| at.checked_add(LANES));
     assert!(
         end.is_some_and(|end| end <= tile.len()),
         "register block reads past the tile"
     );
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_VECTOR {
-        // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
-        // the assert above bounds every load the kernel issues.
-        return unsafe { x86::sparse_conv_block_avx2(tile, origin, row_step, offs, vals, init) };
-    }
-    scalar::sparse_conv_block(tile, origin, row_step, offs, vals, init)
 }
 
 /// Unmasked i32 accumulate over a contiguous run: `acc[i] += w * x[i]`.
@@ -379,6 +462,58 @@ mod tests {
                 assert_eq!(a.to_bits(), (-0.0f32).to_bits(), "-0.0 flipped");
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past the tile")]
+    fn conv_blocks_check_the_last_block_reach() {
+        // Two row blocks: the second block's rows reach past a tile the
+        // first block alone would fit in.
+        let tile = vec![1.0f32; CONV_ROWS * LANES + LANES];
+        sparse_conv_blocks(&tile, 2, 1, LANES, &[0], &[1.0], 0.0, true, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past the tile")]
+    fn conv_blocks_reject_an_overflowing_grid() {
+        let tile = vec![1.0f32; CONV_ROWS * LANES];
+        sparse_conv_blocks(
+            &tile,
+            1,
+            usize::MAX / 2,
+            LANES,
+            &[0],
+            &[1.0],
+            0.0,
+            true,
+            |_, _, _| {},
+        );
+    }
+
+    #[test]
+    fn conv_blocks_keep_negative_zero_accumulators_on_every_path() {
+        // A `-0.0` init with zero activations stays `-0.0` even when the
+        // caller vouches for finite weights; a `+0.0` init stays `+0.0`.
+        let tile = vec![0.0f32; CONV_ROWS * LANES + 2 * LANES];
+        for init in [-0.0f32, 0.0] {
+            both_paths(|_| {
+                sparse_conv_blocks(
+                    &tile,
+                    1,
+                    2,
+                    LANES,
+                    &[0, 3],
+                    &[1.0, -2.0],
+                    init,
+                    true,
+                    |_, _, b| {
+                        for a in b.iter().flatten() {
+                            assert_eq!(a.to_bits(), init.to_bits(), "init {init:?} changed");
+                        }
+                    },
+                );
+            });
+        }
     }
 
     #[test]

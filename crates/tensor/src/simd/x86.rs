@@ -5,7 +5,8 @@
 //! `is_x86_feature_detected!` and asserts the slice bounds before
 //! calling in. Per-lane semantics match [`super::scalar`] exactly:
 //! separate `mul` + `add` (no FMA), and zero-skipping as a compare +
-//! blend so untouched accumulator lanes keep their bits.
+//! blend so untouched accumulator lanes keep their bits (or, where that
+//! provably changes no bit, no blend at all).
 
 use super::{CONV_ROWS, LANES, MR, NR};
 use core::arch::x86_64::*;
@@ -56,7 +57,10 @@ pub unsafe fn gemm_micro_avx2(
 
 /// Register block of the output-stationary sparse conv: `CONV_ROWS`
 /// ymm accumulators stay live across the whole nonzero list; each
-/// nonzero is one broadcast and `CONV_ROWS` masked lane updates.
+/// nonzero is one broadcast and `CONV_ROWS` lane updates. `MASKED`
+/// blends each update away where the activation is zero; without it the
+/// update is a plain multiply and add, which the dispatcher uses only
+/// where the two agree bit for bit (see `super::sparse_conv_blocks`).
 ///
 /// # Safety
 ///
@@ -65,7 +69,7 @@ pub unsafe fn gemm_micro_avx2(
 /// `LANES` values at each of `origin + o + i * row_step` for `i` in
 /// `0..CONV_ROWS`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn sparse_conv_block_avx2(
+pub unsafe fn sparse_conv_block_avx2<const MASKED: bool>(
     tile: &[f32],
     origin: usize,
     row_step: usize,
@@ -86,9 +90,13 @@ pub unsafe fn sparse_conv_block_avx2(
                 let xv = _mm256_loadu_ps(p.add(i * row_step));
                 // Separate mul + add: bit-identical to the scalar block.
                 let sum = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
-                // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
-                let mask = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv, zero);
-                *a = _mm256_blendv_ps(*a, sum, mask);
+                *a = if MASKED {
+                    // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
+                    let mask = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv, zero);
+                    _mm256_blendv_ps(*a, sum, mask)
+                } else {
+                    sum
+                };
             }
         }
         let mut out = [[0.0f32; LANES]; CONV_ROWS];

@@ -67,11 +67,19 @@ impl CompressionScheme {
         assert!(elem_bits > 0, "element width must be positive");
         let nnz = crate::nnz(values);
         let total = values.len();
-        let bits = match self {
-            CompressionScheme::Dense => cast::usize_to_u64(total) * u64::from(elem_bits),
-            CompressionScheme::Bitmap => {
-                cast::usize_to_u64(total) + cast::usize_to_u64(nnz) * u64::from(elem_bits)
-            }
+        self.size_from_nnz(total, channel_len, nnz, elem_bits)
+            .unwrap_or_else(|| EncodedSize {
+                bytes: self.placement_bytes(values, elem_bits),
+                nnz,
+                total,
+            })
+    }
+
+    /// Encoded bytes of `values` under a codec whose size depends on where
+    /// the zeros are: run-length and Huffman coding. Zero for the codecs
+    /// [`CompressionScheme::size_from_nnz`] sizes.
+    fn placement_bytes(&self, values: &[f32], elem_bits: u32) -> u64 {
+        match *self {
             CompressionScheme::RunLength { run_bits } => {
                 let max_run = (1u64 << run_bits) - 1;
                 let mut symbols: u64 = 0;
@@ -91,26 +99,56 @@ impl CompressionScheme {
                 if run > 0 {
                     symbols += 1; // trailing zero run needs a terminator symbol
                 }
-                symbols * (u64::from(*run_bits) + u64::from(elem_bits))
-            }
-            CompressionScheme::Csc { offset_bits } => {
-                let channels = cast::usize_to_u64(total.div_ceil(channel_len));
-                channels * 32
-                    + cast::usize_to_u64(nnz) * (u64::from(*offset_bits) + u64::from(elem_bits))
+                (symbols * (u64::from(run_bits) + u64::from(elem_bits))).div_ceil(8)
             }
             CompressionScheme::Huffman { quant_bits } => {
-                return EncodedSize {
-                    bytes: crate::huffman::huffman_encoded_bytes(values, u32::from(*quant_bits)),
-                    nnz,
-                    total,
-                };
+                crate::huffman::huffman_encoded_bytes(values, u32::from(quant_bits))
             }
+            CompressionScheme::Dense
+            | CompressionScheme::Bitmap
+            | CompressionScheme::Csc { .. } => 0,
+        }
+    }
+
+    /// Encoded size of `total` elements in channels of `channel_len`, `nnz`
+    /// of them non-zero, for the codecs whose size depends on nothing else:
+    /// [`Dense`](Self::Dense), [`Bitmap`](Self::Bitmap) and
+    /// [`Csc`](Self::Csc). `None` for run-length and Huffman coding.
+    ///
+    /// [`CompressionScheme::encoded_size_channels`] sizes these three
+    /// codecs through this same formula.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_len == 0` or `elem_bits == 0`.
+    pub fn size_from_nnz(
+        &self,
+        total: usize,
+        channel_len: usize,
+        nnz: usize,
+        elem_bits: u32,
+    ) -> Option<EncodedSize> {
+        assert!(channel_len > 0, "channel length must be positive");
+        assert!(elem_bits > 0, "element width must be positive");
+        let (n, z, e) = (
+            cast::usize_to_u64(total),
+            cast::usize_to_u64(nnz),
+            u64::from(elem_bits),
+        );
+        let bits = match *self {
+            CompressionScheme::Dense => n * e,
+            CompressionScheme::Bitmap => n + z * e,
+            CompressionScheme::Csc { offset_bits } => {
+                let channels = cast::usize_to_u64(total.div_ceil(channel_len));
+                channels * 32 + z * (u64::from(offset_bits) + e)
+            }
+            CompressionScheme::RunLength { .. } | CompressionScheme::Huffman { .. } => return None,
         };
-        EncodedSize {
+        Some(EncodedSize {
             bytes: bits.div_ceil(8),
             nnz,
             total,
-        }
+        })
     }
 
     /// Inverts [`encoded_size`](Self::encoded_size) back to a non-zero count,

@@ -1,6 +1,5 @@
 //! Dense tensor types.
 
-use crate::colspan::ColSpan;
 use crate::shape::Shape3;
 use rand::Rng;
 use std::fmt;
@@ -89,6 +88,11 @@ impl Tensor3 {
         &self.data
     }
 
+    /// The flat buffer, by value.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Flat mutable view.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
@@ -126,57 +130,28 @@ impl Tensor3 {
     ///
     /// Panics if shapes differ.
     pub fn add(&self, other: &Tensor3) -> Tensor3 {
-        let mut out = Tensor3::zeros(self.c(), self.h(), self.w());
-        out.add_cols(self, other, ColSpan::full(self.w()));
+        assert_eq!(self.shape, other.shape, "shape mismatch in add");
+        let mut out = self.clone();
+        for (o, y) in out.data.iter_mut().zip(&other.data) {
+            *o += y;
+        }
         out
     }
 
-    /// Overwrites the `span` columns with `a + b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add_cols(&mut self, a: &Tensor3, b: &Tensor3, span: ColSpan) {
-        assert_eq!(a.shape, b.shape, "shape mismatch in add");
-        assert_eq!(self.shape, a.shape, "shape mismatch in add");
-        for (_, run) in span.runs(self.shape) {
-            let (a, b) = (&a.data[run.clone()], &b.data[run.clone()]);
-            for ((o, x), y) in self.data[run].iter_mut().zip(a).zip(b) {
-                *o = x + y;
-            }
-        }
+    /// ReLU of every element: exactly the values `< 0.0` become `0.0`
+    /// (`-0.0` and NaN pass through).
+    pub fn relu(&self) -> Tensor3 {
+        let mut out = self.clone();
+        out.relu_inplace();
+        out
     }
 
-    /// Applies ReLU in place.
+    /// Applies [`Tensor3::relu`] in place.
     pub fn relu_inplace(&mut self) {
-        let mut out = Tensor3::zeros(self.c(), self.h(), self.w());
-        out.relu_cols(self, ColSpan::full(self.w()));
-        *self = out;
-    }
-
-    /// Overwrites the `span` columns with `relu(src)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn relu_cols(&mut self, src: &Tensor3, span: ColSpan) {
-        assert_eq!(self.shape, src.shape, "shape mismatch in relu_cols");
-        for (_, run) in span.runs(self.shape) {
-            for (o, &x) in self.data[run.clone()].iter_mut().zip(&src.data[run]) {
-                *o = if x < 0.0 { 0.0 } else { x };
+        for v in &mut self.data {
+            if *v < 0.0 {
+                *v = 0.0;
             }
-        }
-    }
-
-    /// Overwrites the `span` columns with `src`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn copy_cols(&mut self, src: &Tensor3, span: ColSpan) {
-        assert_eq!(self.shape, src.shape, "shape mismatch in copy_cols");
-        for (_, run) in span.runs(self.shape) {
-            self.data[run.clone()].copy_from_slice(&src.data[run]);
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based tests for tensor kernels and transfer codecs.
 
+use hd_tensor::colspan::SpanDelta;
 use hd_tensor::conv::{conv2d, conv_out_dim, Conv2dCfg, Padding};
 use hd_tensor::pool::{pool2d, PoolKind};
-use hd_tensor::{ColSpan, CompressionScheme, Tensor3, Tensor4};
+use hd_tensor::{CompressionScheme, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,9 +54,7 @@ proptest! {
     fn max_pool_bounds(seed in 0u64..500, factor in 2usize..4) {
         let x = random_tensor(seed, 2, 9, 9);
         let pooled = |x: &Tensor3| {
-            let mut out = Tensor3::zeros(2, 9 / factor, 9 / factor);
-            pool2d(x, factor, PoolKind::Max, ColSpan::full(9 / factor), &mut out);
-            out
+            pool2d(&SpanDelta::full(x.clone()), None, factor, PoolKind::Max).into_map(None)
         };
         let y = pooled(&x);
         let max_in = x.data().iter().cloned().fold(f32::MIN, f32::max);

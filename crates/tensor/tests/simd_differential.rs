@@ -220,6 +220,69 @@ proptest! {
         }
     }
 
+    /// A grid of register blocks (`sparse_conv_blocks`) gives, block for
+    /// block, the bits of the single masked block at the same origin, in
+    /// both dispatch modes, whether or not the caller vouches for finite
+    /// weights. Activations mix `+0.0`, `-0.0`, NaN and infinities with
+    /// ordinary values; `init` may be `+0.0` or `-0.0`. Every NaN compares
+    /// as one value: the compiler may reorder the operands of a scalar add,
+    /// which changes which NaN payload survives, never whether one does.
+    #[test]
+    fn sparse_conv_blocks_match_single_blocks_in_both_modes(
+        seed in 0u64..10_000,
+        nnz in 0usize..40,
+        row_blocks in 1usize..4,
+        lane_blocks in 1usize..4,
+        init_kind in 0u32..3,
+        finite in 0u32..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let row_step = lane_blocks * simd::LANES + rng.gen_range(0usize..9);
+        let reach = 24usize;
+        let len = (row_blocks * simd::CONV_ROWS - 1) * row_step
+            + (lane_blocks - 1) * simd::LANES + reach + simd::LANES;
+        let specials = [0.0f32, -0.0, f32::NAN, f32::INFINITY, -f32::INFINITY];
+        let tile: Vec<f32> = (0..len)
+            .map(|_| match rng.gen_range(0u32..8) {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => specials[rng.gen_range(0..specials.len())],
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..=reach as u32)).collect();
+        let mut vals: Vec<f32> = (0..nnz).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        if finite == 0 && nnz > 0 {
+            vals[0] = f32::INFINITY;
+        }
+        let init = match init_kind {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        };
+        let bits = |b: &[[f32; simd::LANES]; simd::CONV_ROWS]| {
+            b.iter()
+                .flatten()
+                .map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        let (vector, scalar) = both_paths(|| {
+            let mut blocks = Vec::new();
+            simd::sparse_conv_blocks(
+                &tile, row_blocks, lane_blocks, row_step, &offs, &vals, init, finite == 1,
+                |pb, jb, block| blocks.push((pb, jb, bits(block))),
+            );
+            blocks
+        });
+        prop_assert_eq!(vector.len(), row_blocks * lane_blocks);
+        prop_assert_eq!(&vector, &scalar);
+        for (pb, jb, got) in &vector {
+            let origin = pb * simd::CONV_ROWS * row_step + jb * simd::LANES;
+            let want = simd::sparse_conv_block(&tile, origin, row_step, &offs, &vals, init);
+            prop_assert_eq!(got, &bits(&want), "block ({}, {})", pb, jb);
+        }
+    }
+
     /// The INT8 fast path (`qconv2d`) agrees with the reference loop
     /// exactly — integer accumulation leaves no tolerance to hide behind —
     /// and both dispatch modes produce the same bytes.

@@ -5,14 +5,15 @@
 //! Covers strides 1-3, `Same` and `Valid` padding, 1x1 to 7x7 kernels
 //! (square or not), maps narrower than one 8-lane register, sparse and
 //! dense inputs, an all-pruned filter, bias none / random / `-0.0`, and
-//! both halves of the `in_span` contract: with no baseline the input is
-//! zero outside the span; with a baseline, that baseline is the output of
-//! an input that agrees with this one outside the span.
+//! both ways of reading a span delta's input: with no baseline the input
+//! is zero outside the span; with a baseline, the input outside the span
+//! is that baseline's, and the columns the kernel does not return are the
+//! baseline input's output.
 
-use hd_tensor::colspan::ColSpan;
+use hd_tensor::colspan::{ColSpan, SpanDelta};
 use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, ConvBackend, Padding};
-use hd_tensor::csc_conv::{conv2d_csc, SparseFilters};
-use hd_tensor::{Tensor3, Tensor4};
+use hd_tensor::csc_conv::{conv2d_csc, SparseConv};
+use hd_tensor::{Shape3, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +44,22 @@ fn splice(x: &Tensor3, outside: &Tensor3, span: ColSpan) -> Tensor3 {
     {
         dst[span.lo()..span.hi()].copy_from_slice(&src[span.lo()..span.hi()]);
     }
+    out
+}
+
+/// The whole map of a kernel output: its span over bias planes (what the
+/// output is outside the span when the input is zero there).
+fn onto_bias(delta: SpanDelta, bias: Option<&[f32]>) -> Tensor3 {
+    let shape = delta.shape();
+    let mut out = Tensor3::zeros(shape.c, shape.h, shape.w);
+    for c in 0..shape.c {
+        for y in 0..shape.h {
+            for x in 0..shape.w {
+                out.set(c, y, x, bias.map_or(0.0, |b| b[c]));
+            }
+        }
+    }
+    delta.write_into(&mut out);
     out
 }
 
@@ -78,7 +95,7 @@ proptest! {
         // Filter 0 is pruned away entirely: its outputs are the bias.
         let per_filter = c * kr * ks;
         weight.data_mut()[..per_filter].fill(0.0);
-        let filters = SparseFilters::build(&weight);
+        let conv = SparseConv::new(&weight, Shape3::new(c, h, w), &cfg);
         let bias: Option<Vec<f32>> = match bias_kind {
             0 => None,
             1 => Some((0..k).map(|_| rng.gen_range(-1.0f32..1.0)).collect()),
@@ -90,8 +107,9 @@ proptest! {
         // through `conv2d`.
         let x = random_input(&mut rng, c, h, w, density_pct);
         let want = conv2d_reference(&x, &weight, bias, &cfg);
-        let got = conv2d_csc(&x, &filters, bias, &cfg, ColSpan::full(w), None);
+        let got = conv2d_csc(&SpanDelta::full(x.clone()), None, &conv, bias);
         prop_assert_eq!(got.shape(), want.shape());
+        let got = onto_bias(got, bias);
         prop_assert_eq!(bits(&got), bits(&want));
         let dispatched = conv2d(&x, &weight, bias, &cfg.with_backend(ConvBackend::SparseCsc));
         prop_assert_eq!(bits(&dispatched), bits(&want));
@@ -109,7 +127,8 @@ proptest! {
         let zeros = Tensor3::zeros(c, h, w);
         let x_in_span = splice(&x, &zeros, span);
         let want = conv2d_reference(&x_in_span, &weight, bias, &cfg);
-        let got = conv2d_csc(&x_in_span, &filters, bias, &cfg, span, None);
+        let delta = SpanDelta::of_cols(&x, span);
+        let got = onto_bias(conv2d_csc(&delta, None, &conv, bias), bias);
         prop_assert_eq!(bits(&got), bits(&want));
 
         // Baseline: the output of another input that agrees outside the
@@ -118,7 +137,7 @@ proptest! {
         let patched = splice(&x, &other, span);
         let base = conv2d_reference(&other, &weight, bias, &cfg);
         let want = conv2d_reference(&patched, &weight, bias, &cfg);
-        let got = conv2d_csc(&patched, &filters, bias, &cfg, span, Some(&base));
+        let got = conv2d_csc(&delta, Some(&other), &conv, bias).into_map(Some(&base));
         prop_assert_eq!(bits(&got), bits(&want));
     }
 }
