@@ -464,10 +464,8 @@ mod tests {
             assert_eq!(cfg.backend_policy, BackendPolicy::default());
             assert!(cfg.backend_policy.auto_sparse);
         }
-        let off = AccelConfig::eyeriss_v2().with_backend_policy(BackendPolicy {
-            auto_sparse: false,
-            ..BackendPolicy::default()
-        });
+        let off =
+            AccelConfig::eyeriss_v2().with_backend_policy(BackendPolicy { auto_sparse: false });
         assert!(!off.backend_policy.auto_sparse);
     }
 

@@ -1206,10 +1206,8 @@ mod tests {
         let dense_only = Device::new(
             net,
             params,
-            AccelConfig::eyeriss_v2().with_backend_policy(hd_tensor::BackendPolicy {
-                auto_sparse: false,
-                ..Default::default()
-            }),
+            AccelConfig::eyeriss_v2()
+                .with_backend_policy(hd_tensor::BackendPolicy { auto_sparse: false }),
         );
         let mut stripe = Tensor3::zeros(2, 8, 8);
         for y in 0..8 {

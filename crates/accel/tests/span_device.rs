@@ -207,10 +207,7 @@ proptest! {
             net.clone(),
             params,
             cfg.with_conv_backend(ConvBackend::Im2colGemm)
-                .with_backend_policy(BackendPolicy {
-                    auto_sparse: false,
-                    ..BackendPolicy::default()
-                }),
+                .with_backend_policy(BackendPolicy { auto_sparse: false }),
         )
         .expect("random graph verifies");
         for (i, img) in images(net.input_shape(), &mut rng).iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Bench for the pooled probe executor: runs the full VGG-S probe at
+//! Bench for the prober's scoped fan-out: runs the full VGG-S probe at
 //! `-j1` (serial), `-j2`, `-j4`, and `-jN` (all cores), asserts every
 //! `ProberResult` is bit-identical to serial, and writes the measured
 //! wall-clock numbers to `BENCH_prober_parallel.json` at the repository

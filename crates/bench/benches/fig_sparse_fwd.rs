@@ -44,10 +44,7 @@ fn main() {
 
     // Dense baseline: the default backend (im2col+GEMM) with auto sparse
     // routing disabled — exactly the device behavior before the CSC path.
-    let dense_policy = BackendPolicy {
-        auto_sparse: false,
-        ..Default::default()
-    };
+    let dense_policy = BackendPolicy { auto_sparse: false };
     let models = if smoke {
         vec![Model::VggS]
     } else {

@@ -133,12 +133,7 @@ pub fn pruned_victim(
 /// A full-size victim pruned with the paper-shaped sparsity profile and
 /// sealed inside an Eyeriss-v2-like device.
 pub fn paper_victim(model: Model, seed: u64) -> (Device, Network) {
-    let net = model.network(10);
-    let mut params = Params::init(&net, seed);
-    let profile = paper_profile(&net);
-    apply_sparsity_profile(&net, &mut params, &profile, seed ^ 0xBEEF);
-    let device = Device::new(net.clone(), params, AccelConfig::eyeriss_v2());
-    (device, net)
+    paper_victim_with(model, seed, AccelConfig::eyeriss_v2())
 }
 
 /// A width-scaled victim deployed INT8-quantized (PTQ, BN folded) on an

@@ -20,12 +20,10 @@ use crate::probe::stripe_probes;
 use crate::symbolic::{
     multiset_signature, sym_add, ConvHypothesis, Sym, SymConvLayer, SymPoolLayer, VarSource,
 };
-use hd_pool::WorkerPool;
 use hd_tensor::conv::{conv_out_dim, Padding};
 use hd_tensor::{GemmShape, Tensor3};
 use hd_trace::{TensorId, TraceAnalysis};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Recovered geometry class of one observed layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -325,9 +323,8 @@ impl From<ObserveError> for ProbeError {
 
 /// Runs the probing attack against a target.
 ///
-/// Fans each family's inferences across the process-wide [`WorkerPool`]
-/// (see [`probe_with_pool`] to supply a dedicated pool, e.g. to pin the
-/// worker count in tests).
+/// Fans each family's inferences across up to `cfg.parallelism` scoped
+/// threads (see `run_family`); results are bit-identical at any setting.
 ///
 /// # Errors
 ///
@@ -337,26 +334,6 @@ impl From<ObserveError> for ProbeError {
 pub fn probe(
     target: &dyn ObservationModel,
     cfg: &ProberConfig,
-) -> Result<ProberResult, ProbeError> {
-    probe_with_pool(target, cfg, WorkerPool::global())
-}
-
-/// [`probe`] with an explicit worker pool.
-///
-/// The pool is created once per campaign and reused across probe families
-/// and refinement rounds; `cfg.parallelism` still caps how many of its
-/// workers one family may occupy. Results are bit-identical for any pool
-/// size (see `run_family`).
-///
-/// # Errors
-///
-/// Returns [`ProbeError::Config`] if `cfg` fails [`ProberConfig::validate`],
-/// and [`ProbeError`] if traces cannot be analyzed or the victim's layer
-/// structure varies across runs.
-pub fn probe_with_pool(
-    target: &dyn ObservationModel,
-    cfg: &ProberConfig,
-    pool: &WorkerPool,
 ) -> Result<ProberResult, ProbeError> {
     cfg.validate().map_err(ProbeError::Config)?;
     let _probe_span = hd_obs::span("prober.probe", "");
@@ -388,7 +365,7 @@ pub fn probe_with_pool(
                 family.images.len() as u64,
             );
         }
-        let observations = run_family(target, &family.images, workers, pool)?;
+        let observations = run_family(target, &family.images, workers)?;
         let mut bytes_this: Vec<Vec<u64>> = Vec::with_capacity(shifts);
         for obs in observations {
             match &first {
@@ -590,57 +567,18 @@ fn run_one(target: &dyn ObservationModel, img: &Tensor3) -> Result<Observation, 
 /// Runs every probe image of one family against the target and returns the
 /// observations **in image-index order**, regardless of scheduling.
 ///
-/// The parallel path hands the family to the persistent [`WorkerPool`]:
-/// workers steal one image at a time off a shared counter (no static
-/// chunking, so a slow probe never strands the rest of its chunk), and
-/// each image owns a result slot so reduction order never depends on
-/// thread completion order. `Device::run` derives any defence noise from
-/// the image — not from shared mutable state — so results are
-/// bit-identical at any worker count.
-///
-/// Errors cancel the family early: once a probe fails, tasks with a higher
-/// image index are skipped (monotone `fetch_min` on the lowest failing
-/// index — a task observes a cut only at claim time, and the cut only ever
-/// decreases, so every index below the final cut did run). The surfaced
-/// error is the lowest failing image index, exactly what the serial
-/// short-circuit path reports.
+/// [`hd_pool::try_map`] fans the images across `workers` participants that
+/// claim one image at a time, and returns exactly what the serial loop
+/// returns: the observations in index order, or the error of the lowest
+/// failing image, with no image above a published failure started.
+/// `Device::run` derives any defence noise from the image, not from shared
+/// mutable state, so results are bit-identical at any worker count.
 fn run_family(
     target: &dyn ObservationModel,
     images: &[Tensor3],
     workers: usize,
-    pool: &WorkerPool,
 ) -> Result<Vec<Observation>, ProbeError> {
-    if workers <= 1 || images.len() <= 1 {
-        return images.iter().map(|img| run_one(target, img)).collect();
-    }
-
-    let min_err = AtomicUsize::new(usize::MAX);
-    let mut slots = pool.map(images.len(), workers, |idx| {
-        if idx > min_err.load(Ordering::Acquire) {
-            return None;
-        }
-        let r = run_one(target, &images[idx]);
-        if r.is_err() {
-            min_err.fetch_min(idx, Ordering::AcqRel);
-        }
-        Some(r)
-    });
-    let cut = min_err.load(Ordering::Acquire);
-    if cut != usize::MAX {
-        // The task that set the cut ran to completion, so its slot holds
-        // the error the serial path would have stopped at.
-        return match slots.swap_remove(cut) {
-            Some(Err(e)) => Err(e),
-            _ => unreachable!("cut index {cut} must hold an executed error"),
-        };
-    }
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(r) => r,
-            None => unreachable!("no task is skipped when no error occurred"),
-        })
-        .collect()
+    hd_pool::try_map(images.len(), workers, |i| run_one(target, &images[i]))
 }
 
 /// How strongly the observations pinned down a layer's geometry.
@@ -1107,6 +1045,7 @@ mod tests {
     use hd_accel::{AccelConfig, Device, Trace, TraceSink};
     use hd_dnn::graph::{NetworkBuilder, Params};
     use hd_tensor::Shape3;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn device_for(net: hd_dnn::graph::Network, seed: u64) -> Device {
         let mut params = Params::init(&net, seed);
@@ -1299,12 +1238,11 @@ mod tests {
         b.conv(x, 8, 3, 1);
         let dev = device_for(b.build(), 22);
         let fams = stripe_probes(dev.input_shape(), 12, 1, 99);
-        let pool = WorkerPool::new(3);
-        let serial = run_family(&dev, &fams[0].images, 1, &pool).unwrap();
-        // Worker caps above, below, and equal to the pool size all reduce
-        // into the same index-ordered slots.
+        let serial = run_family(&dev, &fams[0].images, 1).unwrap();
+        // Worker counts below, at and above the image count all reduce
+        // into the same index order.
         for workers in [2, 3, 5, 12, 30] {
-            let par = run_family(&dev, &fams[0].images, workers, &pool).unwrap();
+            let par = run_family(&dev, &fams[0].images, workers).unwrap();
             assert_eq!(serial, par, "workers = {workers}");
         }
     }
@@ -1315,7 +1253,7 @@ mod tests {
     struct FailingTarget {
         shape: Shape3,
         fail_from: usize,
-        runs: std::sync::atomic::AtomicUsize,
+        runs: AtomicUsize,
     }
 
     impl FailingTarget {
@@ -1360,22 +1298,20 @@ mod tests {
         let serial_target = FailingTarget {
             shape,
             fail_from: 3,
-            runs: std::sync::atomic::AtomicUsize::new(0),
+            runs: AtomicUsize::new(0),
         };
-        let serial_err =
-            run_family(&serial_target, &fams[0].images, 1, &WorkerPool::new(0)).unwrap_err();
+        let serial_err = run_family(&serial_target, &fams[0].images, 1).unwrap_err();
         // Serial short-circuits: exactly fail_from + 1 probes execute.
         assert_eq!(serial_target.runs.load(Ordering::SeqCst), 4);
 
-        for threads in [0, 4] {
-            let pool = WorkerPool::new(threads);
+        for workers in [2, 4] {
             let target = FailingTarget {
                 shape,
                 fail_from: 3,
-                runs: std::sync::atomic::AtomicUsize::new(0),
+                runs: AtomicUsize::new(0),
             };
-            let err = run_family(&target, &fams[0].images, 4, &pool).unwrap_err();
-            assert_eq!(err, serial_err, "threads = {threads}");
+            let err = run_family(&target, &fams[0].images, workers).unwrap_err();
+            assert_eq!(err, serial_err, "workers = {workers}");
         }
     }
 
@@ -1383,35 +1319,21 @@ mod tests {
     fn parallel_error_path_cancels_probes_past_the_failure() {
         let shape = Shape3 { c: 1, h: 8, w: 8 };
         let fams = stripe_probes(shape, 8, 1, 7);
-        // A zero-thread pool claims tasks in index order on the caller, so
-        // cancellation is deterministic: indices past the first failure are
+        // One worker claims images in index order on the caller, so
+        // cancellation is deterministic: images past the first failure are
         // skipped without running the probe.
         let target = FailingTarget {
             shape,
             fail_from: 3,
-            runs: std::sync::atomic::AtomicUsize::new(0),
+            runs: AtomicUsize::new(0),
         };
-        let err = run_family(&target, &fams[0].images, 4, &WorkerPool::new(0)).unwrap_err();
+        let err = run_family(&target, &fams[0].images, 1).unwrap_err();
         assert!(matches!(err, ProbeError::Trace(_)));
         assert_eq!(
             target.runs.load(Ordering::SeqCst),
             4,
             "probes past the lowest failing index must not execute"
         );
-    }
-
-    #[test]
-    fn probe_with_dedicated_pool_matches_global_pool() {
-        let mut b = NetworkBuilder::new(3, 16, 16);
-        let x = b.input();
-        let x = b.conv(x, 8, 3, 1);
-        b.max_pool(x, 2);
-        let dev = device_for(b.build(), 23);
-        let cfg = small_cfg().with_parallelism(Some(4));
-        let via_global = probe(&dev, &cfg).unwrap();
-        let pool = WorkerPool::new(4);
-        let via_pool = probe_with_pool(&dev, &cfg, &pool).unwrap();
-        assert_eq!(via_global, via_pool);
     }
 
     /// `probe` validates its config before any device run, so each

@@ -126,10 +126,7 @@ fn assert_spans_read_back(want: &ForwardTrace, spans: &SpanTrace<'_>, what: &str
 /// configurations, asserting bit identity.
 fn check(net: &Network, params: &Params, images: &[Tensor3]) {
     let cache = ForwardCache::build(net, params, BackendPolicy::default());
-    let gemm_only = BackendPolicy {
-        auto_sparse: false,
-        ..BackendPolicy::default()
-    };
+    let gemm_only = BackendPolicy { auto_sparse: false };
     for (i, img) in images.iter().enumerate() {
         let got = net.forward_cached(params, img, &cache);
         let gemm = net.forward_with_policy(params, img, ConvBackend::Im2colGemm, gemm_only);

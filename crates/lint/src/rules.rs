@@ -6,7 +6,7 @@
 //! |------|-------|-----------------|
 //! | `no-panic` | library crate sources | `.unwrap()`, `.expect(...)`, `panic!` outside `#[cfg(test)]` |
 //! | `no-wallclock` | library crates except `hd-obs` | `Instant::now`, `SystemTime` (nondeterminism sources) |
-//! | `no-bare-spawn` | everywhere but `crates/pool` | `thread::spawn` (must use hd-pool or the scoped executor) |
+//! | `no-bare-spawn` | everywhere scanned | `thread::spawn` (use `std::thread::scope`, e.g. through `hd_pool::try_map`) |
 //! | `lossy-cast` | trace/byte-accounting files | `as`-casts to integer types (use `hd_tensor::cast`) |
 //! | `no-unsafe` | everywhere but `crates/tensor/src/simd/` | the `unsafe` keyword; inside the SIMD sanctuary it instead demands a nearby `SAFETY:` comment |
 //! | `no-deprecated` | everywhere scanned | uses of items the workspace marks `#[deprecated]` |
@@ -253,8 +253,7 @@ pub fn lint_unit(
                 t[i].line,
                 t[i].col,
                 "no-bare-spawn",
-                "bare thread::spawn; use the hd-pool worker pool (or std::thread::scope)"
-                    .to_string(),
+                "bare thread::spawn; use std::thread::scope (e.g. hd_pool::try_map)".to_string(),
             ));
         }
         if rule_in_scope("lossy-cast", rel_path)
@@ -590,9 +589,7 @@ pub fn rule_in_scope(rule: &str, rel: &str) -> bool {
     match rule {
         "no-panic" => library,
         "no-wallclock" => library && !rel.starts_with("crates/obs/"),
-        // `crates/pool` is the one sanctioned spawn site: it owns the
-        // persistent worker pool every other crate is expected to use.
-        "no-bare-spawn" => !rel.starts_with("crates/pool/src/"),
+        "no-bare-spawn" => true,
         "lossy-cast" => {
             rel.starts_with("crates/trace/src/")
                 || rel.starts_with("crates/accel/src/")
@@ -682,14 +679,18 @@ mod tests {
     }
 
     #[test]
-    fn bare_spawn_flagged_everywhere_but_the_pool() {
+    fn bare_spawn_flagged_everywhere() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         let dep = DeprecatedIndex::default();
-        let r = lint_source("examples/x.rs", src, &dep);
-        assert_eq!(rules_hit(&r), vec!["no-bare-spawn"]);
-        // The worker-pool crate is the sanctioned spawn site.
-        let pool = lint_source("crates/pool/src/lib.rs", src, &dep);
-        assert!(pool.violations.is_empty());
+        for path in ["examples/x.rs", "crates/pool/src/lib.rs"] {
+            let r = lint_source(path, src, &dep);
+            assert_eq!(rules_hit(&r), vec!["no-bare-spawn"], "{path}");
+        }
+        // A scoped spawn is not a bare one.
+        let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
+        assert!(lint_source("crates/pool/src/lib.rs", scoped, &dep)
+            .violations
+            .is_empty());
     }
 
     #[test]
@@ -721,9 +722,9 @@ mod tests {
 
     #[test]
     fn unsafe_allow_suppresses_with_reason() {
-        let src = "unsafe impl Send for P {} // hd-lint: allow(no-unsafe) -- raw ptr only crosses with the pool fence";
+        let src = "unsafe impl Send for P {} // hd-lint: allow(no-unsafe) -- raw ptr only crosses with the join fence";
         let dep = DeprecatedIndex::default();
-        let r = lint_source("crates/pool/src/lib.rs", src, &dep);
+        let r = lint_source("crates/dnn/src/graph.rs", src, &dep);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.allows.len(), 1);
         assert_eq!(r.allows[0].rule, "no-unsafe");

@@ -4,8 +4,8 @@
 //!
 //! | rule | what it rejects |
 //! |------|-----------------|
-//! | `atomic-ordering` | `Ordering::Relaxed` in library code. Relaxed is correct only for monotone counters and advisory flags; each such site must carry an allow naming the invariant (steal counters in `hd-pool`, the `hd-obs` enable flag, the SIMD mode cache). |
-//! | `lock-discipline` | a `Mutex`/`RwLock` guard held across a blocking call — `ObservationModel::observe`, `Device::try_run*`, the prober entry points, or pool job execution (directly, or through any same-crate function the call graph shows reaches one) — and inconsistent nested lock acquisition order within a crate. |
+//! | `atomic-ordering` | `Ordering::Relaxed` in library code. Relaxed is correct only for monotone counters and advisory flags; each such site must carry an allow naming the invariant (the `hd-pool` claim counter, the `hd-obs` enable flag, the SIMD mode cache). |
+//! | `lock-discipline` | a `Mutex`/`RwLock` guard held across a blocking call — `ObservationModel::observe`, `Device::try_run*`, the prober entry points, or a `try_map` family fan-out (directly, or through any same-crate function the call graph shows reaches one) — and inconsistent nested lock acquisition order within a crate. |
 //! | `unordered-iter` | iterating a `HashMap`/`HashSet` (local, parameter, or same-crate struct field) on the determinism-critical surface (`core`, `trace`, `accel`, `obs`, `dnn`, `tensor`): iteration order is random per process, so anything it feeds — traces, observations, exports, reductions — loses bit-stability. |
 //! | `float-reduction-order` | f32/f64 `.sum()`/`.product()` reductions and `+`-accumulating float `fold`s outside the sanctioned kernels (`crates/tensor/src/{gemm,csc_conv,simd}`): float addition is non-associative, so reduction order is part of the bit-identical contract. |
 //!
@@ -22,14 +22,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
 
 /// Calls that must never run under a held lock guard: the observation
-/// boundary, the device run surface, the prober entry points.
+/// boundary, the device run surface, the prober entry point and the
+/// `hd_pool::try_map` fan-out that runs a probe family.
 const SENTINELS: [&str; 6] = [
     "observe",
     "try_run",
     "try_run_with",
     "try_energy_estimate",
     "probe",
-    "probe_with_pool",
+    "try_map",
 ];
 
 /// The analyzed workspace: symbol index, call graph, and the derived facts
@@ -196,26 +197,13 @@ fn is_acquire(t: &[Token], i: usize, has_rwlock: bool) -> bool {
     }
 }
 
-/// Is token `i` a call that must not run under a lock — a sentinel by
-/// name, `pool.map(...)`, or `.work(...)` (pool job execution)?
+/// Is token `i` a call to a sentinel by name? A declaration
+/// `fn observe(` is not a call site.
 fn is_sentinel_call(t: &[Token], i: usize) -> bool {
-    if t[i].kind != TokenKind::Ident {
-        return false;
-    }
-    let name = t[i].text.as_str();
-    if text(t, i + 1) != "(" {
-        return false;
-    }
-    if SENTINELS.contains(&name) {
-        // A declaration `fn observe(` is not a call site.
-        return i == 0 || text(t, i - 1) != "fn";
-    }
-    // Pool job execution by its other names: `pool.map(...)` from client
-    // crates, `job.work()` inside the pool itself.
-    if name == "map" && i >= 2 && text(t, i - 1) == "." && text(t, i - 2) == "pool" {
-        return true;
-    }
-    name == "work" && i >= 1 && text(t, i - 1) == "."
+    t[i].kind == TokenKind::Ident
+        && text(t, i + 1) == "("
+        && SENTINELS.contains(&t[i].text.as_str())
+        && (i == 0 || text(t, i - 1) != "fn")
 }
 
 fn lock_discipline(
@@ -282,11 +270,10 @@ fn lock_discipline(
                         && text(t, i + 1) == "("
                         && text(t, i.wrapping_sub(1)) != "fn"
                         // Name-based resolution is only trustworthy for free
-                        // calls and `self.`/`pool.` method calls; an arbitrary
-                        // receiver's `.map(...)` is usually an iterator, not
-                        // the pool.
+                        // calls and `self.` method calls; an arbitrary
+                        // receiver's `.map(...)` is usually an iterator.
                         && (text(t, i.wrapping_sub(1)) != "."
-                            || matches!(text(t, i.wrapping_sub(2)), "self" | "pool"))
+                            || text(t, i.wrapping_sub(2)) == "self")
                         && ws.is_blocking(krate, t[i].text.as_str())
                         && !SENTINELS.contains(&t[i].text.as_str())))
             {
@@ -788,6 +775,23 @@ mod tests {
              }\n",
         );
         assert!(vs.is_empty(), "{vs:?}");
+    }
+
+    #[test]
+    fn guard_held_across_a_family_fan_out_is_flagged() {
+        let vs = check(
+            "crates/core/src/fake.rs",
+            "fn bad(m: &Mutex<u32>, images: &[Tensor3], target: &dyn ObservationModel) {\n\
+                 let g = m.lock().unwrap_or_else(|e| e.into_inner());\n\
+                 let _ = hd_pool::try_map(images.len(), 4, |i| run_one(target, &images[i]));\n\
+             }\n",
+        );
+        assert_eq!(rules_hit(&vs), vec!["lock-discipline"]);
+        assert!(
+            vs[0].message.contains("`try_map(...)`"),
+            "{}",
+            vs[0].message
+        );
     }
 
     #[test]

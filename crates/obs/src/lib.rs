@@ -244,6 +244,28 @@ mod tests {
     }
 
     #[test]
+    fn exited_threads_fold_their_counts_and_unregister_their_shards() {
+        with_clean_registry(|| {
+            let before = registry::global().shard_count();
+            for _ in 0..25 {
+                std::thread::scope(|s| {
+                    let threads: Vec<_> = (0..8)
+                        .map(|_| s.spawn(|| counter_add("short", "", 1)))
+                        .collect();
+                    // A join waits for the thread's exit, shard fold included.
+                    for t in threads {
+                        t.join().unwrap();
+                    }
+                });
+            }
+            assert_eq!(snapshot().counter("short", ""), Some(200));
+            // Earlier tests' threads may still be exiting, which only
+            // shrinks the list.
+            assert!(registry::global().shard_count() <= before);
+        });
+    }
+
+    #[test]
     fn reset_clears_but_keeps_time_monotonic() {
         with_clean_registry(|| {
             {

@@ -1,13 +1,14 @@
 //! The process-global telemetry store.
 //!
-//! Counters — the hot path now that the prober fans probe runs across a
-//! worker pool — are sharded per thread: each thread owns an
-//! [`Arc<Shard>`] holding its private map, so an increment locks only the
-//! caller's shard and never serializes the pool on a global mutex.
+//! Counters — the hot path now that the prober fans probe runs across
+//! threads — are sharded per thread: each thread owns an [`Arc<Shard>`]
+//! holding its private map, so an increment locks only the caller's shard
+//! and never serializes the threads on a global mutex.
 //! `snapshot` merges the shards (addition is order-independent) and
-//! `reset` clears them in place, so totals are exact under any
-//! interleaving and survive worker-thread exit (the registry keeps every
-//! shard alive).
+//! `reset` clears them in place. A thread that exits folds its shard into
+//! the shared `fallback` shard and unregisters it, both under the `shards`
+//! lock, so totals are exact under any interleaving, survive the thread,
+//! and the shard list stays as long as the set of live threads.
 //!
 //! Histograms and spans stay behind the single `Mutex<Inner>`: they fire
 //! at layer/probe granularity — thousands of events per second, not
@@ -100,12 +101,10 @@ impl Shard {
 
 pub(crate) struct Registry {
     inner: Mutex<Inner>,
-    /// Every counter shard ever handed to a thread, plus the fallback.
-    /// Shards are never removed: counts must outlive the worker threads
-    /// that produced them.
+    /// The counter shard of every live thread that has counted.
     shards: Mutex<Vec<Arc<Shard>>>,
-    /// Shard of last resort, used when thread-local storage is already
-    /// torn down (increments from thread-exit paths).
+    /// Counts of exited threads, folded in at thread exit, plus increments
+    /// made after a thread's local storage is torn down.
     fallback: Shard,
     /// Process-wide monotonic epoch: all span timestamps are microseconds
     /// since the registry's first use. Survives `reset` so successive
@@ -124,18 +123,42 @@ pub(crate) fn global() -> &'static Registry {
     })
 }
 
+/// A thread's registered shard; dropping it at thread exit hands its
+/// counts to the fallback shard.
+struct LocalShard(Arc<Shard>);
+
+impl Drop for LocalShard {
+    fn drop(&mut self) {
+        let registry = global();
+        // Fold and unregister under the `shards` lock, so a concurrent
+        // snapshot sees these counts exactly once.
+        let mut shards = registry.shards.lock().unwrap_or_else(|e| e.into_inner());
+        let counts =
+            std::mem::take(&mut *self.0.counters.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut fallback = registry
+            .fallback
+            .counters
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for (k, v) in counts {
+            let slot = fallback.entry(k).or_insert(0);
+            *slot = slot.saturating_add(v);
+        }
+        shards.retain(|s| !Arc::ptr_eq(s, &self.0));
+    }
+}
+
 thread_local! {
     /// This thread's counter shard, registered with the global registry on
-    /// first use so snapshots can find it after the thread exits.
-    static SHARD: Arc<Shard> = {
+    /// first use so snapshots can find it.
+    static SHARD: LocalShard = {
         let shard = Arc::new(Shard::default());
-        let registry = global();
-        registry
+        global()
             .shards
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(Arc::clone(&shard));
-        shard
+        LocalShard(shard)
     };
 }
 
@@ -164,12 +187,18 @@ impl Registry {
     }
 
     pub fn counter_add(&self, name: &'static str, label: &str, delta: u64) {
-        match SHARD.try_with(Arc::clone) {
+        match SHARD.try_with(|local| Arc::clone(&local.0)) {
             Ok(shard) => shard.add(name, label, delta),
             // Thread-local storage already destroyed (increment during
             // thread teardown) — fall back to the shared shard.
             Err(_) => self.fallback.add(name, label, delta),
         }
+    }
+
+    /// Counter shards currently registered for live threads.
+    #[cfg(test)]
+    pub fn shard_count(&self) -> usize {
+        self.shards.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Sums every shard's counters into one ordered map.

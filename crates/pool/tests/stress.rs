@@ -1,40 +1,26 @@
-//! Seeded-schedule stress tests for the worker pool.
+//! Repeated-schedule stress tests for [`hd_pool::try_map`].
 //!
-//! The pool promises bit-identical, index-ordered output for *every*
-//! interleaving, but an unperturbed run only exercises whichever schedules
-//! the host happens to produce. These tests arm [`hd_pool::set_stress_seed`]
-//! so deterministic yields at the claim/finish/steal sites force 32
-//! reproducibly different schedules, then pin three contracts against the
-//! serial reference:
+//! `try_map` promises the serial loop's result for *every* interleaving.
+//! One run explores only the schedule the host happens to produce, so
+//! these tests repeat a skewed task set 32 times at 1 to 8 workers and pin
+//! three contracts against the serial reference:
 //!
-//! 1. `pool.map` output is bit-identical to the serial loop,
-//! 2. a full [`huffduff_core::prober::probe_with_pool`] campaign produces a
-//!    bit-identical `ProberResult`,
-//! 3. error reduction stays index-ordered: the caller always surfaces the
-//!    *lowest* failing index, no matter which task failed first in time.
-//!
-//! Seeds are disarmed after each test: the hook is process-global, so a
-//! leaked seed would perturb (harmlessly, but confusingly) any test that
-//! runs later in the same binary.
+//! 1. the results are bit-identical to the serial loop,
+//! 2. the error that surfaces is the *lowest* failing index, whichever
+//!    task failed first in time,
+//! 3. a full [`huffduff_core::prober::probe`] campaign at
+//!    `parallelism: Some(8)` equals the one at `Some(1)`.
 
 use hd_accel::{AccelConfig, Device};
 use hd_dnn::graph::{NetworkBuilder, Params};
-use hd_pool::{set_stress_seed, WorkerPool};
-use huffduff_core::prober::{probe_with_pool, ProberConfig};
+use hd_pool::try_map;
+use huffduff_core::prober::{probe, ProberConfig};
 
-const SEEDS: u64 = 32;
-
-/// Disarms the stress hook even when an assertion unwinds.
-struct Disarm;
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        set_stress_seed(0);
-    }
-}
+const REPS: usize = 32;
 
 /// Skewed floating-point work: enough iterations that tasks genuinely
 /// overlap, skewed by index so the claim order differs from the finish
-/// order (the exact case chunk-free stealing exists for).
+/// order (the case index-at-a-time claiming exists for).
 fn skewed_task(i: usize) -> f64 {
     let mut acc = i as f64;
     let rounds = 200 + (i % 7) * 400;
@@ -45,24 +31,39 @@ fn skewed_task(i: usize) -> f64 {
 }
 
 #[test]
-fn map_is_bit_identical_across_32_seeded_schedules() {
-    let _guard = Disarm;
+fn results_are_bit_identical_to_serial_32_times_at_1_to_8_workers() {
     let n = 64;
-    let serial: Vec<f64> = (0..n).map(skewed_task).collect();
-    let pool = WorkerPool::new(4);
-    for seed in 1..=SEEDS {
-        set_stress_seed(seed);
-        let par = pool.map(n, 4, skewed_task);
-        // Bit-identical, not approximately equal: compare the raw bits.
-        let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
-        let par_bits: Vec<u64> = par.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(serial_bits, par_bits, "seed {seed}");
+    let serial: Vec<u64> = (0..n).map(|i| skewed_task(i).to_bits()).collect();
+    for rep in 0..REPS {
+        for workers in 1..=8 {
+            let par = try_map(n, workers, |i| Ok::<_, ()>(skewed_task(i).to_bits()));
+            assert_eq!(par, Ok(serial.clone()), "rep {rep}, workers {workers}");
+        }
     }
 }
 
 #[test]
-fn prober_result_is_bit_identical_across_32_seeded_schedules() {
-    let _guard = Disarm;
+fn the_lowest_failing_index_surfaces_32_times_at_1_to_8_workers() {
+    let n = 48;
+    let fail_from = 17;
+    for rep in 0..REPS {
+        for workers in 1..=8 {
+            // Failing tasks skip the work, so in time a higher index often
+            // fails while a lower one is still running.
+            let got = try_map(n, workers, |i| {
+                if i >= fail_from {
+                    Err(i)
+                } else {
+                    Ok(skewed_task(i).to_bits())
+                }
+            });
+            assert_eq!(got, Err(fail_from), "rep {rep}, workers {workers}");
+        }
+    }
+}
+
+#[test]
+fn prober_result_at_8_workers_equals_serial() {
     let mut b = NetworkBuilder::new(3, 16, 16);
     let x = b.input();
     b.conv(x, 8, 3, 1);
@@ -79,40 +80,15 @@ fn prober_result_is_bit_identical_across_32_seeded_schedules() {
         strides: vec![1, 2],
         pools: vec![2],
         seed: 99,
-        parallelism: None,
+        parallelism: Some(1),
     };
-
-    // Reference: the single-participant (serial) schedule.
-    let serial_pool = WorkerPool::new(0);
-    let reference = probe_with_pool(&dev, &cfg, &serial_pool).expect("serial probe");
-
-    let pool = WorkerPool::new(3);
-    for seed in 1..=SEEDS {
-        set_stress_seed(seed);
-        let stressed = probe_with_pool(&dev, &cfg, &pool).expect("stressed probe");
-        assert_eq!(reference, stressed, "seed {seed}");
-    }
-}
-
-#[test]
-fn errors_reduce_in_index_order_across_32_seeded_schedules() {
-    let _guard = Disarm;
-    let n = 48;
-    let fail_from = 17;
-    let pool = WorkerPool::new(4);
-    for seed in 1..=SEEDS {
-        set_stress_seed(seed);
-        let results = pool.map(n, 4, |i| {
-            let v = skewed_task(i);
-            if i >= fail_from {
-                Err(i)
-            } else {
-                Ok(v.to_bits())
-            }
-        });
-        // Index-ordered reduction: the first error the caller sees must be
-        // the lowest failing index, regardless of completion order.
-        let first_err = results.into_iter().collect::<Result<Vec<u64>, usize>>();
-        assert_eq!(first_err.unwrap_err(), fail_from, "seed {seed}");
+    let reference = probe(&dev, &cfg).expect("serial probe");
+    let parallel = cfg.clone().with_parallelism(Some(8));
+    for rep in 0..REPS {
+        assert_eq!(
+            probe(&dev, &parallel).expect("parallel probe"),
+            reference,
+            "rep {rep}"
+        );
     }
 }

@@ -55,20 +55,14 @@ impl std::fmt::Display for ConvBackend {
     }
 }
 
-/// Density thresholds steering [`conv2d`]'s kernel dispatch.
-///
-/// Thresholds are expressed in permille (tenths of a percent) rather than
-/// `f32` so the policy — and [`Conv2dCfg`] embedding it — stays `Eq + Hash`.
-/// The defaults reproduce the historical dispatch exactly: 125‰ = 12.5%,
-/// and `nnz * 1000 < len * 125` reduces to the old `nnz * 8 < len` test.
+/// A map or weight tensor is sparse enough for the sparse kernel when
+/// fewer than one in `SPARSE_DENSITY_DIVISOR` of its elements is nonzero
+/// (`nnz * 8 < len`).
+const SPARSE_DENSITY_DIVISOR: u64 = 8;
+
+/// The sparsity-aware part of [`conv2d`]'s kernel dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BackendPolicy {
-    /// Input nnz-density (permille) below which every backend takes the
-    /// sparse kernel (probe images, deep post-ReLU maps).
-    pub input_density_threshold: u16,
-    /// Weight nnz-density (permille) below which the GEMM backend switches
-    /// to the sparse kernel (heavily pruned victim layers).
-    pub weight_density_threshold: u16,
     /// Whether a device may auto-upgrade sparse-input inferences to
     /// [`ConvBackend::SparseCsc`] (cached weight compaction + colspan
     /// interval tracking across layers).
@@ -77,26 +71,27 @@ pub struct BackendPolicy {
 
 impl Default for BackendPolicy {
     fn default() -> Self {
-        BackendPolicy {
-            input_density_threshold: 125,
-            weight_density_threshold: 125,
-            auto_sparse: true,
-        }
+        BackendPolicy { auto_sparse: true }
     }
 }
 
 impl BackendPolicy {
     /// Whether an input map with `nnz` nonzeros out of `len` is sparse
-    /// enough for the sparse kernel.
+    /// enough for the sparse kernel (probe images, deep post-ReLU maps).
     pub fn input_is_sparse(&self, nnz: usize, len: usize) -> bool {
-        (nnz as u64) * 1000 < (len as u64) * self.input_density_threshold as u64
+        is_sparse(nnz, len)
     }
 
     /// Whether a weight tensor with `nnz` nonzeros out of `len` is sparse
-    /// enough for the sparse kernel.
+    /// enough for the GEMM backend to switch to the sparse kernel (heavily
+    /// pruned victim layers).
     pub fn weight_is_sparse(&self, nnz: usize, len: usize) -> bool {
-        (nnz as u64) * 1000 < (len as u64) * self.weight_density_threshold as u64
+        is_sparse(nnz, len)
     }
+}
+
+fn is_sparse(nnz: usize, len: usize) -> bool {
+    (nnz as u64) * SPARSE_DENSITY_DIVISOR < len as u64
 }
 
 /// Convolution hyperparameters.
@@ -108,7 +103,7 @@ pub struct Conv2dCfg {
     pub padding: Padding,
     /// Compute backend (does not affect results, only speed).
     pub backend: ConvBackend,
-    /// Density thresholds for the sparsity-aware dispatch.
+    /// The sparsity-aware dispatch policy.
     pub policy: BackendPolicy,
 }
 
@@ -635,10 +630,8 @@ mod tests {
 
     #[test]
     fn backend_policy_defaults_reproduce_historical_dispatch() {
-        // 125‰ == 12.5%: exactly the old `nnz * 8 < len` routing tests.
+        // Exactly the historical `nnz * 8 < len` routing tests.
         let p = BackendPolicy::default();
-        assert_eq!(p.input_density_threshold, 125);
-        assert_eq!(p.weight_density_threshold, 125);
         assert!(p.auto_sparse);
         for len in [1usize, 7, 8, 64, 1000, 12 * 12 * 3] {
             for nnz in 0..=len {

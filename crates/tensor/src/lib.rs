@@ -62,9 +62,14 @@ pub use tensor::{Tensor3, Tensor4};
 pub const ZERO_EPS: f32 = 1e-12;
 
 /// Whether `v` counts as non-zero under [`ZERO_EPS`].
+///
+/// Compares the bits of `|v|`, so every NaN (either sign, any payload)
+/// and both infinities count as nonzero. Transfer sizes therefore never
+/// depend on which NaN a kernel produced (see the exception to the
+/// bit-identity contract in [`simd`]).
 #[inline]
 pub fn is_nonzero(v: f32) -> bool {
-    v.abs() > ZERO_EPS
+    v.to_bits() & 0x7FFF_FFFF > ZERO_EPS.to_bits()
 }
 
 /// Counts the non-zero entries of a slice ([`is_nonzero`]).
@@ -79,6 +84,31 @@ mod tests {
     #[test]
     fn nnz_ignores_negative_zero_and_denormals() {
         assert_eq!(nnz(&[0.0, -0.0, 1e-30, 1.0, -2.0]), 2);
+    }
+
+    #[test]
+    fn every_nan_and_infinity_counts_as_nonzero() {
+        // AVX2 and scalar `sparse_conv_block` may disagree on a NaN's sign
+        // or payload bits; counted as one class, their maps have the same
+        // nnz and so the same transfer sizes.
+        let nans = [
+            0x7FC0_0000u32,
+            0xFFC0_0000,
+            0x7F80_0001,
+            0xFF80_0001,
+            0x7FFF_FFFF,
+            0xFFFF_FFFF,
+        ]
+        .map(f32::from_bits);
+        for v in nans {
+            assert!(v.is_nan() && is_nonzero(v), "{:#010x}", v.to_bits());
+        }
+        assert_eq!(nnz(&nans), nans.len());
+        assert!(is_nonzero(f32::INFINITY) && is_nonzero(f32::NEG_INFINITY));
+        assert_eq!(
+            nnz(&[0.0, f32::NAN, -0.0, -f32::NAN, 1e-30, f32::MIN_POSITIVE]),
+            2
+        );
     }
 
     #[test]

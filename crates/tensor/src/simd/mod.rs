@@ -29,6 +29,13 @@
 //! zero keeps its accumulator bits (an unconditional `acc + w*0.0` could
 //! flip a `-0.0` accumulator to `+0.0`).
 //!
+//! One exception: NaN bits. On a tile holding NaN or ±infinity, the AVX2
+//! and scalar [`sparse_conv_block`] can return NaNs that differ in sign or
+//! payload bits (the compiler may swap the operands of a scalar add, and
+//! which operand's NaN survives differs between the two paths). Whether a
+//! lane is NaN never differs, and [`crate::is_nonzero`] counts every NaN as
+//! nonzero, so no transfer size depends on it.
+//!
 //! # Dispatch
 //!
 //! The active mode is decided once, at first use, from the host ISA

@@ -85,7 +85,7 @@ impl CompressionScheme {
                 let mut symbols: u64 = 0;
                 let mut run: u64 = 0;
                 for &v in values {
-                    if v.abs() <= crate::ZERO_EPS {
+                    if !crate::is_nonzero(v) {
                         run += 1;
                         if run > max_run {
                             symbols += 1; // saturated run emits a padding zero

@@ -11,8 +11,9 @@
 
 use hd_tensor::conv::{
     conv2d, conv2d_reference, conv2d_weight_grad, conv2d_weight_grad_reference, conv_out_dim,
-    BackendPolicy, Conv2dCfg, ConvBackend, Padding,
+    Conv2dCfg, ConvBackend, Padding,
 };
+use hd_tensor::im2col::conv2d_im2col_gemm;
 use hd_tensor::{Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -178,16 +179,9 @@ proptest! {
         for (a, b) in fast.data().iter().zip(reference.data()) {
             prop_assert!(a.to_bits() == b.to_bits(), "sparse kernel {a} vs reference {b}");
         }
-        // Zeroed thresholds pin GEMM onto the dense path despite the sparse input.
-        let dense_only = BackendPolicy {
-            input_density_threshold: 0,
-            weight_density_threshold: 0,
-            auto_sparse: false,
-        };
-        let gemm = conv2d(&x, &wt, bias.as_deref(),
-            &Conv2dCfg::new(stride, Padding::Same)
-                .with_backend(ConvBackend::Im2colGemm)
-                .with_policy(dense_only));
+        // The GEMM kernel itself, called past the dispatch, on the sparse input.
+        let gemm = conv2d_im2col_gemm(&x, &wt, bias.as_deref(),
+            &Conv2dCfg::new(stride, Padding::Same).with_backend(ConvBackend::Im2colGemm));
         assert_close(reference.data(), gemm.data());
     }
 
