@@ -3,8 +3,8 @@
 use hd_accel::{AccelConfig, Device, Precision};
 use hd_dnn::graph::{Network, Params};
 use hd_dnn::prune::{
-    apply_sparsity_profile, magnitude_prune_profile, nm_prune, paper_profile, structured_prune,
-    Mask, SparsityProfile, StructuredCfg,
+    magnitude_prune_profile, nm_prune, paper_profile, random_mask, structured_prune, Mask,
+    SparsityProfile, StructuredCfg,
 };
 
 /// Which paper victim.
@@ -100,21 +100,21 @@ pub fn pruned_victim(
     cfg: AccelConfig,
 ) -> (Device, Network) {
     let net = model.network_scaled(10, width);
-    let mut params = Params::init(&net, seed);
     let (net, params) = match mode {
         PruneMode::Unstructured => {
-            let profile = mini_profile(&net);
-            apply_sparsity_profile(&net, &mut params, &profile, seed ^ 0xBEEF);
+            let mask = random_mask(&net, &mini_profile(&net), seed ^ 0xBEEF);
+            let params = Params::init_masked(&net, seed, Some(&mask));
             (net, params)
         }
         PruneMode::Nm { n, m } => {
+            let mut params = Params::init(&net, seed);
             nm_prune(&net, &mut params, n, m);
             (net, params)
         }
         PruneMode::Structured { keep_frac } => {
             let r = structured_prune(
                 &net,
-                &params,
+                &Params::init(&net, seed),
                 &StructuredCfg {
                     keep_frac,
                     min_keep: 2,
@@ -153,9 +153,9 @@ pub fn quantized_victim(model: Model, mode: PruneMode, width: f64, seed: u64) ->
 /// Same victim on a custom accelerator configuration.
 pub fn paper_victim_with(model: Model, seed: u64, cfg: AccelConfig) -> (Device, Network) {
     let net = model.network(10);
-    let mut params = Params::init(&net, seed);
-    let profile = paper_profile(&net);
-    apply_sparsity_profile(&net, &mut params, &profile, seed ^ 0xBEEF);
+    let mask = random_mask(&net, &paper_profile(&net), seed ^ 0xBEEF);
+    let params = Params::init_masked(&net, seed, Some(&mask));
+    drop(mask);
     let device = Device::new(net.clone(), params, cfg);
     (device, net)
 }

@@ -225,15 +225,10 @@ impl ProberConfig {
     }
 
     /// Worker-thread count the executor will actually use for `jobs`
-    /// independent inferences: the configured [`ProberConfig::parallelism`]
-    /// (or all available cores), clamped to `1..=jobs`.
+    /// independent inferences: [`hd_pool::participants`] of the configured
+    /// [`ProberConfig::parallelism`] (`None` asks for every core).
     pub fn effective_parallelism(&self, jobs: usize) -> usize {
-        let requested = self.parallelism.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        requested.clamp(1, jobs.max(1))
+        hd_pool::participants(self.parallelism.unwrap_or(usize::MAX), jobs)
     }
 }
 
@@ -1219,16 +1214,17 @@ mod tests {
 
     #[test]
     fn effective_parallelism_clamps_to_jobs() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let cfg = ProberConfig::default().with_parallelism(Some(8));
-        assert_eq!(cfg.effective_parallelism(3), 3);
-        assert_eq!(cfg.effective_parallelism(100), 8);
+        assert_eq!(cfg.effective_parallelism(3), 3.min(cores));
+        assert_eq!(cfg.effective_parallelism(100), 8.min(cores));
         assert_eq!(cfg.effective_parallelism(0), 1);
         let serial = ProberConfig::default().with_parallelism(Some(1));
         assert_eq!(serial.effective_parallelism(100), 1);
-        // None = all cores: at least one worker, never more than jobs.
+        // None = all cores, never more than jobs.
         let auto = ProberConfig::default();
-        let w = auto.effective_parallelism(4);
-        assert!((1..=4).contains(&w));
+        assert_eq!(auto.effective_parallelism(100), 100.min(cores));
+        assert_eq!(auto.effective_parallelism(4), 4.min(cores));
     }
 
     #[test]

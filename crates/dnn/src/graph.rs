@@ -7,11 +7,13 @@
 //! explicit and queryable, so experiments can compare recovered vs. actual
 //! geometry directly.
 
+use crate::prune::Mask;
 use crate::sparse_forward::{walk, Walk};
 use crate::verify::{implied_shape, Severity};
 use hd_tensor::conv::{BackendPolicy, ConvBackend, Padding};
 use hd_tensor::norm::Affine;
 use hd_tensor::pool::PoolKind;
+use hd_tensor::tensor::{gaussian, skip_gaussian};
 use hd_tensor::{Shape3, Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -281,6 +283,21 @@ impl Network {
             .collect()
     }
 
+    /// Weight element count of node `id`, from its geometry alone: what
+    /// [`Params::init`] allocates for it. `None` for weightless nodes.
+    pub fn weight_len(&self, id: NodeId) -> Option<usize> {
+        let node = &self.nodes[id];
+        let in_c = || self.value_shape(node.inputs[0]).as_map().map_or(1, |s| s.c);
+        match &node.op {
+            Op::Conv(spec) => Some(spec.out_channels * in_c() * spec.kernel * spec.kernel),
+            Op::DwConv { kernel, .. } => Some(in_c() * kernel * kernel),
+            Op::Linear { out_features, .. } => {
+                Some(self.value_shape(node.inputs[0]).len() * out_features)
+            }
+            _ => None,
+        }
+    }
+
     /// Total weight element count (dense footprint).
     pub fn dense_weight_count(&self, params: &Params) -> usize {
         self.weighted_nodes()
@@ -505,12 +522,38 @@ pub struct LinearView<'a> {
     pub out_features: usize,
 }
 
+/// He-normal weights over `fan_in` inputs (zero fan-in counts as one, as
+/// in [`Tensor4::init_he`]) into a zeroed `w`; positions `keep` marks
+/// `false` stay `0.0` and skip their draws.
+fn init_he(w: &mut [f32], fan_in: usize, keep: Option<&[bool]>, rng: &mut StdRng) {
+    let std = (2.0 / fan_in.max(1) as f32).sqrt();
+    for (i, v) in w.iter_mut().enumerate() {
+        if keep.and_then(|k| k.get(i)) == Some(&false) {
+            skip_gaussian(rng);
+        } else {
+            *v = gaussian(rng) * std;
+        }
+    }
+}
+
 impl Params {
     /// Randomly initializes parameters for `net` (He weights, BN scale ~1).
     pub fn init(net: &Network, seed: u64) -> Params {
+        Params::init_masked(net, seed, None)
+    }
+
+    /// [`Params::init`] with `mask` applied, bit for bit, at the cost of
+    /// the surviving weights only: a pruned weight stays `0.0` and skips
+    /// its Gaussian draw ([`skip_gaussian`]), so every later parameter sees
+    /// the stream the dense initialisation gives it. A position the mask
+    /// does not cover is kept, as in [`Mask::apply`].
+    pub fn init_masked(net: &Network, seed: u64, mask: Option<&Mask>) -> Params {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layers = Vec::with_capacity(net.len());
         for (id, node) in net.nodes().iter().enumerate() {
+            let keep = mask
+                .and_then(|m| m.masks.get(id))
+                .and_then(Option::as_deref);
             let lp = match &node.op {
                 Op::Conv(spec) => {
                     let in_c = net
@@ -519,18 +562,23 @@ impl Params {
                         .expect("conv input must be a map") // hd-lint: allow(no-panic) -- NetworkBuilder only wires conv nodes to map-producing inputs
                         .c;
                     let mut w = Tensor4::zeros(spec.out_channels, in_c, spec.kernel, spec.kernel);
-                    w.init_he(&mut rng);
+                    init_he(
+                        w.data_mut(),
+                        in_c * spec.kernel * spec.kernel,
+                        keep,
+                        &mut rng,
+                    );
                     let b = spec.bias.then(|| {
                         (0..spec.out_channels)
-                            .map(|_| hd_tensor::tensor::gaussian(&mut rng) * 0.1)
+                            .map(|_| gaussian(&mut rng) * 0.1)
                             .collect()
                     });
                     let bn = spec.batch_norm.then(|| {
                         let scale = (0..spec.out_channels)
-                            .map(|_| 1.0 + hd_tensor::tensor::gaussian(&mut rng) * 0.1)
+                            .map(|_| 1.0 + gaussian(&mut rng) * 0.1)
                             .collect();
                         let shift = (0..spec.out_channels)
-                            .map(|_| hd_tensor::tensor::gaussian(&mut rng) * 0.1)
+                            .map(|_| gaussian(&mut rng) * 0.1)
                             .collect();
                         Affine::new(scale, shift)
                     });
@@ -545,24 +593,18 @@ impl Params {
                         .expect("dwconv input must be a map") // hd-lint: allow(no-panic) -- NetworkBuilder only wires dwconv nodes to map-producing inputs
                         .c;
                     let mut w = Tensor4::zeros(in_c, 1, *kernel, *kernel);
-                    w.init_he(&mut rng);
+                    init_he(w.data_mut(), kernel * kernel, keep, &mut rng);
                     let bn = batch_norm.then(|| {
-                        let scale = (0..in_c)
-                            .map(|_| 1.0 + hd_tensor::tensor::gaussian(&mut rng) * 0.1)
-                            .collect();
-                        let shift = (0..in_c)
-                            .map(|_| hd_tensor::tensor::gaussian(&mut rng) * 0.1)
-                            .collect();
+                        let scale = (0..in_c).map(|_| 1.0 + gaussian(&mut rng) * 0.1).collect();
+                        let shift = (0..in_c).map(|_| gaussian(&mut rng) * 0.1).collect();
                         Affine::new(scale, shift)
                     });
                     Some(LayerParams::DwConv { w, bn })
                 }
                 Op::Linear { out_features, .. } => {
                     let in_features = net.value_shape(node.inputs[0]).len();
-                    let std = (2.0 / in_features as f32).sqrt();
-                    let w = (0..out_features * in_features)
-                        .map(|_| hd_tensor::tensor::gaussian(&mut rng) * std)
-                        .collect();
+                    let mut w = vec![0.0; out_features * in_features];
+                    init_he(&mut w, in_features, keep, &mut rng);
                     let b = vec![0.0; *out_features];
                     Some(LayerParams::Linear {
                         w,
@@ -574,7 +616,6 @@ impl Params {
                 _ => None,
             };
             layers.push(lp);
-            let _ = id;
         }
         Params { layers }
     }

@@ -27,8 +27,7 @@ use crate::graph::{LayerParams, Network, NodeId, Params};
 use crate::train::{train, TrainConfig};
 use hd_tensor::Tensor3;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 pub mod restructure;
 
@@ -205,29 +204,9 @@ pub fn paper_profile(net: &Network) -> SparsityProfile {
     let weighted = net.weighted_nodes();
     let n = weighted.len();
     let mut targets = Vec::with_capacity(n);
-    // Estimate layer sizes from geometry to distribute the budget.
     let sizes: Vec<usize> = weighted
         .iter()
-        .map(|&id| match &net.nodes()[id].op {
-            crate::graph::Op::Conv(spec) => {
-                let in_c = net
-                    .value_shape(net.nodes()[id].inputs[0])
-                    .as_map()
-                    .map_or(1, |s| s.c);
-                spec.out_channels * in_c * spec.kernel * spec.kernel
-            }
-            crate::graph::Op::DwConv { kernel, .. } => {
-                let in_c = net
-                    .value_shape(net.nodes()[id].inputs[0])
-                    .as_map()
-                    .map_or(1, |s| s.c);
-                in_c * kernel * kernel
-            }
-            crate::graph::Op::Linear { out_features, .. } => {
-                net.value_shape(net.nodes()[id].inputs[0]).len() * out_features
-            }
-            _ => 0,
-        })
+        .map(|&id| net.weight_len(id).unwrap_or(0))
         .collect();
     let max_size = sizes.iter().copied().max().unwrap_or(1) as f64;
     for (pos, (&id, &size)) in weighted.iter().zip(&sizes).enumerate() {
@@ -246,32 +225,62 @@ pub fn paper_profile(net: &Network) -> SparsityProfile {
 }
 
 /// Applies a sparsity profile with *random* masks (structure-only pruning
-/// for full-size probing victims). Deterministic in `seed`.
+/// for full-size probing victims). Deterministic in `seed`: the mask is
+/// [`random_mask`]`(net, profile, seed)`.
 pub fn apply_sparsity_profile(
     net: &Network,
     params: &mut Params,
     profile: &SparsityProfile,
     seed: u64,
 ) -> Mask {
+    let mask = random_mask(net, profile, seed);
+    mask.apply(params);
+    mask
+}
+
+/// The random mask of [`apply_sparsity_profile`], drawn from the
+/// network's geometry alone, so a victim can be initialised mask-first
+/// with [`Params::init_masked`] and never draw its pruned weights.
+///
+/// Per target, in profile order, it is the mask of a Fisher–Yates shuffle
+/// of the layer's indices whose first `prune_n` entries are pruned.
+pub fn random_mask(net: &Network, profile: &SparsityProfile, seed: u64) -> Mask {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut masks = vec![None; net.len()];
     for &(id, sparsity) in &profile.targets {
-        let Some(w) = weight_slice(params, id) else {
-            continue;
-        };
-        let len = w.len();
-        let prune_n = ((len as f64) * sparsity).round() as usize;
-        let mut keep = vec![true; len];
-        let mut idx: Vec<usize> = (0..len).collect();
-        idx.shuffle(&mut rng);
-        for &i in idx.iter().take(prune_n.min(len)) {
-            keep[i] = false;
+        if let Some(len) = net.weight_len(id) {
+            masks[id] = Some(shuffled_keep(len, sparsity, &mut rng));
         }
-        masks[id] = Some(keep);
     }
-    let mask = Mask { masks };
-    mask.apply(params);
-    mask
+    Mask { masks }
+}
+
+/// Keep-mask of `len` weights with `round(len * sparsity)` pruned: the
+/// complement of the first `prune_n` entries of `(0..len).shuffle(rng)`,
+/// with `rng` left where that shuffle leaves it.
+///
+/// The shuffle runs from the end and step `i` fixes position `i` for good,
+/// so the kept entries `idx[prune_n..]` are final after steps
+/// `len - 1 ..= prune_n`. The steps below only reorder the pruned prefix;
+/// their draws are consumed without swapping. With nothing pruned no swap
+/// matters at all.
+fn shuffled_keep(len: usize, sparsity: f64, rng: &mut StdRng) -> Vec<bool> {
+    let prune_n = (((len as f64) * sparsity).round() as usize).min(len);
+    let first = if prune_n == 0 { len } else { prune_n };
+    // hd-lint: allow(no-panic) -- 2^32 f32 weights would be 16 GiB in one layer, beyond any network this crate builds
+    let n = u32::try_from(len).expect("a layer holds fewer than 2^32 weights");
+    let mut idx: Vec<u32> = (0..n).collect();
+    for i in (first..len).rev() {
+        idx.swap(i, rng.gen_range(0..=i));
+    }
+    for _ in 1..first {
+        rng.next_u64();
+    }
+    let mut keep = vec![false; len];
+    for &i in &idx[prune_n..] {
+        keep[i as usize] = true;
+    }
+    keep
 }
 
 /// Applies a sparsity profile by *magnitude* (keeps each layer's largest
@@ -576,6 +585,118 @@ mod tests {
         assert_eq!(m1, m2);
         let m3 = apply_sparsity_profile(&net, &mut p1, &profile, 12);
         assert_ne!(m1, m3);
+    }
+
+    /// The full shuffle [`apply_sparsity_profile`] ran before masks were
+    /// drawn mask-first: the oracle [`random_mask`] must reproduce, mask
+    /// and generator position alike.
+    fn full_shuffle_profile(
+        net: &Network,
+        params: &mut Params,
+        profile: &SparsityProfile,
+        rng: &mut StdRng,
+    ) -> Mask {
+        use rand::seq::SliceRandom;
+        let mut masks = vec![None; net.len()];
+        for &(id, sparsity) in &profile.targets {
+            let Some(w) = weight_slice(params, id) else {
+                continue;
+            };
+            let len = w.len();
+            let prune_n = ((len as f64) * sparsity).round() as usize;
+            let mut keep = vec![true; len];
+            let mut idx: Vec<usize> = (0..len).collect();
+            idx.shuffle(rng);
+            for &i in idx.iter().take(prune_n.min(len)) {
+                keep[i] = false;
+            }
+            masks[id] = Some(keep);
+        }
+        let mask = Mask { masks };
+        mask.apply(params);
+        mask
+    }
+
+    /// Every parameter of `p`, bias and batch norm included, as bits.
+    fn param_bits(p: &Params) -> Vec<u32> {
+        let mut bits = Vec::new();
+        let mut push = |v: &[f32]| bits.extend(v.iter().map(|x| x.to_bits()));
+        for lp in p.layers.iter().flatten() {
+            match lp {
+                LayerParams::Conv { w, b, bn } => {
+                    push(w.data());
+                    push(b.as_deref().unwrap_or(&[]));
+                    if let Some(a) = bn {
+                        push(a.scale());
+                        push(a.shift());
+                    }
+                }
+                LayerParams::DwConv { w, bn } => {
+                    push(w.data());
+                    if let Some(a) = bn {
+                        push(a.scale());
+                        push(a.shift());
+                    }
+                }
+                LayerParams::Linear { w, b, .. } => {
+                    push(w);
+                    push(b);
+                }
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn shuffled_keep_matches_the_full_shuffle() {
+        for len in [0usize, 1, 2, 7, 1000] {
+            for sparsity in [0.0, 0.5, 0.998, 1.0] {
+                for seed in 0..6 {
+                    let mut fast = StdRng::seed_from_u64(seed);
+                    let mut full = fast.clone();
+                    let mut want = vec![true; len];
+                    let mut idx: Vec<usize> = (0..len).collect();
+                    rand::seq::SliceRandom::shuffle(idx.as_mut_slice(), &mut full);
+                    let prune_n = ((len as f64) * sparsity).round() as usize;
+                    for &i in &idx[..prune_n] {
+                        want[i] = false;
+                    }
+                    let case = format!("len {len}, sparsity {sparsity}, seed {seed}");
+                    let keep = shuffled_keep(len, sparsity, &mut fast);
+                    assert_eq!(keep, want, "{case}");
+                    assert_eq!(fast.next_u64(), full.next_u64(), "{case}: rng position");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_mask_and_masked_init_match_the_full_shuffle() {
+        let mut b = NetworkBuilder::new(2, 6, 6);
+        let x = b.input();
+        let x = b.conv(x, 4, 3, 1);
+        let x = b.dwconv(x, 3, 1, true);
+        let x = b.conv(x, 3, 1, 1);
+        let x = b.global_avg_pool(x);
+        b.linear(x, 7);
+        let net = b.build();
+        // Node 0 (input) and 4 (pool) carry no weights; targets run out of
+        // node order and hit every sparsity edge.
+        let profile = SparsityProfile {
+            targets: vec![(3, 0.998), (0, 0.5), (1, 0.5), (4, 0.9), (5, 1.0), (2, 0.0)],
+        };
+        for seed in [1u64, 2, 3, 0xBEEF] {
+            let mut want_params = Params::init(&net, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 5);
+            let want = full_shuffle_profile(&net, &mut want_params, &profile, &mut rng);
+            let mask = random_mask(&net, &profile, seed ^ 5);
+            assert_eq!(mask, want, "seed {seed}");
+            let mut params = Params::init(&net, seed);
+            apply_sparsity_profile(&net, &mut params, &profile, seed ^ 5);
+            assert_eq!(param_bits(&params), param_bits(&want_params), "seed {seed}");
+            let masked = Params::init_masked(&net, seed, Some(&mask));
+            assert_eq!(param_bits(&masked), param_bits(&want_params), "seed {seed}");
+        }
     }
 
     #[test]

@@ -266,6 +266,44 @@ mod tests {
     }
 
     #[test]
+    fn sequential_fan_outs_reuse_thread_ordinals() {
+        with_clean_registry(|| {
+            let fan_out = || -> Vec<u64> {
+                let barrier = std::sync::Barrier::new(3);
+                std::thread::scope(|s| {
+                    let threads: Vec<_> = (0..3)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let id = registry::thread_ordinal();
+                                // All three hold their ordinals at once.
+                                barrier.wait();
+                                id
+                            })
+                        })
+                        .collect();
+                    // A join waits for the thread's exit, ordinal release included.
+                    threads.into_iter().map(|t| t.join().unwrap()).collect()
+                })
+            };
+            let mut first = fan_out();
+            first.sort_unstable();
+            first.dedup();
+            assert_eq!(
+                first.len(),
+                3,
+                "concurrent threads share an ordinal: {first:?}"
+            );
+            let second = fan_out();
+            // The second batch reuses freed rows instead of opening new ones
+            // (an exiting thread of an earlier test may free a lower one).
+            assert!(
+                second.iter().max() <= first.iter().max(),
+                "{second:?} went past {first:?}"
+            );
+        });
+    }
+
+    #[test]
     fn reset_clears_but_keeps_time_monotonic() {
         with_clean_registry(|| {
             {

@@ -15,8 +15,7 @@
 //! millions — and the disabled path never reaches any lock at all.
 
 use crate::export::{CounterSnap, HistSnap, Snapshot, SpanSnap};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -162,16 +161,48 @@ thread_local! {
     };
 }
 
+/// Thread ordinals handed out so far (`next` is the first never used)
+/// and those returned by exited threads.
+struct Ordinals {
+    next: u64,
+    free: BTreeSet<u64>,
+}
+
+static ORDINALS: Mutex<Ordinals> = Mutex::new(Ordinals {
+    next: 1,
+    free: BTreeSet::new(),
+});
+
+fn ordinals() -> std::sync::MutexGuard<'static, Ordinals> {
+    ORDINALS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A live thread's ordinal; dropping it at thread exit frees the ordinal
+/// for the next thread.
+struct Ordinal(u64);
+
+impl Drop for Ordinal {
+    fn drop(&mut self) {
+        ordinals().free.insert(self.0);
+    }
+}
+
 /// Small dense thread id for Chrome trace `tid` fields (std's `ThreadId`
 /// has no stable integer accessor). Assigned on first telemetry use per
-/// thread, in arrival order.
+/// thread: the smallest ordinal no live thread holds, so a trace has as
+/// many thread rows as threads ever ran at once, however many scoped
+/// fan-outs came and went. `0` marks a span recorded during the thread's
+/// own teardown.
 pub(crate) fn thread_ordinal() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
-        // hd-lint: allow(atomic-ordering) -- a unique-id ticket: fetch_add's atomicity guarantees distinctness, and nothing is published through it
-        static ORDINAL: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+        static ORDINAL: Ordinal = {
+            let mut o = ordinals();
+            let id = o.free.pop_first().unwrap_or(o.next);
+            o.next = o.next.max(id + 1);
+            Ordinal(id)
+        };
     }
-    ORDINAL.with(|id| *id)
+    ORDINAL.try_with(|o| o.0).unwrap_or(0)
 }
 
 impl Registry {

@@ -42,9 +42,17 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Runs `f(0), f(1), …, f(n - 1)` on the caller plus at most
-/// `min(workers, n, available_parallelism()) - 1` scoped threads and
-/// returns what `(0..n).map(f).collect::<Result<Vec<_>, _>>()` returns:
+/// Threads (the caller included) that [`try_map`] runs `n` tasks on when
+/// asked for `workers`: `min(workers, n, available_parallelism())`, and at
+/// least one.
+pub fn participants(workers: usize, n: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    workers.min(n).min(cores).max(1)
+}
+
+/// Runs `f(0), f(1), …, f(n - 1)` on [`participants`]`(workers, n)`
+/// threads, the caller and scoped helpers, and returns what
+/// `(0..n).map(f).collect::<Result<Vec<_>, _>>()` returns:
 /// every result in index order, or the error of the lowest failing index.
 /// No index above the lowest published failure is started.
 ///
@@ -60,9 +68,8 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let workers = workers.min(n).min(cores);
-    if workers <= 1 {
+    let workers = participants(workers, n);
+    if workers == 1 {
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -109,9 +116,13 @@ mod tests {
     use super::*;
     use std::sync::{Barrier, Mutex};
 
-    /// Participants `try_map` really runs for `workers` on this host.
-    fn participants(workers: usize) -> usize {
-        workers.min(std::thread::available_parallelism().map_or(1, |c| c.get()))
+    #[test]
+    fn participants_are_capped_by_workers_tasks_and_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(participants(8, 3), 3.min(cores));
+        assert_eq!(participants(usize::MAX, 100), 100.min(cores));
+        assert_eq!(participants(0, 5), 1);
+        assert_eq!(participants(8, 0), 1);
     }
 
     #[test]
@@ -181,7 +192,7 @@ mod tests {
     /// again, and no index past the first `w` is ever started.
     #[test]
     fn a_published_failure_stops_every_later_claim() {
-        let w = participants(4);
+        let w = participants(4, 64);
         let barrier = Barrier::new(w);
         let runs = AtomicUsize::new(0);
         let got: Result<Vec<()>, usize> = try_map(64, 4, |i| {

@@ -361,23 +361,32 @@ impl fmt::Debug for Tensor4 {
     }
 }
 
-/// Samples a standard normal via Box-Muller from any [`Rng`].
+/// Samples a standard normal via Box-Muller from any [`Rng`], consuming
+/// exactly two `next_u64` draws. `u1` lies in `[f32::EPSILON, 1)`, so
+/// `ln(u1)` is finite and so is every sample.
 pub fn gaussian<R: Rng>(rng: &mut R) -> f32 {
-    loop {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        if g.is_finite() {
-            return g;
-        }
-    }
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    box_muller(u1, u2)
+}
+
+/// Advances `rng` exactly as [`gaussian`] does, without computing the
+/// sample: a pruned weight skips its draw and later weights still see the
+/// stream a dense initialisation would give them.
+pub fn skip_gaussian<R: Rng>(rng: &mut R) {
+    rng.next_u64();
+    rng.next_u64();
+}
+
+fn box_muller(u1: f32, u2: f32) -> f32 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn zeros_and_set() {
@@ -448,6 +457,29 @@ mod tests {
         let var: f32 = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
+    }
+
+    #[test]
+    fn box_muller_is_finite_at_both_ends_of_its_draws() {
+        let below_one = 1.0f32 - f32::EPSILON / 2.0;
+        assert!(below_one < 1.0 && below_one.next_up() == 1.0);
+        for u1 in [f32::EPSILON, below_one] {
+            for u2 in [0.0, below_one] {
+                let g = box_muller(u1, u2);
+                assert!(g.is_finite(), "u1 {u1}, u2 {u2}: {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn skip_gaussian_leaves_the_rng_where_gaussian_does() {
+        let mut drawn = StdRng::seed_from_u64(17);
+        let mut skipped = drawn.clone();
+        for _ in 0..100 {
+            let _ = gaussian(&mut drawn);
+            skip_gaussian(&mut skipped);
+            assert_eq!(drawn.clone().next_u64(), skipped.clone().next_u64());
+        }
     }
 
     #[test]

@@ -154,9 +154,9 @@ fn build_victim(model: &Option<String>, seed: u64) -> Option<(Device, &'static s
         Some("vgg16") | Some("vgg-16") => (hd_dnn::zoo::vgg16(10), "VGG-16"),
         _ => return None,
     };
-    let mut params = Params::init(&net, seed);
     let profile = hd_dnn::prune::paper_profile(&net);
-    hd_dnn::prune::apply_sparsity_profile(&net, &mut params, &profile, seed ^ 0xBEEF);
+    let mask = hd_dnn::prune::random_mask(&net, &profile, seed ^ 0xBEEF);
+    let params = Params::init_masked(&net, seed, Some(&mask));
     Some((Device::new(net, params, AccelConfig::eyeriss_v2()), name))
 }
 
