@@ -160,8 +160,7 @@ pub struct AccelConfig {
     /// functional execution. Backends are bit-identical, so traces and
     /// timings are backend-invariant; this only changes simulation speed.
     pub conv_backend: ConvBackend,
-    /// Density thresholds steering the host-side kernel dispatch, including
-    /// whether sparse probe images auto-upgrade to the cached
+    /// Whether sparse probe images auto-upgrade to the cached
     /// [`ConvBackend::SparseCsc`] path. Like the backend, it never changes
     /// traces or timings — only simulation speed.
     pub backend_policy: BackendPolicy,
@@ -355,7 +354,7 @@ impl AccelConfig {
         self
     }
 
-    /// Same accelerator with an explicit kernel-dispatch policy.
+    /// Same accelerator with an explicit sparse-image routing policy.
     pub fn with_backend_policy(mut self, policy: BackendPolicy) -> Self {
         self.backend_policy = policy;
         self
@@ -379,8 +378,8 @@ impl AccelConfig {
         self.acc_bits as f64 / 8.0
     }
 
-    /// Lowers this configuration into the capacity limits and backend
-    /// requirements [`hd_dnn::verify`] checks a network against.
+    /// Lowers this configuration into the capacity limits
+    /// [`hd_dnn::verify`] checks a network against.
     ///
     /// The pass ceiling of 64 tolerates every tiled schedule the simulator
     /// models (the zoo's largest layer needs ~21 passes through the
@@ -392,8 +391,6 @@ impl AccelConfig {
             weight_bits: self.weight_bits,
             weight_scheme: self.weight_scheme,
             max_weight_passes: 64,
-            require_sparse_eligible: self.conv_backend == ConvBackend::SparseCsc
-                || self.backend_policy.auto_sparse,
         }
     }
 }

@@ -14,12 +14,14 @@
 //! `HD_BENCH_GUARD=1` validates the checked-in artifact instead of timing:
 //! the schema must be `v3`, and the honesty invariants must hold — a row
 //! whose effective worker count is 1 carries `"speedup_vs_serial": null`,
-//! and `measured_parallel_speedup` is `true` only when the recording host
-//! had more than one core. A 1-core recording therefore *cannot* report a
+//! no row's speedup exceeds its worker count, and
+//! `measured_parallel_speedup` is `true` only when the recording host had
+//! more than one core. A 1-core recording therefore *cannot* report a
 //! measured parallel speedup; it self-describes as unmeasured instead of
-//! presenting serial noise as a result. Smoke mode shrinks the probe
-//! budget and, instead of writing the artifact, checks that its key paths
-//! match the committed one.
+//! presenting serial noise as a result. Each row is the mean of
+//! [`SAMPLES`] timed probes. Smoke mode shrinks the probe budget and,
+//! instead of writing the artifact, checks that its key paths match the
+//! committed one.
 
 use hd_bench::harness::{self, Artifact};
 use hd_bench::victims::{paper_victim, Model};
@@ -32,6 +34,9 @@ const ARTIFACT: Artifact = Artifact {
     name: "prober_parallel",
     schema: "hd-bench/prober-parallel/v3",
 };
+
+/// Timed probes per row, after one untimed warm-up.
+const SAMPLES: usize = 5;
 
 /// `HD_BENCH_GUARD=1`: schema/honesty validation of the recorded artifact.
 fn schema_guard() {
@@ -99,6 +104,13 @@ fn schema_guard() {
                 "row {id:?} ran on {workers} workers but reports no speedup"
             );
         }
+        if let Some(s) = speedup.as_f64() {
+            assert!(
+                s <= workers as f64,
+                "row {id:?} reports a {s}x speedup on {workers} workers: \
+                 more than its workers can give, so it measured noise"
+            );
+        }
     }
     assert!(
         json.get("memory")
@@ -164,7 +176,7 @@ fn main() {
         let cfg = base.clone().with_parallelism(requested);
         let workers = cfg.effective_parallelism(cfg.shifts);
         let (result, samples) =
-            harness::sample(2, || probe(&device, &cfg).expect("probe succeeds"));
+            harness::sample(SAMPLES, || probe(&device, &cfg).expect("probe succeeds"));
         let m = samples.mean();
         match &serial_result {
             None => {

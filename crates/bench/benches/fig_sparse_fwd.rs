@@ -1,9 +1,10 @@
 //! Bench for the sparse forward path: runs the full end-to-end prober
 //! (stripe probes through the victim device, single-threaded) against
-//! VGG-S and ResNet-18 with (a) the dense default backend pinned via an
-//! `auto_sparse: false` policy and (b) the cached-CSC sparse path, asserts
-//! the `ProberResult`s are bit-identical, and writes the measured
-//! wall-clock numbers to `BENCH_sparse_fwd.json` at the repository root.
+//! VGG-S and ResNet-18 with (a) the uncached full-width walk, kept off the
+//! cache by an `auto_sparse: false` policy, and (b) the cached-CSC sparse
+//! path, asserts the `ProberResult`s are bit-identical, and writes the
+//! measured wall-clock numbers to `BENCH_sparse_fwd.json` at the
+//! repository root.
 //!
 //! ```text
 //! cargo bench -p hd-bench --bench fig_sparse_fwd
@@ -42,8 +43,9 @@ fn main() {
     }
     .with_parallelism(Some(1)); // isolate per-inference speed from -j fan-out
 
-    // Dense baseline: the default backend (im2col+GEMM) with auto sparse
-    // routing disabled — exactly the device behavior before the CSC path.
+    // Dense baseline: the default backend with auto sparse routing off, so
+    // every probe takes the uncached full-width walk. `conv2d` still sends
+    // sparse operands (the ~99%-pruned layers) to the sparse kernel.
     let dense_policy = BackendPolicy { auto_sparse: false };
     let models = if smoke {
         vec![Model::VggS]

@@ -55,15 +55,7 @@ struct Budget {
 
 fn budget(scale: Scale) -> Budget {
     match scale {
-        Scale::Smoke => Budget {
-            width: 0.0625,
-            n_train: 48,
-            n_test: 24,
-            epochs: 3,
-            candidates: 2,
-            transfer_images: 8,
-        },
-        Scale::Fast => Budget {
+        Scale::Smoke | Scale::Fast => Budget {
             width: 0.0625,
             n_train: 96,
             n_test: 48,

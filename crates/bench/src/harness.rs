@@ -1,7 +1,7 @@
 //! The one measurement harness behind every bench in `benches/`.
 //!
-//! * [`sample`] / [`report`]: one untimed warmup call, then `n` timed
-//!   calls, summarised as mean, best and the raw samples.
+//! * [`sample`]: one untimed warmup call, then `n` timed calls,
+//!   summarised as mean, median and the raw samples.
 //! * [`pairs`]: an in-process A/B comparison that alternates the arms
 //!   (A first on even pairs, B first on odd ones), so slow drift of the
 //!   host hits both arms alike. Guards built on it compare two arms of one
@@ -46,11 +46,6 @@ impl Samples {
         self.0.iter().sum::<f64>() / self.0.len() as f64
     }
 
-    /// Fastest sample.
-    pub fn best(&self) -> f64 {
-        self.0.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// Median (mean of the middle two for an even count).
     pub fn median(&self) -> f64 {
         let mut s = self.0.clone();
@@ -85,27 +80,6 @@ pub fn sample<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Samples) {
         samples.push(secs);
     }
     (last, Samples(samples))
-}
-
-/// [`sample`]s `f` and prints a one-line best / mean / worst summary.
-pub fn report<T>(id: &str, n: usize, f: impl FnMut() -> T) {
-    let (_, samples) = sample(n, f);
-    let worst = samples.0.iter().copied().fold(0.0, f64::max);
-    println!(
-        "{id:<40} time: [{} {} {}]",
-        fmt_secs(samples.best()),
-        fmt_secs(samples.mean()),
-        fmt_secs(worst)
-    );
-}
-
-fn fmt_secs(secs: f64) -> String {
-    match secs {
-        s if s < 1e-6 => format!("{:.3} ns", s * 1e9),
-        s if s < 1e-3 => format!("{:.3} µs", s * 1e6),
-        s if s < 1.0 => format!("{:.3} ms", s * 1e3),
-        s => format!("{s:.3} s"),
-    }
 }
 
 /// One arm of a [`pairs`] comparison.

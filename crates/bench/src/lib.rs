@@ -16,7 +16,8 @@ pub use table::Table;
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Minimal sizes for `cargo bench` table previews.
+    /// Minimal sizes for the CI smoke runs of the matrix benches
+    /// (`HD_BENCH_SMOKE=1`) and the golden tests that pin their cells.
     Smoke,
     /// Reduced sizes for quick runs (`experiments --fast`).
     Fast,

@@ -332,20 +332,18 @@ impl Network {
     /// Panics if the input shape does not match the network's declared input
     /// shape, or if parameters are missing for a weighted node.
     pub fn forward(&self, params: &Params, input: &Tensor3) -> ForwardTrace {
-        self.forward_with_policy(
-            params,
-            input,
-            ConvBackend::default(),
-            BackendPolicy::default(),
-        )
+        walk(self, params, input, Walk::Full(ConvBackend::default())).into_forward_trace()
     }
 
-    /// [`Network::forward`] with an explicit convolution backend and
-    /// kernel-dispatch policy.
+    /// [`Network::forward`] with an explicit convolution backend.
     ///
-    /// Both move work between kernels that are bit-identical to
+    /// The backend moves work between kernels that are bit-identical to
     /// `hd_tensor::conv::conv2d_reference` (sparse kernel vs im2col + GEMM),
-    /// so they change wall-clock time, never the trace contents.
+    /// so it changes wall-clock time, never the trace contents. `_policy`
+    /// is unused: [`conv2d`](hd_tensor::conv::conv2d) picks its kernel from
+    /// the operands, and only the device reads
+    /// [`BackendPolicy::auto_sparse`], to route sparse images to the cached
+    /// walk.
     ///
     /// # Panics
     ///
@@ -355,9 +353,9 @@ impl Network {
         params: &Params,
         input: &Tensor3,
         backend: ConvBackend,
-        policy: BackendPolicy,
+        _policy: BackendPolicy,
     ) -> ForwardTrace {
-        walk(self, params, input, Walk::Full(backend, policy)).into_forward_trace()
+        walk(self, params, input, Walk::Full(backend)).into_forward_trace()
     }
 }
 

@@ -35,7 +35,6 @@
 
 pub mod data;
 pub mod graph;
-pub mod io;
 pub mod prune;
 pub mod quantize;
 pub mod sparse_forward;

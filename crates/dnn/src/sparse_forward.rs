@@ -13,8 +13,8 @@
 //!
 //! * **Full width** (no cache): every span is every column, so every delta
 //!   *is* its map, moved from op to op without a copy. Convs go through
-//!   [`conv2d`] with the caller's backend and dispatch policy; linear layers
-//!   run the dense zero-skipping row loop.
+//!   [`conv2d`] with the caller's backend; linear layers run the dense
+//!   zero-skipping row loop.
 //! * **Cached** ([`ForwardCache`]): the prober runs `shifts x families`
 //!   inferences against one fixed victim, and every probe image is a
 //!   vertical stripe — one nonzero column. Two things are therefore constant
@@ -87,8 +87,10 @@ pub struct ForwardCache {
 
 impl ForwardCache {
     /// Compacts weights and records the zero-input baseline trace for
-    /// `net`/`params`, dispatching the baseline's convs by `policy`.
-    pub fn build(net: &Network, params: &Params, policy: BackendPolicy) -> Self {
+    /// `net`/`params`. Kernel choice never changes a result, so `_policy`
+    /// is unused: only the device reads [`BackendPolicy::auto_sparse`], to
+    /// route sparse images to the cached walk.
+    pub fn build(net: &Network, params: &Params, _policy: BackendPolicy) -> Self {
         let mut convs: Vec<Option<SparseConv>> = vec![None; net.len()];
         let mut linear_rows: Vec<Option<Vec<SparseRow>>> = vec![None; net.len()];
         for (id, node) in net.nodes().iter().enumerate() {
@@ -118,7 +120,7 @@ impl ForwardCache {
         }
         let shape = net.input_shape();
         let zeros = Tensor3::zeros(shape.c, shape.h, shape.w);
-        let baseline = net.forward_with_policy(params, &zeros, ConvBackend::default(), policy);
+        let baseline = net.forward(params, &zeros);
         let col_nnz = baseline
             .traces
             .iter()
@@ -301,7 +303,7 @@ impl From<ForwardTrace> for SpanTrace<'static> {
 #[derive(Clone, Copy)]
 pub(crate) enum Walk<'a> {
     /// Every column; convs dispatch through [`conv2d`].
-    Full(ConvBackend, BackendPolicy),
+    Full(ConvBackend),
     /// Only the columns that can differ from the cache's zero-input
     /// baseline.
     Cached(&'a ForwardCache),
@@ -410,11 +412,11 @@ pub(crate) fn walk<'a>(
                 let bias = lp.b.as_deref();
                 let cfg = Conv2dCfg::new(spec.stride, spec.padding);
                 let raw = match how {
-                    Walk::Full(backend, policy) => SpanDelta::full(conv2d(
+                    Walk::Full(backend) => SpanDelta::full(conv2d(
                         &x.to_map(x_base),
                         lp.w,
                         bias,
-                        &cfg.with_backend(backend).with_policy(policy),
+                        &cfg.with_backend(backend),
                     )),
                     Walk::Cached(cache) => {
                         let conv = cache.convs[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front

@@ -549,139 +549,6 @@ pub fn train(
     losses
 }
 
-/// Accumulates `other` into `acc` (elementwise sum of all gradients).
-///
-/// # Panics
-///
-/// Panics if the two gradient sets come from different networks.
-pub fn accumulate_grads(acc: &mut Grads, other: &Grads) {
-    assert_eq!(
-        acc.layers.len(),
-        other.layers.len(),
-        "gradient layout mismatch"
-    );
-    for (a, o) in acc.layers.iter_mut().zip(&other.layers) {
-        match (a, o) {
-            (None, None) => {}
-            (
-                Some(LayerGrads::Conv { w, b, bn }),
-                Some(LayerGrads::Conv {
-                    w: ow,
-                    b: ob,
-                    bn: obn,
-                }),
-            ) => {
-                add_slices(w.data_mut(), ow.data());
-                if let (Some(b), Some(ob)) = (b.as_mut(), ob.as_ref()) {
-                    add_slices(b, ob);
-                }
-                if let (Some((s, sh)), Some((os, osh))) = (bn.as_mut(), obn.as_ref()) {
-                    add_slices(s, os);
-                    add_slices(sh, osh);
-                }
-            }
-            (Some(LayerGrads::DwConv { w, bn }), Some(LayerGrads::DwConv { w: ow, bn: obn })) => {
-                add_slices(w.data_mut(), ow.data());
-                if let (Some((s, sh)), Some((os, osh))) = (bn.as_mut(), obn.as_ref()) {
-                    add_slices(s, os);
-                    add_slices(sh, osh);
-                }
-            }
-            (Some(LayerGrads::Linear { w, b }), Some(LayerGrads::Linear { w: ow, b: ob })) => {
-                add_slices(w, ow);
-                add_slices(b, ob);
-            }
-            _ => panic!("gradient layout mismatch"), // hd-lint: allow(no-panic) -- gradients are produced from the same Params layout they update
-        }
-    }
-    let scaled = other.input.clone();
-    acc.input = acc.input.add(&scaled);
-}
-
-/// Scales every gradient by `factor` (e.g. `1 / batch_size`).
-pub fn scale_grads(grads: &mut Grads, factor: f32) {
-    for g in grads.layers.iter_mut().flatten() {
-        match g {
-            LayerGrads::Conv { w, b, bn } => {
-                scale_slice(w.data_mut(), factor);
-                if let Some(b) = b {
-                    scale_slice(b, factor);
-                }
-                if let Some((s, sh)) = bn {
-                    scale_slice(s, factor);
-                    scale_slice(sh, factor);
-                }
-            }
-            LayerGrads::DwConv { w, bn } => {
-                scale_slice(w.data_mut(), factor);
-                if let Some((s, sh)) = bn {
-                    scale_slice(s, factor);
-                    scale_slice(sh, factor);
-                }
-            }
-            LayerGrads::Linear { w, b } => {
-                scale_slice(w, factor);
-                scale_slice(b, factor);
-            }
-        }
-    }
-    scale_slice(grads.input.data_mut(), factor);
-}
-
-fn add_slices(a: &mut [f32], b: &[f32]) {
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-}
-
-fn scale_slice(a: &mut [f32], f: f32) {
-    for x in a.iter_mut() {
-        *x *= f;
-    }
-}
-
-/// Mini-batch training: gradients are averaged over `batch_size` samples
-/// before each optimizer step. Smoother than per-sample SGD and tolerant
-/// of larger learning rates; returns per-epoch mean losses like [`train`].
-pub fn train_batched(
-    net: &Network,
-    params: &mut Params,
-    dataset: &[(hd_tensor::Tensor3, usize)],
-    cfg: &TrainConfig,
-    batch_size: usize,
-    mask: Option<&crate::prune::Mask>,
-) -> Vec<f32> {
-    assert!(batch_size > 0, "batch size must be positive");
-    let mut opt = Sgd::new(net, cfg.lr, cfg.momentum, cfg.weight_decay);
-    if let Some(m) = mask {
-        m.apply(params);
-    }
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        opt.lr = cfg.lr * cfg.lr_decay.powi(epoch as i32);
-        let mut epoch_loss = 0.0;
-        for batch in dataset.chunks(batch_size) {
-            let mut acc: Option<Grads> = None;
-            for (x, y) in batch {
-                let trace = net.forward(params, x);
-                let (loss, grad) = cross_entropy(trace.logits(), *y);
-                epoch_loss += loss;
-                let g = backward(net, params, &trace, &grad);
-                match &mut acc {
-                    None => acc = Some(g),
-                    Some(a) => accumulate_grads(a, &g),
-                }
-            }
-            if let Some(mut g) = acc {
-                scale_grads(&mut g, 1.0 / batch.len() as f32);
-                opt.step(params, &g, mask);
-            }
-        }
-        losses.push(epoch_loss / dataset.len().max(1) as f32);
-    }
-    losses
-}
-
 /// Classification accuracy on a labelled dataset.
 pub fn accuracy(net: &Network, params: &Params, dataset: &[(Tensor3, usize)]) -> f64 {
     if dataset.is_empty() {
@@ -828,98 +695,6 @@ mod tests {
                 weight_decay: 0.0,
                 lr_decay: 1.0,
             },
-            None,
-        );
-        assert!(
-            losses.last().unwrap() < &(losses[0] * 0.7),
-            "loss did not drop: {losses:?}"
-        );
-        assert!(accuracy(&net, &params, &dataset) > 0.5);
-    }
-
-    #[test]
-    fn batch_gradient_is_mean_of_sample_gradients() {
-        let net = tiny_net();
-        let params = Params::init(&net, 8);
-        let mut rng = StdRng::seed_from_u64(9);
-        let samples: Vec<(hd_tensor::Tensor3, usize)> = (0..3)
-            .map(|i| {
-                let mut t = hd_tensor::Tensor3::zeros(2, 6, 6);
-                t.fill_uniform(&mut rng, -1.0, 1.0);
-                (t, i % 4)
-            })
-            .collect();
-        // Mean of per-sample gradients, built with the public helpers.
-        let mut acc: Option<Grads> = None;
-        for (x, y) in &samples {
-            let trace = net.forward(&params, x);
-            let (_, grad) = cross_entropy(trace.logits(), *y);
-            let g = backward(&net, &params, &trace, &grad);
-            match &mut acc {
-                None => acc = Some(g),
-                Some(a) => accumulate_grads(a, &g),
-            }
-        }
-        let mut mean = acc.unwrap();
-        scale_grads(&mut mean, 1.0 / samples.len() as f32);
-        // Spot-check against a manual average on the conv weights.
-        let manual: Vec<f32> = {
-            let mut sums: Option<Vec<f32>> = None;
-            for (x, y) in &samples {
-                let trace = net.forward(&params, x);
-                let (_, grad) = cross_entropy(trace.logits(), *y);
-                let g = backward(&net, &params, &trace, &grad);
-                let LayerGrads::Conv { w, .. } = g.layers[1].as_ref().unwrap() else {
-                    panic!()
-                };
-                match &mut sums {
-                    None => sums = Some(w.data().to_vec()),
-                    Some(s) => {
-                        for (a, b) in s.iter_mut().zip(w.data()) {
-                            *a += b;
-                        }
-                    }
-                }
-            }
-            sums.unwrap()
-                .iter()
-                .map(|v| v / samples.len() as f32)
-                .collect()
-        };
-        let LayerGrads::Conv { w, .. } = mean.layers[1].as_ref().unwrap() else {
-            panic!()
-        };
-        for (a, b) in w.data().iter().zip(&manual) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn batched_training_learns() {
-        let net = tiny_net();
-        let mut params = Params::init(&net, 31);
-        let mut rng = StdRng::seed_from_u64(7);
-        let dataset: Vec<(hd_tensor::Tensor3, usize)> = (0..16)
-            .map(|i| {
-                let mut t = hd_tensor::Tensor3::zeros(2, 6, 6);
-                t.fill_uniform(&mut rng, 0.0, 1.0);
-                let class = i % 4;
-                t.set(0, 0, class, 4.0);
-                (t, class)
-            })
-            .collect();
-        let losses = train_batched(
-            &net,
-            &mut params,
-            &dataset,
-            &TrainConfig {
-                epochs: 25,
-                lr: 0.05, // batching tolerates the larger step
-                momentum: 0.9,
-                weight_decay: 0.0,
-                lr_decay: 1.0,
-            },
-            4,
             None,
         );
         assert!(

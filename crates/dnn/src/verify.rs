@@ -8,8 +8,8 @@
 //! assembled through [`Network::from_raw_parts`] (tests, future
 //! deserializers, fuzzers) carry whatever shapes their author recorded, so
 //! `verify` runs the same rule over every node and compares. It also
-//! checks the graph topology, params consistency, buffer-capacity limits,
-//! and backend preconditions, and reports every problem as a typed
+//! checks the graph topology, params consistency and buffer-capacity
+//! limits, and reports every problem as a typed
 //! [`Diagnostic`] with the layer path and the expected/actual shapes.
 //!
 //! The same diagnostics back two frontends:
@@ -176,11 +176,6 @@ pub enum DiagKind {
         /// The configured ceiling.
         max_passes: u64,
     },
-    /// The sparse (CSC-cached) backend cannot execute this graph.
-    SparseIneligible {
-        /// Why.
-        reason: String,
-    },
 }
 
 impl DiagKind {
@@ -206,7 +201,6 @@ impl DiagKind {
             DiagKind::OrphanedBn { .. } => "orphaned-bn",
             DiagKind::RaggedParams { .. } => "ragged-params",
             DiagKind::GlbOverflow { .. } => "glb-overflow",
-            DiagKind::SparseIneligible { .. } => "sparse-ineligible",
         }
     }
 
@@ -299,9 +293,6 @@ impl fmt::Display for DiagKind {
                 "compressed weights ({weight_bytes} B) need {passes} passes through a \
                  {capacity} B weight buffer (limit {max_passes})"
             ),
-            DiagKind::SparseIneligible { reason } => {
-                write!(f, "sparse (CSC) backend ineligible: {reason}")
-            }
         }
     }
 }
@@ -362,7 +353,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Accelerator-derived capacity limits and backend requirements.
+/// Accelerator-derived capacity limits.
 ///
 /// `hd-dnn` cannot see `hd_accel::AccelConfig` (the dependency points the
 /// other way), so the accel crate lowers its config into this struct — see
@@ -382,10 +373,6 @@ pub struct Limits {
     /// once per pass, so a pathological pass count signals a config/model
     /// mismatch rather than a workable schedule.
     pub max_weight_passes: u64,
-    /// Require the graph to be executable by the CSC-cached sparse
-    /// backend (set when the device config pins `ConvBackend::SparseCsc`
-    /// or auto-routes sparse inputs).
-    pub require_sparse_eligible: bool,
 }
 
 impl Default for Limits {
@@ -395,7 +382,6 @@ impl Default for Limits {
             weight_bits: 8,
             weight_scheme: CompressionScheme::Bitmap,
             max_weight_passes: 64,
-            require_sparse_eligible: false,
         }
     }
 }
@@ -496,13 +482,6 @@ pub fn verify(net: &Network, params: Option<&Params>, limits: &Limits) -> Vec<Di
     // --- Capacity: compressed weights vs the on-chip buffer. ---
     if let Some(cap) = limits.weight_glb_bytes {
         check_glb(net, params, limits, cap, &mut diags);
-    }
-
-    // --- Backend preconditions. ---
-    if limits.require_sparse_eligible && params.is_none() {
-        diags.push(Diagnostic::global(DiagKind::SparseIneligible {
-            reason: "the CSC weight cache requires materialized params".to_string(),
-        }));
     }
 
     diags
@@ -1232,20 +1211,6 @@ mod tests {
             |d| matches!(d.kind, DiagKind::PoolRemainder { factor: 2, .. })
                 && d.severity == Severity::Warning
         ));
-    }
-
-    #[test]
-    fn sparse_eligibility_requires_params() {
-        let net = clean_net();
-        let limits = Limits {
-            require_sparse_eligible: true,
-            ..Limits::default()
-        };
-        assert!(verify(&net, None, &limits)
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::SparseIneligible { .. })));
-        let params = Params::init(&net, 3);
-        assert!(verify(&net, Some(&params), &limits).is_empty());
     }
 
     #[test]

@@ -126,11 +126,17 @@ fn assert_spans_read_back(want: &ForwardTrace, spans: &SpanTrace<'_>, what: &str
 /// configurations, asserting bit identity.
 fn check(net: &Network, params: &Params, images: &[Tensor3]) {
     let cache = ForwardCache::build(net, params, BackendPolicy::default());
-    let gemm_only = BackendPolicy { auto_sparse: false };
     for (i, img) in images.iter().enumerate() {
         let got = net.forward_cached(params, img, &cache);
-        let gemm = net.forward_with_policy(params, img, ConvBackend::Im2colGemm, gemm_only);
-        assert_bit_identical(&gemm, &got, &format!("image {i} vs Im2colGemm"));
+        // The uncached full-width walk; its sparse operands still take the
+        // sparse kernel.
+        let full_width = net.forward_with_policy(
+            params,
+            img,
+            ConvBackend::Im2colGemm,
+            BackendPolicy::default(),
+        );
+        assert_bit_identical(&full_width, &got, &format!("image {i} vs full width"));
         let csc = net.forward_with_policy(
             params,
             img,
@@ -139,7 +145,7 @@ fn check(net: &Network, params: &Params, images: &[Tensor3]) {
         );
         assert_bit_identical(&csc, &got, &format!("image {i} vs SparseCsc"));
         let spans = net.forward_spans(params, img, &cache);
-        assert_spans_read_back(&gemm, &spans, &format!("image {i} span deltas"));
+        assert_spans_read_back(&full_width, &spans, &format!("image {i} span deltas"));
     }
 }
 

@@ -60,7 +60,11 @@ impl std::fmt::Display for ConvBackend {
 /// (`nnz * 8 < len`).
 const SPARSE_DENSITY_DIVISOR: u64 = 8;
 
-/// The sparsity-aware part of [`conv2d`]'s kernel dispatch.
+/// Whether a device routes sparse images to the cached sparse walk.
+///
+/// [`conv2d`] picks its kernel from the operands alone (see
+/// `SPARSE_DENSITY_DIVISOR`); this policy is read only by the device,
+/// which uses [`BackendPolicy::input_is_sparse`] on each image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BackendPolicy {
     /// Whether a device may auto-upgrade sparse-input inferences to
@@ -81,13 +85,6 @@ impl BackendPolicy {
     pub fn input_is_sparse(&self, nnz: usize, len: usize) -> bool {
         is_sparse(nnz, len)
     }
-
-    /// Whether a weight tensor with `nnz` nonzeros out of `len` is sparse
-    /// enough for the GEMM backend to switch to the sparse kernel (heavily
-    /// pruned victim layers).
-    pub fn weight_is_sparse(&self, nnz: usize, len: usize) -> bool {
-        is_sparse(nnz, len)
-    }
 }
 
 fn is_sparse(nnz: usize, len: usize) -> bool {
@@ -103,30 +100,21 @@ pub struct Conv2dCfg {
     pub padding: Padding,
     /// Compute backend (does not affect results, only speed).
     pub backend: ConvBackend,
-    /// The sparsity-aware dispatch policy.
-    pub policy: BackendPolicy,
 }
 
 impl Conv2dCfg {
-    /// Config with the default backend and dispatch policy.
+    /// Config with the default backend.
     pub fn new(stride: usize, padding: Padding) -> Self {
         Conv2dCfg {
             stride,
             padding,
             backend: ConvBackend::default(),
-            policy: BackendPolicy::default(),
         }
     }
 
     /// Returns the config with `backend` selected.
     pub fn with_backend(mut self, backend: ConvBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Returns the config with `policy` as its dispatch policy.
-    pub fn with_policy(mut self, policy: BackendPolicy) -> Self {
-        self.policy = policy;
         self
     }
 }
@@ -211,8 +199,8 @@ pub fn conv2d(input: &Tensor3, weight: &Tensor4, bias: Option<&[f32]>, cfg: &Con
     // The SparseCsc backend takes this kernel unconditionally — that is
     // what it is.
     if cfg.backend == ConvBackend::SparseCsc
-        || cfg.policy.input_is_sparse(input.nnz(), input.shape().len())
-        || cfg.policy.weight_is_sparse(weight.nnz(), weight.len())
+        || is_sparse(input.nnz(), input.shape().len())
+        || is_sparse(weight.nnz(), weight.len())
     {
         return crate::csc_conv::conv2d_sparse_csc(input, weight, bias, cfg);
     }
@@ -585,7 +573,7 @@ mod tests {
                 *v = 0.0;
             }
         }
-        assert!(BackendPolicy::default().weight_is_sparse(w.nnz(), w.len()));
+        assert!(is_sparse(w.nnz(), w.len()));
         let bias = [0.5, -0.5, 0.0, 1.0];
         for (stride, padding) in [(1, Padding::Same), (2, Padding::Same), (1, Padding::Valid)] {
             let c = cfg(stride, padding);
@@ -636,7 +624,6 @@ mod tests {
         for len in [1usize, 7, 8, 64, 1000, 12 * 12 * 3] {
             for nnz in 0..=len {
                 assert_eq!(p.input_is_sparse(nnz, len), nnz * 8 < len, "{nnz}/{len}");
-                assert_eq!(p.weight_is_sparse(nnz, len), nnz * 8 < len, "{nnz}/{len}");
             }
         }
     }

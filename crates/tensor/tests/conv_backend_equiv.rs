@@ -146,7 +146,7 @@ proptest! {
     /// Stripe inputs (one nonzero column, the prober's probe shape) with
     /// pruned weights: the regime the sparse kernel exists for. The auto-routed
     /// sparse result must match the dense reference loop bit-for-bit, and agree
-    /// with a GEMM run whose policy pins it onto the dense path.
+    /// with the GEMM kernel called past the dispatch.
     #[test]
     fn backends_agree_on_stripe_inputs_and_pruned_weights(
         seed in 0u64..10_000,
