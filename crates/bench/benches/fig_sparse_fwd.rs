@@ -95,9 +95,10 @@ fn main() {
         ("parallelism", 1usize.into()),
         (
             "note",
-            "single-threaded end-to-end prober wall-clock; dense row pins the \
-             default im2col+GEMM backend via auto_sparse=false, sparse row is the default \
-             device config (auto CSC on stripe probes); orthogonal to -j probe fan-out"
+            "single-threaded end-to-end prober wall-clock; dense row is the uncached \
+             full-width walk (auto_sparse=false), in which conv2d still sends the victims' \
+             ~99%-pruned layers to the sparse kernel; sparse row is the default device \
+             config (cached span walk on stripe probes); orthogonal to -j probe fan-out"
                 .into(),
         ),
         ("results_bit_identical", true.into()),

@@ -1,6 +1,7 @@
 //! Pooling kernels (max / average) and their gradients.
 
 use crate::colspan::SpanDelta;
+use crate::simd::{self, PoolRows, PoolTap};
 use crate::Tensor3;
 
 /// Pooling flavour.
@@ -20,12 +21,15 @@ pub enum PoolKind {
 /// run gives the bits the whole map's pool has there, and the reference
 /// run's pool everywhere else.
 ///
-/// Trailing rows/columns that do not fill a complete window are dropped,
-/// matching PyTorch's default (`ceil_mode = False`).
+/// Each window is folded row by row, left to right: the max from `-inf`
+/// by [`simd::max_rule`], the average as a sum from `+0.0` divided by the
+/// area. Trailing rows/columns that do not fill a complete window are
+/// dropped, matching PyTorch's default (`ceil_mode = False`).
 ///
 /// # Panics
 ///
-/// Panics if `factor == 0` or `base` does not have the input's shape.
+/// Panics if `factor == 0`, `base` does not have the input's shape, or
+/// the input has more than `u32::MAX` rows (channels times height).
 ///
 /// # Examples
 ///
@@ -57,81 +61,42 @@ pub fn pool2d(
     if sw == 0 {
         return SpanDelta::new(span, out_w, out);
     }
-    match kind {
-        PoolKind::Max => fold_windows(
-            input,
-            base,
-            factor,
-            span.lo(),
-            &mut out,
-            f32::NEG_INFINITY,
-            f32::max,
-        ),
-        PoolKind::Avg => {
-            fold_windows(input, base, factor, span.lo(), &mut out, 0.0, |acc, v| {
-                acc + v
-            });
-            let area = (factor * factor) as f32;
-            for v in out.data_mut() {
-                *v /= area;
+    // The sources of every output column's window, `(dy, dx)` in row-major
+    // order: a delta column inside the input's span, else a baseline
+    // column, else zero. They depend only on the span, so each is resolved
+    // once here and then read down every output row.
+    let (in_span, dw) = (input.span(), input.span().width());
+    let mut taps = Vec::with_capacity(sw * factor * factor);
+    for q in span.range() {
+        for dy in 0..factor {
+            for x in q * factor..(q + 1) * factor {
+                taps.push(if in_span.contains(x) {
+                    PoolTap::new(input.cols().data(), dw, dy * dw + x - in_span.lo())
+                } else if let Some(b) = base {
+                    PoolTap::new(b.data(), shape.w, dy * shape.w + x)
+                } else {
+                    PoolTap::zero()
+                });
+            }
+        }
+    }
+    let rows = PoolRows::new(shape.c, shape.h, factor);
+    let area = (factor * factor) as f32;
+    let mut col = vec![0.0f32; rows.len()];
+    for (j, window) in taps.chunks_exact(factor * factor).enumerate() {
+        let dst = out.data_mut().chunks_exact_mut(sw).map(|row| &mut row[j]);
+        match kind {
+            PoolKind::Max => {
+                simd::pool_max_fold(&rows, window, &mut col);
+                dst.zip(&col).for_each(|(d, &v)| *d = v);
+            }
+            PoolKind::Avg => {
+                simd::pool_sum_fold(&rows, window, &mut col);
+                dst.zip(&col).for_each(|(d, &v)| *d = v / area);
             }
         }
     }
     SpanDelta::new(span, out_w, out)
-}
-
-/// Folds every `factor x factor` window into one element of `out`, whose
-/// rows are the pooled rows channel by channel and whose first column is
-/// output column `q_lo`, from `init` by `op`. Each window is visited row
-/// by row, left to right (the order of a whole-map loop over `(dy, dx)`),
-/// in a register: an input column is read from the delta inside its span
-/// and from `base` (or zero) outside it.
-fn fold_windows(
-    input: &SpanDelta,
-    base: Option<&Tensor3>,
-    factor: usize,
-    q_lo: usize,
-    out: &mut Tensor3,
-    init: f32,
-    op: impl Fn(f32, f32) -> f32,
-) {
-    let shape = input.shape();
-    let (lo, hi, dw) = (input.span().lo(), input.span().hi(), input.span().width());
-    let (out_h, sw) = (out.h(), out.w());
-    let mut rows: Vec<(&[f32], Option<&[f32]>)> = Vec::with_capacity(factor);
-    for (row, dst) in out.data_mut().chunks_exact_mut(sw).enumerate() {
-        let (c, p) = (row / out_h, row % out_h);
-        rows.clear();
-        rows.extend((0..factor).map(|dy| {
-            let r = c * shape.h + p * factor + dy;
-            let delta = &input.cols().data()[r * dw..(r + 1) * dw];
-            (
-                delta,
-                base.map(|b| &b.data()[r * shape.w..(r + 1) * shape.w]),
-            )
-        }));
-        for (j, d) in dst.iter_mut().enumerate() {
-            let x0 = (q_lo + j) * factor;
-            let mut acc = init;
-            for &(delta, base_row) in &rows {
-                if x0 >= lo && x0 + factor <= hi {
-                    for &v in &delta[x0 - lo..x0 - lo + factor] {
-                        acc = op(acc, v);
-                    }
-                } else {
-                    for x in x0..x0 + factor {
-                        let v = if (lo..hi).contains(&x) {
-                            delta[x - lo]
-                        } else {
-                            base_row.map_or(0.0, |b| b[x])
-                        };
-                        acc = op(acc, v);
-                    }
-                }
-            }
-            *d = acc;
-        }
-    }
 }
 
 /// Global average pooling: collapses each channel to a single value.

@@ -1,21 +1,28 @@
-//! Runtime-dispatched SIMD kernels for the convolution hot loops.
+//! Runtime-dispatched SIMD kernels for the convolution and pooling hot
+//! loops.
 //!
-//! The f32 conv kernels (blocked GEMM, output-stationary sparse conv) and
-//! the INT8 quantized path all bottom out in a handful of small
-//! kernels defined here. Each kernel has a portable scalar fallback
-//! ([`scalar`]) written over the explicit lane types [`scalar::f32x8`] /
-//! [`scalar::i32x8`], and a hand-vectorized `std::arch` version selected
-//! at runtime, with *identical per-lane semantics*:
+//! The f32 conv kernels (blocked GEMM, output-stationary sparse conv),
+//! the INT8 quantized path and the span pool ([`crate::pool::pool2d`])
+//! all bottom out in a handful of small kernels defined here. Each kernel
+//! has a portable scalar fallback ([`scalar`]), the conv kernels written
+//! over the explicit lane types [`scalar::f32x8`] / [`scalar::i32x8`],
+//! and, where the table shows one, a hand-vectorized `std::arch` version
+//! selected at runtime, with *identical per-lane semantics*:
 //!
 //! | kernel | x86_64 ([`x86`]) | aarch64 (`neon`) |
 //! |---|---|---|
 //! | [`gemm_micro`] | AVX2 | NEON |
 //! | [`sparse_conv_block`] | AVX2 | scalar body |
 //! | [`qaxpy`] | AVX2 | NEON |
+//! | [`pool_max_fold`] | AVX2 | scalar body |
+//! | [`pool_sum_fold`] | scalar body | scalar body |
 //!
-//! `sparse_conv_block` has no NEON body yet: no aarch64 toolchain is
-//! available to compile and test one, so aarch64 runs its scalar body
-//! in both dispatch modes.
+//! `sparse_conv_block` and `pool_max_fold` have no NEON body yet: no
+//! aarch64 toolchain is available to compile and test one, so aarch64
+//! runs their scalar bodies in both dispatch modes. `pool_sum_fold` has
+//! one body on every host: a vector add may keep another NaN payload
+//! than the scalar add does, and one body keeps the pool free of the
+//! conv kernel's NaN exception below.
 //!
 //! # Bit-identity contract
 //!
@@ -35,6 +42,13 @@
 //! which operand's NaN survives differs between the two paths). Whether a
 //! lane is NaN never differs, and [`crate::is_nonzero`] counts every NaN as
 //! nonzero, so no transfer size depends on it.
+//!
+//! The pool has no exception. [`pool_max_fold`] folds by one explicit
+//! rule, [`max_rule`], whose result is defined for every pair of inputs
+//! (±0 ties and NaNs of any sign or payload included), and its AVX2 body
+//! computes that rule lane for lane; the average pool's sum runs one body
+//! in both modes. Both folds therefore return the same bits in both
+//! dispatch modes on every input.
 //!
 //! # Dispatch
 //!
@@ -333,6 +347,168 @@ fn check_reach(tile: &[f32], origin: Option<usize>, row_step: usize, offs: &[u32
     );
 }
 
+/// The max rule of max pooling: `v` replaces `acc` when it is greater,
+/// and whenever `acc` is NaN. So a tie between `-0.0` and `+0.0` keeps
+/// `acc`, and a NaN `v` never replaces an ordered `acc`.
+///
+/// This is how `f32::max(acc, v)` lowers on x86-64 (`maxss` with the
+/// unordered fix-up), NaNs and signed zeros included; the rule pins that
+/// result on every target instead of leaving it to each target's
+/// lowering of `f32::max`.
+#[inline]
+pub fn max_rule(acc: f32, v: f32) -> f32 {
+    if acc.is_nan() || v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// One element `(dy, dx)` of a pooling window, resolved for a whole
+/// output column: output row `r` reads `src[top * stride + off]`, where
+/// `top` is the first input row of `r`'s window (see [`PoolRows`]).
+#[derive(Clone, Copy, Debug)]
+pub struct PoolTap<'a> {
+    src: &'a [f32],
+    stride: usize,
+    off: usize,
+}
+
+impl<'a> PoolTap<'a> {
+    /// The tap reading `src[top * stride + off]`.
+    pub fn new(src: &'a [f32], stride: usize, off: usize) -> Self {
+        PoolTap { src, stride, off }
+    }
+
+    /// The tap reading `+0.0` on every row.
+    pub fn zero() -> PoolTap<'static> {
+        PoolTap {
+            src: &[0.0],
+            stride: 0,
+            off: 0,
+        }
+    }
+
+    /// The value it reads for the window whose first input row is `top`.
+    #[inline]
+    fn read(&self, top: u32) -> f32 {
+        self.src[top as usize * self.stride + self.off]
+    }
+
+    /// The index it reads at row `top`, if that does not overflow.
+    fn index(&self, top: u32) -> Option<usize> {
+        (top as usize)
+            .checked_mul(self.stride)
+            .and_then(|at| at.checked_add(self.off))
+    }
+}
+
+/// The first input row of every pooling window of a `channels x h` stack
+/// of rows, one per output row `(c, p)` in order: `c * h + p * factor`
+/// for `p < h / factor`. (A trailing input row that fills no window is
+/// skipped, so within a channel consecutive windows sit `factor` rows
+/// apart.) The rows ascend, so a fold bounds every read by its last row.
+#[derive(Clone, Debug)]
+pub struct PoolRows {
+    tops: Vec<u32>,
+}
+
+impl PoolRows {
+    /// The window rows of `channels` maps of height `h` pooled by `factor`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor == 0` or an input row index exceeds `u32::MAX`.
+    pub fn new(channels: usize, h: usize, factor: usize) -> Self {
+        assert!(factor > 0, "pool factor must be positive");
+        let out_h = h / factor;
+        let rows = channels.checked_mul(h);
+        assert!(
+            rows.is_some_and(|rows| u32::try_from(rows).is_ok()),
+            "pool input rows exceed u32"
+        );
+        let mut tops = Vec::with_capacity(channels * out_h);
+        for c in 0..channels {
+            // Every index below is under `rows`, so the casts are exact.
+            let at = (c * h) as u32;
+            tops.extend((0..out_h).map(|p| at + (p * factor) as u32));
+        }
+        PoolRows { tops }
+    }
+
+    /// Number of output rows.
+    pub fn len(&self) -> usize {
+        self.tops.len()
+    }
+
+    /// Whether there is no output row.
+    pub fn is_empty(&self) -> bool {
+        self.tops.is_empty()
+    }
+}
+
+/// Max-pools one output column: `out[r]` is the fold by [`max_rule`],
+/// from `-inf` and in `taps` order, of every tap's read for output row
+/// `r`. Bit-identical in both dispatch modes for every input.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold one value per row of `rows`, or a tap
+/// reads past its source.
+#[inline]
+pub fn pool_max_fold(rows: &PoolRows, taps: &[PoolTap], out: &mut [f32]) {
+    let _fits_i32 = check_pool_reach(rows, taps, out.len());
+    #[cfg(target_arch = "x86_64")]
+    if _fits_i32 && mode() == MODE_VECTOR {
+        // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
+        // `check_pool_reach` bounds every tap's read at the last (largest)
+        // row below its source's length and below `i32::MAX`.
+        unsafe { x86::pool_max_fold_avx2(&rows.tops, taps, out) };
+        return;
+    }
+    scalar::pool_max_fold(&rows.tops, taps, out);
+}
+
+/// Sums one output column: `out[r]` is the sum, from `+0.0` and in `taps`
+/// order, of every tap's read for output row `r`. One body in both
+/// dispatch modes.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold one value per row of `rows`, or a tap
+/// reads past its source.
+#[inline]
+pub fn pool_sum_fold(rows: &PoolRows, taps: &[PoolTap], out: &mut [f32]) {
+    check_pool_reach(rows, taps, out.len());
+    scalar::pool_sum_fold(&rows.tops, taps, out);
+}
+
+/// Asserts that `out_len` is the number of rows and that every tap's read
+/// at the last row (the largest) lies inside its source; returns whether
+/// every such index and stride fits an `i32` gather lane.
+fn check_pool_reach(rows: &PoolRows, taps: &[PoolTap], out_len: usize) -> bool {
+    assert_eq!(
+        out_len,
+        rows.len(),
+        "pool output must hold one value per row"
+    );
+    let Some(&last) = rows.tops.last() else {
+        return false;
+    };
+    let mut fits_i32 = true;
+    for tap in taps {
+        // Checked: the AVX2 body's gathers rely on this bound.
+        let end = tap.index(last);
+        assert!(
+            end.is_some_and(|end| end < tap.src.len()),
+            "pool tap reads past its source"
+        );
+        let limit = i32::MAX as usize;
+        fits_i32 &= end.is_some_and(|end| end <= limit) && tap.stride <= limit;
+    }
+    fits_i32
+}
+
 /// Unmasked i32 accumulate over a contiguous run: `acc[i] += w * x[i]`.
 /// Integer arithmetic is exact, so the quantized kernels need no
 /// zero-mask to stay bit-identical across paths. `acc` and `x` must have
@@ -554,6 +730,41 @@ mod tests {
                 assert_eq!(outs[0][i], acc0[i] + (-113) * x[i]);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pool tap reads past its source")]
+    fn pool_fold_rejects_a_tap_past_its_source() {
+        // Window rows 0, 2, 4, 6: the last reads 6 * 3 + 3 = 21 of 21.
+        let src = vec![0.0f32; 21];
+        let rows = PoolRows::new(2, 4, 2);
+        pool_max_fold(&rows, &[PoolTap::new(&src, 3, 3)], &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per row")]
+    fn pool_fold_rejects_an_output_of_another_length() {
+        pool_max_fold(&PoolRows::new(1, 4, 2), &[], &mut [0.0; 1]);
+    }
+
+    #[test]
+    fn pool_fold_reads_a_stride_too_wide_for_a_gather_lane() {
+        // One window at row 0: a stride past `i32::MAX` reads nothing
+        // beyond `off`, and takes the scalar body on every path.
+        let src = [1.0f32, -0.0, 3.0];
+        let rows = PoolRows::new(1, 2, 2);
+        let taps = [
+            PoolTap::new(&src, usize::MAX / 2, 1),
+            PoolTap::zero(),
+            PoolTap::new(&src, 1, 0),
+        ];
+        both_paths(|_| {
+            let mut out = [0.0f32; 1];
+            pool_max_fold(&rows, &taps, &mut out);
+            assert_eq!(out[0], 1.0);
+            pool_sum_fold(&rows, &taps[..2], &mut out);
+            assert_eq!(out[0].to_bits(), 0.0f32.to_bits());
+        });
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! is kept allocation-free and auto-vectorizer-friendly but never relies
 //! on vectorization for correctness.
 
-use super::{CONV_ROWS, LANES, MR, NR};
+use super::{max_rule, PoolTap, CONV_ROWS, LANES, MR, NR};
 
 /// Eight f32 lanes with per-lane scalar semantics.
 #[allow(non_camel_case_types)] // lane types follow the f32x8 convention
@@ -176,5 +176,27 @@ pub fn qaxpy(acc: &mut [i32], x: &[i32], w: i32) {
     }
     for (a, &xv) in chunks.into_remainder().iter_mut().zip(xchunks.remainder()) {
         *a = a.wrapping_add(w.wrapping_mul(xv));
+    }
+}
+
+/// Scalar column-major max fold: each tap is folded down every output
+/// row by [`max_rule`] before the next tap, so each row sees the taps in
+/// order. `tops` holds the first input row of each of `out`'s windows.
+pub fn pool_max_fold(tops: &[u32], taps: &[PoolTap], out: &mut [f32]) {
+    out.fill(f32::NEG_INFINITY);
+    for tap in taps {
+        for (acc, &top) in out.iter_mut().zip(tops) {
+            *acc = max_rule(*acc, tap.read(top));
+        }
+    }
+}
+
+/// Scalar column-major sum fold, tap by tap as [`pool_max_fold`].
+pub fn pool_sum_fold(tops: &[u32], taps: &[PoolTap], out: &mut [f32]) {
+    out.fill(0.0);
+    for tap in taps {
+        for (acc, &top) in out.iter_mut().zip(tops) {
+            *acc += tap.read(top);
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! blend so untouched accumulator lanes keep their bits (or, where that
 //! provably changes no bit, no blend at all).
 
-use super::{CONV_ROWS, LANES, MR, NR};
+use super::{scalar, PoolTap, CONV_ROWS, LANES, MR, NR};
 use core::arch::x86_64::*;
 
 /// `MR x NR` register tile over full-width (`nrb == NR`) C rows.
@@ -104,6 +104,48 @@ pub unsafe fn sparse_conv_block_avx2<const MASKED: bool>(
             _mm256_storeu_ps(row.as_mut_ptr(), *a);
         }
         out
+    }
+}
+
+/// Column-major max fold, `LANES` output rows per step: each step keeps
+/// one accumulator register, gathers every tap's `LANES` reads in tap
+/// order and folds them by [`super::max_rule`] lane for lane. Rows past
+/// the last full step go through the scalar body.
+///
+/// # Safety
+///
+/// Requires AVX2. `tops` must hold `out.len()` rows and, for every tap
+/// and every one of those rows, `top * stride + off` must lie
+/// below the tap's source length and at most `i32::MAX`; so must
+/// `stride`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn pool_max_fold_avx2(tops: &[u32], taps: &[PoolTap], out: &mut [f32]) {
+    // SAFETY: caller guarantees the bounds spelled out above; every
+    // gather lane reads one of those in-bounds indices, which fit the
+    // i32 lanes without wrapping.
+    unsafe {
+        let n = out.len();
+        let mut r = 0;
+        while r + LANES <= n {
+            let top = _mm256_loadu_si256(tops.as_ptr().add(r) as *const __m256i);
+            let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+            for tap in taps {
+                let stride = _mm256_set1_epi32(tap.stride as i32);
+                let idx = _mm256_add_epi32(
+                    _mm256_mullo_epi32(top, stride),
+                    _mm256_set1_epi32(tap.off as i32),
+                );
+                let v = _mm256_i32gather_ps::<4>(tap.src.as_ptr(), idx);
+                // `max_rule` per lane: MAXPS(v, acc) is `v > acc ? v : acc`
+                // (its second operand on NaN or equal zeros), and a NaN acc
+                // takes `v`.
+                let acc_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(acc, acc);
+                acc = _mm256_blendv_ps(_mm256_max_ps(v, acc), v, acc_nan);
+            }
+            _mm256_storeu_ps(out.as_mut_ptr().add(r), acc);
+            r += LANES;
+        }
+        scalar::pool_max_fold(&tops[r..n], taps, &mut out[r..]);
     }
 }
 

@@ -1,5 +1,6 @@
 //! Differential tests between the vector (`AVX2`/`NEON`) and scalar SIMD
-//! paths, and between the INT8 convolution and its reference loop.
+//! paths (conv kernels and the max-pool fold), and between the INT8
+//! convolution and its reference loop.
 //!
 //! The SIMD contract is *bit-identity*: per output element, both dispatch
 //! modes perform the same f32 additions in the same order (no FMA, lane
@@ -80,6 +81,105 @@ fn quantized_workload(x: &Tensor3, w: &Tensor4, cfg: &Conv2dCfg) -> (QTensor3, Q
         out_qp,
     };
     (qx, params)
+}
+
+/// Bit patterns the max-pool fold must order the same way on both paths:
+/// signed zeros, infinities, quiet and signalling NaNs of both signs and
+/// several payloads, denormals and ordinary values.
+const POOL_SPECIALS: [u32; 22] = [
+    0x0000_0000, // +0
+    0x8000_0000, // -0
+    0x7f80_0000, // +inf
+    0xff80_0000, // -inf
+    0x7fc0_0000, // quiet NaN
+    0xffc0_0000, // -quiet NaN
+    0x7fc0_0001, // quiet NaN, payload 1
+    0xffd2_3456, // -quiet NaN, payload
+    0x7fff_ffff, // quiet NaN, all payload bits
+    0x7f80_0001, // signalling NaN, payload 1
+    0xff80_0001, // -signalling NaN, payload 1
+    0x7fa0_0000, // signalling NaN, high payload
+    0xffb0_0000, // -signalling NaN, high payload
+    0x0000_0001, // smallest denormal
+    0x8000_0001, // -smallest denormal
+    0x007f_ffff, // largest denormal
+    0x8040_0000, // -denormal
+    0x3fc0_0000, // 1.5
+    0xbfc0_0000, // -1.5
+    0x7f7f_ffff, // f32::MAX
+    0xff7f_ffff, // f32::MIN
+    0x0080_0000, // smallest normal
+];
+
+/// On x86-64 the max rule is what `f32::max(acc, v)` returns, for every
+/// ordered pair of [`POOL_SPECIALS`]: the rule pins the result the max
+/// pool has always had on this target. (Other targets may lower
+/// `f32::max` differently; the rule is what holds there.)
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn max_rule_is_f32_max_on_x86_64() {
+    use std::hint::black_box;
+    for &a in &POOL_SPECIALS {
+        for &v in &POOL_SPECIALS {
+            let (acc, v) = (black_box(f32::from_bits(a)), black_box(f32::from_bits(v)));
+            assert_eq!(
+                simd::max_rule(acc, v).to_bits(),
+                f32::max(acc, v).to_bits(),
+                "max({acc:?} = {a:#010x}, {v:?})"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The max-pool fold on windows drawn from [`POOL_SPECIALS`] (with a
+    /// zero tap now and then): the AVX2 and scalar bodies return the same
+    /// bits, for every row count (so the AVX2 body's scalar tail is
+    /// covered too) and every tap order.
+    #[test]
+    fn pool_max_fold_bit_identical_across_simd_modes(
+        seed in 0u64..10_000,
+        channels in 1usize..5,
+        h in 1usize..13,
+        w in 1usize..7,
+        factor in 1usize..4,
+        window in 1usize..10,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let src: Vec<f32> = (0..channels * h * w)
+            .map(|_| f32::from_bits(POOL_SPECIALS[rng.gen_range(0..POOL_SPECIALS.len())]))
+            .collect();
+        let rows = simd::PoolRows::new(channels, h, factor);
+        // `None`: a zero tap; `Some(o)`: reads `src[top * w + o]`.
+        let offs: Vec<Option<usize>> = (0..window)
+            .map(|_| {
+                (rng.gen_range(0u32..8) != 0)
+                    .then(|| rng.gen_range(0..factor) * w + rng.gen_range(0..w))
+            })
+            .collect();
+        let taps: Vec<simd::PoolTap> = offs
+            .iter()
+            .map(|o| o.map_or(simd::PoolTap::zero(), |o| simd::PoolTap::new(&src, w, o)))
+            .collect();
+        let (vector, scalar) = both_paths(|| {
+            let mut out = vec![0.0f32; rows.len()];
+            simd::pool_max_fold(&rows, &taps, &mut out);
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        });
+        prop_assert_eq!(&vector, &scalar);
+        // Both are the rule's fold, row by row.
+        let out_h = h / factor;
+        for (i, got) in vector.iter().enumerate() {
+            let (c, p) = (i / out_h, i % out_h);
+            let top = c * h + p * factor;
+            let want = offs.iter().fold(f32::NEG_INFINITY, |acc, o| {
+                simd::max_rule(acc, o.map_or(0.0, |o| src[top * w + o]))
+            });
+            prop_assert_eq!(*got, want.to_bits(), "row {}", i);
+        }
+    }
 }
 
 proptest! {
