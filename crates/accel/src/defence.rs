@@ -124,6 +124,10 @@ impl NoiseState {
 
     /// Next padding amount in `0..=max`.
     pub fn next_padding(&self, max: u64) -> u64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "the closure is Some-total, so fetch_update cannot fail"
+        )]
         let x = self
             .state
             // hd-lint: allow(atomic-ordering) -- the xorshift step only needs atomicity; per-run reseeding (see for_run) makes draw order irrelevant to results
@@ -140,7 +144,7 @@ impl NoiseState {
                 x ^= x << 17;
                 x
             })
-            .expect("fetch_update closure never returns None"); // hd-lint: allow(no-panic) -- the closure is Some-total, so fetch_update cannot fail
+            .expect("fetch_update closure never returns None");
         if max == 0 {
             0
         } else {

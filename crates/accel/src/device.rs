@@ -113,7 +113,10 @@ impl Device {
     pub fn new(net: Network, params: Params, cfg: AccelConfig) -> Self {
         match Device::try_new(net, params, cfg) {
             Ok(dev) => dev,
-            // hd-lint: allow(no-panic) -- documented #[track_caller] wrapper; try_new is the fallible form
+            #[expect(
+                clippy::panic,
+                reason = "documented #[track_caller] wrapper; try_new is the fallible form"
+            )]
             Err(e) => panic!("rejected device: {e}"),
         }
     }
@@ -259,7 +262,10 @@ impl Device {
     pub fn run(&self, image: &Tensor3) -> Trace {
         match self.try_run(image) {
             Ok(trace) => trace,
-            // hd-lint: allow(no-panic) -- documented #[track_caller] wrapper; the try_ variant is the fallible form
+            #[expect(
+                clippy::panic,
+                reason = "documented #[track_caller] wrapper; the try_ variant is the fallible form"
+            )]
             Err(e) => panic!("device simulation failed: {e}"),
         }
     }
@@ -514,7 +520,10 @@ impl Device {
     ) -> crate::energy::EnergyReport {
         match self.try_energy_estimate(image, model) {
             Ok(report) => report,
-            // hd-lint: allow(no-panic) -- documented #[track_caller] wrapper; the try_ variant is the fallible form
+            #[expect(
+                clippy::panic,
+                reason = "documented #[track_caller] wrapper; the try_ variant is the fallible form"
+            )]
             Err(e) => panic!("device simulation failed: {e}"),
         }
     }

@@ -27,6 +27,8 @@
 //! assert!(!trace.is_empty());
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod config;
 pub mod defence;
 pub mod device;

@@ -12,6 +12,8 @@
 //! Target selection follows the paper's hardest heuristic: the victim's
 //! least-likely label for each clean input.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use hd_dnn::graph::{Network, Params};
 use hd_dnn::train::{backward, cross_entropy};
 use hd_tensor::Tensor3;

@@ -37,6 +37,7 @@ fn main() {
     };
 
     for name in wanted {
+        #[expect(clippy::disallowed_methods, reason = "prints wall time only")]
         let t0 = std::time::Instant::now();
         match name {
             "table1" => println!("{}", table1(scale)),

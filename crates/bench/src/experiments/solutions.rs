@@ -67,7 +67,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "full-size attack, ~30 s in release; run with --ignored"]
+    #[ignore = "fast-scale VGG-S attack: seconds in a debug build, under 1 s in release; CI runs it in release with --ignored"]
     fn vgg_solution_space_is_small_and_covers_truth() {
         let t = final_solution_table(Scale::Fast);
         assert_eq!(t.rows[0][5], "true");

@@ -31,6 +31,7 @@ pub fn guard() -> bool {
 
 /// Wall-clock seconds of one call of `f`, with its output.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[expect(clippy::disallowed_methods, reason = "the harness measures wall time")]
     let t0 = Instant::now();
     let out = black_box(f());
     (out, t0.elapsed().as_secs_f64())

@@ -52,6 +52,8 @@
 //! paper, or restricted ones (trace-only, timing-only, GEMM dimensions)
 //! for comparing attacker capability against defences.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod attack;
 pub mod boundary_obs;
 pub mod channel;

@@ -380,13 +380,17 @@ pub fn probe(
         bytes_per_family.push(bytes_this);
 
         // Refine patterns layer by layer.
-        // hd-lint: allow(no-panic) -- cfg.validate()? at the top guarantees shifts >= 1, so the first family sets it
+        #[expect(
+            clippy::unwrap_used,
+            reason = "cfg.validate()? at the top guarantees shifts >= 1, so the first family sets it"
+        )]
         let n_layers = first.as_ref().unwrap().layers.len();
         let mut changed = false;
         for l in 0..n_layers {
+            #[expect(clippy::unwrap_used, reason = "pushed to just above, never empty here")]
             let series: Vec<u64> = bytes_per_family
                 .last()
-                .unwrap() // hd-lint: allow(no-panic) -- pushed to just above, never empty here
+                .unwrap()
                 .iter()
                 .map(|per_layer| per_layer[l])
                 .collect();
@@ -412,7 +416,10 @@ pub fn probe(
         }
     }
 
-    // hd-lint: allow(no-panic) -- cfg.validate()? at the top guarantees max_probes, shifts >= 1, so a probe ran
+    #[expect(
+        clippy::expect_used,
+        reason = "cfg.validate()? at the top guarantees max_probes, shifts >= 1, so a probe ran"
+    )]
     let first = first.expect("at least one probe ran");
 
     // --- Classify each layer against symbolic hypotheses. ---

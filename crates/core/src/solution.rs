@@ -366,7 +366,10 @@ impl SolutionSpace {
         let mut is_vector: Vec<bool> = vec![false; self.layers.len() + 1];
         let n = self.layers.len();
         for (i, l) in self.layers.iter().enumerate() {
-            // hd-lint: allow(no-panic) -- layers are topologically ordered by construction, so inputs are already built
+            #[expect(
+                clippy::expect_used,
+                reason = "layers are topologically ordered by construction, so inputs are already built"
+            )]
             let x = node_of_tensor[l.inputs[0]].expect("producer built");
             let out = match l.kind {
                 LayerKind::Conv { kernel, stride } => {
@@ -375,7 +378,10 @@ impl SolutionSpace {
                 }
                 LayerKind::Pool { factor } => b.max_pool(x, factor),
                 LayerKind::Add => {
-                    // hd-lint: allow(no-panic) -- same topological-order invariant as the first input
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "same topological-order invariant as the first input"
+                    )]
                     let y = node_of_tensor[l.inputs[1]].expect("producer built");
                     b.add(x, y)
                 }

@@ -15,6 +15,7 @@ fn victim(net: hd_dnn::graph::Network, seed: u64) -> Device {
 fn vgg_s_geometry() {
     let net = hd_dnn::zoo::vgg_s(10);
     let dev = victim(net.clone(), 3);
+    #[expect(clippy::disallowed_methods, reason = "prints wall time only")]
     let t0 = std::time::Instant::now();
     let res = probe(&dev, &ProberConfig::default()).unwrap();
     println!("vgg probe took {:?} ({} runs)", t0.elapsed(), res.runs_used);
@@ -31,6 +32,7 @@ fn vgg_s_geometry() {
 fn resnet18_geometry() {
     let net = hd_dnn::zoo::resnet18(10);
     let dev = victim(net.clone(), 4);
+    #[expect(clippy::disallowed_methods, reason = "prints wall time only")]
     let t0 = std::time::Instant::now();
     let res = probe(&dev, &ProberConfig::default()).unwrap();
     println!(

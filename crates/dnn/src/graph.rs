@@ -158,7 +158,10 @@ impl Value {
     pub fn map(&self) -> &Tensor3 {
         match self {
             Value::Map(t) => t,
-            // hd-lint: allow(no-panic) -- documented panicking accessor; callers use as_map for the fallible form
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking accessor; callers use as_map for the fallible form"
+            )]
             Value::Vector(_) => panic!("expected activation map, found vector"),
         }
     }
@@ -171,7 +174,10 @@ impl Value {
     pub fn vector(&self) -> &[f32] {
         match self {
             Value::Vector(v) => v,
-            // hd-lint: allow(no-panic) -- documented panicking accessor; callers use as_vector for the fallible form
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking accessor; callers use as_vector for the fallible form"
+            )]
             Value::Map(_) => panic!("expected vector, found activation map"),
         }
     }
@@ -251,6 +257,18 @@ impl Network {
     /// Output shape of node `id`.
     pub fn value_shape(&self, id: NodeId) -> ValueShape {
         self.shapes[id]
+    }
+
+    /// Output shape of node `id`, which must be an activation map.
+    #[expect(
+        clippy::panic,
+        reason = "NetworkBuilder wires maps into and out of every conv, dwconv, pool and add node, and into every global average pool; callers ask only about those"
+    )]
+    pub(crate) fn map_shape(&self, id: NodeId) -> Shape3 {
+        match self.shapes[id] {
+            ValueShape::Map(s) => s,
+            ValueShape::Vector(_) => panic!("node {id} does not produce an activation map"),
+        }
     }
 
     /// Output shapes of every node, indexed by id.
@@ -401,8 +419,11 @@ impl ForwardTrace {
     /// # Panics
     ///
     /// Panics if the final node does not produce a vector.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented above: networks are non-empty by NetworkBuilder construction"
+    )]
     pub fn logits(&self) -> &[f32] {
-        // hd-lint: allow(no-panic) -- documented above: networks are non-empty by NetworkBuilder construction
         self.traces.last().expect("empty network").out.vector()
     }
 
@@ -554,11 +575,7 @@ impl Params {
                 .and_then(Option::as_deref);
             let lp = match &node.op {
                 Op::Conv(spec) => {
-                    let in_c = net
-                        .value_shape(node.inputs[0])
-                        .as_map()
-                        .expect("conv input must be a map") // hd-lint: allow(no-panic) -- NetworkBuilder only wires conv nodes to map-producing inputs
-                        .c;
+                    let in_c = net.map_shape(node.inputs[0]).c;
                     let mut w = Tensor4::zeros(spec.out_channels, in_c, spec.kernel, spec.kernel);
                     init_he(
                         w.data_mut(),
@@ -585,11 +602,7 @@ impl Params {
                 Op::DwConv {
                     kernel, batch_norm, ..
                 } => {
-                    let in_c = net
-                        .value_shape(node.inputs[0])
-                        .as_map()
-                        .expect("dwconv input must be a map") // hd-lint: allow(no-panic) -- NetworkBuilder only wires dwconv nodes to map-producing inputs
-                        .c;
+                    let in_c = net.map_shape(node.inputs[0]).c;
                     let mut w = Tensor4::zeros(in_c, 1, *kernel, *kernel);
                     init_he(w.data_mut(), kernel * kernel, keep, &mut rng);
                     let bn = batch_norm.then(|| {
@@ -626,7 +639,10 @@ impl Params {
     pub fn conv(&self, id: NodeId) -> ConvView<'_> {
         match &self.layers[id] {
             Some(LayerParams::Conv { w, b, bn }) => ConvView { w, b, bn },
-            // hd-lint: allow(no-panic) -- documented panicking view; geometry was checked by the caller
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking view; geometry was checked by the caller"
+            )]
             other => panic!("node {id} is not a conv layer: {other:?}"),
         }
     }
@@ -639,7 +655,10 @@ impl Params {
     pub fn dwconv(&self, id: NodeId) -> DwConvView<'_> {
         match &self.layers[id] {
             Some(LayerParams::DwConv { w, bn }) => DwConvView { w, bn },
-            // hd-lint: allow(no-panic) -- documented panicking view; geometry was checked by the caller
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking view; geometry was checked by the caller"
+            )]
             other => panic!("node {id} is not a depthwise conv layer: {other:?}"),
         }
     }
@@ -662,7 +681,10 @@ impl Params {
                 in_features: *in_features,
                 out_features: *out_features,
             },
-            // hd-lint: allow(no-panic) -- documented panicking view; geometry was checked by the caller
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking view; geometry was checked by the caller"
+            )]
             other => panic!("node {id} is not a linear layer: {other:?}"),
         }
     }

@@ -33,6 +33,8 @@
 //! assert_eq!(out.logits().len(), 10);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod data;
 pub mod graph;
 pub mod prune;

@@ -133,7 +133,7 @@ pub fn magnitude_prune_global(
     let threshold = all[cut_idx.min(all.len() - 1)];
 
     let mut masks = vec![None; net.len()];
-    #[allow(clippy::needless_range_loop)] // index-parallel numeric kernel
+    #[expect(clippy::needless_range_loop, reason = "index-parallel numeric kernel")]
     for id in 0..net.len() {
         let Some(w) = weight_slice(params, id) else {
             continue;
@@ -267,7 +267,10 @@ pub fn random_mask(net: &Network, profile: &SparsityProfile, seed: u64) -> Mask 
 fn shuffled_keep(len: usize, sparsity: f64, rng: &mut StdRng) -> Vec<bool> {
     let prune_n = (((len as f64) * sparsity).round() as usize).min(len);
     let first = if prune_n == 0 { len } else { prune_n };
-    // hd-lint: allow(no-panic) -- 2^32 f32 weights would be 16 GiB in one layer, beyond any network this crate builds
+    #[expect(
+        clippy::expect_used,
+        reason = "2^32 f32 weights would be 16 GiB in one layer, beyond any network this crate builds"
+    )]
     let n = u32::try_from(len).expect("a layer holds fewer than 2^32 weights");
     let mut idx: Vec<u32> = (0..n).collect();
     for i in (first..len).rev() {

@@ -32,9 +32,7 @@
 //! (orphaned BN length, mismatched residual operands) is a bug, not a
 //! victim.
 
-use crate::graph::{
-    ConvSpec, LayerParams, Network, NetworkBuilder, NodeId, Op, Params, ValueShape,
-};
+use crate::graph::{ConvSpec, LayerParams, Network, NetworkBuilder, NodeId, Op, Params};
 use hd_tensor::norm::Affine;
 
 /// Configuration for [`structured_prune`].
@@ -105,14 +103,6 @@ impl Uf {
     }
 }
 
-fn map_c(net: &Network, id: NodeId) -> usize {
-    match net.value_shape(id) {
-        ValueShape::Map(s) => s.c,
-        // hd-lint: allow(no-panic) -- callers only pass map-producing nodes of a verify-clean graph
-        ValueShape::Vector(_) => panic!("node {id} does not produce an activation map"),
-    }
-}
-
 /// Computes the channel classes and per-class keep masks for `net` under
 /// `cfg`, scoring channels by summed producer L1 norm.
 ///
@@ -153,7 +143,7 @@ pub fn plan_channels(net: &Network, params: &Params, cfg: &StructuredCfg) -> Cha
             continue;
         }
         let root = uf.find(id);
-        let c = map_c(net, id);
+        let c = net.map_shape(id).c;
         if channels[root] == 0 {
             channels[root] = c;
             scores[root] = vec![0.0; c];
@@ -279,7 +269,7 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
     let keep_of = |plan: &ChannelPlan, id: NodeId| -> Vec<bool> {
         match &plan.keep[id] {
             Some(k) => k.clone(),
-            // hd-lint: allow(no-panic) -- plan_channels fills every map-producing node
+            #[expect(clippy::panic, reason = "plan_channels fills every map-producing node")]
             None => panic!("plan has no keep mask for map node {id}"),
         }
     };
@@ -304,7 +294,10 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
                         b: b.as_ref().map(|b| slice_vec(b, &ch_keep)),
                         bn: bn.as_ref().map(|bn| slice_affine(bn, &ch_keep)),
                     },
-                    // hd-lint: allow(no-panic) -- verify-clean graphs carry conv params on conv nodes
+                    #[expect(
+                        clippy::panic,
+                        reason = "verify-clean graphs carry conv params on conv nodes"
+                    )]
                     other => panic!("conv node {id} has no conv params: {other:?}"),
                 };
                 layers.push(Some(lp));
@@ -317,7 +310,10 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
                         w: w.select_k(&ch_keep),
                         bn: bn.as_ref().map(|bn| slice_affine(bn, &ch_keep)),
                     },
-                    // hd-lint: allow(no-panic) -- verify-clean graphs carry dwconv params on dwconv nodes
+                    #[expect(
+                        clippy::panic,
+                        reason = "verify-clean graphs carry dwconv params on dwconv nodes"
+                    )]
                     other => panic!("dwconv node {id} has no dwconv params: {other:?}"),
                 };
                 layers.push(Some(lp));
@@ -364,7 +360,10 @@ pub fn restructure(net: &Network, params: &Params, plan: &ChannelPlan) -> (Netwo
                             out_features: *out_features,
                         }
                     }
-                    // hd-lint: allow(no-panic) -- verify-clean graphs carry linear params on linear nodes
+                    #[expect(
+                        clippy::panic,
+                        reason = "verify-clean graphs carry linear params on linear nodes"
+                    )]
                     other => panic!("linear node {id} has no linear params: {other:?}"),
                 };
                 layers.push(Some(lp));

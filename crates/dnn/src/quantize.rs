@@ -247,7 +247,10 @@ impl QValue {
     fn map(&self) -> &QTensor3 {
         match self {
             QValue::Map(t) => t,
-            // hd-lint: allow(no-panic) -- internal: shape inference guarantees the variant
+            #[expect(
+                clippy::panic,
+                reason = "internal: shape inference guarantees the variant"
+            )]
             QValue::Vector(..) => panic!("expected quantized map, found vector"),
         }
     }
@@ -255,7 +258,10 @@ impl QValue {
     fn vector(&self) -> (&[i8], QuantParams) {
         match self {
             QValue::Vector(v, qp) => (v, *qp),
-            // hd-lint: allow(no-panic) -- internal: shape inference guarantees the variant
+            #[expect(
+                clippy::panic,
+                reason = "internal: shape inference guarantees the variant"
+            )]
             QValue::Map(_) => panic!("expected quantized vector, found map"),
         }
     }
@@ -339,7 +345,10 @@ impl Network {
                     let x = values[node.inputs[0]].map();
                     let p = match &qnet.layers[id] {
                         Some(QLayer::Conv(p)) => p,
-                        // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented above
+                        #[expect(
+                            clippy::panic,
+                            reason = "topology mismatch is a caller bug, documented above"
+                        )]
                         other => panic!("node {id} is not a quantized conv: {other:?}"),
                     };
                     let cfg = Conv2dCfg::new(spec.stride, spec.padding);
@@ -357,7 +366,10 @@ impl Network {
                     let x = values[node.inputs[0]].map();
                     let (w, bn) = match &qnet.layers[id] {
                         Some(QLayer::DwConv { w, bn }) => (w, bn),
-                        // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented above
+                        #[expect(
+                            clippy::panic,
+                            reason = "topology mismatch is a caller bug, documented above"
+                        )]
                         other => panic!("node {id} is not a quantized dwconv: {other:?}"),
                     };
                     let cfg = Conv2dCfg::new(*stride, hd_tensor::conv::Padding::Same);
@@ -422,7 +434,10 @@ impl Network {
                     let (x, x_qp) = values[node.inputs[0]].vector();
                     let p = match &qnet.layers[id] {
                         Some(QLayer::Linear(p)) => p,
-                        // hd-lint: allow(no-panic) -- topology mismatch is a caller bug, documented above
+                        #[expect(
+                            clippy::panic,
+                            reason = "topology mismatch is a caller bug, documented above"
+                        )]
                         other => panic!("node {id} is not a quantized linear: {other:?}"),
                     };
                     assert_eq!(p.in_features, x.len(), "linear input size mismatch");

@@ -168,7 +168,10 @@ impl SpanValue {
     fn map(&self) -> &SpanDelta {
         match self {
             SpanValue::Map(d) => d,
-            // hd-lint: allow(no-panic) -- the verified graph feeds maps to map ops; NodeTrace's Value::map panics alike
+            #[expect(
+                clippy::panic,
+                reason = "the verified graph feeds maps to map ops; NodeTrace's Value::map panics alike"
+            )]
             SpanValue::Vector(_) => panic!("expected activation map, found vector"),
         }
     }
@@ -176,7 +179,10 @@ impl SpanValue {
     fn vector(&self) -> &[f32] {
         match self {
             SpanValue::Vector(v) => v,
-            // hd-lint: allow(no-panic) -- the verified graph feeds vectors to linear layers; NodeTrace's Value::vector panics alike
+            #[expect(
+                clippy::panic,
+                reason = "the verified graph feeds vectors to linear layers; NodeTrace's Value::vector panics alike"
+            )]
             SpanValue::Map(_) => panic!("expected vector, found activation map"),
         }
     }
@@ -419,7 +425,11 @@ pub(crate) fn walk<'a>(
                         &cfg.with_backend(backend),
                     )),
                     Walk::Cached(cache) => {
-                        let conv = cache.convs[id].as_ref().expect("conv weights cached"); // hd-lint: allow(no-panic) -- cache is built for every conv node up front
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "cache is built for every conv node up front"
+                        )]
+                        let conv = cache.convs[id].as_ref().expect("conv weights cached");
                         conv2d_csc(x, x_base, conv, bias)
                     }
                 };
@@ -479,9 +489,13 @@ pub(crate) fn walk<'a>(
                         }
                     }
                     Walk::Cached(cache) => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "cache is built for every linear node up front"
+                        )]
                         let rows = cache.linear_rows[id]
                             .as_ref()
-                            .expect("linear weights cached"); // hd-lint: allow(no-panic) -- cache is built for every linear node up front
+                            .expect("linear weights cached");
                         for (o, yo) in y.iter_mut().enumerate() {
                             // Ascending-index nonzero list: the same surviving
                             // multiplies, in the same order, as the dense loop.

@@ -5,7 +5,7 @@
 //! gradients (for training) and the gradient with respect to the network
 //! input (for FGSM/BIM adversarial-example generation in `hd-adversarial`).
 
-use crate::graph::{ForwardTrace, LayerParams, Network, Op, Params};
+use crate::graph::{ForwardTrace, LayerParams, Network, NodeTrace, Op, Params, Value};
 use hd_tensor::conv::{conv2d_bias_grad, conv2d_input_grad, conv2d_weight_grad, Conv2dCfg};
 use hd_tensor::dwconv::{dwconv2d_input_grad, dwconv2d_weight_grad};
 use hd_tensor::norm::relu_backward;
@@ -98,16 +98,16 @@ pub fn backward(
                 });
             }
             Op::Conv(spec) => {
-                let out_shape = net.value_shape(id).as_map().unwrap(); // hd-lint: allow(no-panic) -- this op produces a map by Network construction
+                let out_shape = net.map_shape(id);
                 let mut g = Tensor3::from_vec(out_shape.c, out_shape.h, out_shape.w, g_flat);
                 let tr = &trace.traces[id];
                 if spec.relu {
-                    g = relu_backward(&g, tr.pre_relu.as_ref().unwrap().map()); // hd-lint: allow(no-panic) -- forward() records pre_relu for every ReLU-bearing node
+                    g = relu_backward(&g, pre_relu(tr).map());
                 }
                 let lp = params.conv(id);
                 let mut bn_grads = None;
                 if let Some(bn) = lp.bn {
-                    let (gi, gs, gb) = bn.backward(&g, tr.pre_bn.as_ref().unwrap()); // hd-lint: allow(no-panic) -- forward() records pre_bn for every BN-bearing node
+                    let (gi, gs, gb) = bn.backward(&g, pre_bn(tr));
                     g = gi;
                     bn_grads = Some((gs, gb));
                 }
@@ -129,16 +129,16 @@ pub fn backward(
                 relu,
                 ..
             } => {
-                let out_shape = net.value_shape(id).as_map().unwrap(); // hd-lint: allow(no-panic) -- this op produces a map by Network construction
+                let out_shape = net.map_shape(id);
                 let mut g = Tensor3::from_vec(out_shape.c, out_shape.h, out_shape.w, g_flat);
                 let tr = &trace.traces[id];
                 if *relu {
-                    g = relu_backward(&g, tr.pre_relu.as_ref().unwrap().map()); // hd-lint: allow(no-panic) -- forward() records pre_relu for every ReLU-bearing node
+                    g = relu_backward(&g, pre_relu(tr).map());
                 }
                 let lp = params.dwconv(id);
                 let mut bn_grads = None;
                 if let Some(bn) = lp.bn {
-                    let (gi, gs, gb) = bn.backward(&g, tr.pre_bn.as_ref().unwrap()); // hd-lint: allow(no-panic) -- forward() records pre_bn for every BN-bearing node
+                    let (gi, gs, gb) = bn.backward(&g, pre_bn(tr));
                     g = gi;
                     bn_grads = Some((gs, gb));
                 }
@@ -153,27 +153,27 @@ pub fn backward(
                 accumulate(&mut grads[node.inputs[0]], gx.data());
             }
             Op::Pool { factor, kind } => {
-                let out_shape = net.value_shape(id).as_map().unwrap(); // hd-lint: allow(no-panic) -- this op produces a map by Network construction
+                let out_shape = net.map_shape(id);
                 let g = Tensor3::from_vec(out_shape.c, out_shape.h, out_shape.w, g_flat);
                 let x = trace.traces[node.inputs[0]].out.map();
                 let gx = pool2d_backward(&g, x, *factor, *kind);
                 accumulate(&mut grads[node.inputs[0]], gx.data());
             }
             Op::Add { relu } => {
-                let out_shape = net.value_shape(id).as_map().unwrap(); // hd-lint: allow(no-panic) -- this op produces a map by Network construction
+                let out_shape = net.map_shape(id);
                 let mut g = Tensor3::from_vec(out_shape.c, out_shape.h, out_shape.w, g_flat);
                 if *relu {
                     let tr = &trace.traces[id];
-                    g = relu_backward(&g, tr.pre_relu.as_ref().unwrap().map()); // hd-lint: allow(no-panic) -- forward() records pre_relu for every ReLU-bearing node
+                    g = relu_backward(&g, pre_relu(tr).map());
                 }
                 accumulate(&mut grads[node.inputs[0]], g.data());
                 accumulate(&mut grads[node.inputs[1]], g.data());
             }
             Op::GlobalAvgPool => {
-                let in_shape = net.value_shape(node.inputs[0]).as_map().unwrap(); // hd-lint: allow(no-panic) -- this op produces a map by Network construction
+                let in_shape = net.map_shape(node.inputs[0]);
                 let area = (in_shape.h * in_shape.w) as f32;
                 let mut gx = Tensor3::zeros(in_shape.c, in_shape.h, in_shape.w);
-                #[allow(clippy::needless_range_loop)] // index-parallel numeric kernel
+                #[expect(clippy::needless_range_loop, reason = "index-parallel numeric kernel")]
                 for c in 0..in_shape.c {
                     let share = g_flat[c] / area;
                     for y in 0..in_shape.h {
@@ -191,7 +191,7 @@ pub fn backward(
                 let tr = &trace.traces[id];
                 let mut g = g_flat;
                 if *relu {
-                    let pre = tr.pre_relu.as_ref().unwrap().vector(); // hd-lint: allow(no-panic) -- forward() records pre_relu for every ReLU-bearing node
+                    let pre = pre_relu(tr).vector();
                     for (gv, &p) in g.iter_mut().zip(pre) {
                         if p <= 0.0 {
                             *gv = 0.0;
@@ -375,13 +375,35 @@ impl Sgd {
                     sgd_update(w, gw, vw, self.lr, self.momentum, self.weight_decay);
                     sgd_update(b, gb, vb, self.lr, self.momentum, 0.0);
                 }
-                _ => panic!("gradient/parameter kind mismatch at node {id}"), // hd-lint: allow(no-panic) -- gradients are produced from the same Params layout they update
+                #[expect(
+                    clippy::panic,
+                    reason = "gradients are produced from the same Params layout they update"
+                )]
+                _ => panic!("gradient/parameter kind mismatch at node {id}"),
             }
         }
         if let Some(mask) = mask {
             mask.apply(params);
         }
     }
+}
+
+/// The pre-ReLU value `forward()` recorded at a ReLU-bearing node.
+#[expect(
+    clippy::unwrap_used,
+    reason = "forward() records pre_relu for every ReLU-bearing node"
+)]
+fn pre_relu(tr: &NodeTrace) -> &Value {
+    tr.pre_relu.as_ref().unwrap()
+}
+
+/// The pre-BN map `forward()` recorded at a BN-bearing node.
+#[expect(
+    clippy::expect_used,
+    reason = "forward() records pre_bn for every BN-bearing node"
+)]
+fn pre_bn(tr: &NodeTrace) -> &Tensor3 {
+    tr.pre_bn.as_ref().expect("batch_norm layers record pre_bn")
 }
 
 fn sgd_update(p: &mut [f32], g: &[f32], v: &mut [f32], lr: f32, momentum: f32, wd: f32) {
@@ -418,10 +440,7 @@ pub fn normalize_init(net: &Network, params: &mut Params, samples: &[hd_tensor::
             let mut m2: Vec<f64> = Vec::new();
             for s in samples {
                 let trace = net.forward(params, s);
-                let pre = trace.traces[id]
-                    .pre_bn
-                    .as_ref()
-                    .expect("batch_norm layers record pre_bn"); // hd-lint: allow(no-panic) -- forward() records pre_bn for every BN-bearing node
+                let pre = pre_bn(&trace.traces[id]);
                 let c = pre.c();
                 if mean.is_empty() {
                     mean = vec![0.0; c];

@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn comments_are_captured_not_tokenized() {
-        let l = lex("a(); // hd-lint: allow(no-panic) -- reason\nb();");
+        let l = lex("a(); // hd-lint: allow(lossy-cast) -- reason\nb();");
         assert_eq!(l.comments.len(), 1);
         assert_eq!(l.comments[0].line, 1);
         assert!(l.comments[0].text.starts_with("hd-lint:"));

@@ -2,12 +2,15 @@
 //!
 //! Three layers:
 //!
-//! * **Source lints** ([`rules`]) — a hand-rolled Rust lexer ([`lexer`])
-//!   plus a token-sequence rule engine enforcing the project invariants
-//!   (no panics in library crates, no wall-clock reads outside `hd-obs`,
-//!   no bare `thread::spawn`, no lossy `as`-casts in byte accounting, no
-//!   uses of deprecated items), with `// hd-lint: allow(rule) -- reason`
-//!   suppressions reported exhaustively.
+//! * **Source lint** ([`rules`]) — a hand-rolled Rust lexer ([`lexer`])
+//!   plus the one token-sequence rule no native lint covers (`lossy-cast`:
+//!   no integer `as`-casts in byte accounting), with
+//!   `// hd-lint: allow(rule) -- reason` suppressions reported
+//!   exhaustively. The other project invariants (no panics in library
+//!   crates, no wall-clock reads outside `hd-obs`, no bare
+//!   `thread::spawn`, `unsafe` only in `hd_tensor::simd`, no deprecated
+//!   uses) are rustc and clippy lints set in the workspace manifest,
+//!   `clippy.toml` and each library's `lib.rs`.
 //! * **Semantic analysis** ([`parser`], [`symbols`], [`callgraph`],
 //!   [`semantic`]) — a forgiving item parser over the same lexer feeds a
 //!   workspace symbol index and intra-crate call graph, powering the
@@ -19,6 +22,8 @@
 //! The crate is intentionally dependency-free on the lint path so it can
 //! lint the workspace that builds it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;
@@ -26,7 +31,7 @@ pub mod rules;
 pub mod semantic;
 pub mod symbols;
 
-use rules::{collect_deprecated, lint_unit, Allow, DeprecatedIndex, Violation};
+use rules::{lint_unit, Allow, Violation};
 use semantic::Workspace;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -202,8 +207,8 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(lint_sources(&sources))
 }
 
-/// Lints specific files (workspace-relative paths under `root`), still
-/// indexing deprecations across just those files.
+/// Lints specific files (workspace-relative paths under `root`); the
+/// semantic pack sees just those files.
 pub fn lint_paths(root: &Path, rels: &[PathBuf]) -> std::io::Result<Report> {
     let mut sources = Vec::with_capacity(rels.len());
     for rel in rels {
@@ -227,18 +232,14 @@ pub fn symbol_index(root: &Path) -> std::io::Result<symbols::SymbolIndex> {
 
 /// Core driver over in-memory `(rel_path, source)` pairs: every file is
 /// lexed and parsed once into a [`FileUnit`]; pass 1 builds the workspace
-/// analysis (deprecation index, symbol index, call graph, crate-wide lock
-/// order); pass 2 runs the token + semantic rule engine per file.
+/// analysis (symbol index, call graph, crate-wide lock order); pass 2 runs
+/// the token + semantic rule engine per file.
 pub fn lint_sources(sources: &[(String, String)]) -> Report {
     let units: Vec<FileUnit> = sources
         .iter()
         .map(|(rel, src)| FileUnit::analyze(rel, src))
         .collect();
     let ws = Workspace::build(&units);
-    let mut deprecated = DeprecatedIndex::default();
-    for (rel, src) in sources {
-        deprecated.names.extend(collect_deprecated(rel, src).names);
-    }
     let mut report = Report {
         files_scanned: sources.len(),
         symbols: ws.symbols.len(),
@@ -246,7 +247,7 @@ pub fn lint_sources(sources: &[(String, String)]) -> Report {
         ..Report::default()
     };
     for unit in &units {
-        let fr = lint_unit(unit, &deprecated, &ws);
+        let fr = lint_unit(unit, &ws);
         report.violations.extend(fr.violations);
         report.allows.extend(fr.allows);
     }
@@ -282,7 +283,7 @@ mod tests {
         let sources = vec![
             (
                 "crates/dnn/src/a.rs".to_string(),
-                "fn f(x: Option<u8>) -> u8 { x.unwrap() }\nfn ok() {} // hd-lint: allow(no-panic) -- unused here\n".to_string(),
+                "fn f(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }\nfn ok() {} // hd-lint: allow(float-reduction-order) -- unused here\n".to_string(),
             ),
             (
                 "crates/trace/src/b.rs".to_string(),
@@ -297,7 +298,7 @@ mod tests {
         let r = sample_report();
         assert_eq!(r.files_scanned, 2);
         let rules: Vec<_> = r.violations.iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec!["no-panic", "unused-allow"]);
+        assert_eq!(rules, vec!["float-reduction-order", "unused-allow"]);
         assert_eq!(r.allows.len(), 1);
         assert_eq!(r.allows[0].rule, "lossy-cast");
     }
@@ -325,7 +326,7 @@ mod tests {
         assert_eq!(viols.len(), 2);
         assert_eq!(
             viols[0].get("rule").and_then(|s| s.as_str()),
-            Some("no-panic")
+            Some("float-reduction-order")
         );
         // The embedded quote in the allow reason must round-trip.
         let allows = v
@@ -359,7 +360,7 @@ mod tests {
         let r = sample_report();
         let text = r.to_text(true);
         assert!(text.contains("crates/dnn/src/a.rs:1:"), "{text}");
-        assert!(text.contains("[no-panic]"), "{text}");
+        assert!(text.contains("[float-reduction-order]"), "{text}");
         assert!(text.contains("accepted suppressions (1):"), "{text}");
         assert!(text.contains("2 violation(s)"), "{text}");
     }

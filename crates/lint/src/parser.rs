@@ -695,7 +695,10 @@ impl<'t> Parser<'t> {
 
     /// Builds the item with its span from `start_idx` to the last consumed
     /// token.
-    #[allow(clippy::too_many_arguments)] // internal constructor, one call site per item kind
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "internal constructor, one call site per item kind"
+    )]
     fn finish(
         &self,
         start_idx: usize,

@@ -1,23 +1,27 @@
-//! The rule engine: project-invariant lints over the token stream of each
-//! workspace source file, plus the `// hd-lint: allow(rule) -- reason`
-//! suppression syntax and its exhaustive allowlist report.
+//! The rule engine: the `lossy-cast` token lint over each workspace source
+//! file, merged with the semantic pack's findings, plus the
+//! `// hd-lint: allow(rule) -- reason` suppression syntax and its
+//! exhaustive allowlist report.
 //!
 //! | rule | scope | what it rejects |
 //! |------|-------|-----------------|
-//! | `no-panic` | library crate sources | `.unwrap()`, `.expect(...)`, `panic!` outside `#[cfg(test)]` |
-//! | `no-wallclock` | library crates except `hd-obs` | `Instant::now`, `SystemTime` (nondeterminism sources) |
-//! | `no-bare-spawn` | everywhere scanned | `thread::spawn` (use `std::thread::scope`, e.g. through `hd_pool::try_map`) |
 //! | `lossy-cast` | trace/byte-accounting files | `as`-casts to integer types (use `hd_tensor::cast`) |
-//! | `no-unsafe` | everywhere but `crates/tensor/src/simd/` | the `unsafe` keyword; inside the SIMD sanctuary it instead demands a nearby `SAFETY:` comment |
-//! | `no-deprecated` | everywhere scanned | uses of items the workspace marks `#[deprecated]` |
 //! | `bad-allow` | everywhere scanned | malformed `hd-lint:` comments (unknown rule, missing reason) |
 //! | `unused-allow` | everywhere scanned | an allow that suppresses nothing |
+//!
+//! The other project invariants are native lints: `clippy::{unwrap_used,
+//! expect_used, panic}` in every library crate's `lib.rs`, the wall-clock
+//! and bare-thread bans in `clippy.toml`, rustc's `unsafe_code` and
+//! `deprecated`, and `#[expect(lint, reason = "…")]` for their
+//! suppressions. `lossy-cast` stays here because no clippy lint matches
+//! it: `usize as u64` passes every `cast_*` lint, and `as_conversions`
+//! would also flag the float casts this rule allows.
 //!
 //! Suppression: `// hd-lint: allow(<rule>) -- <reason>` on the offending
 //! line, or alone on the line above it. The reason string is mandatory and
 //! every accepted allow lands in the [`Report`]'s allowlist.
 
-use crate::lexer::{lex, Comment, Token, TokenKind};
+use crate::lexer::{Comment, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -26,13 +30,8 @@ use std::fmt;
 /// suppressed). The last four are the semantic concurrency/determinism
 /// pack, implemented in [`crate::semantic`] on top of the item parser,
 /// symbol index, and call graph.
-pub const RULES: [&str; 10] = [
-    "no-panic",
-    "no-wallclock",
-    "no-bare-spawn",
+pub const RULES: [&str; 5] = [
     "lossy-cast",
-    "no-unsafe",
-    "no-deprecated",
     "atomic-ordering",
     "lock-discipline",
     "unordered-iter",
@@ -57,14 +56,6 @@ pub const FLOAT_SANCTUARIES: [&str; 3] = [
     "crates/tensor/src/csc_conv",
     "crates/tensor/src/simd/",
 ];
-
-/// The one directory where `unsafe` is sanctioned: the SIMD kernels,
-/// whose raw-pointer loads/stores cannot be expressed in safe Rust.
-pub const UNSAFE_SANCTUARY: &str = "crates/tensor/src/simd/";
-
-/// How many lines above an `unsafe` token the sanctuary check searches
-/// for a `SAFETY:` (or `# Safety` doc-section) comment.
-const SAFETY_COMMENT_WINDOW: u32 = 8;
 
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,59 +114,24 @@ pub struct FileReport {
     pub allows: Vec<Allow>,
 }
 
-/// Names declared `#[deprecated]` anywhere in the scanned set.
-#[derive(Clone, Debug, Default)]
-pub struct DeprecatedIndex {
-    /// Deprecated item names, with the file that declares them (the
-    /// declaring file is exempt from the usage lint for that name).
-    pub names: Vec<(String, String)>,
-}
-
-/// Collects `#[deprecated]` declarations from `source` (pass 1 of the
-/// `no-deprecated` rule).
-pub fn collect_deprecated(rel_path: &str, source: &str) -> DeprecatedIndex {
-    let lexed = lex(source);
-    let t = &lexed.tokens;
-    let mut idx = DeprecatedIndex::default();
-    let mut i = 0usize;
-    while i + 2 < t.len() {
-        if text(t, i) == "#" && text(t, i + 1) == "[" && text(t, i + 2) == "deprecated" {
-            let after_attr = skip_attr(t, i);
-            if let Some(name) = declared_name(t, after_attr) {
-                idx.names.push((name, rel_path.to_string()));
-            }
-            i = after_attr;
-        } else {
-            i += 1;
-        }
-    }
-    idx
-}
-
 /// Lints one file's source against every in-scope rule.
 ///
 /// `rel_path` is the workspace-relative path (with `/` separators) that
-/// rule scoping keys on; `deprecated` is the workspace-wide declaration
-/// index from [`collect_deprecated`] (pass an empty index to check a file
-/// in isolation plus its own declarations).
+/// rule scoping keys on.
 ///
 /// Single-file convenience wrapper over [`lint_unit`]: the semantic rules
 /// see a one-file workspace, so cross-file facts (struct fields from other
 /// files, crate-wide lock order) are limited to this file's declarations.
-pub fn lint_source(rel_path: &str, source: &str, deprecated: &DeprecatedIndex) -> FileReport {
+pub fn lint_source(rel_path: &str, source: &str) -> FileReport {
     let unit = crate::symbols::FileUnit::analyze(rel_path, source);
     let ws = crate::semantic::Workspace::build(std::slice::from_ref(&unit));
-    lint_unit(&unit, deprecated, &ws)
+    lint_unit(&unit, &ws)
 }
 
-/// Lints one pre-analyzed file: the token-sequence rules, the semantic
+/// Lints one pre-analyzed file: the `lossy-cast` token rule, the semantic
 /// pack from `ws`, then the suppression pass over the merged findings (so
 /// `hd-lint: allow` works identically for both rule families).
-pub fn lint_unit(
-    unit: &crate::symbols::FileUnit,
-    deprecated: &DeprecatedIndex,
-    ws: &crate::semantic::Workspace,
-) -> FileReport {
+pub fn lint_unit(unit: &crate::symbols::FileUnit, ws: &crate::semantic::Workspace) -> FileReport {
     let rel_path = unit.rel.as_str();
     let lexed = &unit.lexed;
     let t = &lexed.tokens;
@@ -190,121 +146,23 @@ pub fn lint_unit(
         message,
     };
 
-    // --- Token-sequence rules. ---
-    for i in 0..t.len() {
-        let in_tests = excluded.iter().any(|r| r.contains(&t[i].line));
-        if in_tests {
-            continue;
-        }
-        if rule_in_scope("no-panic", rel_path) {
-            if text(t, i) == "."
-                && matches!(text(t, i + 1), "unwrap" | "expect")
-                && text(t, i + 2) == "("
-            {
-                let tok = &t[i + 1];
-                raw.push(vio(
-                    tok.line,
-                    tok.col,
-                    "no-panic",
-                    format!(
-                        ".{}() in library code; return a typed error or document an allow",
-                        tok.text
-                    ),
-                ));
-            }
-            if text(t, i) == "panic" && text(t, i + 1) == "!" {
-                raw.push(vio(
-                    t[i].line,
-                    t[i].col,
-                    "no-panic",
-                    "panic! in library code; return a typed error or document an allow".to_string(),
-                ));
-            }
-        }
-        if rule_in_scope("no-wallclock", rel_path) {
-            if text(t, i) == "Instant"
-                && text(t, i + 1) == ":"
-                && text(t, i + 2) == ":"
-                && text(t, i + 3) == "now"
+    // --- The token-sequence rule. ---
+    if rule_in_scope("lossy-cast", rel_path) {
+        for i in 0..t.len() {
+            if text(t, i) == "as"
+                && t.get(i + 1).map(|n| n.kind) == Some(TokenKind::Ident)
+                && is_int_type(text(t, i + 1))
+                && !excluded.iter().any(|r| r.contains(&t[i].line))
             {
                 raw.push(vio(
                     t[i].line,
                     t[i].col,
-                    "no-wallclock",
-                    "Instant::now() outside hd-obs; use hd_obs::monotonic_us()".to_string(),
-                ));
-            }
-            if text(t, i) == "SystemTime" {
-                raw.push(vio(
-                    t[i].line,
-                    t[i].col,
-                    "no-wallclock",
-                    "SystemTime outside hd-obs; wall-clock reads break determinism".to_string(),
-                ));
-            }
-        }
-        if rule_in_scope("no-bare-spawn", rel_path)
-            && text(t, i) == "thread"
-            && text(t, i + 1) == ":"
-            && text(t, i + 2) == ":"
-            && text(t, i + 3) == "spawn"
-        {
-            raw.push(vio(
-                t[i].line,
-                t[i].col,
-                "no-bare-spawn",
-                "bare thread::spawn; use std::thread::scope (e.g. hd_pool::try_map)".to_string(),
-            ));
-        }
-        if rule_in_scope("lossy-cast", rel_path)
-            && text(t, i) == "as"
-            && t.get(i + 1).map(|n| n.kind) == Some(TokenKind::Ident)
-            && is_int_type(text(t, i + 1))
-        {
-            raw.push(vio(
-                t[i].line,
-                t[i].col,
-                "lossy-cast",
-                format!(
-                    "`as {}` in byte-accounting code; use hd_tensor::cast or From/try_from",
-                    text(t, i + 1)
-                ),
-            ));
-        }
-        if text(t, i) == "unsafe" {
-            if rule_in_scope("no-unsafe", rel_path) {
-                raw.push(vio(
-                    t[i].line,
-                    t[i].col,
-                    "no-unsafe",
+                    "lossy-cast",
                     format!(
-                        "`unsafe` outside {UNSAFE_SANCTUARY}; move the kernel there or document an allow"
+                        "`as {}` in byte-accounting code; use hd_tensor::cast or From/try_from",
+                        text(t, i + 1)
                     ),
                 ));
-            } else if rel_path.starts_with(UNSAFE_SANCTUARY)
-                && !has_safety_comment(&lexed.comments, t[i].line)
-            {
-                raw.push(vio(
-                    t[i].line,
-                    t[i].col,
-                    "no-unsafe",
-                    format!(
-                        "`unsafe` in the SIMD sanctuary without a `SAFETY:` comment within \
-                         {SAFETY_COMMENT_WINDOW} lines above"
-                    ),
-                ));
-            }
-        }
-        if rule_in_scope("no-deprecated", rel_path) && t[i].kind == TokenKind::Ident {
-            for (name, decl_file) in &deprecated.names {
-                if t[i].text == *name && decl_file != rel_path {
-                    raw.push(vio(
-                        t[i].line,
-                        t[i].col,
-                        "no-deprecated",
-                        format!("use of deprecated item `{name}` (declared in {decl_file})"),
-                    ));
-                }
             }
         }
     }
@@ -425,16 +283,6 @@ fn parse_allow(c: &Comment) -> AllowParse {
     }
 }
 
-/// Is there a `SAFETY:` comment (or a `# Safety` doc section line) on
-/// `line` or within [`SAFETY_COMMENT_WINDOW`] lines above it?
-fn has_safety_comment(comments: &[Comment], line: u32) -> bool {
-    let lo = line.saturating_sub(SAFETY_COMMENT_WINDOW);
-    comments.iter().any(|c| {
-        (lo..=line).contains(&c.line)
-            && (c.text.starts_with("SAFETY:") || c.text.starts_with("# Safety"))
-    })
-}
-
 fn text(t: &[Token], i: usize) -> &str {
     t.get(i).map(|t| t.text.as_str()).unwrap_or("")
 }
@@ -541,65 +389,21 @@ fn item_end(t: &[Token], mut i: usize) -> usize {
     i
 }
 
-/// The name an attribute at `after_attr` declares: handles `fn`/`struct`/
-/// `enum`/`mod`/`trait`/`type`/`const`/`static` items and `pub use path as
-/// NAME;` re-exports.
-fn declared_name(t: &[Token], after_attr: usize) -> Option<String> {
-    let mut i = after_attr;
-    while text(t, i) == "#" && text(t, i + 1) == "[" {
-        i = skip_attr(t, i);
-    }
-    let stop = item_end(t, after_attr).min(i + 64);
-    let mut saw_use = false;
-    let mut last_as: Option<usize> = None;
-    let mut last_ident: Option<usize> = None;
-    for j in i..stop {
-        match text(t, j) {
-            "use" => saw_use = true,
-            "as" => last_as = Some(j),
-            "fn" | "struct" | "enum" | "mod" | "trait" | "type" | "const" | "static"
-                if !saw_use =>
-            {
-                return t.get(j + 1).map(|n| n.text.clone());
-            }
-            ";" => break,
-            _ => {
-                if t.get(j).map(|t| t.kind) == Some(TokenKind::Ident) {
-                    last_ident = Some(j);
-                }
-            }
-        }
-    }
-    if saw_use {
-        let at = last_as.map(|j| j + 1).or(last_ident)?;
-        return t.get(at).map(|n| n.text.clone());
-    }
-    None
-}
-
 /// Is `rule` enforced on the file at workspace-relative `rel` path?
 ///
 /// * Binaries (`main.rs`, `src/bin/`), `examples/`, and the `crates/bench`
 ///   harness are exempt from the library-code rules.
-/// * `crates/obs` is the one crate allowed to read the wall clock.
 /// * `lossy-cast` is scoped to the trace/byte-accounting surface where a
 ///   truncation silently corrupts measurements.
 pub fn rule_in_scope(rule: &str, rel: &str) -> bool {
     let library = is_library_source(rel);
     match rule {
-        "no-panic" => library,
-        "no-wallclock" => library && !rel.starts_with("crates/obs/"),
-        "no-bare-spawn" => true,
         "lossy-cast" => {
             rel.starts_with("crates/trace/src/")
                 || rel.starts_with("crates/accel/src/")
                 || rel == "crates/tensor/src/sparse.rs"
                 || rel == "crates/tensor/src/cast.rs"
         }
-        // The SIMD kernels are the one sanctioned `unsafe` site; there the
-        // rule mutates into a SAFETY-comment obligation (see `lint_source`).
-        "no-unsafe" => !rel.starts_with(UNSAFE_SANCTUARY),
-        "no-deprecated" => true,
         // --- the semantic concurrency/determinism pack ---
         "atomic-ordering" | "lock-discipline" => library,
         "unordered-iter" => library && UNORDERED_SURFACE.iter().any(|p| rel.starts_with(p)),
@@ -627,9 +431,9 @@ fn is_library_source(rel: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn lint_lib(src: &str) -> FileReport {
-        let dep = collect_deprecated("crates/dnn/src/fake.rs", src);
-        lint_source("crates/dnn/src/fake.rs", src, &dep)
+    /// A byte-accounting file, where `lossy-cast` is in scope.
+    fn lint_acct(src: &str) -> FileReport {
+        lint_source("crates/trace/src/fake.rs", src)
     }
 
     fn rules_hit(r: &FileReport) -> Vec<&'static str> {
@@ -637,132 +441,61 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_expect_panic_flagged_in_library_code() {
-        let r = lint_lib("fn f(x: Option<u8>) -> u8 { x.unwrap() }\nfn g() { panic!(\"no\") }\nfn h(x: Option<u8>) { x.expect(\"y\"); }");
-        assert_eq!(rules_hit(&r), vec!["no-panic", "no-panic", "no-panic"]);
-        assert_eq!(r.violations[0].line, 1);
-        assert_eq!(r.violations[1].line, 2);
-    }
-
-    #[test]
     fn test_regions_are_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u8>.unwrap(); panic!(); }\n}";
-        let r = lint_lib(src);
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = 7u64 as usize; }\n}";
+        let r = lint_acct(src);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 
     #[test]
-    fn binaries_and_examples_are_exempt_from_no_panic() {
-        let dep = DeprecatedIndex::default();
+    fn binaries_and_examples_are_exempt_from_library_rules() {
+        let src = "fn main() { let _ = [1.0f32].iter().sum::<f32>(); }";
+        assert_eq!(
+            rules_hit(&lint_source("crates/dnn/src/lib.rs", src)),
+            vec!["float-reduction-order"]
+        );
         for path in [
             "examples/steal_vgg.rs",
             "src/bin/huffduff.rs",
             "crates/lint/src/main.rs",
             "crates/bench/src/lib.rs",
         ] {
-            let r = lint_source(path, "fn main() { None::<u8>.unwrap(); }", &dep);
+            let r = lint_source(path, src);
             assert!(r.violations.is_empty(), "{path}: {:?}", r.violations);
         }
     }
 
     #[test]
-    fn wallclock_flagged_outside_obs_only() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        let dep = DeprecatedIndex::default();
-        assert_eq!(
-            rules_hit(&lint_source("crates/core/src/x.rs", src, &dep)),
-            vec!["no-wallclock"]
-        );
-        assert!(lint_source("crates/obs/src/registry.rs", src, &dep)
-            .violations
-            .is_empty());
-    }
-
-    #[test]
-    fn bare_spawn_flagged_everywhere() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        let dep = DeprecatedIndex::default();
-        for path in ["examples/x.rs", "crates/pool/src/lib.rs"] {
-            let r = lint_source(path, src, &dep);
-            assert_eq!(rules_hit(&r), vec!["no-bare-spawn"], "{path}");
-        }
-        // A scoped spawn is not a bare one.
-        let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
-        assert!(lint_source("crates/pool/src/lib.rs", scoped, &dep)
-            .violations
-            .is_empty());
-    }
-
-    #[test]
-    fn unsafe_flagged_everywhere_but_the_simd_sanctuary() {
-        let src = "fn f(p: *const f32) -> f32 { unsafe { *p } }";
-        let dep = DeprecatedIndex::default();
-        for path in [
-            "crates/dnn/src/graph.rs",
-            "crates/pool/src/lib.rs",
-            "examples/steal_vgg.rs",
-        ] {
-            let r = lint_source(path, src, &dep);
-            assert_eq!(rules_hit(&r), vec!["no-unsafe"], "{path}");
-        }
-        // Inside the sanctuary a SAFETY: comment discharges the rule...
-        let safe = "fn f(p: *const f32) -> f32 {\n    // SAFETY: caller keeps p valid\n    unsafe { *p }\n}";
-        let r = lint_source("crates/tensor/src/simd/x86.rs", safe, &dep);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        // ...a `# Safety` doc section counts for `unsafe fn` items...
-        let doc = "/// # Safety\n/// p must be valid.\npub unsafe fn f(p: *const f32) -> f32 {\n    // SAFETY: see above\n    unsafe { *p }\n}";
-        let r = lint_source("crates/tensor/src/simd/neon.rs", doc, &dep);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        // ...and a bare unsafe block there is still a violation.
-        let bare = "fn f(p: *const f32) -> f32 { unsafe { *p } }";
-        let r = lint_source("crates/tensor/src/simd/mod.rs", bare, &dep);
-        assert_eq!(rules_hit(&r), vec!["no-unsafe"]);
-        assert!(r.violations[0].message.contains("SAFETY"));
-    }
-
-    #[test]
-    fn unsafe_allow_suppresses_with_reason() {
-        let src = "unsafe impl Send for P {} // hd-lint: allow(no-unsafe) -- raw ptr only crosses with the join fence";
-        let dep = DeprecatedIndex::default();
-        let r = lint_source("crates/dnn/src/graph.rs", src, &dep);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert_eq!(r.allows.len(), 1);
-        assert_eq!(r.allows[0].rule, "no-unsafe");
-    }
-
-    #[test]
     fn lossy_cast_scoped_to_accounting_files() {
         let src = "fn f(x: u64) -> usize { x as usize }";
-        let dep = DeprecatedIndex::default();
-        let r = lint_source("crates/trace/src/lib.rs", src, &dep);
+        let r = lint_source("crates/trace/src/lib.rs", src);
         assert_eq!(rules_hit(&r), vec!["lossy-cast"]);
         // Same code elsewhere is fine (e.g. tensor indexing math).
-        assert!(lint_source("crates/dnn/src/graph.rs", src, &dep)
+        assert!(lint_source("crates/dnn/src/graph.rs", src)
             .violations
             .is_empty());
         // Casting *to* floats is never an integer-width hazard.
         let float = lint_source(
             "crates/trace/src/lib.rs",
             "fn f(x: u64) -> f64 { x as f64 }",
-            &dep,
         );
         assert!(float.violations.is_empty());
     }
 
     #[test]
     fn allow_with_reason_suppresses_and_is_reported() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // hd-lint: allow(no-panic) -- checked by caller invariant\n    x.unwrap()\n}";
-        let r = lint_lib(src);
+        let src = "fn f(x: u64) -> usize {\n    // hd-lint: allow(lossy-cast) -- bounded by the GLB size\n    x as usize\n}";
+        let r = lint_acct(src);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.allows.len(), 1);
-        assert_eq!(r.allows[0].rule, "no-panic");
-        assert_eq!(r.allows[0].reason, "checked by caller invariant");
+        assert_eq!(r.allows[0].rule, "lossy-cast");
+        assert_eq!(r.allows[0].reason, "bounded by the GLB size");
     }
 
     #[test]
     fn trailing_allow_applies_to_its_own_line() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // hd-lint: allow(no-panic) -- infallible here";
-        let r = lint_lib(src);
+        let src = "fn f(x: u64) -> usize { x as usize } // hd-lint: allow(lossy-cast) -- fits by construction";
+        let r = lint_acct(src);
         assert!(r.violations.is_empty());
         assert_eq!(r.allows.len(), 1);
     }
@@ -774,13 +507,21 @@ mod tests {
                 "// hd-lint: allow(no-such-rule) -- x\nfn f() {}",
                 "unknown rule",
             ),
+            // Rules that moved to native lints are unknown here too.
             (
-                "// hd-lint: allow(no-panic)\nfn f() { None::<u8>.unwrap(); }",
+                "// hd-lint: allow(no-panic) -- x\nfn f() { None::<u8>.unwrap(); }",
+                "unknown rule",
+            ),
+            (
+                "// hd-lint: allow(lossy-cast)\nfn f(x: u64) -> usize { x as usize }",
                 "without a reason",
             ),
-            ("// hd-lint: deny(no-panic) -- x\nfn f() {}", "unrecognized"),
+            (
+                "// hd-lint: deny(lossy-cast) -- x\nfn f() {}",
+                "unrecognized",
+            ),
         ] {
-            let r = lint_lib(src);
+            let r = lint_acct(src);
             assert!(
                 r.violations
                     .iter()
@@ -793,48 +534,22 @@ mod tests {
 
     #[test]
     fn unused_allow_is_a_violation() {
-        let r = lint_lib("// hd-lint: allow(no-panic) -- stale\nfn f() {}");
+        let r = lint_acct("// hd-lint: allow(lossy-cast) -- stale\nfn f() {}");
         assert_eq!(rules_hit(&r), vec!["unused-allow"]);
         assert!(r.allows.is_empty());
     }
 
     #[test]
-    fn deprecated_declaration_and_use_detected() {
-        let decl = "#[deprecated(since = \"0.1.0\", note = \"renamed\")]\npub use boundary_obs as observability;";
-        let idx = collect_deprecated("crates/core/src/lib.rs", decl);
-        assert_eq!(
-            idx.names,
-            vec![(
-                "observability".to_string(),
-                "crates/core/src/lib.rs".to_string()
-            )]
-        );
-        // A use in another file is flagged; the declaring file is exempt.
-        let user = "fn f() { huffduff_core::observability::emit(); }";
-        let r = lint_source("crates/trace/src/lib.rs", user, &idx);
-        assert_eq!(rules_hit(&r), vec!["no-deprecated"]);
-        let self_use = lint_source("crates/core/src/lib.rs", decl, &idx);
-        assert!(self_use.violations.is_empty());
-    }
-
-    #[test]
-    fn deprecated_fn_name_detected() {
-        let decl = "#[deprecated]\npub fn old_api() {}";
-        let idx = collect_deprecated("crates/dnn/src/a.rs", decl);
-        assert_eq!(idx.names[0].0, "old_api");
-    }
-
-    #[test]
     fn strings_and_comments_never_trigger_rules() {
-        let r = lint_lib("fn f() { let s = \"call .unwrap() and panic!\"; } // panic! unwrap()");
+        let r = lint_acct("fn f() { let s = \"x as usize\"; } // y as u32");
         assert!(r.violations.is_empty());
     }
 
     #[test]
     fn violation_display_names_file_line_and_rule() {
-        let r = lint_lib("fn f(x: Option<u8>) -> u8 { x.unwrap() }");
+        let r = lint_acct("fn f(x: u64) -> usize { x as usize }");
         let line = r.violations[0].to_string();
-        assert!(line.starts_with("crates/dnn/src/fake.rs:1:"), "{line}");
-        assert!(line.contains("[no-panic]"), "{line}");
+        assert!(line.starts_with("crates/trace/src/fake.rs:1:"), "{line}");
+        assert!(line.contains("[lossy-cast]"), "{line}");
     }
 }

@@ -10,8 +10,8 @@
 //! | `float-reduction-order` | f32/f64 `.sum()`/`.product()` reductions and `+`-accumulating float `fold`s outside the sanctioned kernels (`crates/tensor/src/{gemm,csc_conv,simd}`): float addition is non-associative, so reduction order is part of the bit-identical contract. |
 //!
 //! All four honor the standard `// hd-lint: allow(<rule>) -- <reason>`
-//! suppressions and the `#[cfg(test)]` exclusion, exactly like the token
-//! rules.
+//! suppressions and the `#[cfg(test)]` exclusion, exactly like the
+//! `lossy-cast` token rule.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{Token, TokenKind};
@@ -99,7 +99,7 @@ impl Workspace {
 
     /// Runs every in-scope semantic rule on one file. `excluded` is the
     /// file's `#[cfg(test)]` line-range set (same exclusion as the token
-    /// rules).
+    /// rule).
     pub fn check_file(&self, fu: &FileUnit, excluded: &[RangeInclusive<u32>]) -> Vec<Violation> {
         let mut out = Vec::new();
         if rule_in_scope("atomic-ordering", &fu.rel) {

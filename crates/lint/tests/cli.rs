@@ -32,39 +32,19 @@ fn run_lint(dir: &Path, args: &[&str]) -> Output {
         .expect("spawn hd-lint")
 }
 
-/// The six seeded violation fixtures, one per rule family plus the two
-/// suppression meta-rules.
+/// The seeded violation fixtures: one per rule plus the two suppression
+/// meta-rules.
 fn seeded_workspace() -> PathBuf {
     mk_ws(
         "seeded-violations",
         &[
             (
-                "crates/core/src/panics.rs",
-                "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\npub fn g(x: Option<u8>) -> u8 {\n    x.expect(\"present\")\n}\npub fn h() {\n    panic!(\"boom\");\n}\n",
-            ),
-            (
-                "crates/core/src/clock.rs",
-                "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
-            ),
-            (
-                "crates/core/src/spawn.rs",
-                "pub fn go() {\n    std::thread::spawn(|| {});\n}\n",
-            ),
-            (
                 "crates/trace/src/casts.rs",
                 "pub fn narrow(x: u64) -> usize {\n    x as usize\n}\n",
             ),
             (
-                "crates/core/src/dep.rs",
-                "#[deprecated(note = \"gone\")]\npub fn old_thing() {}\n",
-            ),
-            (
-                "crates/core/src/use_dep.rs",
-                "pub fn call() {\n    crate::dep::old_thing();\n}\n",
-            ),
-            (
-                "crates/core/src/badallow.rs",
-                "// hd-lint: allow(no-panic)\npub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n// hd-lint: allow(no-wallclock) -- stale suppression\npub fn g() {}\n",
+                "crates/trace/src/badallow.rs",
+                "// hd-lint: allow(lossy-cast)\npub fn f(x: u64) -> usize {\n    x as usize\n}\n// hd-lint: allow(lossy-cast) -- stale suppression\npub fn g() {}\n",
             ),
             (
                 "crates/core/src/relaxed.rs",
@@ -99,15 +79,9 @@ fn deny_exits_nonzero_and_names_each_seeded_violation() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     // Each seeded violation is named by file:line and rule.
     for (site, rule) in [
-        ("crates/core/src/panics.rs:2:", "[no-panic]"),
-        ("crates/core/src/panics.rs:5:", "[no-panic]"),
-        ("crates/core/src/panics.rs:8:", "[no-panic]"),
-        ("crates/core/src/clock.rs:2:", "[no-wallclock]"),
-        ("crates/core/src/spawn.rs:2:", "[no-bare-spawn]"),
         ("crates/trace/src/casts.rs:2:", "[lossy-cast]"),
-        ("crates/core/src/use_dep.rs:2:", "[no-deprecated]"),
-        ("crates/core/src/badallow.rs:1:", "[bad-allow]"),
-        ("crates/core/src/badallow.rs:5:", "[unused-allow]"),
+        ("crates/trace/src/badallow.rs:1:", "[bad-allow]"),
+        ("crates/trace/src/badallow.rs:5:", "[unused-allow]"),
         ("crates/core/src/relaxed.rs:3:", "[atomic-ordering]"),
         ("crates/core/src/guards.rs:4:", "[lock-discipline]"),
         ("crates/core/src/iters.rs:3:", "[unordered-iter]"),
@@ -147,13 +121,13 @@ fn without_deny_violations_report_but_exit_zero() {
     let ws = mk_ws(
         "seeded-violations-nodeny",
         &[(
-            "crates/core/src/panics.rs",
-            "pub fn h() {\n    panic!(\"boom\");\n}\n",
+            "crates/trace/src/casts.rs",
+            "pub fn narrow(x: u64) -> usize {\n    x as usize\n}\n",
         )],
     );
     let out = run_lint(&ws, &["--workspace"]);
     assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("[no-panic]"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("[lossy-cast]"));
 }
 
 #[test]
@@ -163,11 +137,11 @@ fn explicit_paths_scan_only_those_files() {
         &[
             (
                 "crates/core/src/bad.rs",
-                "pub fn f() {\n    panic!(\"x\");\n}\n",
+                "pub fn f(xs: &[f32]) -> f32 {\n    xs.iter().sum::<f32>()\n}\n",
             ),
             (
                 "crates/core/src/alsobad.rs",
-                "pub fn g(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
+                "pub fn g(xs: &[f32]) -> f32 {\n    xs.iter().sum::<f32>()\n}\n",
             ),
         ],
     );
@@ -185,7 +159,7 @@ fn json_output_is_parseable_with_stable_schema() {
         "json-out",
         &[(
             "crates/core/src/lib.rs",
-            "pub fn f(x: Option<u8>) -> u8 {\n    // hd-lint: allow(no-panic) -- fixture justification\n    x.unwrap()\n}\npub fn g() {\n    panic!(\"boom\");\n}\n",
+            "pub fn f(xs: &[f32]) -> f32 {\n    // hd-lint: allow(float-reduction-order) -- fixture justification\n    xs.iter().sum::<f32>()\n}\npub fn g(xs: &[f32]) -> f32 {\n    xs.iter().sum::<f32>()\n}\n",
         )],
     );
     let out = run_lint(&ws, &["--workspace", "-o", "lint.json"]);
@@ -208,7 +182,7 @@ fn json_output_is_parseable_with_stable_schema() {
         .expect("violations array");
     assert_eq!(
         viols[0].get("rule").and_then(|s| s.as_str()),
-        Some("no-panic")
+        Some("float-reduction-order")
     );
     assert_eq!(
         viols[0].get("file").and_then(|s| s.as_str()),

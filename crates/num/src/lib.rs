@@ -22,6 +22,8 @@
 //! assert_eq!(n.approx_log10().round() as i64, 96);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod biguint;
 pub mod logcount;
 pub mod stats;

@@ -58,6 +58,8 @@
 //! assert!(hd_obs::json::Json::parse(&json).is_ok());
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod export;
 pub mod json;
 mod registry;
@@ -134,9 +136,10 @@ pub fn snapshot() -> Snapshot {
 /// epoch) — the same domain as span timestamps.
 ///
 /// This is the sanctioned wall-clock read for the rest of the workspace:
-/// the `no-wallclock` lint in `hd-lint` rejects direct `Instant::now()` /
-/// `SystemTime` uses outside `hd-obs`, so latency telemetry elsewhere
-/// should difference two `monotonic_us()` readings instead.
+/// `clippy.toml` disallows `Instant::now()` and `SystemTime` everywhere
+/// (the registry's epoch is the one library read that expects the lint),
+/// so latency telemetry elsewhere should difference two `monotonic_us()`
+/// readings instead.
 #[inline]
 pub fn monotonic_us() -> u64 {
     registry::global().now_us()

@@ -113,6 +113,10 @@ pub(crate) struct Registry {
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the span epoch is the sanctioned wall-clock read"
+)]
 pub(crate) fn global() -> &'static Registry {
     GLOBAL.get_or_init(|| Registry {
         inner: Mutex::new(Inner::default()),

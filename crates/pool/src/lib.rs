@@ -39,6 +39,8 @@
 //! assert_eq!(squares, Ok(vec![0, 1, 4, 9, 16, 25, 36, 49]));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -382,7 +382,7 @@ pub fn conv2d_weight_grad_reference(
 /// Gradient of a convolution with respect to its bias.
 pub fn conv2d_bias_grad(grad_out: &Tensor3) -> Vec<f32> {
     let mut grad_b = vec![0.0; grad_out.c()];
-    #[allow(clippy::needless_range_loop)] // index-parallel numeric kernel
+    #[expect(clippy::needless_range_loop, reason = "index-parallel numeric kernel")]
     for k in 0..grad_out.c() {
         for p in 0..grad_out.h() {
             for q in 0..grad_out.w() {

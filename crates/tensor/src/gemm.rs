@@ -128,7 +128,10 @@ impl Default for GemmBlocking {
 /// is smaller than the logical row width, or `blk` fails
 /// [`GemmBlocking::validate`] (struct literals bypass the validating
 /// constructor; clamping them silently would hide the config bug).
-#[allow(clippy::too_many_arguments)] // standard BLAS sgemm-style signature
+#[expect(
+    clippy::too_many_arguments,
+    reason = "standard BLAS sgemm-style signature"
+)]
 pub fn gemm(
     m: usize,
     n: usize,

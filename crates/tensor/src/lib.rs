@@ -28,6 +28,8 @@
 //! assert_eq!((out.c(), out.h(), out.w()), (16, 8, 8));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod cast;
 pub mod colspan;
 pub mod conv;
@@ -41,6 +43,10 @@ pub mod pool;
 pub mod qconv;
 pub mod qtensor;
 pub mod shape;
+#[expect(
+    unsafe_code,
+    reason = "the SIMD kernels' raw-pointer loads and stores cannot be written in safe Rust; every block carries a SAFETY: comment"
+)]
 pub mod simd;
 pub mod sparse;
 pub mod tensor;

@@ -60,8 +60,11 @@
 //! because both paths are bit-identical.
 //!
 //! This module is the only place in the workspace where `unsafe` is
-//! sanctioned (enforced by the `no-unsafe` hd-lint rule); every unsafe
-//! block carries a `SAFETY:` comment discharging its obligations.
+//! sanctioned: the workspace denies rustc's `unsafe_code` lint and this
+//! module alone expects it. Clippy's `undocumented_unsafe_blocks` makes
+//! every unsafe block carry a `SAFETY:` comment discharging its
+//! obligations, and `missing_safety_doc` gives every `pub unsafe fn` a
+//! `# Safety` section.
 
 pub mod scalar;
 
@@ -276,7 +279,10 @@ pub fn sparse_conv_block(
 ///
 /// Panics if `offs` and `vals` differ in length or if the last block's
 /// reach (see [`sparse_conv_block`]) exceeds `tile`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a hot kernel entry: the block grid, tap list, init value and finiteness flag are plain arguments, not a struct built per call"
+)]
 #[inline]
 pub fn sparse_conv_blocks(
     tile: &[f32],

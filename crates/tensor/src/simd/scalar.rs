@@ -10,7 +10,10 @@
 use super::{max_rule, PoolTap, CONV_ROWS, LANES, MR, NR};
 
 /// Eight f32 lanes with per-lane scalar semantics.
-#[allow(non_camel_case_types)] // lane types follow the f32x8 convention
+#[expect(
+    non_camel_case_types,
+    reason = "lane types follow the f32x8 convention"
+)]
 #[derive(Clone, Copy, Debug)]
 pub struct f32x8(pub [f32; 8]);
 
@@ -43,7 +46,10 @@ impl f32x8 {
 }
 
 /// Eight i32 lanes with per-lane scalar semantics.
-#[allow(non_camel_case_types)] // lane types follow the i32x8 convention
+#[expect(
+    non_camel_case_types,
+    reason = "lane types follow the i32x8 convention"
+)]
 #[derive(Clone, Copy, Debug)]
 pub struct i32x8(pub [i32; 8]);
 
@@ -70,7 +76,10 @@ impl i32x8 {
 
     /// Lanewise multiply (must not overflow).
     #[inline]
-    #[allow(clippy::should_implement_trait)] // named method, not an operator: lane math stays grep-able
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "named method, not an operator: lane math stays grep-able"
+    )]
     pub fn mul(self, o: Self) -> Self {
         let mut r = self.0;
         for (a, b) in r.iter_mut().zip(&o.0) {
@@ -81,7 +90,10 @@ impl i32x8 {
 
     /// Lanewise add (must not overflow).
     #[inline]
-    #[allow(clippy::should_implement_trait)] // named method, not an operator: lane math stays grep-able
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "named method, not an operator: lane math stays grep-able"
+    )]
     pub fn add(self, o: Self) -> Self {
         let mut r = self.0;
         for (a, b) in r.iter_mut().zip(&o.0) {

@@ -15,6 +15,8 @@
 //! Nothing here touches the victim network or its weights; the analyzer is
 //! string-and-sealing-wax the attacker could really build.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod streaming;
 
 pub use streaming::StreamingAnalyzer;

@@ -1,8 +1,9 @@
 //! Shared command-line handling for the example binaries.
 //!
 //! Included via `#[path = "common/cli.rs"] mod cli;` (files under
-//! `examples/common/` are not themselves example targets). Every example
-//! accepts the same surface:
+//! `examples/common/` are not themselves example targets); an example
+//! that uses only part of it expects `dead_code` on that `mod` line.
+//! Every example accepts the same surface:
 //!
 //! ```text
 //! -j, --parallelism N       prober worker threads (default: all cores)
@@ -20,9 +21,6 @@
 //! Unknown flags are errors (exit code 2), not silently ignored — the old
 //! per-example parsers scanned for known flags and dropped the rest, which
 //! made typos like `--paralellism 4` run the slow default silently.
-
-// Each example includes this module but uses a different subset of it.
-#![allow(dead_code)]
 
 use hd_tensor::ConvBackend;
 use huffduff_core::ChannelKind;

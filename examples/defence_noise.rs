@@ -16,6 +16,10 @@
 //! consumed in probe order), so `-j` is accepted but ignored here.
 
 #[path = "common/cli.rs"]
+#[expect(
+    dead_code,
+    reason = "the sweep skips the pruning and precision helpers"
+)]
 mod cli;
 
 use huffduff::prelude::*;

@@ -73,6 +73,7 @@ fn main() {
     );
 
     cli::obs_begin(&args);
+    #[expect(clippy::disallowed_methods, reason = "prints wall time only")]
     let t0 = std::time::Instant::now();
     let model = args.channel.model(&device);
     let outcome = huffduff_core::run(model.as_ref(), &cfg).expect("attack runs");

@@ -40,6 +40,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             eprintln!("attacking a pruned {name} sealed in an Eyeriss-v2-like device…");
+            #[expect(clippy::disallowed_methods, reason = "prints wall time only")]
             let t0 = std::time::Instant::now();
             match huffduff_core::run(&device, &huffduff_core::AttackConfig::default()) {
                 Ok(outcome) => {

@@ -30,6 +30,8 @@
 //! println!("{}", recovered.report());
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub use hd_accel as accel;
 pub use hd_adversarial as adversarial;
 pub use hd_dnn as dnn;

@@ -127,7 +127,7 @@ fn lint_json_is_byte_stable_across_runs() {
 #[test]
 fn real_workspace_is_clean_under_the_v2_pack() {
     // The self-audit CI runs with `--deny`: the tree that builds this test
-    // must be clean under all ten rules, including the semantic pack.
+    // must be clean under all five rules, including the semantic pack.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = hd_lint::lint_workspace(root).expect("scan workspace");
     assert!(report.files_scanned > 50, "scan set suspiciously small");
