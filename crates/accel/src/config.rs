@@ -156,15 +156,17 @@ pub struct AccelConfig {
     /// relaxation hands the attacker exact tensor volumes — see
     /// `huffduff_core::reversecnn::exact_channels_from_dense_psums`.
     pub separate_batch_norm: bool,
-    /// Host-side convolution backend used to simulate the victim's
-    /// functional execution. Backends are bit-identical, so traces and
-    /// timings are backend-invariant; this only changes simulation speed.
+    /// The victim's convolution software stack. It decides only whether
+    /// the device exposes GEMM calls to the Cache Telepathy channel
+    /// ([`crate::Device::gemm_calls`]); traces, timings and the compute
+    /// path never depend on it.
     pub conv_backend: ConvBackend,
-    /// Whether sparse probe images auto-upgrade to the cached
-    /// [`ConvBackend::SparseCsc`] path. Like the backend, it never changes
-    /// traces or timings — only simulation speed.
+    /// Whether sparse images take the cached walk (compacted weights,
+    /// span recompute) instead of the full-width one. Both walks are
+    /// bit-identical, so this never changes traces or timings, only
+    /// simulation speed.
     pub backend_policy: BackendPolicy,
-    /// PE-array numeric precision. Unlike the backend knobs this *does*
+    /// PE-array numeric precision. Unlike the two settings above this *does*
     /// change the functional output (INT8 is a lossy deployment transform),
     /// which is exactly what the quantization experiments measure.
     pub compute: Precision,
@@ -348,7 +350,7 @@ impl AccelConfig {
         self
     }
 
-    /// Same accelerator with an explicit host-side convolution backend.
+    /// Same accelerator over an explicit victim software stack.
     pub fn with_conv_backend(mut self, backend: ConvBackend) -> Self {
         self.conv_backend = backend;
         self

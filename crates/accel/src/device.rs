@@ -83,7 +83,7 @@ pub struct Device {
     // identically regardless of run order.
     qnet: OnceLock<hd_dnn::quantize::QuantizedNet>,
     // Lazily-computed GEMM call dimensions per conv node (Im2colGemm
-    // backend only). A pure function of the sealed weights and config, so
+    // victims only). A pure function of the sealed weights and config, so
     // computed at most once per device.
     gemm_shapes: OnceLock<Vec<(NodeId, hd_tensor::GemmShape)>>,
 }
@@ -173,15 +173,15 @@ impl Device {
         })
     }
 
-    /// Runs the forward pass with the fastest backend that preserves the
-    /// configured numerics.
+    /// Runs the forward pass in the configured numerics, choosing the walk
+    /// from the image.
     ///
-    /// The sparse path (cached compacted weights + dirty-column recompute) is
-    /// taken when `SparseCsc` is configured explicitly, or when the policy's
-    /// `auto_sparse` is set and the image is below the input density
-    /// threshold — the stripe-probe regime of the prober hot loop. Every
-    /// backend is bit-identical, so this only changes speed, never the
-    /// trace or the encode timings. The sparse path's outputs stay span
+    /// The cached walk (compacted weights + dirty-column recompute) is
+    /// taken exactly when the policy's `auto_sparse` is set and the image
+    /// is below the input density threshold — the stripe-probe regime of
+    /// the prober hot loop; every other image takes the full-width walk.
+    /// The walks are bit-identical, so this only changes speed, never the
+    /// trace or the encode timings. The cached walk's outputs stay span
     /// deltas over the cached baseline: the device sizes them without
     /// materialising whole maps.
     fn forward_for(&self, image: &Tensor3) -> SpanTrace<'_> {
@@ -192,9 +192,7 @@ impl Device {
                 .into();
         }
         let policy = self.cfg.backend_policy;
-        let sparse = self.cfg.conv_backend == ConvBackend::SparseCsc
-            || (policy.auto_sparse && policy.input_is_sparse(image.nnz(), image.shape().len()));
-        if sparse {
+        if policy.auto_sparse && policy.input_is_sparse(image.nnz(), image.shape().len()) {
             let mut built = false;
             let cache = self.fwd_cache.get_or_init(|| {
                 built = true;
@@ -203,9 +201,7 @@ impl Device {
             hd_obs::counter_add("device.fwd_cache", if built { "miss" } else { "hit" }, 1);
             self.net.forward_spans(&self.params, image, cache)
         } else {
-            self.net
-                .forward_with_policy(&self.params, image, self.cfg.conv_backend, policy)
-                .into()
+            self.net.forward(&self.params, image).into()
         }
     }
 
@@ -469,9 +465,10 @@ impl Device {
     /// et al.): on a real system these leak through shared-cache probes of
     /// the BLAS library's block loops, no DRAM access needed.
     ///
-    /// Empty unless the device actually lowers convolutions through
-    /// im2col+GEMM ([`ConvBackend::Im2colGemm`]); the sparse-CSC backend
-    /// issues no GEMM, so there is nothing to observe. Under
+    /// Empty unless the victim's software stack lowers convolutions through
+    /// im2col+GEMM ([`ConvBackend::Im2colGemm`]); a sparse CSC engine
+    /// issues no GEMM, so there is nothing to observe. This is the only
+    /// thing [`AccelConfig::conv_backend`] decides. Under
     /// [`Defence::NnRearch`] every dimension is rounded up to the schedule
     /// tile, which is exactly what the padded block loops expose.
     ///

@@ -2,7 +2,7 @@
 //! run the cached walk (outputs kept as span deltas over the zero-input
 //! baseline and sized in O(span)) must emit exactly the bus [`Trace`] and
 //! the encode timings of the same configuration on the full-width path
-//! (`auto_sparse` off, im2col+GEMM backend, every output a whole map).
+//! (`auto_sparse` off, every output a whole map).
 //!
 //! Graphs are drawn at random from convs (stride 1-2, Same/Valid, kernel
 //! 1-5, bias/BN/ReLU each on or off), depthwise convs, max/avg pools,
@@ -11,9 +11,9 @@
 //! under one activation codec (Dense, Bitmap, RunLength, Csc, Huffman),
 //! one defence (none, PadEdges, RandomZeros, NnRearch), and
 //! `separate_batch_norm` and `reuse_activations` each on or off. The span
-//! device reaches the cached walk by the default `auto_sparse` policy or
-//! by an explicit `SparseCsc` backend (which sends dense images through it
-//! too). Images: one-column stripes at the left edge, inside and at the
+//! device reaches the cached walk by the default `auto_sparse` policy,
+//! which sends it every image below the input-density threshold; dense
+//! images take the full-width walk on both devices. Images: one-column stripes at the left edge, inside and at the
 //! right edge, a two-column stripe, a dense image, the all-zero image and
 //! a stripe beside a column of `-0.0`.
 
@@ -21,7 +21,7 @@ use hd_accel::{AccelConfig, Defence, Device};
 use hd_dnn::graph::{ConvSpec, Network, NetworkBuilder, NodeId, Params};
 use hd_dnn::prune::{apply_sparsity_profile, SparsityProfile};
 use hd_tensor::conv::Padding;
-use hd_tensor::{BackendPolicy, CompressionScheme, ConvBackend, Shape3, Tensor3};
+use hd_tensor::{BackendPolicy, CompressionScheme, Shape3, Tensor3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -192,28 +192,18 @@ proptest! {
         let net = random_net(&mut rng);
         let params = pruned_params(&net, &mut rng);
         let cfg = random_config(&mut rng);
-        let span_backend = if rng.gen_bool(0.5) {
-            ConvBackend::SparseCsc
-        } else {
-            ConvBackend::Im2colGemm
-        };
-        let span_dev = Device::try_new(
-            net.clone(),
-            params.clone(),
-            cfg.clone().with_conv_backend(span_backend),
-        )
-        .expect("random graph verifies");
+        let span_dev = Device::try_new(net.clone(), params.clone(), cfg.clone())
+            .expect("random graph verifies");
         let full_dev = Device::try_new(
             net.clone(),
             params,
-            cfg.with_conv_backend(ConvBackend::Im2colGemm)
-                .with_backend_policy(BackendPolicy { auto_sparse: false }),
+            cfg.with_backend_policy(BackendPolicy { auto_sparse: false }),
         )
         .expect("random graph verifies");
         for (i, img) in images(net.input_shape(), &mut rng).iter().enumerate() {
             prop_assert!(
                 span_dev.run(img) == full_dev.run(img),
-                "image {i}: traces differ ({span_backend:?})"
+                "image {i}: traces differ"
             );
             prop_assert_eq!(
                 span_dev.encode_timings(img),

@@ -1,7 +1,7 @@
 //! Bench for the convolution kernels: times every VGG-S conv layer shape
-//! under the `Im2colGemm` backend — with the SIMD dispatcher on and forced
-//! to scalar — plus the INT8 `qconv2d` kernel, with dense and paper-style
-//! pruned weights. Asserts (untimed) that the GEMM output is bit-identical
+//! on the im2col + GEMM kernel (both operands are dense enough for `conv2d`
+//! to pick it) — with the SIMD dispatcher on and forced to scalar — plus
+//! the INT8 `qconv2d` kernel, with dense and paper-style pruned weights. Asserts (untimed) that the GEMM output is bit-identical
 //! to the `conv2d_reference` oracle and that GEMM and INT8 outputs are
 //! byte-identical across both SIMD paths, and writes the wall-clock numbers
 //! to `BENCH_conv_gemm.json` at the repository root.
@@ -23,7 +23,7 @@
 use hd_bench::harness::{self, Artifact, Pairs};
 use hd_dnn::graph::{Op, ValueShape};
 use hd_obs::json::Json;
-use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, ConvBackend};
+use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg};
 use hd_tensor::gemm::{gemm, GemmBlocking};
 use hd_tensor::qconv::{qconv2d, QConvParams};
 use hd_tensor::qtensor::{QTensor3, QTensor4, QuantParams};
@@ -145,8 +145,7 @@ fn guard_layer(layers: &[Layer]) -> &Layer {
 /// Alternating pairs of `layer`'s dense GEMM conv: arm A with the SIMD
 /// dispatcher on, arm B forced to scalar.
 fn gemm_pairs(layer: &Layer) -> Pairs {
-    let cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same)
-        .with_backend(ConvBackend::Im2colGemm);
+    let cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same);
     let conv = |simd_on| {
         simd::set_enabled(simd_on);
         conv2d(&layer.input, &layer.weights, None, &cfg)
@@ -223,8 +222,7 @@ fn main() {
                 pruned(&layer.weights, layer.sparsity, 0x5EED + pos as u64),
             ),
         ] {
-            let gemm_cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same)
-                .with_backend(ConvBackend::Im2colGemm);
+            let gemm_cfg = Conv2dCfg::new(layer.stride, hd_tensor::conv::Padding::Same);
             let (qx, qp) = quantize_workload(&layer.input, &weights, &gemm_cfg);
             let mut outputs: Vec<(bool, Tensor3, Vec<i8>)> = Vec::new();
 

@@ -108,10 +108,8 @@ fn live_k1(device: &Device, net: &hd_dnn::graph::Network) -> usize {
 
 /// Runs the matrix and returns every cell. Deterministic in `scale`.
 ///
-/// Every device runs the im2col+GEMM backend so the GEMM channel has
-/// calls to observe; bit-identity across backends is already enforced by
-/// the pruning matrix and the backend-invariance tests, so re-spanning
-/// backends here would triple the cost without adding information.
+/// Every victim runs an im2col+GEMM software stack so the GEMM channel
+/// has calls to observe; the stack changes nothing else a device does.
 pub fn channel_matrix_cells(scale: Scale) -> Vec<ChannelCell> {
     let models: &[Model] = match scale {
         Scale::Smoke | Scale::Fast => &[Model::VggS],

@@ -21,10 +21,7 @@ pub use figs456::{fig4_accuracy, fig5_fig6_transfer, prepare_models, PreparedMod
 pub use glb::glb_bound_table;
 pub use observability::observability_table;
 pub use prober_exp::prober_table;
-pub use prune_matrix::{
-    backend_label, cross_backend_agreement, prune_matrix, prune_matrix_cells, render_matrix,
-    MatrixCell, MATRIX_WIDTH,
-};
+pub use prune_matrix::{prune_matrix, prune_matrix_cells, render_matrix, MatrixCell, MATRIX_WIDTH};
 pub use quantized::{
     f32_int8_recovery_agreement, quantized_cells, quantized_table, render_quantized, QuantCell,
     QUANT_WIDTH,

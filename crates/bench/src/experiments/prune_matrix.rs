@@ -1,6 +1,6 @@
 //! The pruning-mode robustness matrix: zoo × {unstructured, N:M,
-//! structured} × defence × conv backend, scoring the boundary prober's
-//! geometry recovery and probe budget in every cell.
+//! structured} × defence, scoring the boundary prober's geometry recovery
+//! and probe budget in every cell.
 //!
 //! Structured victims physically change layer shapes — exactly what the
 //! boundary prober is supposed to read off the device — while N:M victims
@@ -13,7 +13,6 @@ use crate::table::Table;
 use crate::victims::{pruned_victim, Model, PruneMode};
 use crate::Scale;
 use hd_accel::{AccelConfig, Defence};
-use hd_tensor::ConvBackend;
 use huffduff_core::eval::score_geometry;
 use huffduff_core::prober::{probe, ProberConfig};
 
@@ -30,35 +29,12 @@ pub struct MatrixCell {
     pub mode: PruneMode,
     /// Deployed defence label.
     pub defence: String,
-    /// Conv backend the device ran.
-    pub backend: ConvBackend,
     /// Probes the prober spent.
     pub probes_used: usize,
     /// Layers recovered exactly.
     pub geometry_correct: usize,
     /// Layers scored.
     pub geometry_total: usize,
-}
-
-impl MatrixCell {
-    /// Stable key identifying the victim-side coordinates (everything but
-    /// the backend) — cells sharing a key must agree bit-for-bit.
-    pub fn victim_key(&self) -> String {
-        format!(
-            "{}|{}|{}",
-            self.model.name(),
-            self.mode.name(),
-            self.defence
-        )
-    }
-}
-
-/// The matrix's label for a conv backend (table column and JSON field).
-pub fn backend_label(b: ConvBackend) -> &'static str {
-    match b {
-        ConvBackend::Im2colGemm => "im2col-gemm",
-        ConvBackend::SparseCsc => "sparse-csc",
-    }
 }
 
 fn defences(scale: Scale) -> Vec<(String, Defence)> {
@@ -85,46 +61,37 @@ pub fn prune_matrix_cells(scale: Scale) -> Vec<MatrixCell> {
         Scale::Smoke | Scale::Fast => &[Model::VggS],
         Scale::Full => &Model::BOTH,
     };
-    let backends = [ConvBackend::Im2colGemm, ConvBackend::SparseCsc];
     let defences = defences(scale);
     let mut cells = Vec::new();
     for &model in models {
         for mode in PruneMode::DEFAULTS {
             for (label, defence) in &defences {
-                for backend in backends {
-                    let cfg = AccelConfig::eyeriss_v2()
-                        .with_defence(defence.clone())
-                        .with_conv_backend(backend);
-                    let (device, net) = pruned_victim(model, mode, MATRIX_WIDTH, 23, cfg);
-                    let pcfg = ProberConfig {
-                        shifts: 12,
-                        max_probes: 8,
-                        stable_probes: 2,
-                        seed: 41,
-                        ..ProberConfig::default()
-                    };
-                    let res = probe(&device, &pcfg).expect("probe runs");
-                    let score = score_geometry(&net, &res);
-                    cells.push(MatrixCell {
-                        model,
-                        mode,
-                        defence: label.clone(),
-                        backend,
-                        probes_used: res.probes_used,
-                        geometry_correct: score.correct,
-                        geometry_total: score.total,
-                    });
-                }
+                let cfg = AccelConfig::eyeriss_v2().with_defence(defence.clone());
+                let (device, net) = pruned_victim(model, mode, MATRIX_WIDTH, 23, cfg);
+                let pcfg = ProberConfig {
+                    shifts: 12,
+                    max_probes: 8,
+                    stable_probes: 2,
+                    seed: 41,
+                    ..ProberConfig::default()
+                };
+                let res = probe(&device, &pcfg).expect("probe runs");
+                let score = score_geometry(&net, &res);
+                cells.push(MatrixCell {
+                    model,
+                    mode,
+                    defence: label.clone(),
+                    probes_used: res.probes_used,
+                    geometry_correct: score.correct,
+                    geometry_total: score.total,
+                });
             }
         }
     }
     cells
 }
 
-/// Renders the matrix as a table, asserting the cross-backend agreement
-/// contract along the way: cells that differ only in backend must report
-/// identical recovery and probe budget (the backends are bit-identical,
-/// so the prober cannot tell them apart).
+/// Runs the matrix and renders it as a table.
 pub fn prune_matrix(scale: Scale) -> Table {
     render_matrix(&prune_matrix_cells(scale))
 }
@@ -133,56 +100,20 @@ pub fn prune_matrix(scale: Scale) -> Table {
 pub fn render_matrix(cells: &[MatrixCell]) -> Table {
     let mut t = Table::new(
         "Pruning-mode robustness matrix — geometry recovery per cell",
-        &[
-            "victim",
-            "pruning",
-            "defence",
-            "backend",
-            "probes",
-            "geometry exact",
-        ],
+        &["victim", "pruning", "defence", "probes", "geometry exact"],
     );
     for c in cells {
         t.push_row(vec![
             c.model.name().to_string(),
             c.mode.name(),
             c.defence.clone(),
-            backend_label(c.backend).to_string(),
             c.probes_used.to_string(),
             format!("{}/{}", c.geometry_correct, c.geometry_total),
         ]);
     }
-    let groups = cross_backend_agreement(cells);
-    t.push_note(format!(
-        "cross-backend agreement: {groups} victim cells identical across all conv backends"
-    ));
     t.push_note("structured cells shrink real layer shapes; recovered geometry tracks the *pruned* channel counts, not the zoo's textbook values");
     t.push_note("pad-edges blanks the boundary signal; random zeros attacks probe stability, so budgets rise before accuracy falls");
     t
-}
-
-/// Counts victim-side groups whose cells agree across every backend.
-///
-/// # Panics
-///
-/// Panics if any group disagrees — that is a broken bit-identity contract,
-/// not a measurement.
-pub fn cross_backend_agreement(cells: &[MatrixCell]) -> usize {
-    let mut groups: Vec<(String, (usize, usize, usize))> = Vec::new();
-    for c in cells {
-        let key = c.victim_key();
-        let sig = (c.probes_used, c.geometry_correct, c.geometry_total);
-        match groups.iter().find(|(k, _)| *k == key) {
-            Some((_, existing)) => {
-                assert_eq!(
-                    *existing, sig,
-                    "backends disagree on cell {key}: {existing:?} vs {sig:?}"
-                );
-            }
-            None => groups.push((key, sig)),
-        }
-    }
-    groups.len()
 }
 
 #[cfg(test)]
@@ -190,14 +121,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_matrix_covers_every_mode_and_agrees() {
+    fn smoke_matrix_covers_every_mode() {
         let cells = prune_matrix_cells(Scale::Smoke);
-        // 1 model x 3 modes x 1 defence x 2 backends.
-        assert_eq!(cells.len(), 6);
+        // 1 model x 3 modes x 1 defence.
+        assert_eq!(cells.len(), 3);
         for mode in PruneMode::DEFAULTS {
             assert!(cells.iter().any(|c| c.mode == mode));
         }
-        assert_eq!(cross_backend_agreement(&cells), 3);
         // The undefended unstructured cell recovers (nearly) every layer:
         // at matrix width the deepest layer's boundary signal has decayed,
         // so allow one miss but no more.
@@ -215,13 +145,12 @@ mod tests {
 
     #[test]
     fn table_renders_one_row_per_cell() {
-        let cells: Vec<MatrixCell> = [ConvBackend::Im2colGemm, ConvBackend::SparseCsc]
+        let cells: Vec<MatrixCell> = ["none", "pad-edges band=1"]
             .into_iter()
-            .map(|backend| MatrixCell {
+            .map(|defence| MatrixCell {
                 model: Model::VggS,
                 mode: PruneMode::Nm { n: 2, m: 4 },
-                defence: "none".to_string(),
-                backend,
+                defence: defence.to_string(),
                 probes_used: 9,
                 geometry_correct: 12,
                 geometry_total: 13,
@@ -229,25 +158,7 @@ mod tests {
             .collect();
         let t = render_matrix(&cells);
         assert_eq!(t.rows.len(), 2);
-        assert!(t.rows.iter().all(|r| r.len() == 6));
-        assert_eq!(t.rows[0][5], "12/13");
-    }
-
-    #[test]
-    #[should_panic(expected = "backends disagree")]
-    fn backend_disagreement_is_fatal() {
-        let mk = |backend, probes| MatrixCell {
-            model: Model::VggS,
-            mode: PruneMode::Unstructured,
-            defence: "none".to_string(),
-            backend,
-            probes_used: probes,
-            geometry_correct: 13,
-            geometry_total: 13,
-        };
-        cross_backend_agreement(&[
-            mk(ConvBackend::Im2colGemm, 9),
-            mk(ConvBackend::SparseCsc, 10),
-        ]);
+        assert!(t.rows.iter().all(|r| r.len() == 5));
+        assert_eq!(t.rows[0][4], "12/13");
     }
 }

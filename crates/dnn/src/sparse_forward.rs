@@ -13,8 +13,8 @@
 //!
 //! * **Full width** (no cache): every span is every column, so every delta
 //!   *is* its map, moved from op to op without a copy. Convs go through
-//!   [`conv2d`] with the caller's backend; linear layers run the dense
-//!   zero-skipping row loop.
+//!   [`conv2d`], which picks its kernel from the operands; linear layers
+//!   run the dense zero-skipping row loop.
 //! * **Cached** ([`ForwardCache`]): the prober runs `shifts x families`
 //!   inferences against one fixed victim, and every probe image is a
 //!   vertical stripe — one nonzero column. Two things are therefore constant
@@ -57,7 +57,7 @@
 use std::borrow::Cow;
 
 use hd_tensor::colspan::{ColSpan, SpanDelta};
-use hd_tensor::conv::{conv2d, same_pad, BackendPolicy, Conv2dCfg, ConvBackend, Padding};
+use hd_tensor::conv::{conv2d, same_pad, BackendPolicy, Conv2dCfg, Padding};
 use hd_tensor::csc_conv::{conv2d_csc, SparseConv};
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::norm::Affine;
@@ -305,16 +305,6 @@ impl From<ForwardTrace> for SpanTrace<'static> {
     }
 }
 
-/// How [`walk`] computes each node.
-#[derive(Clone, Copy)]
-pub(crate) enum Walk<'a> {
-    /// Every column; convs dispatch through [`conv2d`].
-    Full(ConvBackend),
-    /// Only the columns that can differ from the cache's zero-input
-    /// baseline.
-    Cached(&'a ForwardCache),
-}
-
 /// The conv/dwconv/add epilogue over the raw output's span: batch-norm
 /// affine, then ReLU, fused per element when both are present.
 fn epilogue(raw: SpanDelta, bn: Option<&Affine>, relu: bool) -> SpanNode {
@@ -368,7 +358,10 @@ fn plain(out: SpanValue) -> SpanNode {
     }
 }
 
-/// Runs `net` on `input`: the one f32 inference loop.
+/// Runs `net` on `input`: the one f32 inference loop. With no cache every
+/// node is computed at full width (convs dispatch through [`conv2d`]);
+/// through `cache`, only the columns that can differ from its zero-input
+/// baseline.
 ///
 /// # Panics
 ///
@@ -379,7 +372,7 @@ pub(crate) fn walk<'a>(
     net: &Network,
     params: &Params,
     input: &Tensor3,
-    how: Walk<'a>,
+    cache: Option<&'a ForwardCache>,
 ) -> SpanTrace<'a> {
     assert_eq!(
         input.shape(),
@@ -388,17 +381,13 @@ pub(crate) fn walk<'a>(
         input.shape(),
         net.input_shape()
     );
-    let cache = match how {
-        Walk::Full(..) => None,
-        Walk::Cached(cache) => {
-            assert_eq!(
-                cache.baseline.traces.len(),
-                net.len(),
-                "forward cache was built for a different network"
-            );
-            Some(cache)
-        }
-    };
+    if let Some(cache) = cache {
+        assert_eq!(
+            cache.baseline.traces.len(),
+            net.len(),
+            "forward cache was built for a different network"
+        );
+    }
     let mut nodes: Vec<SpanNode> = Vec::with_capacity(net.len());
     for (id, node) in net.nodes().iter().enumerate() {
         // Input `i` as a delta, with the baseline map it is read over.
@@ -417,14 +406,9 @@ pub(crate) fn walk<'a>(
                 let lp = params.conv(id);
                 let bias = lp.b.as_deref();
                 let cfg = Conv2dCfg::new(spec.stride, spec.padding);
-                let raw = match how {
-                    Walk::Full(backend) => SpanDelta::full(conv2d(
-                        &x.to_map(x_base),
-                        lp.w,
-                        bias,
-                        &cfg.with_backend(backend),
-                    )),
-                    Walk::Cached(cache) => {
+                let raw = match cache {
+                    None => SpanDelta::full(conv2d(&x.to_map(x_base), lp.w, bias, &cfg)),
+                    Some(cache) => {
                         #[expect(
                             clippy::expect_used,
                             reason = "cache is built for every conv node up front"
@@ -475,8 +459,8 @@ pub(crate) fn walk<'a>(
                 let lp = params.linear(id);
                 assert_eq!(lp.in_features, x.len(), "linear input size mismatch");
                 let mut y = vec![0.0f32; *out_features];
-                match how {
-                    Walk::Full(..) => {
+                match cache {
+                    None => {
                         for (o, yo) in y.iter_mut().enumerate() {
                             let row = &lp.w[o * lp.in_features..(o + 1) * lp.in_features];
                             let mut acc = lp.b[o];
@@ -488,7 +472,7 @@ pub(crate) fn walk<'a>(
                             *yo = acc;
                         }
                     }
-                    Walk::Cached(cache) => {
+                    Some(cache) => {
                         #[expect(
                             clippy::expect_used,
                             reason = "cache is built for every linear node up front"
@@ -555,14 +539,14 @@ impl Network {
         input: &Tensor3,
         cache: &'a ForwardCache,
     ) -> SpanTrace<'a> {
-        walk(self, params, input, Walk::Cached(cache))
+        walk(self, params, input, Some(cache))
     }
 
     /// Runs the network through `cache`, recomputing only the columns that
     /// can differ from the cached zero-input baseline.
     ///
-    /// Bit-identical to [`Network::forward_with_policy`] under any backend;
-    /// the narrower the input's nonzero-column interval, the larger the
+    /// Bit-identical to [`Network::forward`], the full-width walk; the
+    /// narrower the input's nonzero-column interval, the larger the
     /// saving.
     ///
     /// # Panics
@@ -584,7 +568,6 @@ impl Network {
 mod tests {
     use super::*;
     use crate::graph::NetworkBuilder;
-    use hd_tensor::ConvBackend;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -674,13 +657,6 @@ mod tests {
         let cache = ForwardCache::build(&net, &params, BackendPolicy::default());
         for img in probe_images(3, 12, 12, 5) {
             let want = net.forward(&params, &img);
-            let sparse = net.forward_with_policy(
-                &params,
-                &img,
-                ConvBackend::SparseCsc,
-                BackendPolicy::default(),
-            );
-            assert_traces_bit_identical(&want, &sparse);
             let got = net.forward_cached(&params, &img, &cache);
             assert_traces_bit_identical(&want, &got);
         }

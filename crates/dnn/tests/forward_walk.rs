@@ -1,6 +1,6 @@
 //! Property test for the f32 forward walk: the cached column-span pass
 //! (`Network::forward_cached`) must reproduce the full-width pass
-//! (`Network::forward_with_policy`) bit for bit — every node's `out`,
+//! (`Network::forward`) bit for bit — every node's `out`,
 //! `pre_bn` and `pre_relu`, compared by `to_bits` so `-0.0` and `+0.0`
 //! stay distinct. The span deltas themselves (`Network::forward_spans`),
 //! read element by element through the cache's baseline, must give the
@@ -21,7 +21,7 @@ use hd_dnn::prune::{apply_sparsity_profile, SparsityProfile};
 use hd_dnn::sparse_forward::{SpanTrace, SpanValue};
 use hd_dnn::ForwardCache;
 use hd_tensor::conv::{BackendPolicy, Padding};
-use hd_tensor::{ConvBackend, Shape3, Tensor3};
+use hd_tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -130,20 +130,8 @@ fn check(net: &Network, params: &Params, images: &[Tensor3]) {
         let got = net.forward_cached(params, img, &cache);
         // The uncached full-width walk; its sparse operands still take the
         // sparse kernel.
-        let full_width = net.forward_with_policy(
-            params,
-            img,
-            ConvBackend::Im2colGemm,
-            BackendPolicy::default(),
-        );
+        let full_width = net.forward(params, img);
         assert_bit_identical(&full_width, &got, &format!("image {i} vs full width"));
-        let csc = net.forward_with_policy(
-            params,
-            img,
-            ConvBackend::SparseCsc,
-            BackendPolicy::default(),
-        );
-        assert_bit_identical(&csc, &got, &format!("image {i} vs SparseCsc"));
         let spans = net.forward_spans(params, img, &cache);
         assert_spans_read_back(&full_width, &spans, &format!("image {i} span deltas"));
     }

@@ -16,22 +16,20 @@ pub enum Padding {
     Valid,
 }
 
-/// Compute backend used by [`conv2d`].
+/// The victim's convolution software stack, as a side channel sees it.
 ///
-/// Both backends are bit-identical to [`conv2d_reference`] (see the
-/// accumulation-order contracts in [`crate::gemm`] and
-/// [`crate::csc_conv`]), so traces and timings derived from the outputs do
-/// not depend on this choice.
+/// It selects no compute path: [`conv2d`] picks its kernel from the
+/// operands, and a device picks its forward walk from the image. What the
+/// stack decides is whether convolutions issue GEMM calls, the Cache
+/// Telepathy observable (Yan et al.) that an attacker can probe through
+/// the shared cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ConvBackend {
-    /// im2col lowering + cache-blocked GEMM ([`crate::im2col`]) for dense
-    /// inputs and weights; sparse inputs and sparse weights still take the
-    /// output-stationary sparse kernel.
+    /// An im2col lowering + BLAS GEMM stack: every conv issues a GEMM
+    /// call whose dimensions leak.
     #[default]
     Im2colGemm,
-    /// Output-stationary sparse × sparse kernel over filter-major compacted
-    /// weights ([`crate::csc_conv`]); devices additionally cache the weight
-    /// compaction and track nonzero-column intervals across layers.
+    /// A sparse CSC engine: convolutions issue no GEMM call.
     SparseCsc,
 }
 
@@ -67,9 +65,10 @@ const SPARSE_DENSITY_DIVISOR: u64 = 8;
 /// which uses [`BackendPolicy::input_is_sparse`] on each image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BackendPolicy {
-    /// Whether a device may auto-upgrade sparse-input inferences to
-    /// [`ConvBackend::SparseCsc`] (cached weight compaction + colspan
-    /// interval tracking across layers).
+    /// Whether a device sends sparse images through the cached walk
+    /// (compacted weights, only the columns that differ from the
+    /// zero-input baseline). Off, every image takes the full-width walk;
+    /// both walks are bit-identical, so this changes only speed.
     pub auto_sparse: bool,
 }
 
@@ -98,24 +97,12 @@ pub struct Conv2dCfg {
     pub stride: usize,
     /// Padding mode.
     pub padding: Padding,
-    /// Compute backend (does not affect results, only speed).
-    pub backend: ConvBackend,
 }
 
 impl Conv2dCfg {
-    /// Config with the default backend.
+    /// Config with the given stride and padding.
     pub fn new(stride: usize, padding: Padding) -> Self {
-        Conv2dCfg {
-            stride,
-            padding,
-            backend: ConvBackend::default(),
-        }
-    }
-
-    /// Returns the config with `backend` selected.
-    pub fn with_backend(mut self, backend: ConvBackend) -> Self {
-        self.backend = backend;
-        self
+        Conv2dCfg { stride, padding }
     }
 }
 
@@ -152,10 +139,10 @@ pub fn same_pad(input: usize, kernel: usize, stride: usize) -> usize {
 /// zero-skipping datapath of a two-sided sparse accelerator; the numeric
 /// result is identical to the dense computation.
 ///
-/// The kernel is chosen from the operands: a sparse input, sparse weights
-/// or [`ConvBackend::SparseCsc`] take the output-stationary sparse kernel
-/// ([`crate::csc_conv`]), and everything else im2col + GEMM. Both
-/// accumulate in the order of [`conv2d_reference`], the test oracle.
+/// The kernel is chosen from the operands alone: a sparse input or sparse
+/// weights take the output-stationary sparse kernel ([`crate::csc_conv`]),
+/// and everything else im2col + GEMM. Both accumulate in the order of
+/// [`conv2d_reference`], the test oracle.
 ///
 /// # Panics
 ///
@@ -196,12 +183,7 @@ pub fn conv2d(input: &Tensor3, weight: &Tensor4, bias: Option<&[f32]>, cfg: &Con
     // output-stationary sparse kernel, whose cost is `out_pixels x nnz(W)`
     // over the nonzero-input columns, beats the blocked GEMM (whose cost
     // stays near-dense once most tap positions are live in *some* filter).
-    // The SparseCsc backend takes this kernel unconditionally — that is
-    // what it is.
-    if cfg.backend == ConvBackend::SparseCsc
-        || is_sparse(input.nnz(), input.shape().len())
-        || is_sparse(weight.nnz(), weight.len())
-    {
+    if is_sparse(input.nnz(), input.shape().len()) || is_sparse(weight.nnz(), weight.len()) {
         return crate::csc_conv::conv2d_sparse_csc(input, weight, bias, cfg);
     }
 

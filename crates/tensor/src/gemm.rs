@@ -20,9 +20,9 @@
 //! for p in 0..k { c[i][j] += a[i][p] * b[p][j]; }
 //! ```
 //!
-//! regardless of the blocking parameters. The conv backends rely on this to
+//! regardless of the blocking parameters. The conv kernels rely on this to
 //! produce results bit-identical to the reference loop nest (which makes the
-//! simulator's DRAM traces and encode timings backend-invariant).
+//! simulator's DRAM traces and encode timings independent of kernel choice).
 
 pub use crate::simd::{MR, NR};
 

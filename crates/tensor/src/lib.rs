@@ -8,9 +8,8 @@
 //! * [`Tensor4`] — a convolution weight tensor in `K x C x R x S` layout,
 //! * [`conv`], [`pool`], [`norm`] — forward kernels; dense convolutions run
 //!   on the [`im2col`] + blocked-[`gemm`] backend, sparse ones on the
-//!   output-stationary [`csc_conv`] kernel (chosen from the operands or via
-//!   [`ConvBackend`], both bit-identical to [`conv::conv2d_reference`] by
-//!   construction),
+//!   output-stationary [`csc_conv`] kernel (chosen from the operands, both
+//!   bit-identical to [`conv::conv2d_reference`] by construction),
 //! * [`sparse`] — bitmap / run-length / CSC transfer codecs that determine
 //!   exactly how many bytes cross the DRAM bus for a given tensor.
 //!

@@ -1,26 +1,27 @@
-//! Differential tests of the `Im2colGemm` and `SparseCsc` convolution
-//! backends against the `conv2d_reference` oracle: random shapes, strides,
-//! paddings, bias on/off, and pruned weights, plus the edge cases that
-//! historically break im2col implementations (1x1 kernels, stride >
+//! Differential tests of the two convolution kernels, im2col + GEMM
+//! (`conv2d_im2col_gemm`) and sparse CSC (`conv2d_sparse_csc`), each called
+//! directly, against the `conv2d_reference` oracle: random shapes,
+//! strides, paddings, bias on/off, and pruned weights, plus the edge cases
+//! that historically break im2col implementations (1x1 kernels, stride >
 //! kernel, inputs smaller than the kernel, zero-dimensional `Valid`
 //! outputs).
 //!
-//! `SparseCsc` replays the reference's tap order exactly, so it is held to
-//! the stronger standard: bit-identical to the oracle on *every* case here,
-//! not just the integer-valued ones.
+//! The sparse kernel replays the reference's tap order exactly, so it is
+//! held to the stronger standard: bit-identical to the oracle on *every*
+//! case here, not just the integer-valued ones.
 
 use hd_tensor::conv::{
     conv2d, conv2d_reference, conv2d_weight_grad, conv2d_weight_grad_reference, conv_out_dim,
-    Conv2dCfg, ConvBackend, Padding,
+    Conv2dCfg, Padding,
 };
+use hd_tensor::csc_conv::conv2d_sparse_csc;
 use hd_tensor::im2col::conv2d_im2col_gemm;
 use hd_tensor::{Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Dense strictly-positive tensor: keeps `conv2d` off the sparse kernel
-/// (for dense weights) so the GEMM backend actually runs.
+/// Dense strictly-positive tensor.
 fn dense_tensor(seed: u64, c: usize, h: usize, w: usize) -> Tensor3 {
     let mut t = Tensor3::zeros(c, h, w);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -34,10 +35,10 @@ fn random_weights(seed: u64, k: usize, c: usize, kernel: usize) -> Tensor4 {
     w
 }
 
-/// Runs the same convolution on the oracle and both backends. The sparse
-/// kernel's result must be bit-identical to the oracle (same tap order by
-/// construction); the pair returned is left for the caller's
-/// oracle-vs-GEMM tolerance check.
+/// Runs the same convolution on the oracle and both kernels, whatever the
+/// operands' density. The sparse kernel's result must be bit-identical to
+/// the oracle (same tap order by construction); the pair returned is left
+/// for the caller's oracle-vs-GEMM tolerance check.
 fn run_both(
     x: &Tensor3,
     w: &Tensor4,
@@ -47,14 +48,14 @@ fn run_both(
 ) -> (Tensor3, Tensor3) {
     let cfg = Conv2dCfg::new(stride, padding);
     let reference = conv2d_reference(x, w, bias, &cfg);
-    let gemm = conv2d(x, w, bias, &cfg.with_backend(ConvBackend::Im2colGemm));
-    let sparse = conv2d(x, w, bias, &cfg.with_backend(ConvBackend::SparseCsc));
-    assert_eq!(reference.shape(), gemm.shape(), "backend shapes diverge");
-    assert_eq!(reference.shape(), sparse.shape(), "backend shapes diverge");
+    let gemm = conv2d_im2col_gemm(x, w, bias, &cfg);
+    let sparse = conv2d_sparse_csc(x, w, bias, &cfg);
+    assert_eq!(reference.shape(), gemm.shape(), "kernel shapes diverge");
+    assert_eq!(reference.shape(), sparse.shape(), "kernel shapes diverge");
     for (a, b) in reference.data().iter().zip(sparse.data()) {
         assert!(
             a.to_bits() == b.to_bits(),
-            "SparseCsc not bit-identical to the reference: {a} vs {b}"
+            "sparse kernel not bit-identical to the reference: {a} vs {b}"
         );
     }
     (reference, gemm)
@@ -181,14 +182,14 @@ proptest! {
         }
         // The GEMM kernel itself, called past the dispatch, on the sparse input.
         let gemm = conv2d_im2col_gemm(&x, &wt, bias.as_deref(),
-            &Conv2dCfg::new(stride, Padding::Same).with_backend(ConvBackend::Im2colGemm));
+            &Conv2dCfg::new(stride, Padding::Same));
         assert_close(reference.data(), gemm.data());
     }
 
     /// N:M-patterned weights (per-M-group along the input-channel axis at
     /// every fixed (k, r, s), keep the top-N magnitudes): the structured
-    /// zero pattern the sparse-victim matrix deploys. Both backends must
-    /// agree with the oracle, and SparseCsc stays bit-identical to it.
+    /// zero pattern the sparse-victim matrix deploys. Both kernels must
+    /// agree with the oracle, and the sparse one stays bit-identical to it.
     #[test]
     fn backends_agree_on_nm_patterned_weights(
         seed in 0u64..10_000,
@@ -231,7 +232,7 @@ proptest! {
 
     /// Channel-removed weights (the structured-pruning shapes): slicing
     /// output filters with `select_k` and input channels with `select_c`
-    /// yields odd K/C combinations the backends rarely see; they must
+    /// yields odd K/C combinations the kernels rarely see; they must
     /// agree on all of them, with the sliced input channels removed from
     /// the image too.
     #[test]
@@ -274,8 +275,7 @@ proptest! {
         assert_close(reference.data(), gemm.data());
     }
 
-    /// The weight-gradient GEMM agrees with the reference loop; `SparseCsc`
-    /// dispatches weight gradients to the GEMM path bit-for-bit.
+    /// The weight-gradient GEMM agrees with the reference loop.
     #[test]
     fn weight_grad_backends_agree(
         seed in 0u64..10_000,
@@ -290,11 +290,8 @@ proptest! {
             let reference = conv2d_weight_grad_reference(&g, &x, (kernel, kernel),
                 &Conv2dCfg::new(stride, padding));
             let gemm = conv2d_weight_grad(&g, &x, (kernel, kernel),
-                &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::Im2colGemm));
-            let sparse = conv2d_weight_grad(&g, &x, (kernel, kernel),
-                &Conv2dCfg::new(stride, padding).with_backend(ConvBackend::SparseCsc));
+                &Conv2dCfg::new(stride, padding));
             assert_close(reference.data(), gemm.data());
-            prop_assert_eq!(gemm.data(), sparse.data(), "SparseCsc grad must reuse the GEMM path");
         }
     }
 }

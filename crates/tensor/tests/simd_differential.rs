@@ -9,8 +9,10 @@
 //! outputs bit-for-bit — on hosts without AVX2/NEON both runs take the
 //! scalar path and the tests degrade to self-consistency checks.
 
-use hd_tensor::conv::{conv2d, Conv2dCfg, ConvBackend, Padding};
+use hd_tensor::conv::{conv2d, Conv2dCfg, Padding};
+use hd_tensor::csc_conv::conv2d_sparse_csc;
 use hd_tensor::gemm::{gemm, GemmBlocking};
+use hd_tensor::im2col::conv2d_im2col_gemm;
 use hd_tensor::qconv::{qconv2d, qconv2d_reference, QConvParams};
 use hd_tensor::simd;
 use hd_tensor::{QTensor3, QTensor4, QuantParams, Tensor3, Tensor4};
@@ -242,10 +244,11 @@ proptest! {
         }
     }
 
-    /// Every convolution backend is bit-identical across dispatch modes on
-    /// random shapes, strides, and pruned weights. This covers the GEMM
-    /// micro-kernel (Im2colGemm) and the output-stationary sparse kernel's
-    /// `sparse_conv_block` (SparseCsc) in one sweep.
+    /// Both convolution kernels, called directly whatever the weights'
+    /// density, are bit-identical across dispatch modes on random shapes,
+    /// strides, and pruned weights. This covers the GEMM micro-kernel and
+    /// the output-stationary sparse kernel's `sparse_conv_block` in one
+    /// sweep.
     #[test]
     fn conv_backends_bit_identical_across_simd_modes(
         seed in 0u64..10_000,
@@ -255,18 +258,16 @@ proptest! {
         kernel in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
         stride in 1usize..3,
         keep_percent in 10u32..80,
-        backend in prop_oneof![
-            Just(ConvBackend::Im2colGemm),
-            Just(ConvBackend::SparseCsc),
-        ],
+        sparse in 0u32..2,
     ) {
         let x = random_tensor3(seed, in_c, hw, hw);
         let w = pruned_weights(seed ^ 0x51D, out_c, in_c, kernel, keep_percent);
-        let cfg = Conv2dCfg::new(stride, Padding::Same).with_backend(backend);
-        let (vector, scalar) = both_paths(|| conv2d(&x, &w, None, &cfg));
+        let cfg = Conv2dCfg::new(stride, Padding::Same);
+        let kernel_fn = if sparse == 1 { conv2d_sparse_csc } else { conv2d_im2col_gemm };
+        let (vector, scalar) = both_paths(|| kernel_fn(&x, &w, None, &cfg));
         prop_assert_eq!(vector.shape(), scalar.shape());
         for (a, b) in vector.data().iter().zip(scalar.data()) {
-            prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge ({backend:?})");
+            prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge (sparse kernel: {sparse})");
         }
     }
 

@@ -11,8 +11,8 @@
 //! baseline input's output.
 
 use hd_tensor::colspan::{ColSpan, SpanDelta};
-use hd_tensor::conv::{conv2d, conv2d_reference, Conv2dCfg, ConvBackend, Padding};
-use hd_tensor::csc_conv::{conv2d_csc, SparseConv};
+use hd_tensor::conv::{conv2d_reference, Conv2dCfg, Padding};
+use hd_tensor::csc_conv::{conv2d_csc, conv2d_sparse_csc, SparseConv};
 use hd_tensor::{Shape3, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -103,16 +103,16 @@ proptest! {
         };
         let bias = bias.as_deref();
 
-        // Full span, no baseline: the plain convolution, and the dispatch
-        // through `conv2d`.
+        // Full span, no baseline: the plain convolution, and the whole-map
+        // entry point `conv2d_sparse_csc`.
         let x = random_input(&mut rng, c, h, w, density_pct);
         let want = conv2d_reference(&x, &weight, bias, &cfg);
         let got = conv2d_csc(&SpanDelta::full(x.clone()), None, &conv, bias);
         prop_assert_eq!(got.shape(), want.shape());
         let got = onto_bias(got, bias);
         prop_assert_eq!(bits(&got), bits(&want));
-        let dispatched = conv2d(&x, &weight, bias, &cfg.with_backend(ConvBackend::SparseCsc));
-        prop_assert_eq!(bits(&dispatched), bits(&want));
+        let whole = conv2d_sparse_csc(&x, &weight, bias, &cfg);
+        prop_assert_eq!(bits(&whole), bits(&want));
 
         // A partial span: empty, right-edge, interior, or full.
         let lo = rng.gen_range(0..w);

@@ -7,7 +7,8 @@
 //!
 //! ```text
 //! -j, --parallelism N       prober worker threads (default: all cores)
-//! -b, --backend KIND        conv backend: gemm | sparse
+//! -b, --backend KIND        victim conv stack: gemm (GEMM calls observable)
+//!                           | sparse (none)
 //! -c, --channel KIND        observation channel: full | trace | timing | gemm
 //! -p, --prune MODE          victim pruning: unstructured | N:M (e.g. 2:4)
 //!                           | structured[:KEEP_FRAC]
@@ -31,7 +32,8 @@ use std::path::{Path, PathBuf};
 pub struct CliArgs {
     /// `-j N`: prober worker threads (`None` = all cores).
     pub parallelism: Option<usize>,
-    /// `-b KIND`: simulator conv backend (`None` = crate default).
+    /// `-b KIND`: the victim's conv software stack, which decides only
+    /// whether GEMM calls are observable (`None` = crate default).
     pub backend: Option<ConvBackend>,
     /// `-c KIND`: the observation channel the attacker reads.
     pub channel: ChannelKind,
@@ -150,7 +152,7 @@ pub fn prune_victim(
 }
 
 impl CliArgs {
-    /// The backend to use (explicit flag or the default).
+    /// The victim's conv stack (explicit flag or the default).
     pub fn backend_or_default(&self) -> ConvBackend {
         self.backend.unwrap_or_default()
     }
@@ -252,10 +254,12 @@ fn usage(example: &str) -> String {
          \n\
          options:\n\
          \x20 -j, --parallelism N   prober worker threads (default: all cores)\n\
-         \x20 -b, --backend KIND    conv backend: gemm | sparse (default: gemm)\n\
+         \x20 -b, --backend KIND    victim conv stack: gemm (im2col + BLAS, GEMM calls\n\
+         \x20                       observable) | sparse (CSC engine, none); not a speed\n\
+         \x20                       setting (default: gemm)\n\
          \x20 -c, --channel KIND    observation channel the attacker reads: full | trace |\n\
          \x20                       timing | gemm (default: full; gemm needs the gemm\n\
-         \x20                       backend)\n\
+         \x20                       stack)\n\
          \x20 -p, --prune MODE      victim pruning: unstructured | N:M (e.g. 2:4) |\n\
          \x20                       structured[:KEEP_FRAC] (default: unstructured)\n\
          \x20 -o, --obs PATH        enable telemetry; write summary JSON to PATH and a\n\

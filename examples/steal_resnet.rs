@@ -11,7 +11,7 @@
 //! ```text
 //! cargo run --release --example steal_resnet                 # all cores, GEMM
 //! cargo run --release --example steal_resnet -- -j 1         # serial baseline
-//! cargo run --release --example steal_resnet -- -b sparse    # CSC conv backend
+//! cargo run --release --example steal_resnet -- -b sparse    # CSC victim stack
 //! cargo run --release --example steal_resnet -- -o obs.json  # telemetry export
 //! cargo run --release --example steal_resnet -- -p 2:4       # N:M sparse victim
 //! cargo run --release --example steal_resnet -- -c trace     # volumes, no timing
@@ -25,10 +25,13 @@
 //! adds keep both operands on one channel set), so the attack reads the
 //! physically shrunken widths off the device.
 //!
-//! `-j N` caps the prober's worker threads and `-b` selects the simulator's
-//! convolution backend; any combination produces a bit-identical result
-//! (the executor and both backends are deterministic), only wall-clock
-//! changes. `-o obs.json` records hd-obs telemetry into JSON plus a Chrome
+//! `-j N` caps the prober's worker threads; any worker count produces a
+//! bit-identical result (the executor is deterministic), only wall-clock
+//! changes. `-b` names the victim's convolution software stack: `gemm`
+//! (im2col + BLAS, whose GEMM calls the `gemm` channel observes) or
+//! `sparse` (a CSC engine, which issues none). It selects no compute path
+//! and is no faster either way; the simulator picks each kernel from its
+//! operands and each forward walk from the image. `-o obs.json` records hd-obs telemetry into JSON plus a Chrome
 //! trace without affecting the outcome.
 
 #[path = "common/cli.rs"]

@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run --release --example steal_vgg                   # all cores, GEMM
 //! cargo run --release --example steal_vgg -- -j 1           # serial baseline
-//! cargo run --release --example steal_vgg -- -b sparse      # CSC conv backend
+//! cargo run --release --example steal_vgg -- -b sparse      # CSC victim stack
 //! cargo run --release --example steal_vgg -- -o obs.json    # telemetry export
 //! cargo run --release --example steal_vgg -- -p 2:4         # N:M sparse victim
 //! cargo run --release --example steal_vgg -- -p structured  # channel-removed victim
@@ -27,10 +27,13 @@
 //! channel removal — the latter physically shrinks layer shapes, so the
 //! attack recovers the pruned widths, not the textbook VGG-S ones.
 //!
-//! `-j N` caps the prober's worker threads and `-b` selects the simulator's
-//! convolution backend; any combination produces a bit-identical result
-//! (the executor and both backends are deterministic), only wall-clock
-//! changes. `-o obs.json` additionally records hd-obs telemetry — DRAM
+//! `-j N` caps the prober's worker threads; any worker count produces a
+//! bit-identical result (the executor is deterministic), only wall-clock
+//! changes. `-b` names the victim's convolution software stack: `gemm`
+//! (im2col + BLAS, whose GEMM calls the `gemm` channel observes) or
+//! `sparse` (a CSC engine, which issues none). It selects no compute path
+//! and is no faster either way; the simulator picks each kernel from its
+//! operands and each forward walk from the image. `-o obs.json` additionally records hd-obs telemetry — DRAM
 //! bytes by transfer type, probe counts, cache hits, per-layer spans — and
 //! writes it as JSON plus a Chrome trace (`obs.trace.json`, loadable in
 //! `chrome://tracing`); telemetry never changes the attack outcome either.

@@ -1,6 +1,7 @@
 //! Channel invariance: the boxed [`ChannelKind::Full`] channel is
 //! bit-identical to probing the raw `Device` — same `AttackOutcome`, byte
-//! for byte — across conv backends and prober parallelism; the restricted
+//! for byte — across forward walks, victim software stacks and prober
+//! parallelism; the restricted
 //! channels observe *exact projections* of the full channel's evidence
 //! (never independently-measured, possibly-diverging views); a device
 //! that recycles its DRAM buffers yields the same attack as one that
@@ -13,7 +14,7 @@
 //! makes the channel × defence matrix meaningful: a restricted channel's
 //! degradation measures lost *information*, not a different simulator.
 
-use hd_tensor::ConvBackend;
+use hd_tensor::{BackendPolicy, ConvBackend};
 use huffduff::prelude::*;
 use huffduff_core::{AttackConfig, AttackOutcome, ChannelKind, Observation, ObservationModel};
 use proptest::prelude::*;
@@ -55,13 +56,14 @@ fn attack_cfg(parallelism: Option<usize>) -> AttackConfig {
     }
 }
 
-fn device(backend: ConvBackend) -> Device {
+fn device(cfg: AccelConfig) -> Device {
     let (net, params) = victim();
-    Device::new(
-        net,
-        params,
-        AccelConfig::eyeriss_v2().with_conv_backend(backend),
-    )
+    Device::new(net, params, cfg)
+}
+
+/// A sparse CSC victim stack: it hides GEMM calls and changes nothing else.
+fn csc_stack() -> AccelConfig {
+    AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::SparseCsc)
 }
 
 fn attack(target: &dyn ObservationModel, parallelism: Option<usize>) -> AttackOutcome {
@@ -70,19 +72,19 @@ fn attack(target: &dyn ObservationModel, parallelism: Option<usize>) -> AttackOu
 
 #[test]
 fn full_channel_is_bit_identical_to_the_raw_device() {
-    for (backend, par) in [
-        (ConvBackend::Im2colGemm, Some(1)),
-        (ConvBackend::Im2colGemm, Some(4)),
-        (ConvBackend::Im2colGemm, None),
-        (ConvBackend::SparseCsc, Some(2)),
+    for (arm, cfg, par) in [
+        ("gemm", AccelConfig::eyeriss_v2(), Some(1)),
+        ("gemm", AccelConfig::eyeriss_v2(), Some(4)),
+        ("gemm", AccelConfig::eyeriss_v2(), None),
+        ("sparse-csc", csc_stack(), Some(2)),
     ] {
-        let dev = device(backend);
+        let dev = device(cfg);
         let raw = attack(&dev, par);
         let full = ChannelKind::Full.model(&dev);
         assert_eq!(
             raw,
             attack(full.as_ref(), par),
-            "the full channel diverged from the raw device on {backend} with parallelism {par:?}"
+            "the full channel diverged from the raw device on {arm} with parallelism {par:?}"
         );
     }
 }
@@ -90,14 +92,23 @@ fn full_channel_is_bit_identical_to_the_raw_device() {
 #[test]
 fn full_channel_attack_is_backend_invariant() {
     // The attack outcome through the boxed channel keeps the invariance
-    // the raw device already guarantees (tests/backend_invariance.rs).
-    let full = |backend| attack(ChannelKind::Full.model(&device(backend)).as_ref(), Some(1));
-    let baseline = full(ConvBackend::Im2colGemm);
-    let got = full(ConvBackend::SparseCsc);
-    assert_eq!(
-        baseline, got,
-        "the full channel's outcome diverged on the CSC backend"
-    );
+    // the raw device already guarantees (tests/backend_invariance.rs): the
+    // full-width walk (`auto_sparse` off) and a CSC stack change nothing.
+    let full = |cfg| attack(ChannelKind::Full.model(&device(cfg)).as_ref(), Some(1));
+    let baseline = full(AccelConfig::eyeriss_v2());
+    for (arm, cfg) in [
+        (
+            "full-width",
+            AccelConfig::eyeriss_v2().with_backend_policy(BackendPolicy { auto_sparse: false }),
+        ),
+        ("sparse-csc", csc_stack()),
+    ] {
+        assert_eq!(
+            baseline,
+            full(cfg),
+            "the full channel's outcome diverged on the {arm} arm"
+        );
+    }
     let space = baseline.space.as_ref().expect("full channel finalizes");
     assert!(space.k1_candidates.contains(&8));
 }

@@ -1,13 +1,13 @@
 //! Golden-trace fixture tests: the full DRAM `TraceEvent` stream and the
 //! per-layer encode-timing summary of a tiny seed-pinned victim are pinned
 //! to a checked-in fixture. Any simulator behavior drift — compression
-//! sizing, phase timing, address allocation, or a convolution backend that
-//! perturbs a single output bit — fails tier-1.
+//! sizing, phase timing, address allocation, or a forward walk or kernel
+//! that perturbs a single output bit — fails tier-1.
 //!
 //! Regenerate deliberately with `GOLDEN_REGEN=1 cargo test --test
 //! golden_trace` and review the fixture diff like source.
 
-use hd_tensor::ConvBackend;
+use hd_tensor::{BackendPolicy, ConvBackend};
 use huffduff::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -47,8 +47,9 @@ fn golden_victim() -> (hd_dnn::graph::Network, hd_dnn::graph::Params) {
     (net, params)
 }
 
-/// Probe images covering both compute regimes: a dense image (the GEMM
-/// backend runs) and a sparse impulse (the shared CSC path runs).
+/// Probe images covering both compute regimes: a dense image (the
+/// full-width walk runs) and a sparse impulse (the cached walk runs unless
+/// `auto_sparse` is off).
 fn golden_images() -> Vec<(&'static str, Tensor3)> {
     let mut dense = Tensor3::zeros(3, 12, 12);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(99);
@@ -61,13 +62,9 @@ fn golden_images() -> Vec<(&'static str, Tensor3)> {
 
 /// Renders the full observable behavior of the device on the golden victim:
 /// per-image DRAM trace CSV plus the encode-timing table.
-fn snapshot(backend: ConvBackend) -> String {
+fn snapshot(cfg: AccelConfig) -> String {
     let (net, params) = golden_victim();
-    let device = Device::new(
-        net,
-        params,
-        AccelConfig::eyeriss_v2().with_conv_backend(backend),
-    );
+    let device = Device::new(net, params, cfg);
     let mut s = String::new();
     for (name, img) in golden_images() {
         writeln!(s, "== trace {name} ==").unwrap();
@@ -124,16 +121,15 @@ fn telemetry_snapshot_text(snap: &hd_obs::Snapshot) -> String {
     s
 }
 
-#[test]
-fn golden_telemetry_counters_pinned() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+/// Telemetry of one device over the golden images, recorded from a reset.
+fn device_telemetry(backend: ConvBackend) -> hd_obs::Snapshot {
     hd_obs::reset();
     hd_obs::set_enabled(true);
     let (net, params) = golden_victim();
     let device = Device::new(
         net,
         params,
-        AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::Im2colGemm),
+        AccelConfig::eyeriss_v2().with_conv_backend(backend),
     );
     for (_, img) in golden_images() {
         device.run(&img);
@@ -141,7 +137,24 @@ fn golden_telemetry_counters_pinned() {
     hd_obs::set_enabled(false);
     let snap = hd_obs::snapshot();
     hd_obs::reset();
+    snap
+}
+
+#[test]
+fn golden_telemetry_counters_pinned() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let snap = device_telemetry(ConvBackend::Im2colGemm);
     let got = telemetry_snapshot_text(&snap);
+
+    // The image alone picks the walk: a SparseCsc device sends the dense
+    // image through the full-width walk and the impulse through the cached
+    // one, exactly as the Im2colGemm device does, so the `device.fwd_cache`
+    // and `sparse_fwd.*` counters agree.
+    assert_eq!(
+        telemetry_snapshot_text(&device_telemetry(ConvBackend::SparseCsc)),
+        got,
+        "the conv backend changed which walk a device took"
+    );
 
     // Structural floor, independent of the fixture: every telemetry family
     // the device emits must be present.
@@ -168,12 +181,23 @@ fn golden_telemetry_counters_pinned() {
 #[test]
 fn golden_fixture_reproduced_by_all_backends() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let gemm = snapshot(ConvBackend::Im2colGemm);
-    let sparse = snapshot(ConvBackend::SparseCsc);
-    assert_eq!(
-        gemm, sparse,
-        "the CSC backend must produce byte-identical traces and timings"
-    );
+    let gemm = snapshot(AccelConfig::eyeriss_v2());
+    for (arm, cfg) in [
+        (
+            "full-width walk",
+            AccelConfig::eyeriss_v2().with_backend_policy(BackendPolicy { auto_sparse: false }),
+        ),
+        (
+            "CSC stack",
+            AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::SparseCsc),
+        ),
+    ] {
+        assert_eq!(
+            gemm,
+            snapshot(cfg),
+            "the {arm} must produce byte-identical traces and timings"
+        );
+    }
     if std::env::var("GOLDEN_REGEN").is_ok() {
         std::fs::write(FIXTURE, &gemm).expect("write fixture");
         eprintln!("regenerated {FIXTURE}");

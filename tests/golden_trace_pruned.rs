@@ -3,13 +3,13 @@
 //! channel-removed victim (residual topology, so the fixture also pins
 //! the restructure pass's channel unification). Same harness contract as
 //! `tests/golden_trace.rs`: the full DRAM trace CSV and encode-timing
-//! table are byte-identical across both conv backends and pinned to
-//! checked-in fixtures.
+//! table are byte-identical across both forward walks and both victim
+//! software stacks, and pinned to checked-in fixtures.
 //!
 //! Regenerate deliberately with `GOLDEN_REGEN=1 cargo test --test
 //! golden_trace_pruned` and review the fixture diff like source.
 
-use hd_tensor::ConvBackend;
+use hd_tensor::{BackendPolicy, ConvBackend};
 use huffduff::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -85,17 +85,10 @@ fn golden_images() -> Vec<(&'static str, Tensor3)> {
     vec![("dense", dense), ("impulse", impulse)]
 }
 
-/// Full observable behavior of `(net, params)` on one backend: per-image
-/// DRAM trace CSV plus the encode-timing table.
-fn snapshot(
-    victim: &(hd_dnn::graph::Network, hd_dnn::graph::Params),
-    backend: ConvBackend,
-) -> String {
-    let device = Device::new(
-        victim.0.clone(),
-        victim.1.clone(),
-        AccelConfig::eyeriss_v2().with_conv_backend(backend),
-    );
+/// Full observable behavior of `(net, params)` on one device config:
+/// per-image DRAM trace CSV plus the encode-timing table.
+fn snapshot(victim: &(hd_dnn::graph::Network, hd_dnn::graph::Params), cfg: AccelConfig) -> String {
+    let device = Device::new(victim.0.clone(), victim.1.clone(), cfg);
     let mut s = String::new();
     for (name, img) in golden_images() {
         writeln!(s, "== trace {name} ==").unwrap();
@@ -121,12 +114,25 @@ fn snapshot(
 }
 
 fn check_fixture(victim: (hd_dnn::graph::Network, hd_dnn::graph::Params), fixture: &str) {
-    let gemm = snapshot(&victim, ConvBackend::Im2colGemm);
-    let sparse = snapshot(&victim, ConvBackend::SparseCsc);
-    assert_eq!(
-        gemm, sparse,
-        "the CSC backend must produce byte-identical traces and timings"
-    );
+    // The impulse takes the cached walk by default and the full-width walk
+    // with `auto_sparse` off; a CSC stack only hides GEMM calls.
+    let gemm = snapshot(&victim, AccelConfig::eyeriss_v2());
+    for (arm, cfg) in [
+        (
+            "full-width walk",
+            AccelConfig::eyeriss_v2().with_backend_policy(BackendPolicy { auto_sparse: false }),
+        ),
+        (
+            "CSC stack",
+            AccelConfig::eyeriss_v2().with_conv_backend(ConvBackend::SparseCsc),
+        ),
+    ] {
+        assert_eq!(
+            gemm,
+            snapshot(&victim, cfg),
+            "the {arm} must produce byte-identical traces and timings"
+        );
+    }
     if std::env::var("GOLDEN_REGEN").is_ok() {
         std::fs::write(fixture, &gemm).expect("write fixture");
         eprintln!("regenerated {fixture}");

@@ -3,15 +3,15 @@
 //! [`Precision::Int8`]. Pins the PTQ calibration, the integer conv
 //! arithmetic, the deterministic requantize, and the INT8 trace/timing
 //! model — any drift in the quantized datapath fails tier-1. The fixture
-//! must also be byte-identical across both conv backends and both
-//! SIMD dispatch modes (the INT8 kernels share the no-FMA lane
-//! discipline).
+//! must also be byte-identical across both SIMD dispatch modes (the INT8
+//! kernels share the no-FMA lane discipline). An INT8 device has one
+//! forward path, which neither the victim software stack nor the
+//! `auto_sparse` policy touches, so there is no backend arm.
 //!
 //! Regenerate deliberately with `GOLDEN_REGEN=1 cargo test --test
 //! golden_trace_quantized` and review the fixture diff like source.
 
 use hd_accel::Precision;
-use hd_tensor::ConvBackend;
 use huffduff::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -60,16 +60,14 @@ fn golden_images() -> Vec<(&'static str, Tensor3)> {
     vec![("dense", dense), ("impulse", impulse)]
 }
 
-/// Full observable behavior of the INT8 device on one backend: per-image
-/// DRAM trace CSV plus the encode-timing table.
-fn snapshot(backend: ConvBackend) -> String {
+/// Full observable behavior of the INT8 device: per-image DRAM trace CSV
+/// plus the encode-timing table.
+fn snapshot() -> String {
     let (net, params) = golden_victim();
     let device = Device::new(
         net,
         params,
-        AccelConfig::eyeriss_v2()
-            .with_conv_backend(backend)
-            .with_precision(Precision::Int8),
+        AccelConfig::eyeriss_v2().with_precision(Precision::Int8),
     );
     let mut s = String::new();
     for (name, img) in golden_images() {
@@ -98,28 +96,23 @@ fn snapshot(backend: ConvBackend) -> String {
 #[test]
 fn quantized_trace_pinned_across_backends_and_simd_modes() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let gemm = snapshot(ConvBackend::Im2colGemm);
-    let sparse = snapshot(ConvBackend::SparseCsc);
-    assert_eq!(
-        gemm, sparse,
-        "the INT8 CSC path must produce byte-identical traces and timings"
-    );
+    let vector = snapshot();
     hd_tensor::simd::set_enabled(false);
-    let scalar = snapshot(ConvBackend::Im2colGemm);
+    let scalar = snapshot();
     hd_tensor::simd::set_enabled(true);
     assert_eq!(
-        gemm, scalar,
+        vector, scalar,
         "INT8 SIMD dispatch modes must produce byte-identical traces"
     );
     if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::write(FIXTURE, &gemm).expect("write fixture");
+        std::fs::write(FIXTURE, &vector).expect("write fixture");
         eprintln!("regenerated {FIXTURE}");
         return;
     }
     let want = std::fs::read_to_string(FIXTURE)
         .expect("golden fixture missing; run with GOLDEN_REGEN=1 to create it");
     assert_eq!(
-        gemm, want,
+        vector, want,
         "INT8 simulator behavior drifted from the golden fixture; if \
          intentional, regenerate with GOLDEN_REGEN=1 and review the diff"
     );
