@@ -183,7 +183,10 @@ impl Device {
     /// The walks are bit-identical, so this only changes speed, never the
     /// trace or the encode timings. The cached walk's outputs stay span
     /// deltas over the cached baseline: the device sizes them without
-    /// materialising whole maps.
+    /// materialising whole maps. The cached walk also copies every conv
+    /// column that translates a column of a recent walk in the cache's
+    /// constant-capacity memo, so the callers hand the trace back with
+    /// [`SpanTrace::remember`] once done with it.
     fn forward_for(&self, image: &Tensor3) -> SpanTrace<'_> {
         if self.cfg.compute == Precision::Int8 {
             return self
@@ -409,6 +412,7 @@ impl Device {
                 }
             }
         }
+        trace.remember();
         Ok(())
     }
 
@@ -425,6 +429,7 @@ impl Device {
             }
             v.push((id, self.encode_output(&trace, id, &noise).1));
         }
+        trace.remember();
         v
     }
 

@@ -16,6 +16,16 @@
 //! images take the full-width walk on both devices. Images: one-column stripes at the left edge, inside and at the
 //! right edge, a two-column stripe, a dense image, the all-zero image and
 //! a stripe beside a column of `-0.0`.
+//!
+//! A second property pins translation reuse (`hd_dnn::translate`): a
+//! device that has walked earlier shifts of a stripe family, so that its
+//! walk memo serves later shifts, emits exactly the traces of a device
+//! with an empty memo, on the same random graphs and configurations, for
+//! families swept left to right, right to left (negative offsets) or in
+//! random order with repeats. Run the binary under `HD_SIMD=0` as well
+//! to cover both SIMD dispatch modes. Two telemetry tests check that a
+//! family does hit the memo and that a repeated image (offset 0) is
+//! recomputed, not served from it.
 
 use hd_accel::{AccelConfig, Defence, Device};
 use hd_dnn::graph::{ConvSpec, Network, NetworkBuilder, NodeId, Params};
@@ -25,6 +35,11 @@ use hd_tensor::{BackendPolicy, CompressionScheme, Shape3, Tensor3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Mutex;
+
+/// Serializes the tests that run translation reuse: the telemetry tests
+/// read process-wide counters the others would add to.
+static MEMO_LOCK: Mutex<()> = Mutex::new(());
 
 /// A random small graph; the input is wide enough that a two-column
 /// stripe is below the default input-density threshold.
@@ -212,4 +227,99 @@ proptest! {
             );
         }
     }
+}
+
+/// A stripe family: `width` adjacent columns of fixed nonzero amplitudes,
+/// moved to each first column of `cols` in turn.
+fn family(shape: Shape3, width: usize, cols: &[usize], rng: &mut StdRng) -> Vec<Tensor3> {
+    let amplitudes: Vec<f32> = (0..shape.c * shape.h * width)
+        .map(|_| rng.gen_range(0.25..1.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+        .collect();
+    cols.iter()
+        .map(|&col| {
+            let mut img = Tensor3::zeros(shape.c, shape.h, shape.w);
+            for (i, &a) in amplitudes.iter().enumerate() {
+                let (ch, y, dx) = (i / (shape.h * width), i / width % shape.h, i % width);
+                img.set(ch, y, col + dx, a);
+            }
+            img
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn memo_device_matches_fresh_device(seed in 0u64..u64::MAX) {
+        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_net(&mut rng);
+        let params = pruned_params(&net, &mut rng);
+        let cfg = random_config(&mut rng);
+        let shape = net.input_shape();
+        let dev = Device::try_new(net, params, cfg).expect("random graph verifies");
+        let width = rng.gen_range(1..3);
+        let mut cols: Vec<usize> = (0..=shape.w - width).collect();
+        match rng.gen_range(0..3) {
+            0 => {}
+            1 => cols.reverse(),
+            _ => {
+                for i in (1..cols.len()).rev() {
+                    cols.swap(i, rng.gen_range(0..=i));
+                }
+                let repeats: Vec<usize> = cols.iter().step_by(3).copied().collect();
+                cols.extend(repeats);
+            }
+        }
+        for (img, col) in family(shape, width, &cols, &mut rng).iter().zip(&cols) {
+            // A clone holds an empty memo.
+            let fresh = dev.clone();
+            prop_assert!(
+                dev.run(img) == fresh.run(img),
+                "stripe at column {}: traces differ", col
+            );
+        }
+    }
+}
+
+/// A fixed victim with a stride-2 conv after a pool, wide enough for
+/// interior shifts, and the `sparse_fwd.cols_reused` count of running
+/// its device on `cols` in order.
+fn reused_columns(cols: &[usize]) -> u64 {
+    let mut b = NetworkBuilder::new(3, 10, 24);
+    let x = b.input();
+    let x = b.conv(x, 6, 5, 1);
+    let x = b.max_pool(x, 2);
+    let x = b.conv(x, 8, 3, 2);
+    let x = b.global_avg_pool(x);
+    b.linear(x, 4);
+    let net = b.build();
+    let mut rng = StdRng::seed_from_u64(7);
+    let params = pruned_params(&net, &mut rng);
+    let dev = Device::new(net, params, AccelConfig::eyeriss_v2());
+    let images = family(Shape3::new(3, 10, 24), 1, cols, &mut rng);
+    hd_obs::reset();
+    hd_obs::set_enabled(true);
+    for img in &images {
+        dev.run(img);
+    }
+    hd_obs::set_enabled(false);
+    let reused = hd_obs::snapshot()
+        .counter("sparse_fwd.cols_reused", "")
+        .unwrap_or(0);
+    hd_obs::reset();
+    reused
+}
+
+#[test]
+fn a_stripe_family_hits_the_memo() {
+    let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert!(reused_columns(&[8, 9, 10, 11, 12]) > 0);
+}
+
+#[test]
+fn a_repeated_image_is_recomputed() {
+    let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(reused_columns(&[10, 10, 10]), 0);
 }

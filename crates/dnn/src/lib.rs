@@ -41,6 +41,7 @@ pub mod prune;
 pub mod quantize;
 pub mod sparse_forward;
 pub mod train;
+mod translate;
 pub mod verify;
 pub mod zoo;
 

@@ -22,9 +22,9 @@
 //!
 //!   1. **The weight compaction.** [`ForwardCache::build`] encodes every
 //!      conv layer's pruned weights filter-major into a [`SparseConv`] (the
-//!      operand of the output-stationary kernel [`conv2d_csc`], placed for
-//!      the layer's input shape) and every linear layer's rows into nonzero
-//!      `(index, value)` lists.
+//!      operand of the column-stationary kernel [`conv2d_csc_cols`], placed
+//!      for the layer's input shape) and every linear layer's rows into
+//!      nonzero `(index, value)` lists.
 //!   2. **The zero-input baseline.** A stripe differs from the all-zero
 //!      image in one column, and every op in the graph is column-local, so
 //!      each layer's activation differs from its zero-input baseline only
@@ -35,6 +35,11 @@
 //!      per baseline output map, its nonzero count column by column, so
 //!      [`SpanTrace::out_nnz`] counts a whole output in O(span). The
 //!      `sparse_fwd.*` counters fire on this path only.
+//!   3. **Recent walks.** The prober sends each stripe at many column
+//!      shifts. The cache keeps the last few walks handed back by
+//!      [`SpanTrace::remember`], and a conv column that translates a
+//!      column one of them computed is copied instead of computed (see
+//!      the `translate` module).
 //!
 //! Depthwise convs and the vector head (global average pool, flatten,
 //! linear) take their input whole: the walk materialises it, which is
@@ -58,13 +63,14 @@ use std::borrow::Cow;
 
 use hd_tensor::colspan::{ColSpan, SpanDelta};
 use hd_tensor::conv::{conv2d, same_pad, BackendPolicy, Conv2dCfg, Padding};
-use hd_tensor::csc_conv::{conv2d_csc, SparseConv};
+use hd_tensor::csc_conv::{conv2d_csc_cols, SparseConv};
 use hd_tensor::dwconv::dwconv2d;
 use hd_tensor::norm::Affine;
 use hd_tensor::pool::{global_avg_pool, pool2d};
 use hd_tensor::Tensor3;
 
 use crate::graph::{ForwardTrace, Network, NodeId, NodeTrace, Op, Params, Value};
+use crate::translate::{column_classes, Edge, InputKey, MemoNode, Reuse, WalkMemo, Window};
 
 /// Nonzero `(input index, weight)` list of one linear-layer row.
 type SparseRow = Vec<(u32, f32)>;
@@ -83,6 +89,11 @@ pub struct ForwardCache {
     /// nonzeros ([`hd_tensor::is_nonzero`]) in columns `0..x`, for every
     /// `x` up to the width. Empty for vectors.
     col_nnz: Vec<Vec<usize>>,
+    /// Per node whose baseline output is a map: its column classes (see
+    /// the `translate` module). Empty for vectors.
+    classes: Vec<Vec<u32>>,
+    /// Recent walks handed back by [`SpanTrace::remember`].
+    memo: WalkMemo,
 }
 
 impl ForwardCache {
@@ -121,21 +132,38 @@ impl ForwardCache {
         let shape = net.input_shape();
         let zeros = Tensor3::zeros(shape.c, shape.h, shape.w);
         let baseline = net.forward(params, &zeros);
-        let col_nnz = baseline
-            .traces
-            .iter()
-            .map(|t| match &t.out {
-                Value::Map(m) => col_nnz_prefix(m),
-                Value::Vector(_) => Vec::new(),
-            })
-            .collect();
+        let col_nnz = per_map(&baseline, col_nnz_prefix);
+        let classes = per_map(&baseline, column_classes);
         ForwardCache {
             convs,
             linear_rows,
             baseline,
             col_nnz,
+            classes,
+            memo: WalkMemo::default(),
         }
     }
+}
+
+/// The raw (pre-epilogue) stage of a node's trace: what a conv or add
+/// computes before batch norm and ReLU.
+fn raw_stage(t: &NodeTrace) -> &Tensor3 {
+    t.pre_bn
+        .as_ref()
+        .or(t.pre_relu.as_ref().map(Value::map))
+        .unwrap_or(t.out.map())
+}
+
+/// `f` of every map-valued node output of `trace`; empty for vectors.
+fn per_map<T>(trace: &ForwardTrace, f: fn(&Tensor3) -> Vec<T>) -> Vec<Vec<T>> {
+    trace
+        .traces
+        .iter()
+        .map(|t| match &t.out {
+            Value::Map(m) => f(m),
+            Value::Vector(_) => Vec::new(),
+        })
+        .collect()
 }
 
 /// Running nonzero counts of `m`'s columns: entry `x` counts columns
@@ -227,9 +255,40 @@ pub struct SpanTrace<'a> {
     /// The cache whose baseline the deltas are read over (none at full
     /// width, where every delta is its whole map).
     cache: Option<&'a ForwardCache>,
+    /// The input's key, when the walk can be remembered in the cache's
+    /// memo (a cached walk of a nonzero image).
+    key: Option<InputKey>,
 }
 
 impl<'a> SpanTrace<'a> {
+    /// Hands the trace to its cache's memo, so later cached walks can
+    /// copy the conv columns it computed (see the `translate` module). Only
+    /// what reuse reads is kept: every map node's span and every conv
+    /// node's raw output, moved. A no-op for a full-width trace.
+    pub fn remember(self) {
+        let (Some(cache), Some(key)) = (self.cache, self.key) else {
+            return;
+        };
+        let nodes = self
+            .nodes
+            .into_iter()
+            .enumerate()
+            .map(|(id, node)| {
+                let SpanValue::Map(out) = node.out else {
+                    return MemoNode::default();
+                };
+                let span = Some(out.span());
+                let raw = match (node.pre_bn, node.pre_relu) {
+                    _ if cache.convs[id].is_none() => None,
+                    (Some(raw), _) | (None, Some(SpanValue::Map(raw))) => Some(raw),
+                    _ => Some(out),
+                };
+                MemoNode { span, raw }
+            })
+            .collect();
+        cache.memo.insert(key, nodes);
+    }
+
     /// The baseline stages node `id`'s deltas are read over: `None` when
     /// the trace was computed at full width.
     pub fn baseline(&self, id: NodeId) -> Option<&'a NodeTrace> {
@@ -301,7 +360,11 @@ impl From<ForwardTrace> for SpanTrace<'static> {
                 pre_relu: t.pre_relu.map(SpanValue::from),
             })
             .collect();
-        SpanTrace { nodes, cache: None }
+        SpanTrace {
+            nodes,
+            cache: None,
+            key: None,
+        }
     }
 }
 
@@ -361,7 +424,8 @@ fn plain(out: SpanValue) -> SpanNode {
 /// Runs `net` on `input`: the one f32 inference loop. With no cache every
 /// node is computed at full width (convs dispatch through [`conv2d`]);
 /// through `cache`, only the columns that can differ from its zero-input
-/// baseline.
+/// baseline, and of those only the conv columns no translate in the
+/// cache's memo holds (see the `translate` module).
 ///
 /// # Panics
 ///
@@ -389,6 +453,10 @@ pub(crate) fn walk<'a>(
         );
     }
     let mut nodes: Vec<SpanNode> = Vec::with_capacity(net.len());
+    // The input's key and its translation reuse against the memo (no
+    // sources until the input finds some).
+    let mut key = None;
+    let mut reuse = Reuse::new(Vec::new());
     for (id, node) in net.nodes().iter().enumerate() {
         // Input `i` as a delta, with the baseline map it is read over.
         let map_in = |i: usize| {
@@ -396,9 +464,26 @@ pub(crate) fn walk<'a>(
             let base = cache.map(|c| c.baseline.traces[src].out.map());
             (nodes[src].out.map(), base)
         };
+        // Input `i` as an edge of the reuse marks.
+        let edge = |i: usize, cache: &'a ForwardCache| {
+            let src = node.inputs[i];
+            Edge {
+                node: src,
+                span: nodes[src].out.map().span(),
+                classes: &cache.classes[src],
+            }
+        };
         let trace = match &node.op {
             Op::Input => plain(SpanValue::Map(match cache {
-                Some(_) => SpanDelta::of_cols(input, ColSpan::of_tensor(input)),
+                Some(cache) => {
+                    let delta = SpanDelta::of_cols(input, ColSpan::of_tensor(input));
+                    key = InputKey::of(&delta);
+                    if let Some(key) = &key {
+                        reuse = Reuse::new(cache.memo.sources(key));
+                        reuse.mark_input(key);
+                    }
+                    delta
+                }
                 None => SpanDelta::full(input.clone()),
             })),
             Op::Conv(spec) => {
@@ -414,7 +499,16 @@ pub(crate) fn walk<'a>(
                             reason = "cache is built for every conv node up front"
                         )]
                         let conv = cache.convs[id].as_ref().expect("conv weights cached");
-                        conv2d_csc(x, x_base, conv, bias)
+                        let out_span = conv.out_span(x.span());
+                        let window = Window {
+                            taps: conv.kernel_w(),
+                            stride: conv.stride(),
+                            pad: conv.pad_x(),
+                        };
+                        reuse.mark(&[edge(0, cache)], window, Some((out_span, conv.out_w())));
+                        reused_conv(&mut reuse, id, cache, out_span, |cols| {
+                            conv2d_csc_cols(x, x_base, conv, bias, cols)
+                        })
                     }
                 };
                 epilogue(raw, lp.bn.as_ref(), spec.relu)
@@ -506,6 +600,39 @@ pub(crate) fn walk<'a>(
                 }
             }
         };
+        if let Some(cache) = cache {
+            let out = match &trace.out {
+                SpanValue::Map(d) => Some((d.span(), d.shape().w)),
+                SpanValue::Vector(_) => None,
+            };
+            match &node.op {
+                // Marked before the input was keyed, or before computing.
+                Op::Input | Op::Conv(_) => {}
+                Op::DwConv { kernel, stride, .. } => {
+                    let in_w = edge(0, cache).classes.len();
+                    let window = Window {
+                        taps: *kernel,
+                        stride: *stride,
+                        pad: same_pad(in_w, *kernel, *stride),
+                    };
+                    reuse.mark(&[edge(0, cache)], window, out);
+                }
+                Op::Pool { factor, .. } => {
+                    let window = Window {
+                        taps: *factor,
+                        stride: *factor,
+                        pad: 0,
+                    };
+                    reuse.mark(&[edge(0, cache)], window, out);
+                }
+                Op::Add { .. } => {
+                    reuse.mark(&[edge(0, cache), edge(1, cache)], Window::IDENTITY, out);
+                }
+                Op::GlobalAvgPool | Op::Flatten | Op::Linear { .. } => {
+                    reuse.mark(&[], Window::IDENTITY, None);
+                }
+            }
+        }
         // Telemetry: how much work the cached walk's spans saved on this
         // node. Input nodes are excluded (nothing is recomputed there).
         if cache.is_some() && hd_obs::enabled() && !matches!(node.op, Op::Input) {
@@ -519,13 +646,42 @@ pub(crate) fn walk<'a>(
         }
         nodes.push(trace);
     }
-    SpanTrace { nodes, cache }
+    if hd_obs::enabled() && reuse.cols_reused > 0 {
+        hd_obs::counter_add("sparse_fwd.cols_reused", "", reuse.cols_reused);
+    }
+    SpanTrace { nodes, cache, key }
+}
+
+/// Conv node `id`'s raw output over `out_span` under translation reuse:
+/// the columns a source marked are copied from it, and `compute` runs the
+/// kernel over the rest (the whole span when `r` has no source).
+fn reused_conv(
+    r: &mut Reuse,
+    id: NodeId,
+    cache: &ForwardCache,
+    out_span: ColSpan,
+    compute: impl FnOnce(&[usize]) -> SpanDelta,
+) -> SpanDelta {
+    let plan = r.plan(id, out_span.width());
+    let cols: Vec<usize> = out_span
+        .range()
+        .zip(&plan)
+        .filter(|(_, src)| src.is_none())
+        .map(|(q, _)| q)
+        .collect();
+    let mut raw = compute(&cols);
+    let base = raw_stage(&cache.baseline.traces[id]);
+    r.copy_columns(id, &plan, out_span, base, raw.cols_mut());
+    raw
 }
 
 impl Network {
     /// Runs the network through `cache`, recomputing only the columns that
     /// can differ from the cached zero-input baseline, and returns every
-    /// stage as a span delta over the baseline's.
+    /// stage as a span delta over the baseline's. Conv columns that
+    /// translate columns of a walk handed back by [`SpanTrace::remember`]
+    /// are copied from it (see the `translate` module); the result is the
+    /// same whatever the cache's memo holds.
     ///
     /// [`SpanTrace::into_forward_trace`] materialises the result into
     /// exactly [`Network::forward_cached`]'s trace.

@@ -15,6 +15,13 @@
 //! sees stripe probes at the left edge, an interior column and the right
 //! edge, a two-column stripe, a dense image, the all-zero image and a
 //! stripe beside columns of `-0.0`.
+//!
+//! A second property walks stripe families (fixed amplitudes, some `+0.0`
+//! or `-0.0`, moved left to right, right to left, or in random order with
+//! repeats) through one cache and hands every walk back to its memo with
+//! `SpanTrace::remember`, so later shifts copy conv columns that earlier
+//! ones computed. Every walk must still be bit-identical to the
+//! full-width walk.
 
 use hd_dnn::graph::{ConvSpec, ForwardTrace, Network, NetworkBuilder, NodeId, Params, Value};
 use hd_dnn::prune::{apply_sparsity_profile, SparsityProfile};
@@ -134,6 +141,21 @@ fn check(net: &Network, params: &Params, images: &[Tensor3]) {
         assert_bit_identical(&full_width, &got, &format!("image {i} vs full width"));
         let spans = net.forward_spans(params, img, &cache);
         assert_spans_read_back(&full_width, &spans, &format!("image {i} span deltas"));
+    }
+}
+
+/// Runs `images` in order through one cache, handing every walk back to
+/// the cache's memo, and asserts each is bit-identical to the full-width
+/// walk, both materialised and read back span by span.
+fn check_remembered(net: &Network, params: &Params, images: &[Tensor3]) {
+    let cache = ForwardCache::build(net, params, BackendPolicy::default());
+    for (i, img) in images.iter().enumerate() {
+        let full_width = net.forward(params, img);
+        let got = net.forward_cached(params, img, &cache);
+        assert_bit_identical(&full_width, &got, &format!("shift {i} vs full width"));
+        let spans = net.forward_spans(params, img, &cache);
+        assert_spans_read_back(&full_width, &spans, &format!("shift {i} span deltas"));
+        spans.remember();
     }
 }
 
@@ -270,6 +292,29 @@ fn probe_images(shape: Shape3, rng: &mut StdRng) -> Vec<Tensor3> {
     images
 }
 
+/// A stripe family: `width` adjacent columns of fixed amplitudes (about
+/// one in ten `+0.0` or `-0.0`), moved to each first column of `cols` in
+/// turn.
+fn family(shape: Shape3, width: usize, cols: &[usize], rng: &mut StdRng) -> Vec<Tensor3> {
+    let amplitudes: Vec<f32> = (0..shape.c * shape.h * width)
+        .map(|_| match rng.gen_range(0..20) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0..1.0),
+        })
+        .collect();
+    cols.iter()
+        .map(|&col| {
+            let mut img = Tensor3::zeros(shape.c, shape.h, shape.w);
+            for (i, &a) in amplitudes.iter().enumerate() {
+                let (ch, y, dx) = (i / (shape.h * width), i / width % shape.h, i % width);
+                img.set(ch, y, col + dx, a);
+            }
+            img
+        })
+        .collect()
+}
+
 /// The smallest graph that showed the `-0.0` break: a max pool straight
 /// off the input keeps the sign of a `-0.0` column outside the stripe.
 #[test]
@@ -301,5 +346,31 @@ proptest! {
         let params = pruned_params(&net, &mut rng);
         let images = probe_images(net.input_shape(), &mut rng);
         check(&net, &params, &images);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn remembered_walks_stay_bit_identical(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_net(&mut rng);
+        let params = pruned_params(&net, &mut rng);
+        let shape = net.input_shape();
+        let width = rng.gen_range(1..3);
+        let mut cols: Vec<usize> = (0..=shape.w - width).collect();
+        match rng.gen_range(0..3) {
+            0 => {}
+            1 => cols.reverse(),
+            _ => {
+                for i in (1..cols.len()).rev() {
+                    cols.swap(i, rng.gen_range(0..=i));
+                }
+                let repeats: Vec<usize> = cols.iter().step_by(3).copied().collect();
+                cols.extend(repeats);
+            }
+        }
+        check_remembered(&net, &params, &family(shape, width, &cols, &mut rng));
     }
 }

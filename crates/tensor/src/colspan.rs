@@ -234,6 +234,11 @@ impl SpanDelta {
         &self.cols
     }
 
+    /// The span's columns, mutably.
+    pub fn cols_mut(&mut self) -> &mut Tensor3 {
+        &mut self.cols
+    }
+
     /// Value at `(c, y, x)` of the map over `base`.
     pub fn at(&self, base: Option<&Tensor3>, c: usize, y: usize, x: usize) -> f32 {
         if self.span.contains(x) {

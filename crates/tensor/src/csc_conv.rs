@@ -1,4 +1,4 @@
-//! Output-stationary sparse convolution over filter-major compacted weights.
+//! Column-stationary sparse convolution over filter-major compacted weights.
 //!
 //! The paper's victim accelerators (Eyeriss v2, SCNN) keep both operands in
 //! compressed-sparse form and multiply only nonzero pairs; this module is the
@@ -7,22 +7,26 @@
 //! `k` the list of `(tap, value)` entries that survive pruning, in ascending
 //! `(c, r, s)` order — and the kernel keeps a register block of output
 //! elements in place while it walks one filter's nonzeros, streaming the
-//! activations past the accumulators (an output-stationary dataflow).
+//! activations past the accumulators (an output-stationary dataflow). The
+//! block is a few whole output columns, so a call that computes only some
+//! of a span's columns costs only those columns.
 //!
 //! Each call of [`conv2d_csc`] takes its input as a [`SpanDelta`] over a
-//! baseline map and returns only the output span's columns:
+//! baseline map and returns only the output span's columns;
+//! [`conv2d_csc_cols`] computes only chosen ones of them. It
 //!
-//! 1. copies the input columns the output span reads (the delta's inside
-//!    its span, the baseline's outside it) into a zero-padded tile, laid
-//!    out by column phase (`x mod stride`) so every stride reads each
-//!    tap's lanes from one contiguous run; at stride 1 each tile row is
-//!    one run of row copies;
+//! 1. copies the input columns the chosen columns' windows read (the
+//!    delta's inside its span, the baseline's outside it) into a
+//!    zero-padded column-major tile: per channel, tile column `u` holds
+//!    input column `x0 + u`, its padded rows dealt out by row phase
+//!    (`y mod stride`) so every stride reads each tap's rows from one
+//!    contiguous run;
 //! 2. takes each nonzero's tile offset from the [`SparseConv`] the layer
-//!    was placed into once for its input shape (the tile layout does not
-//!    depend on the span);
-//! 3. for each filter, runs [`simd::sparse_conv_blocks`] over every block
-//!    of [`CONV_ROWS`] output rows and [`LANES`]-wide chunk of the span,
-//!    from the bias, and stores the lanes inside the span.
+//!    was placed into once for its input shape (the tile layout within a
+//!    column does not depend on the span);
+//! 3. for each filter, runs [`simd::sparse_conv_columns`] over the chosen
+//!    output columns, every output row of a column in [`LANES`]-row
+//!    vectors, from the bias, and stores the rows inside the map.
 //!
 //! # Bit-identity contract
 //!
@@ -33,11 +37,11 @@
 //! (including the zeros that stand for padding) are skipped lanewise by the
 //! mask, exactly as the reference skips them, so both perform the same f32
 //! additions in the same order. (Where dropping the mask provably changes
-//! no bit, the register blocks drop it: see [`simd::sparse_conv_blocks`].)
+//! no bit, the register blocks drop it: see [`simd::sparse_conv_columns`].)
 
 use crate::colspan::{ColSpan, SpanDelta};
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
-use crate::simd::{self, CONV_ROWS, LANES};
+use crate::simd::{self, LANES};
 use crate::{Shape3, Tensor3, Tensor4};
 
 /// Filter-major compaction of a pruned weight tensor.
@@ -129,13 +133,14 @@ impl SparseFilters {
 }
 
 /// A sparse conv layer placed for one input shape: its filter-major
-/// compaction with every nonzero keyed by its offset in the input tile
-/// [`conv2d_csc`] builds at that shape, instead of by its tap index.
+/// compaction with every nonzero keyed by its offset in the column-major
+/// input tile [`conv2d_csc`] builds at that shape, instead of by its tap
+/// index.
 ///
-/// Every call at the shape uses one tile layout, whatever its span: rows
-/// are laid out for the full output width, and a narrower span fills and
-/// runs only its own columns of them. So the tap-to-offset map runs once,
-/// here, and never per call.
+/// Every call at the shape uses one tile column layout, whatever its span:
+/// a tile column holds every output row's reach, and a call lays out only
+/// the columns its output columns read. So the tap-to-offset map runs
+/// once, here, and never per call.
 #[derive(Clone, Debug)]
 pub struct SparseConv {
     /// The compaction, its `taps` holding tile offsets.
@@ -146,11 +151,13 @@ pub struct SparseConv {
     out_w: usize,
     pad_y: usize,
     pad_x: usize,
-    /// Columns of one tile row phase (lanes for the full output width,
-    /// plus the kernel's reach past the last one).
-    u_len: usize,
-    /// Tile rows per channel.
-    t_len: usize,
+    /// Row vectors per output column: `out_h` rounded up to whole lanes.
+    row_vecs: usize,
+    /// Rows of one row phase of one tile column (the row vectors plus the
+    /// kernel's reach past the last one).
+    v_len: usize,
+    /// Tile columns per channel: the widest span's reach.
+    tile_w: usize,
 }
 
 impl SparseConv {
@@ -160,7 +167,7 @@ impl SparseConv {
     /// # Panics
     ///
     /// Panics if `weight` does not take `in_shape.c` input channels, if
-    /// `cfg.stride == 0`, or if the tile would exceed `u32` offsets.
+    /// `cfg.stride == 0`, or if a tile's offsets would exceed `u32`.
     pub fn new(weight: &Tensor4, in_shape: Shape3, cfg: &Conv2dCfg) -> Self {
         let mut filters = SparseFilters::build(weight);
         assert!(cfg.stride > 0, "stride must be positive");
@@ -176,26 +183,30 @@ impl SparseConv {
             Padding::Same => (same_pad(in_shape.h, kr, st), same_pad(in_shape.w, ks, st)),
             Padding::Valid => (0, 0),
         };
-        // Tile geometry. Output row p, lane j (column q_lo + j) and tap
-        // (c, r, s) read input row p*st + r - pad_y and column
-        // x0 + (j + s/st)*st + s%st, where x0 = q_lo*st - pad_x. The tile
-        // holds, per channel, `t_len` input rows (row t is input row
-        // t - pad_y); each row holds `st` phases of `u_len` columns (phase
-        // f, column u is input column x0 + u*st + f). Rows and lanes are
-        // padded up to whole register blocks.
-        let u_len = out_w.div_ceil(LANES) * LANES + (ks - 1) / st;
-        let t_len = (out_h.div_ceil(CONV_ROWS) * CONV_ROWS).saturating_sub(1) * st + kr;
-        let (row_len, chan_len) = (st * u_len, t_len * st * u_len);
+        // Tile geometry. Output row p, column q_lo + j and tap (c, r, s)
+        // read input row p*st + r - pad_y and column x0 + j*st + s, where
+        // x0 = q_lo*st - pad_x. Per channel, tile column u holds input
+        // column x0 + u as `st` row phases of `v_len` rows (phase g, row v
+        // is input row v*st + g - pad_y), so that read is phase r % st,
+        // row p + r / st. Rows are padded up to whole row vectors, and a
+        // channel holds the columns of the widest (full-width) span.
+        let row_vecs = out_h.div_ceil(LANES);
+        let v_len = row_vecs * LANES + (kr - 1) / st;
+        let col_len = st * v_len;
+        let tile_w = (out_w.max(1) - 1) * st + ks;
+        let chan_len = tile_w * col_len;
         assert!(
-            in_shape.c * chan_len <= u32::MAX as usize,
+            chan_len
+                .checked_mul(in_shape.c)
+                .is_some_and(|len| len <= u32::MAX as usize),
             "input tile exceeds u32 offsets"
         );
         let mut tap_offset = Vec::with_capacity(in_shape.c * kr * ks);
         for c in 0..in_shape.c {
             for r in 0..kr {
                 for s in 0..ks {
-                    tap_offset
-                        .push((c * chan_len + r * row_len + (s % st) * u_len + s / st) as u32);
+                    let at = c * chan_len + s * col_len + (r % st) * v_len + r / st;
+                    tap_offset.push(at as u32);
                 }
             }
         }
@@ -210,19 +221,46 @@ impl SparseConv {
             out_w,
             pad_y,
             pad_x,
-            u_len,
-            t_len,
+            row_vecs,
+            v_len,
+            tile_w,
         }
     }
 
-    /// Floats in one tile row: `stride` phases.
-    fn row_len(&self) -> usize {
-        self.stride * self.u_len
+    /// Floats in one tile column of one channel: its row phases.
+    fn col_len(&self) -> usize {
+        self.stride * self.v_len
     }
 
     /// Floats in one channel of the tile.
     fn chan_len(&self) -> usize {
-        self.t_len * self.row_len()
+        self.tile_w * self.col_len()
+    }
+
+    /// Kernel columns.
+    pub fn kernel_w(&self) -> usize {
+        self.filters.s
+    }
+
+    /// Horizontal (and vertical) stride.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Zero columns padded on the left of the input.
+    pub fn pad_x(&self) -> usize {
+        self.pad_x
+    }
+
+    /// Output map width.
+    pub fn out_w(&self) -> usize {
+        self.out_w
+    }
+
+    /// The output columns whose windows touch `in_span`: the span
+    /// [`conv2d_csc`] returns for an input over it.
+    pub fn out_span(&self, in_span: ColSpan) -> ColSpan {
+        in_span.conv(self.filters.s, self.stride, self.pad_x, self.out_w)
     }
 }
 
@@ -248,6 +286,26 @@ pub fn conv2d_csc(
     conv: &SparseConv,
     bias: Option<&[f32]>,
 ) -> SpanDelta {
+    let cols: Vec<usize> = conv.out_span(input.span()).range().collect();
+    conv2d_csc_cols(input, base, conv, bias, &cols)
+}
+
+/// [`conv2d_csc`], computing only the output columns `cols`: the returned
+/// delta has [`conv2d_csc`]'s span, and its columns not in `cols` are
+/// zero, for the caller to fill. Only the input columns their windows
+/// read are laid out, and the register blocks take the columns as
+/// listed, adjacent or not.
+///
+/// # Panics
+///
+/// As [`conv2d_csc`]; also if a column lies outside the output span.
+pub fn conv2d_csc_cols(
+    input: &SpanDelta,
+    base: Option<&Tensor3>,
+    conv: &SparseConv,
+    bias: Option<&[f32]>,
+    cols: &[usize],
+) -> SpanDelta {
     let in_shape = input.shape();
     assert_eq!(
         in_shape, conv.in_shape,
@@ -264,77 +322,77 @@ pub fn conv2d_csc(
             "bias length must equal output channels"
         );
     }
-
-    let (ks, st) = (weights.s(), conv.stride);
-    let (in_h, in_w) = (in_shape.h, in_shape.w);
-    let (out_h, out_w) = (conv.out_h, conv.out_w);
-    let out_span = input.span().conv(ks, st, conv.pad_x, out_w);
+    let out_span = conv.out_span(input.span());
     let (q_lo, span_w) = (out_span.lo(), out_span.width());
+    assert!(
+        cols.iter().all(|&q| out_span.contains(q)),
+        "a column leaves the output span {out_span:?}"
+    );
+    let out_h = conv.out_h;
     let mut out = Tensor3::zeros(weights.k(), out_h, span_w);
-    if out_h == 0 || out_span.is_empty() {
-        return SpanDelta::new(out_span, out_w, out);
+    if out_h == 0 || cols.is_empty() {
+        return SpanDelta::new(out_span, conv.out_w, out);
     }
 
-    // The tile (see `SparseConv::new` for its layout) starts at input
-    // column x0 = q_lo*st - pad_x. Of each row phase, the span's lanes
-    // read the first `u_span` columns: input columns `x0..x0 + st*u_span`,
-    // clamped to the map. Stride 1 copies them straight into the tile
-    // row; a larger stride gathers them once and deals them out by phase.
-    // Everything else stays zero.
-    let (u_len, row_len, chan_len) = (conv.u_len, conv.row_len(), conv.chan_len());
-    let mut tile = vec![0.0f32; in_shape.c * chan_len];
-    let u_span = span_w.div_ceil(LANES) * LANES + (ks - 1) / st;
+    // The tile's columns start at input column x0 = q_lo*st - pad_x, and
+    // output column q reads tile columns (q - q_lo)*st + s. Only the
+    // columns some listed output column reads are filled; columns outside
+    // the map are padding and stay zero.
+    let (ks, st, col_len) = (weights.s(), conv.stride, conv.col_len());
+    let (in_h, in_w, v_len) = (in_shape.h, in_shape.w, conv.v_len);
     let x0 = (q_lo * st) as isize - conv.pad_x as isize;
-    let xa = x0.max(0) as usize;
-    let xb = ((x0 + (st * u_span) as isize).min(in_w as isize).max(0) as usize).max(xa);
-    let skip = (xa as isize - x0) as usize;
-    let mut gathered = vec![0.0f32; xb - xa];
-    for (c, chan) in tile.chunks_exact_mut(chan_len).enumerate() {
-        for (t, row) in chan.chunks_exact_mut(row_len).enumerate() {
-            let Some(iy) = t.checked_sub(conv.pad_y).filter(|&iy| iy < in_h) else {
+    let mut read = vec![false; conv.tile_w];
+    for &q in cols {
+        let u = (q - q_lo) * st;
+        read[u..u + ks].fill(true);
+    }
+    // Input rows a tile column holds: row y sits at tile row y + pad_y,
+    // and rows past the last output row's reach are never read.
+    let rows = in_h.min((st * v_len).saturating_sub(conv.pad_y));
+    let (span_lo, delta_w) = (input.span().lo(), input.span().width());
+    let mut tile = vec![0.0f32; in_shape.c * conv.chan_len()];
+    for (c, chan) in tile.chunks_exact_mut(conv.chan_len()).enumerate() {
+        for (u, column) in chan.chunks_exact_mut(col_len).enumerate() {
+            let x = usize::try_from(x0 + u as isize).ok().filter(|&x| x < in_w);
+            let Some(x) = x.filter(|_| read[u]) else {
                 continue;
             };
-            if st == 1 {
-                input.read_row(base, c, iy, xa..xb, &mut row[skip..skip + (xb - xa)]);
+            let (src, src_w, at) = if input.span().contains(x) {
+                (input.cols().data(), delta_w, x - span_lo)
+            } else if let Some(b) = base {
+                (b.data(), in_w, x)
+            } else {
                 continue;
-            }
-            input.read_row(base, c, iy, xa..xb, &mut gathered);
-            for (phase, dst) in row.chunks_exact_mut(u_len).enumerate() {
-                for (u, d) in dst[..u_span].iter_mut().enumerate() {
-                    let x = x0 + (u * st + phase) as isize;
-                    if (xa as isize..xb as isize).contains(&x) {
-                        *d = gathered[x as usize - xa];
-                    }
-                }
+            };
+            for y in 0..rows {
+                let t = y + conv.pad_y;
+                column[(t % st) * v_len + t / st] = src[(c * in_h + y) * src_w + at];
             }
         }
     }
 
-    let row_step = st * row_len;
     let plane = out_h * span_w;
-    let (row_blocks, lane_blocks) = (out_h.div_ceil(CONV_ROWS), span_w.div_ceil(LANES));
+    let js: Vec<usize> = cols.iter().map(|&q| q - q_lo).collect();
     for (k, out_k) in out.data_mut().chunks_exact_mut(plane).enumerate() {
         let nz = weights.filter(k);
-        simd::sparse_conv_blocks(
+        simd::sparse_conv_columns(
             &tile,
-            row_blocks,
-            lane_blocks,
-            row_step,
+            &js,
+            st * col_len,
+            conv.row_vecs,
             &weights.taps[nz.clone()],
             &weights.values[nz],
             bias.map_or(0.0, |b| b[k]),
             weights.finite,
-            |pb, jb, block| {
-                let (p0, j0) = (pb * CONV_ROWS, jb * LANES);
-                let n = LANES.min(span_w - j0);
-                for (p, lanes) in (p0..out_h).zip(block) {
-                    let at = p * span_w + j0;
-                    out_k[at..at + n].copy_from_slice(&lanes[..n]);
+            |j, v0, vecs| {
+                let rows = vecs.iter().flatten();
+                for (p, &v) in (v0 * LANES..out_h).zip(rows) {
+                    out_k[p * span_w + j] = v;
                 }
             },
         );
     }
-    SpanDelta::new(out_span, out_w, out)
+    SpanDelta::new(out_span, conv.out_w, out)
 }
 
 /// [`conv2d_csc`] over a whole map, with the weight compaction, placement

@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels for the convolution and pooling hot
 //! loops.
 //!
-//! The f32 conv kernels (blocked GEMM, output-stationary sparse conv),
+//! The f32 conv kernels (blocked GEMM, column-stationary sparse conv),
 //! the INT8 quantized path and the span pool ([`crate::pool::pool2d`])
 //! all bottom out in a handful of small kernels defined here. Each kernel
 //! has a portable scalar fallback ([`scalar`]), the conv kernels written
@@ -12,12 +12,12 @@
 //! | kernel | x86_64 ([`x86`]) | aarch64 (`neon`) |
 //! |---|---|---|
 //! | [`gemm_micro`] | AVX2 | NEON |
-//! | [`sparse_conv_block`] | AVX2 | scalar body |
+//! | [`sparse_conv_columns`] | AVX2 | scalar body |
 //! | [`qaxpy`] | AVX2 | NEON |
 //! | [`pool_max_fold`] | AVX2 | scalar body |
 //! | [`pool_sum_fold`] | scalar body | scalar body |
 //!
-//! `sparse_conv_block` and `pool_max_fold` have no NEON body yet: no
+//! `sparse_conv_columns` and `pool_max_fold` have no NEON body yet: no
 //! aarch64 toolchain is available to compile and test one, so aarch64
 //! runs their scalar bodies in both dispatch modes. `pool_sum_fold` has
 //! one body on every host: a vector add may keep another NaN payload
@@ -27,8 +27,8 @@
 //! # Bit-identity contract
 //!
 //! The vector kernels vectorize **across output elements only** (the NR
-//! register columns of a GEMM tile, or a contiguous run of output-x
-//! positions) and use separate multiply + add — never FMA. Each output
+//! register columns of a GEMM tile, or a contiguous run of output rows of
+//! one output column) and use separate multiply + add — never FMA. Each output
 //! element therefore receives exactly the same f32 additions in exactly
 //! the same order on both paths, and the golden traces recorded before
 //! this module existed still pass byte-identically. Zero-skipping is
@@ -37,7 +37,7 @@
 //! flip a `-0.0` accumulator to `+0.0`).
 //!
 //! One exception: NaN bits. On a tile holding NaN or ±infinity, the AVX2
-//! and scalar [`sparse_conv_block`] can return NaNs that differ in sign or
+//! and scalar [`sparse_conv_columns`] can return NaNs that differ in sign or
 //! payload bits (the compiler may swap the operands of a scalar add, and
 //! which operand's NaN survives differs between the two paths). Whether a
 //! lane is NaN never differs, and [`crate::is_nonzero`] counts every NaN as
@@ -82,9 +82,12 @@ pub const MR: usize = 4;
 pub const NR: usize = 16;
 /// f32 lanes of one vector register (one AVX2 `__m256`).
 pub const LANES: usize = 8;
-/// Output rows of one [`sparse_conv_block`] register block: each weight
-/// broadcast feeds this many row accumulators.
-pub const CONV_ROWS: usize = 4;
+/// Accumulators of one [`sparse_conv_columns`] register block: each
+/// weight broadcast feeds up to this many vector lanes of output.
+pub const CONV_ACCS: usize = 8;
+/// Row vectors (of [`LANES`] output rows) of one [`sparse_conv_columns`]
+/// register block; a block takes `CONV_ACCS / row vectors` columns.
+pub const CONV_VECS: usize = 4;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -220,53 +223,43 @@ pub fn gemm_micro(
     scalar::gemm_micro(kcb, a_strip, b_strip, c, ldc, mrb, nrb);
 }
 
-/// Masked multiply-accumulate over one register block of an
-/// output-stationary sparse convolution ([`crate::csc_conv`]).
+/// The sparse-conv body [`sparse_conv_columns`] runs, chosen once per call.
+#[derive(Clone, Copy)]
+enum ConvBody {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2 {
+        masked: bool,
+    },
+}
+
+/// One filter's operands of [`sparse_conv_columns`].
+struct ConvTaps<'a> {
+    tile: &'a [f32],
+    offs: &'a [u32],
+    vals: &'a [f32],
+    init: f32,
+}
+
+/// Column-stationary sparse convolution of one filter over a column-major
+/// tile ([`crate::csc_conv`]).
 ///
-/// Computes `CONV_ROWS` rows of [`LANES`] adjacent output elements of one
-/// filter. Row `i`, lane `j` starts at `init` (the filter's bias) and, for
-/// each nonzero `(offs[n], vals[n])` in order, receives `vals[n] * x`
-/// where `x = tile[origin + offs[n] + i * row_step + j]` — but only when
+/// Output column `j` (for `j` in `cols`), row vector `v` (`v < row_vecs`),
+/// lane `l` starts at `init` (the filter's bias) and, for each nonzero
+/// `(offs[n], vals[n])` in order, receives `vals[n] * x`, where
+/// `x = tile[offs[n] + j * col_step + v * LANES + l]` — but only when
 /// `x != 0.0` (compare + blend: a lane whose activation is zero keeps its
 /// accumulator bits, exactly the reference loop's zero-skipping). Tap
 /// order is the caller's, so an ascending `(c, r, s)` list reproduces
 /// `conv2d_reference`'s accumulation order per output element.
 ///
-/// # Panics
-///
-/// Panics if `offs` and `vals` differ in length or if the block's reach
-/// (`origin + max(offs) + (CONV_ROWS - 1) * row_step + LANES`, with
-/// `max(offs) = 0` when empty) exceeds `tile`.
-#[inline]
-pub fn sparse_conv_block(
-    tile: &[f32],
-    origin: usize,
-    row_step: usize,
-    offs: &[u32],
-    vals: &[f32],
-    init: f32,
-) -> [[f32; LANES]; CONV_ROWS] {
-    assert_eq!(offs.len(), vals.len(), "tap offset/value length mismatch");
-    check_reach(tile, Some(origin), row_step, offs);
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_VECTOR {
-        // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
-        // `check_reach` bounds every load the kernel issues.
-        return unsafe {
-            x86::sparse_conv_block_avx2::<true>(tile, origin, row_step, offs, vals, init)
-        };
-    }
-    scalar::sparse_conv_block(tile, origin, row_step, offs, vals, init)
-}
-
-/// [`sparse_conv_block`] over a grid of register blocks of one filter:
-/// block `(pb, jb)`, for `pb < row_blocks` and `jb < lane_blocks` in that
-/// order, has origin `pb * CONV_ROWS * row_step + jb * LANES` and is
-/// handed to `store(pb, jb, &block)`.
-///
-/// The reach check that guards the AVX2 body's raw loads runs once, for
-/// the last block (every other block reads below it), and the dispatch
-/// mode is read once.
+/// A register block holds [`CONV_ACCS`] row vectors: up to [`CONV_VECS`]
+/// of each of up to `CONV_ACCS / row vectors` columns, taken from `cols`
+/// in order whether or not they are adjacent. Each weight broadcast feeds
+/// every accumulator of a block, so the cost follows the columns asked
+/// for: computing the two edge columns of a span costs two columns'
+/// work. Each column's row vectors `v0..` of a block are handed to
+/// `store(j, v0, &vecs)`.
 ///
 /// `vals_finite` says every value is finite (the caller's compaction
 /// knows). Then, if `init` is not `-0.0`, no accumulator is ever `-0.0`:
@@ -275,76 +268,131 @@ pub fn sparse_conv_block(
 /// accumulator's bits as they are (NaN and infinities included), so the
 /// AVX2 body skips the compare and blend with the same result.
 ///
+/// The reach check that guards the AVX2 body's raw loads runs once, for
+/// the largest column's last row vector (every other load lies below it),
+/// and the dispatch mode is read once.
+///
 /// # Panics
 ///
-/// Panics if `offs` and `vals` differ in length or if the last block's
-/// reach (see [`sparse_conv_block`]) exceeds `tile`.
+/// Panics if `offs` and `vals` differ in length or if the last load
+/// (`max(cols) * col_step + (row_vecs - 1) * LANES + max(offs) + LANES`,
+/// with `max(offs) = 0` when empty) exceeds `tile`.
 #[expect(
     clippy::too_many_arguments,
-    reason = "a hot kernel entry: the block grid, tap list, init value and finiteness flag are plain arguments, not a struct built per call"
+    reason = "a hot kernel entry: the column list, tap list, init value and finiteness flag are plain arguments, not a struct built per call"
 )]
 #[inline]
-pub fn sparse_conv_blocks(
+pub fn sparse_conv_columns(
     tile: &[f32],
-    row_blocks: usize,
-    lane_blocks: usize,
-    row_step: usize,
+    cols: &[usize],
+    col_step: usize,
+    row_vecs: usize,
     offs: &[u32],
     vals: &[f32],
     init: f32,
     vals_finite: bool,
-    mut store: impl FnMut(usize, usize, &[[f32; LANES]; CONV_ROWS]),
+    mut store: impl FnMut(usize, usize, &[[f32; LANES]]),
 ) {
     assert_eq!(offs.len(), vals.len(), "tap offset/value length mismatch");
     debug_assert!(!vals_finite || vals.iter().all(|v| v.is_finite()));
-    if row_blocks == 0 || lane_blocks == 0 {
+    let Some(&last_col) = cols.iter().max() else {
+        return;
+    };
+    if row_vecs == 0 {
         return;
     }
-    let block_step = CONV_ROWS.checked_mul(row_step);
-    let last = block_step
-        .and_then(|step| step.checked_mul(row_blocks - 1))
-        .zip((lane_blocks - 1).checked_mul(LANES))
-        .and_then(|(rows, lanes)| rows.checked_add(lanes));
-    check_reach(tile, last, row_step, offs);
-    let block_step = block_step.unwrap_or(0);
-    let origins = (0..row_blocks)
-        .flat_map(|pb| (0..lane_blocks).map(move |jb| (pb, jb, pb * block_step + jb * LANES)));
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_VECTOR {
-        let masked = !vals_finite || init.to_bits() == (-0.0f32).to_bits();
-        for (pb, jb, origin) in origins {
-            // SAFETY: AVX2 presence verified before MODE_VECTOR was
-            // stored; `check_reach` bounds every load of the last block,
-            // and every other block's origin is below the last one's.
-            let block = unsafe {
-                if masked {
-                    x86::sparse_conv_block_avx2::<true>(tile, origin, row_step, offs, vals, init)
-                } else {
-                    x86::sparse_conv_block_avx2::<false>(tile, origin, row_step, offs, vals, init)
-                }
-            };
-            store(pb, jb, &block);
+    let last = last_col
+        .checked_mul(col_step)
+        .zip((row_vecs - 1).checked_mul(LANES))
+        .and_then(|(col, row)| col.checked_add(row));
+    check_reach(tile, last, offs);
+    let body = match mode() {
+        #[cfg(target_arch = "x86_64")]
+        MODE_VECTOR => ConvBody::Avx2 {
+            masked: !vals_finite || init.to_bits() == (-0.0f32).to_bits(),
+        },
+        _ => ConvBody::Scalar,
+    };
+    let taps = ConvTaps {
+        tile,
+        offs,
+        vals,
+        init,
+    };
+    let mut v0 = 0;
+    while v0 < row_vecs {
+        let nv = CONV_VECS.min(row_vecs - v0);
+        for block in cols.chunks(CONV_ACCS / nv) {
+            // Every origin is at most `last`, which did not overflow.
+            let origin = |c: usize| block[c] * col_step + v0 * LANES;
+            let at = (block, v0);
+            match (nv, block.len()) {
+                (1, 1) => conv_block::<1, 1>(body, &taps, at, origin, &mut store),
+                (1, 2) => conv_block::<2, 1>(body, &taps, at, origin, &mut store),
+                (1, 3) => conv_block::<3, 1>(body, &taps, at, origin, &mut store),
+                (1, 4) => conv_block::<4, 1>(body, &taps, at, origin, &mut store),
+                (1, 5) => conv_block::<5, 1>(body, &taps, at, origin, &mut store),
+                (1, 6) => conv_block::<6, 1>(body, &taps, at, origin, &mut store),
+                (1, 7) => conv_block::<7, 1>(body, &taps, at, origin, &mut store),
+                (1, _) => conv_block::<8, 1>(body, &taps, at, origin, &mut store),
+                (2, 1) => conv_block::<1, 2>(body, &taps, at, origin, &mut store),
+                (2, 2) => conv_block::<2, 2>(body, &taps, at, origin, &mut store),
+                (2, 3) => conv_block::<3, 2>(body, &taps, at, origin, &mut store),
+                (2, _) => conv_block::<4, 2>(body, &taps, at, origin, &mut store),
+                (3, 1) => conv_block::<1, 3>(body, &taps, at, origin, &mut store),
+                (3, _) => conv_block::<2, 3>(body, &taps, at, origin, &mut store),
+                (_, 1) => conv_block::<1, 4>(body, &taps, at, origin, &mut store),
+                (_, _) => conv_block::<2, 4>(body, &taps, at, origin, &mut store),
+            }
         }
-        return;
-    }
-    for (pb, jb, origin) in origins {
-        store(
-            pb,
-            jb,
-            &scalar::sparse_conv_block(tile, origin, row_step, offs, vals, init),
-        );
+        v0 += nv;
     }
 }
 
-/// Asserts that a register block at `origin` (`None`: the origin
-/// overflowed) reads inside `tile`.
-fn check_reach(tile: &[f32], origin: Option<usize>, row_step: usize, offs: &[u32]) {
+/// One `NC x NV` register block of [`sparse_conv_columns`]: columns
+/// `block` (`NC` of them), row vectors from `v0`, column `c` at tile
+/// origin `origin(c)`; stored column by column.
+#[inline(always)]
+fn conv_block<const NC: usize, const NV: usize>(
+    body: ConvBody,
+    taps: &ConvTaps,
+    (block, v0): (&[usize], usize),
+    origin: impl Fn(usize) -> usize,
+    store: &mut impl FnMut(usize, usize, &[[f32; LANES]]),
+) {
+    let ConvTaps {
+        tile,
+        offs,
+        vals,
+        init,
+    } = *taps;
+    let origins: [usize; NC] = std::array::from_fn(origin);
+    let out: [[[f32; LANES]; NV]; NC] = match body {
+        // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
+        // `sparse_conv_columns` checked the reach of its last load, and
+        // every load of this block lies at or below it.
+        #[cfg(target_arch = "x86_64")]
+        ConvBody::Avx2 { masked: true } => unsafe {
+            x86::sparse_conv_block_avx2::<true, NC, NV>(tile, origins, offs, vals, init)
+        },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        ConvBody::Avx2 { masked: false } => unsafe {
+            x86::sparse_conv_block_avx2::<false, NC, NV>(tile, origins, offs, vals, init)
+        },
+        ConvBody::Scalar => scalar::sparse_conv_block::<NC, NV>(tile, origins, offs, vals, init),
+    };
+    for (&j, vecs) in block.iter().zip(&out) {
+        store(j, v0, vecs);
+    }
+}
+
+/// Asserts that a load of `LANES` values at `origin` (`None`: the origin
+/// overflowed) plus every offset reads inside `tile`.
+fn check_reach(tile: &[f32], origin: Option<usize>, offs: &[u32]) {
     // Checked: the AVX2 body's raw loads rely on this bound.
     let reach = offs.iter().copied().max().unwrap_or(0) as usize;
-    let end = (CONV_ROWS - 1)
-        .checked_mul(row_step)
-        .zip(origin)
-        .and_then(|(rows, origin)| rows.checked_add(origin))
+    let end = origin
         .and_then(|at| at.checked_add(reach))
         .and_then(|at| at.checked_add(LANES));
     assert!(
@@ -595,82 +643,171 @@ mod tests {
         }
     }
 
-    /// The per-lane definition of [`sparse_conv_block`], written out.
-    fn conv_block_by_lane(
+    /// The per-lane definition of [`sparse_conv_columns`], written out:
+    /// `out[i][v * LANES + l]` for column `cols[i]`.
+    fn conv_columns_by_lane(
         tile: &[f32],
-        origin: usize,
-        row_step: usize,
+        cols: &[usize],
+        col_step: usize,
+        row_vecs: usize,
         offs: &[u32],
         vals: &[f32],
         init: f32,
-    ) -> [[f32; LANES]; CONV_ROWS] {
-        let mut out = [[init; LANES]; CONV_ROWS];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, acc) in row.iter_mut().enumerate() {
-                for (&o, &w) in offs.iter().zip(vals) {
-                    let x = tile[origin + o as usize + i * row_step + j];
-                    if x != 0.0 {
-                        *acc += w * x;
-                    }
+    ) -> Vec<Vec<f32>> {
+        cols.iter()
+            .map(|&j| {
+                (0..row_vecs * LANES)
+                    .map(|row| {
+                        let mut acc = init;
+                        for (&o, &w) in offs.iter().zip(vals) {
+                            let x = tile[o as usize + j * col_step + row];
+                            if x != 0.0 {
+                                acc += w * x;
+                            }
+                        }
+                        acc
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs [`sparse_conv_columns`] and gathers its stores as
+    /// `out[i][row]` for column `cols[i]` (distinct columns), checking each
+    /// column is stored once per row vector.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the kernel's own argument list"
+    )]
+    fn conv_columns(
+        tile: &[f32],
+        cols: &[usize],
+        col_step: usize,
+        row_vecs: usize,
+        offs: &[u32],
+        vals: &[f32],
+        init: f32,
+        finite: bool,
+    ) -> Vec<Vec<f32>> {
+        let mut out = vec![vec![f32::NAN; row_vecs * LANES]; cols.len()];
+        let mut stored = vec![0usize; cols.len()];
+        let index = |j: usize| cols.iter().position(|&c| c == j).unwrap();
+        sparse_conv_columns(
+            tile,
+            cols,
+            col_step,
+            row_vecs,
+            offs,
+            vals,
+            init,
+            finite,
+            |j, v0, vecs| {
+                let i = index(j);
+                stored[i] += vecs.len();
+                for (v, lanes) in vecs.iter().enumerate() {
+                    let at = (v0 + v) * LANES;
+                    out[i][at..at + LANES].copy_from_slice(lanes);
                 }
-            }
-        }
+            },
+        );
+        assert!(stored.iter().all(|&n| n == row_vecs), "stores {stored:?}");
         out
     }
 
+    fn column_bits(cols: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        cols.iter()
+            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
     #[test]
-    fn conv_block_paths_bit_identical_to_lane_definition() {
+    fn conv_columns_paths_bit_identical_to_lane_definition() {
         let mut rng = StdRng::seed_from_u64(13);
-        for nnz in [0usize, 1, 5, 40] {
-            let row_step = rng.gen_range(LANES..3 * LANES);
-            let tile = random(CONV_ROWS * row_step + 64, 50 + nnz as u64);
-            let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..48u32)).collect();
+        // Adjacent, gapped and unordered column lists.
+        let lists: [&[usize]; 4] = [
+            &[0],
+            &[1, 2, 3],
+            &[0, 2, 3, 7, 8, 9],
+            &[9, 1, 4, 0, 2, 3, 5, 6, 8],
+        ];
+        for (nnz, cols, row_vecs) in [
+            (0usize, lists[0], 1usize),
+            (1, lists[1], 2),
+            (5, lists[2], 5),
+            (40, lists[3], 3),
+        ] {
+            let col_step = row_vecs * LANES + rng.gen_range(0..9usize);
+            let reach = 48usize;
+            let len = 10 * col_step + reach + LANES;
+            let tile = random(len, 50 + nnz as u64);
+            let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..reach as u32)).collect();
             let vals = random(nnz, 60 + nnz as u64);
-            let origin = rng.gen_range(0..8usize);
             let init = if nnz == 5 { -0.0 } else { 0.25 };
-            let want = conv_block_by_lane(&tile, origin, row_step, &offs, &vals, init);
-            let bits = |b: &[[f32; LANES]; CONV_ROWS]| {
-                b.iter()
-                    .flat_map(|r| r.iter().map(|x| x.to_bits()))
-                    .collect::<Vec<_>>()
-            };
-            both_paths(|_| {
-                let got = sparse_conv_block(&tile, origin, row_step, &offs, &vals, init);
-                assert_eq!(bits(&got), bits(&want), "nnz={nnz}");
-            });
+            let want = conv_columns_by_lane(&tile, cols, col_step, row_vecs, &offs, &vals, init);
+            for finite in [false, true] {
+                both_paths(|_| {
+                    let got =
+                        conv_columns(&tile, cols, col_step, row_vecs, &offs, &vals, init, finite);
+                    assert_eq!(column_bits(&got), column_bits(&want), "nnz={nnz}");
+                });
+            }
         }
     }
 
     #[test]
-    fn conv_block_preserves_negative_zero_accumulator() {
-        // All-zero activations: every lane must keep the -0.0 bias bits.
-        let tile = vec![0.0f32; CONV_ROWS * LANES + LANES];
-        both_paths(|_| {
-            let got = sparse_conv_block(&tile, 0, LANES, &[0, 3, 8], &[1.0, -2.0, 0.5], -0.0);
-            for a in got.iter().flatten() {
-                assert_eq!(a.to_bits(), (-0.0f32).to_bits(), "-0.0 flipped");
+    fn conv_columns_keep_negative_zero_accumulators_on_every_path() {
+        // All-zero activations: every lane keeps its init bits, `-0.0`
+        // included, even when the caller vouches for finite weights.
+        let tile = vec![0.0f32; 6 * 2 * LANES + 2 * LANES];
+        for init in [-0.0f32, 0.0] {
+            for finite in [false, true] {
+                both_paths(|_| {
+                    let got = conv_columns(
+                        &tile,
+                        &[0, 1, 2, 3, 4],
+                        2 * LANES,
+                        2,
+                        &[0, 3, 8],
+                        &[1.0, -2.0, 0.5],
+                        init,
+                        finite,
+                    );
+                    for a in got.iter().flatten() {
+                        assert_eq!(a.to_bits(), init.to_bits(), "init {init:?} changed");
+                    }
+                });
             }
-        });
+        }
     }
 
     #[test]
     #[should_panic(expected = "reads past the tile")]
-    fn conv_blocks_check_the_last_block_reach() {
-        // Two row blocks: the second block's rows reach past a tile the
-        // first block alone would fit in.
-        let tile = vec![1.0f32; CONV_ROWS * LANES + LANES];
-        sparse_conv_blocks(&tile, 2, 1, LANES, &[0], &[1.0], 0.0, true, |_, _, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "reads past the tile")]
-    fn conv_blocks_reject_an_overflowing_grid() {
-        let tile = vec![1.0f32; CONV_ROWS * LANES];
-        sparse_conv_blocks(
+    fn conv_columns_check_the_last_column_reach() {
+        // Two columns: the second column's rows reach past a tile the
+        // first column alone would fit in.
+        let tile = vec![1.0f32; 2 * LANES];
+        sparse_conv_columns(
             &tile,
+            &[1, 0],
+            2 * LANES,
             1,
+            &[LANES as u32],
+            &[1.0],
+            0.0,
+            true,
+            |_, _, _| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past the tile")]
+    fn conv_columns_reject_an_overflowing_column_step() {
+        let tile = vec![1.0f32; 4 * LANES];
+        sparse_conv_columns(
+            &tile,
+            &[0, 1],
             usize::MAX / 2,
-            LANES,
+            1,
             &[0],
             &[1.0],
             0.0,
@@ -680,43 +817,20 @@ mod tests {
     }
 
     #[test]
-    fn conv_blocks_keep_negative_zero_accumulators_on_every_path() {
-        // A `-0.0` init with zero activations stays `-0.0` even when the
-        // caller vouches for finite weights; a `+0.0` init stays `+0.0`.
-        let tile = vec![0.0f32; CONV_ROWS * LANES + 2 * LANES];
-        for init in [-0.0f32, 0.0] {
-            both_paths(|_| {
-                sparse_conv_blocks(
-                    &tile,
-                    1,
-                    2,
-                    LANES,
-                    &[0, 3],
-                    &[1.0, -2.0],
-                    init,
-                    true,
-                    |_, _, b| {
-                        for a in b.iter().flatten() {
-                            assert_eq!(a.to_bits(), init.to_bits(), "init {init:?} changed");
-                        }
-                    },
-                );
-            });
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "reads past the tile")]
-    fn conv_block_rejects_out_of_tile_offsets() {
-        let tile = vec![1.0f32; CONV_ROWS * LANES];
-        let _ = sparse_conv_block(&tile, 0, LANES, &[1], &[1.0], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "reads past the tile")]
-    fn conv_block_rejects_overflowing_row_step() {
-        let tile = vec![1.0f32; CONV_ROWS * LANES];
-        let _ = sparse_conv_block(&tile, 0, usize::MAX / 2, &[0], &[1.0], 0.0);
+    fn conv_columns_reject_out_of_tile_offsets() {
+        let tile = vec![1.0f32; LANES];
+        sparse_conv_columns(
+            &tile,
+            &[0],
+            LANES,
+            1,
+            &[1],
+            &[1.0],
+            0.0,
+            false,
+            |_, _, _| {},
+        );
     }
 
     #[test]

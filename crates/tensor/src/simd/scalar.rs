@@ -7,7 +7,7 @@
 //! is kept allocation-free and auto-vectorizer-friendly but never relies
 //! on vectorization for correctness.
 
-use super::{max_rule, PoolTap, CONV_ROWS, LANES, MR, NR};
+use super::{max_rule, PoolTap, LANES, MR, NR};
 
 /// Eight f32 lanes with per-lane scalar semantics.
 #[expect(
@@ -155,25 +155,27 @@ pub fn gemm_micro(
     }
 }
 
-/// Scalar register block of the output-stationary sparse conv: per
-/// nonzero, one weight feeds `CONV_ROWS` masked lane updates (the
-/// lane-typed form of `if x != 0.0 { acc += w * x }`).
-pub fn sparse_conv_block(
+/// Scalar register block of the column-stationary sparse conv: per
+/// nonzero, one weight feeds `NC * NV` masked lane updates (the
+/// lane-typed form of `if x != 0.0 { acc += w * x }`), row vector `v` of
+/// column `c` reading `tile[origins[c] + offs[n] + v * LANES..]`.
+pub fn sparse_conv_block<const NC: usize, const NV: usize>(
     tile: &[f32],
-    origin: usize,
-    row_step: usize,
+    origins: [usize; NC],
     offs: &[u32],
     vals: &[f32],
     init: f32,
-) -> [[f32; LANES]; CONV_ROWS] {
-    let mut acc = [f32x8::splat(init); CONV_ROWS];
+) -> [[[f32; LANES]; NV]; NC] {
+    let mut acc = [[f32x8::splat(init); NV]; NC];
     for (&o, &w) in offs.iter().zip(vals) {
-        let at = origin + o as usize;
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = a.add_scaled_nonzero(w, &tile[at + i * row_step..]);
+        for (col, &origin) in acc.iter_mut().zip(&origins) {
+            let at = origin + o as usize;
+            for (v, a) in col.iter_mut().enumerate() {
+                *a = a.add_scaled_nonzero(w, &tile[at + v * LANES..]);
+            }
         }
     }
-    acc.map(|a| a.0)
+    acc.map(|col| col.map(|a| a.0))
 }
 
 /// Scalar unmasked i32 accumulate: `acc[i] += w * x[i]`.

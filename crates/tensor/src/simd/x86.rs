@@ -8,7 +8,7 @@
 //! blend so untouched accumulator lanes keep their bits (or, where that
 //! provably changes no bit, no blend at all).
 
-use super::{scalar, PoolTap, CONV_ROWS, LANES, MR, NR};
+use super::{scalar, PoolTap, LANES, MR, NR};
 use core::arch::x86_64::*;
 
 /// `MR x NR` register tile over full-width (`nrb == NR`) C rows.
@@ -55,53 +55,56 @@ pub unsafe fn gemm_micro_avx2(
     }
 }
 
-/// Register block of the output-stationary sparse conv: `CONV_ROWS`
-/// ymm accumulators stay live across the whole nonzero list; each
-/// nonzero is one broadcast and `CONV_ROWS` lane updates. `MASKED`
-/// blends each update away where the activation is zero; without it the
-/// update is a plain multiply and add, which the dispatcher uses only
-/// where the two agree bit for bit (see `super::sparse_conv_blocks`).
+/// Register block of the column-stationary sparse conv: `NC` output
+/// columns (at any tile origins) of `NV` row vectors each, all `NC * NV` ymm accumulators live
+/// across the whole nonzero list; each nonzero is one broadcast and
+/// `NC * NV` lane updates. `MASKED` blends each update away where the
+/// activation is zero; without it the update is a plain multiply and add,
+/// which the dispatcher uses only where the two agree bit for bit (see
+/// `super::sparse_conv_columns`).
 ///
 /// # Safety
 ///
-/// Requires AVX2. `offs` and `vals` must have equal length, `origin`
-/// must lie inside `tile`, and for every offset `o`, `tile` must hold
-/// `LANES` values at each of `origin + o + i * row_step` for `i` in
-/// `0..CONV_ROWS`.
+/// Requires AVX2. `offs` and `vals` must have equal length, and for every
+/// offset `o`, `tile` must hold `LANES` values at each of
+/// `origins[c] + o + v * LANES` for `c < NC` and `v < NV`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn sparse_conv_block_avx2<const MASKED: bool>(
+pub unsafe fn sparse_conv_block_avx2<const MASKED: bool, const NC: usize, const NV: usize>(
     tile: &[f32],
-    origin: usize,
-    row_step: usize,
+    origins: [usize; NC],
     offs: &[u32],
     vals: &[f32],
     init: f32,
-) -> [[f32; LANES]; CONV_ROWS] {
+) -> [[[f32; LANES]; NV]; NC] {
     // SAFETY: caller guarantees the bounds spelled out above; every
     // load below reads LANES values at one of those offsets.
     unsafe {
-        let base = tile.as_ptr().add(origin);
+        let base = tile.as_ptr();
         let zero = _mm256_setzero_ps();
-        let mut acc = [_mm256_set1_ps(init); CONV_ROWS];
+        let mut acc = [[_mm256_set1_ps(init); NV]; NC];
         for (&o, &w) in offs.iter().zip(vals) {
             let p = base.add(o as usize);
             let wv = _mm256_set1_ps(w);
-            for (i, a) in acc.iter_mut().enumerate() {
-                let xv = _mm256_loadu_ps(p.add(i * row_step));
-                // Separate mul + add: bit-identical to the scalar block.
-                let sum = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
-                *a = if MASKED {
-                    // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
-                    let mask = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv, zero);
-                    _mm256_blendv_ps(*a, sum, mask)
-                } else {
-                    sum
-                };
+            for (col, &origin) in acc.iter_mut().zip(&origins) {
+                for (v, a) in col.iter_mut().enumerate() {
+                    let xv = _mm256_loadu_ps(p.add(origin + v * LANES));
+                    // Separate mul + add: bit-identical to the scalar block.
+                    let sum = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
+                    *a = if MASKED {
+                        // NEQ_UQ is true for NaN lanes, matching scalar `x != 0.0`.
+                        let mask = _mm256_cmp_ps::<_CMP_NEQ_UQ>(xv, zero);
+                        _mm256_blendv_ps(*a, sum, mask)
+                    } else {
+                        sum
+                    };
+                }
             }
         }
-        let mut out = [[0.0f32; LANES]; CONV_ROWS];
-        for (row, a) in out.iter_mut().zip(&acc) {
-            _mm256_storeu_ps(row.as_mut_ptr(), *a);
+        let mut out = [[[0.0f32; LANES]; NV]; NC];
+        for (dst, col) in out.iter_mut().zip(&acc) {
+            for (lanes, a) in dst.iter_mut().zip(col) {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), *a);
+            }
         }
         out
     }

@@ -247,7 +247,7 @@ proptest! {
     /// Both convolution kernels, called directly whatever the weights'
     /// density, are bit-identical across dispatch modes on random shapes,
     /// strides, and pruned weights. This covers the GEMM micro-kernel and
-    /// the output-stationary sparse kernel's `sparse_conv_block` in one
+    /// the column-stationary sparse kernel's `sparse_conv_columns` in one
     /// sweep.
     #[test]
     fn conv_backends_bit_identical_across_simd_modes(
@@ -295,53 +295,33 @@ proptest! {
         }
     }
 
-    /// The sparse-conv register block itself, on random tiles, offsets,
-    /// row steps and initial values (including `-0.0`), with a quarter of
-    /// the activations zero: both dispatch modes produce the same bits.
-    #[test]
-    fn sparse_conv_block_bit_identical_across_simd_modes(
-        seed in 0u64..10_000,
-        nnz in 0usize..60,
-        row_step in 8usize..40,
-        origin in 0usize..16,
-        negative_zero_init in 0u32..2,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let span = 64usize;
-        let tile: Vec<f32> = (0..origin + span + (simd::CONV_ROWS - 1) * row_step + simd::LANES)
-            .map(|_| if rng.gen_range(0u32..4) == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) })
-            .collect();
-        let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..=span as u32)).collect();
-        let vals: Vec<f32> = (0..nnz).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let init = if negative_zero_init == 1 { -0.0 } else { rng.gen_range(-1.0f32..1.0) };
-        let (vector, scalar) =
-            both_paths(|| simd::sparse_conv_block(&tile, origin, row_step, &offs, &vals, init));
-        for (a, b) in vector.iter().flatten().zip(scalar.iter().flatten()) {
-            prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b} diverge");
-        }
-    }
-
-    /// A grid of register blocks (`sparse_conv_blocks`) gives, block for
-    /// block, the bits of the single masked block at the same origin, in
-    /// both dispatch modes, whether or not the caller vouches for finite
-    /// weights. Activations mix `+0.0`, `-0.0`, NaN and infinities with
-    /// ordinary values; `init` may be `+0.0` or `-0.0`. Every NaN compares
+    /// The column-stationary sparse conv (`sparse_conv_columns`) on random
+    /// tiles, column lists, row-vector counts and tap lists gives, column
+    /// for column, the bits of the per-lane definition in both dispatch
+    /// modes, whether or not the caller vouches for finite weights.
+    /// Activations mix `+0.0`, `-0.0`, NaN and infinities with ordinary
+    /// values; `init` may be `+0.0`, `-0.0` or random. Every NaN compares
     /// as one value: the compiler may reorder the operands of a scalar add,
     /// which changes which NaN payload survives, never whether one does.
     #[test]
-    fn sparse_conv_blocks_match_single_blocks_in_both_modes(
+    fn sparse_conv_columns_match_the_lane_definition_in_both_modes(
         seed in 0u64..10_000,
         nnz in 0usize..40,
-        row_blocks in 1usize..4,
-        lane_blocks in 1usize..4,
+        n_cols in 1usize..10,
+        row_vecs in 1usize..7,
         init_kind in 0u32..3,
         finite in 0u32..2,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let row_step = lane_blocks * simd::LANES + rng.gen_range(0usize..9);
+        let col_step = row_vecs * simd::LANES + rng.gen_range(0usize..9);
         let reach = 24usize;
-        let len = (row_blocks * simd::CONV_ROWS - 1) * row_step
-            + (lane_blocks - 1) * simd::LANES + reach + simd::LANES;
+        // Distinct columns below 12, in random order and with gaps.
+        let mut cols: Vec<usize> = (0..12).collect();
+        for i in (1..cols.len()).rev() {
+            cols.swap(i, rng.gen_range(0..=i));
+        }
+        cols.truncate(n_cols);
+        let len = 12 * col_step + reach + simd::LANES;
         let specials = [0.0f32, -0.0, f32::NAN, f32::INFINITY, -f32::INFINITY];
         let tile: Vec<f32> = (0..len)
             .map(|_| match rng.gen_range(0u32..8) {
@@ -361,26 +341,41 @@ proptest! {
             1 => -0.0,
             _ => rng.gen_range(-1.0f32..1.0),
         };
-        let bits = |b: &[[f32; simd::LANES]; simd::CONV_ROWS]| {
-            b.iter()
-                .flatten()
-                .map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() })
-                .collect::<Vec<_>>()
-        };
+        let bit = |v: f32| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() };
         let (vector, scalar) = both_paths(|| {
-            let mut blocks = Vec::new();
-            simd::sparse_conv_blocks(
-                &tile, row_blocks, lane_blocks, row_step, &offs, &vals, init, finite == 1,
-                |pb, jb, block| blocks.push((pb, jb, bits(block))),
+            let mut got = vec![Vec::new(); 12];
+            simd::sparse_conv_columns(
+                &tile, &cols, col_step, row_vecs, &offs, &vals, init, finite == 1,
+                |j, v0, vecs| {
+                    got[j].push((v0, vecs.iter().flatten().map(|&v| bit(v)).collect::<Vec<_>>()));
+                },
             );
-            blocks
+            got
         });
-        prop_assert_eq!(vector.len(), row_blocks * lane_blocks);
         prop_assert_eq!(&vector, &scalar);
-        for (pb, jb, got) in &vector {
-            let origin = pb * simd::CONV_ROWS * row_step + jb * simd::LANES;
-            let want = simd::sparse_conv_block(&tile, origin, row_step, &offs, &vals, init);
-            prop_assert_eq!(got, &bits(&want), "block ({}, {})", pb, jb);
+        for (j, stores) in vector.iter().enumerate() {
+            if !cols.contains(&j) {
+                prop_assert!(stores.is_empty(), "column {} was not asked for", j);
+                continue;
+            }
+            let mut rows = Vec::new();
+            for (v0, lanes) in stores {
+                prop_assert_eq!(*v0 * simd::LANES, rows.len(), "column {} stored out of order", j);
+                rows.extend_from_slice(lanes);
+            }
+            let want: Vec<u32> = (0..row_vecs * simd::LANES)
+                .map(|row| {
+                    let mut acc = init;
+                    for (&o, &w) in offs.iter().zip(&vals) {
+                        let x = tile[o as usize + j * col_step + row];
+                        if x != 0.0 {
+                            acc += w * x;
+                        }
+                    }
+                    bit(acc)
+                })
+                .collect();
+            prop_assert_eq!(rows, want, "column {}", j);
         }
     }
 

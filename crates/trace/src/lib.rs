@@ -96,13 +96,25 @@ pub enum AnalyzeTraceError {
     NoWrites,
     /// The trace events are not in chronological order.
     UnsortedEvents,
+    /// A transfer spans more than [`MAX_TRANSFER_BURSTS`] bursts: no
+    /// device tensor does, and expanding it would take as long as its
+    /// burst count (a 1 TiB range in 1-byte bursts never finishes).
+    OversizedTransfer,
 }
+
+/// The most bursts one [`hd_accel::Transfer`] may span before the
+/// analyzer refuses it: 2^24, over three thousand times the 4,746 bursts
+/// of the largest transfer a full-size VGG-S or ResNet-18 victim issues.
+pub const MAX_TRANSFER_BURSTS: u64 = 1 << 24;
 
 impl fmt::Display for AnalyzeTraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AnalyzeTraceError::NoWrites => write!(f, "trace contains no write events"),
             AnalyzeTraceError::UnsortedEvents => write!(f, "trace events are not sorted by time"),
+            AnalyzeTraceError::OversizedTransfer => {
+                write!(f, "a transfer spans more than {MAX_TRANSFER_BURSTS} bursts")
+            }
         }
     }
 }

@@ -41,9 +41,14 @@
 //! disjoint regions, and this agrees with clustering writes by address.
 //!
 //! Out-of-order timestamps are detected and reported by
-//! [`StreamingAnalyzer::finish`], ahead of an empty trace.
+//! [`StreamingAnalyzer::finish`], ahead of an empty trace. So is a
+//! transfer of more than [`MAX_TRANSFER_BURSTS`] bursts, which the
+//! analyzer drops on arrival instead of expanding.
 
-use crate::{merged_len, AnalyzeTraceError, LayerObs, TensorId, TensorObs, TraceAnalysis};
+use crate::{
+    merged_len, AnalyzeTraceError, LayerObs, TensorId, TensorObs, TraceAnalysis,
+    MAX_TRANSFER_BURSTS,
+};
 use hd_accel::{AccessKind, TraceEvent, TraceSink, Transfer};
 
 /// Per-layer read summary accumulated when the layer's window closes.
@@ -114,6 +119,7 @@ pub struct StreamingAnalyzer {
     last_time_ps: u64,
     saw_event: bool,
     unsorted: bool,
+    oversized: bool,
     peak_pending: usize,
 }
 
@@ -246,10 +252,15 @@ impl StreamingAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalyzeTraceError::UnsortedEvents`] for an out-of-order
+    /// Returns [`AnalyzeTraceError::OversizedTransfer`] for a stream
+    /// holding a transfer of more than [`MAX_TRANSFER_BURSTS`] bursts,
+    /// else [`AnalyzeTraceError::UnsortedEvents`] for an out-of-order
     /// stream, else [`AnalyzeTraceError::NoWrites`] for a stream without
     /// writes.
     pub fn finish(self) -> Result<TraceAnalysis, AnalyzeTraceError> {
+        if self.oversized {
+            return Err(AnalyzeTraceError::OversizedTransfer);
+        }
         if self.unsorted {
             return Err(AnalyzeTraceError::UnsortedEvents);
         }
@@ -314,9 +325,14 @@ impl TraceSink for StreamingAnalyzer {
     /// burst as [`TraceSink::event`] would; every later burst starts where
     /// the one before ended, so it only extends the tensor that burst
     /// joined or opened. A read stays one pending entry until its window
-    /// closes.
+    /// closes. A transfer of more than [`MAX_TRANSFER_BURSTS`] bursts is
+    /// dropped and fails [`StreamingAnalyzer::finish`].
     fn transfer(&mut self, t: Transfer) {
         if t.bytes == 0 {
+            return;
+        }
+        if t.bursts() > MAX_TRANSFER_BURSTS {
+            self.oversized = true;
             return;
         }
         let (first, last) = (t.burst(0), t.last_burst());
@@ -407,5 +423,46 @@ mod tests {
         assert_eq!(a.tensors[1].addr_hi, top, "the range is clamped");
         assert_eq!(a.layers[0].input_bytes, 0, "nothing lies inside [top, top)");
         assert_eq!(a.layers[0].weight_bytes, 100, "[top - 100, top)");
+    }
+
+    #[test]
+    fn an_oversized_transfer_is_refused_without_expanding_it() {
+        // 2^40 bytes in 1-byte bursts, read between two writes: expanding
+        // it at the window close would never finish.
+        let write = |time_ps, addr| TraceEvent {
+            time_ps,
+            addr,
+            kind: AccessKind::Write,
+            bytes: 64,
+        };
+        let huge = |kind| Transfer {
+            start_ps: 10,
+            offset_ps: 0,
+            window_ps: 100,
+            addr: 0x1000,
+            bytes: 1 << 40,
+            burst_bytes: 1,
+            kind,
+        };
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            let mut s = StreamingAnalyzer::new();
+            s.event(write(0, 0));
+            s.transfer(huge(kind));
+            s.event(TraceEvent {
+                time_ps: 5,
+                addr: 0x10,
+                kind: AccessKind::Read,
+                bytes: 64,
+            });
+            s.event(write(200, 0x10_0000));
+            assert_eq!(s.finish(), Err(AnalyzeTraceError::OversizedTransfer));
+        }
+        let mut at_cap = huge(AccessKind::Read);
+        at_cap.bytes = MAX_TRANSFER_BURSTS;
+        assert_eq!(at_cap.bursts(), MAX_TRANSFER_BURSTS);
+        let mut s = StreamingAnalyzer::new();
+        s.event(write(0, 0));
+        s.transfer(at_cap);
+        assert!(!s.oversized, "a transfer at the cap is taken");
     }
 }

@@ -3,7 +3,8 @@
 //! The `hd-obs` contract is that switching telemetry on or off never changes
 //! what the attack computes — only whether it is observed. These tests run
 //! the full HuffDuff attack with telemetry disabled and enabled and require
-//! bit-identical [`AttackOutcome`]s, then exercise the export surface: the
+//! bit-identical [`AttackOutcome`]s (on a steal whose probes hit the
+//! device's walk memo), then exercise the export surface: the
 //! stable-schema JSON must round-trip through `hd_obs::json`, and the Chrome
 //! trace must carry at least one `device.layer` span per executed layer.
 
@@ -97,6 +98,12 @@ fn attack_outcome_is_bit_identical_with_telemetry_on_and_off() {
         "executed probe count diverged from runs_used"
     );
     assert!(snap.counter_total("dram.read.bytes") > 0);
+    // The steal's later shifts copied columns from earlier ones (the
+    // device's walk memo), so the invariance above covers that path too.
+    assert!(
+        snap.counter("sparse_fwd.cols_reused", "").unwrap_or(0) > 0,
+        "the steal never hit the walk memo"
+    );
 }
 
 #[test]
