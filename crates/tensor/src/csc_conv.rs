@@ -16,17 +16,21 @@
 //! [`conv2d_csc_cols`] computes only chosen ones of them. It
 //!
 //! 1. copies the input columns the chosen columns' windows read (the
-//!    delta's inside its span, the baseline's outside it) into a
-//!    zero-padded column-major tile: per channel, tile column `u` holds
-//!    input column `x0 + u`, its padded rows dealt out by row phase
+//!    delta's inside its span, the baseline's outside it), and only those,
+//!    into a zero-padded column-major tile: per channel, tile column `u`
+//!    holds input column `x0 + u`, its padded rows dealt out by row phase
 //!    (`y mod stride`) so every stride reads each tap's rows from one
-//!    contiguous run;
-//! 2. takes each nonzero's tile offset from the [`SparseConv`] the layer
-//!    was placed into once for its input shape (the tile layout within a
-//!    column does not depend on the span);
-//! 3. for each filter, runs [`simd::sparse_conv_columns`] over the chosen
-//!    output columns, every output row of a column in [`LANES`]-row
-//!    vectors, from the bias, and stores the rows inside the map.
+//!    contiguous run. The tile row of every input row comes from a table,
+//!    so the copy divides nothing;
+//! 2. takes each nonzero's tile offset, that row table and the largest
+//!    offset from the [`SparseConv`] the layer was placed into once for its
+//!    input shape (the tile layout within a column does not depend on the
+//!    span);
+//! 3. runs [`simd::sparse_conv_layer`] once for the whole layer: one reach
+//!    check and one dispatch, then, per register block of chosen output
+//!    columns, every filter in turn, every output row of a column in
+//!    [`LANES`]-row vectors, from the bias; the rows inside the map are
+//!    stored.
 //!
 //! # Bit-identity contract
 //!
@@ -37,7 +41,7 @@
 //! (including the zeros that stand for padding) are skipped lanewise by the
 //! mask, exactly as the reference skips them, so both perform the same f32
 //! additions in the same order. (Where dropping the mask provably changes
-//! no bit, the register blocks drop it: see [`simd::sparse_conv_columns`].)
+//! no bit, the register blocks drop it: see [`simd::sparse_conv_layer`].)
 
 use crate::colspan::{ColSpan, SpanDelta};
 use crate::conv::{conv_out_dim, same_pad, Conv2dCfg, Padding};
@@ -58,10 +62,15 @@ pub struct SparseFilters {
     s: usize,
     /// Filter boundaries into `taps`/`values`, length `k + 1`.
     offsets: Vec<u32>,
-    /// Flat `(c, r, s)` tap index per surviving weight.
+    /// Flat `(c, r, s)` tap index per surviving weight; once a
+    /// [`SparseConv`] places the filters, its offset in the input tile.
     taps: Vec<u32>,
     /// Weight value per surviving weight.
     values: Vec<f32>,
+    /// The largest entry of `taps` (0 when there is none): the bound of
+    /// the kernel's reach check, which the AVX2 body's raw loads rely on,
+    /// so it is recomputed whenever `taps` change.
+    max_tap: u32,
     /// Whether every surviving weight is finite.
     finite: bool,
 }
@@ -94,6 +103,7 @@ impl SparseFilters {
             r,
             s,
             offsets,
+            max_tap: taps.iter().copied().max().unwrap_or(0),
             taps,
             finite: values.iter().all(|v| v.is_finite()),
             values,
@@ -125,10 +135,21 @@ impl SparseFilters {
         self.values.len()
     }
 
-    /// Index range of filter `k`'s nonzeros in `taps`/`values`.
+    /// Filter `k`'s taps and values.
     #[inline]
-    fn filter(&self, k: usize) -> std::ops::Range<usize> {
-        self.offsets[k] as usize..self.offsets[k + 1] as usize
+    pub(crate) fn filter(&self, k: usize) -> (&[u32], &[f32]) {
+        let nz = self.offsets[k] as usize..self.offsets[k + 1] as usize;
+        (&self.taps[nz.clone()], &self.values[nz])
+    }
+
+    /// The largest tap (0 when there is none).
+    pub(crate) fn max_tap(&self) -> u32 {
+        self.max_tap
+    }
+
+    /// Whether every surviving weight is finite.
+    pub(crate) fn finite(&self) -> bool {
+        self.finite
     }
 }
 
@@ -139,17 +160,17 @@ impl SparseFilters {
 ///
 /// Every call at the shape uses one tile column layout, whatever its span:
 /// a tile column holds every output row's reach, and a call lays out only
-/// the columns its output columns read. So the tap-to-offset map runs
-/// once, here, and never per call.
+/// the columns its output columns read. So the tap-to-offset map, the
+/// tile row of every input row and the largest offset (the kernel's reach
+/// check) are found once, here, and never per call.
 #[derive(Clone, Debug)]
 pub struct SparseConv {
-    /// The compaction, its `taps` holding tile offsets.
+    /// The compaction, keyed by tile offset.
     filters: SparseFilters,
     in_shape: Shape3,
     stride: usize,
     out_h: usize,
     out_w: usize,
-    pad_y: usize,
     pad_x: usize,
     /// Row vectors per output column: `out_h` rounded up to whole lanes.
     row_vecs: usize,
@@ -158,6 +179,9 @@ pub struct SparseConv {
     v_len: usize,
     /// Tile columns per channel: the widest span's reach.
     tile_w: usize,
+    /// Per input row a tile column holds, in order, its row in the tile
+    /// column. Rows past the last output row's reach are not held.
+    row_at: Vec<u32>,
 }
 
 impl SparseConv {
@@ -201,29 +225,36 @@ impl SparseConv {
                 .is_some_and(|len| len <= u32::MAX as usize),
             "input tile exceeds u32 offsets"
         );
+        // The tile row of padded row t (input row t - pad_y) is phase
+        // t % st, row t / st; every such index is below `col_len`.
+        let at = |t: usize| ((t % st) * v_len + t / st) as u32;
         let mut tap_offset = Vec::with_capacity(in_shape.c * kr * ks);
         for c in 0..in_shape.c {
             for r in 0..kr {
                 for s in 0..ks {
-                    let at = c * chan_len + s * col_len + (r % st) * v_len + r / st;
-                    tap_offset.push(at as u32);
+                    tap_offset.push((c * chan_len + s * col_len) as u32 + at(r));
                 }
             }
         }
-        for tap in &mut filters.taps {
-            *tap = tap_offset[*tap as usize];
+        for t in filters.taps.iter_mut() {
+            *t = tap_offset[*t as usize];
         }
+        filters.max_tap = filters.taps.iter().copied().max().unwrap_or(0);
+        // Input rows a tile column holds: row y sits at padded row
+        // y + pad_y, and rows past the last output row's reach are never
+        // read.
+        let rows = in_shape.h.min(col_len.saturating_sub(pad_y));
         SparseConv {
             filters,
             in_shape,
             stride: st,
             out_h,
             out_w,
-            pad_y,
             pad_x,
             row_vecs,
             v_len,
             tile_w,
+            row_at: (pad_y..pad_y + rows).map(at).collect(),
         }
     }
 
@@ -335,63 +366,64 @@ pub fn conv2d_csc_cols(
     }
 
     // The tile's columns start at input column x0 = q_lo*st - pad_x, and
-    // output column q reads tile columns (q - q_lo)*st + s. Only the
-    // columns some listed output column reads are filled; columns outside
-    // the map are padding and stay zero.
+    // output column q reads tile columns (q - q_lo)*st + s. Only those
+    // columns are filled, each from the map column it holds (the delta's
+    // inside its span, the baseline's outside it), at the tile rows of its
+    // input rows. Columns outside the map are padding and stay zero, as do
+    // all columns outside the span without a baseline.
     let (ks, st, col_len) = (weights.s(), conv.stride, conv.col_len());
-    let (in_h, in_w, v_len) = (in_shape.h, in_shape.w, conv.v_len);
+    let (in_h, in_w) = (in_shape.h, in_shape.w);
     let x0 = (q_lo * st) as isize - conv.pad_x as isize;
     let mut read = vec![false; conv.tile_w];
     for &q in cols {
         let u = (q - q_lo) * st;
         read[u..u + ks].fill(true);
     }
-    // Input rows a tile column holds: row y sits at tile row y + pad_y,
-    // and rows past the last output row's reach are never read.
-    let rows = in_h.min((st * v_len).saturating_sub(conv.pad_y));
     let (span_lo, delta_w) = (input.span().lo(), input.span().width());
-    let mut tile = vec![0.0f32; in_shape.c * conv.chan_len()];
-    for (c, chan) in tile.chunks_exact_mut(conv.chan_len()).enumerate() {
-        for (u, column) in chan.chunks_exact_mut(col_len).enumerate() {
-            let x = usize::try_from(x0 + u as isize).ok().filter(|&x| x < in_w);
-            let Some(x) = x.filter(|_| read[u]) else {
-                continue;
-            };
-            let (src, src_w, at) = if input.span().contains(x) {
-                (input.cols().data(), delta_w, x - span_lo)
-            } else if let Some(b) = base {
-                (b.data(), in_w, x)
+    // Per filled tile column: its index, source data, source width and the
+    // column it reads there.
+    let fills: Vec<(usize, &[f32], usize, usize)> = (0..conv.tile_w)
+        .filter(|&u| read[u])
+        .filter_map(|u| {
+            let x = usize::try_from(x0 + u as isize)
+                .ok()
+                .filter(|&x| x < in_w)?;
+            if input.span().contains(x) {
+                Some((u, input.cols().data(), delta_w, x - span_lo))
             } else {
-                continue;
-            };
-            for y in 0..rows {
-                let t = y + conv.pad_y;
-                column[(t % st) * v_len + t / st] = src[(c * in_h + y) * src_w + at];
+                base.map(|b| (u, b.data(), in_w, x))
+            }
+        })
+        .collect();
+    let mut tile = vec![0.0f32; in_shape.c * conv.chan_len()];
+    for &(u, src, src_w, x) in &fills {
+        // Tile column `u` of each channel in turn, against that channel's
+        // source plane, whose first rows are the ones the column holds.
+        let columns = tile[u * col_len..].chunks_mut(conv.chan_len());
+        for (column, plane) in columns.zip(src.chunks_exact(in_h * src_w)) {
+            for (&t, row) in conv.row_at.iter().zip(plane.chunks_exact(src_w)) {
+                column[t as usize] = row[x];
             }
         }
     }
 
     let plane = out_h * span_w;
     let js: Vec<usize> = cols.iter().map(|&q| q - q_lo).collect();
-    for (k, out_k) in out.data_mut().chunks_exact_mut(plane).enumerate() {
-        let nz = weights.filter(k);
-        simd::sparse_conv_columns(
-            &tile,
-            &js,
-            st * col_len,
-            conv.row_vecs,
-            &weights.taps[nz.clone()],
-            &weights.values[nz],
-            bias.map_or(0.0, |b| b[k]),
-            weights.finite,
-            |j, v0, vecs| {
-                let rows = vecs.iter().flatten();
-                for (p, &v) in (v0 * LANES..out_h).zip(rows) {
-                    out_k[p * span_w + j] = v;
-                }
-            },
-        );
-    }
+    let data = out.data_mut();
+    simd::sparse_conv_layer(
+        &tile,
+        &js,
+        st * col_len,
+        conv.row_vecs,
+        weights,
+        bias,
+        |k, j, v0, vecs| {
+            let out_k = &mut data[k * plane..(k + 1) * plane];
+            for (p, &v) in (v0 * LANES..out_h).zip(vecs.iter().flatten()) {
+                out_k[p * span_w + j] = v;
+            }
+        },
+    );
     SpanDelta::new(out_span, conv.out_w, out)
 }
 
@@ -451,8 +483,7 @@ mod tests {
         assert_eq!(filters.taps.capacity(), filters.nnz());
         let mut rebuilt = Tensor4::zeros(5, 3, 3, 3);
         for k in 0..5 {
-            let nz = filters.filter(k);
-            let (taps, vals) = (&filters.taps[nz.clone()], &filters.values[nz]);
+            let (taps, vals) = filters.filter(k);
             assert!(taps.windows(2).all(|p| p[0] < p[1]), "taps not ascending");
             for (&t, &v) in taps.iter().zip(vals) {
                 let t = t as usize;

@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn every_nan_and_infinity_counts_as_nonzero() {
-        // AVX2 and scalar `sparse_conv_columns` may disagree on a NaN's sign
+        // AVX2 and scalar `sparse_conv_layer` may disagree on a NaN's sign
         // or payload bits; counted as one class, their maps have the same
         // nnz and so the same transfer sizes.
         let nans = [

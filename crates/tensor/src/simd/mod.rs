@@ -12,12 +12,12 @@
 //! | kernel | x86_64 ([`x86`]) | aarch64 (`neon`) |
 //! |---|---|---|
 //! | [`gemm_micro`] | AVX2 | NEON |
-//! | [`sparse_conv_columns`] | AVX2 | scalar body |
+//! | [`sparse_conv_layer`] | AVX2 | scalar body |
 //! | [`qaxpy`] | AVX2 | NEON |
 //! | [`pool_max_fold`] | AVX2 | scalar body |
 //! | [`pool_sum_fold`] | scalar body | scalar body |
 //!
-//! `sparse_conv_columns` and `pool_max_fold` have no NEON body yet: no
+//! `sparse_conv_layer` and `pool_max_fold` have no NEON body yet: no
 //! aarch64 toolchain is available to compile and test one, so aarch64
 //! runs their scalar bodies in both dispatch modes. `pool_sum_fold` has
 //! one body on every host: a vector add may keep another NaN payload
@@ -37,7 +37,7 @@
 //! flip a `-0.0` accumulator to `+0.0`).
 //!
 //! One exception: NaN bits. On a tile holding NaN or ±infinity, the AVX2
-//! and scalar [`sparse_conv_columns`] can return NaNs that differ in sign or
+//! and scalar [`sparse_conv_layer`] can return NaNs that differ in sign or
 //! payload bits (the compiler may swap the operands of a scalar add, and
 //! which operand's NaN survives differs between the two paths). Whether a
 //! lane is NaN never differs, and [`crate::is_nonzero`] counts every NaN as
@@ -82,14 +82,16 @@ pub const MR: usize = 4;
 pub const NR: usize = 16;
 /// f32 lanes of one vector register (one AVX2 `__m256`).
 pub const LANES: usize = 8;
-/// Accumulators of one [`sparse_conv_columns`] register block: each
+/// Accumulators of one [`sparse_conv_layer`] register block: each
 /// weight broadcast feeds up to this many vector lanes of output.
 pub const CONV_ACCS: usize = 8;
-/// Row vectors (of [`LANES`] output rows) of one [`sparse_conv_columns`]
+/// Row vectors (of [`LANES`] output rows) of one [`sparse_conv_layer`]
 /// register block; a block takes `CONV_ACCS / row vectors` columns.
 pub const CONV_VECS: usize = 4;
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::csc_conv::SparseFilters;
 
 const MODE_UNINIT: u8 = 0;
 const MODE_SCALAR: u8 = 1;
@@ -223,182 +225,178 @@ pub fn gemm_micro(
     scalar::gemm_micro(kcb, a_strip, b_strip, c, ldc, mrb, nrb);
 }
 
-/// The sparse-conv body [`sparse_conv_columns`] runs, chosen once per call.
-#[derive(Clone, Copy)]
-enum ConvBody {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2 {
-        masked: bool,
-    },
-}
-
-/// One filter's operands of [`sparse_conv_columns`].
-struct ConvTaps<'a> {
-    tile: &'a [f32],
-    offs: &'a [u32],
-    vals: &'a [f32],
-    init: f32,
-}
-
-/// Column-stationary sparse convolution of one filter over a column-major
-/// tile ([`crate::csc_conv`]).
+/// Column-stationary sparse convolution of a whole layer over a
+/// column-major tile ([`crate::csc_conv`]).
 ///
-/// Output column `j` (for `j` in `cols`), row vector `v` (`v < row_vecs`),
-/// lane `l` starts at `init` (the filter's bias) and, for each nonzero
-/// `(offs[n], vals[n])` in order, receives `vals[n] * x`, where
-/// `x = tile[offs[n] + j * col_step + v * LANES + l]` — but only when
-/// `x != 0.0` (compare + blend: a lane whose activation is zero keeps its
-/// accumulator bits, exactly the reference loop's zero-skipping). Tap
-/// order is the caller's, so an ascending `(c, r, s)` list reproduces
-/// `conv2d_reference`'s accumulation order per output element.
+/// `filters`' taps are read as tile offsets: a
+/// [`SparseConv`](crate::csc_conv::SparseConv) holds its
+/// filters so, and for filters fresh from [`SparseFilters::build`] they
+/// are the flat tap indices. For filter `k`, output column `j` (for `j` in
+/// `cols`), row vector `v` (`v < row_vecs`), lane `l` starts at
+/// `init = bias[k]` (`0.0` without a bias) and, for each of the filter's
+/// nonzeros `(o, w)` in order, receives `w * x`, where
+/// `x = tile[o + j * col_step + v * LANES + l]` —
+/// but only when `x != 0.0` (compare + blend: a lane whose activation is
+/// zero keeps its accumulator bits, exactly the reference loop's
+/// zero-skipping). Tap order is the caller's, so an ascending `(c, r, s)`
+/// list reproduces `conv2d_reference`'s accumulation order per output
+/// element.
 ///
 /// A register block holds [`CONV_ACCS`] row vectors: up to [`CONV_VECS`]
 /// of each of up to `CONV_ACCS / row vectors` columns, taken from `cols`
 /// in order whether or not they are adjacent. Each weight broadcast feeds
 /// every accumulator of a block, so the cost follows the columns asked
 /// for: computing the two edge columns of a span costs two columns'
-/// work. Each column's row vectors `v0..` of a block are handed to
-/// `store(j, v0, &vecs)`.
+/// work. The block shape is picked once per block position, and every
+/// filter then runs in it, one after another; each filter's column `j`,
+/// row vectors `v0..`, are handed to `store(k, j, v0, &vecs)`.
 ///
-/// `vals_finite` says every value is finite (the caller's compaction
-/// knows). Then, if `init` is not `-0.0`, no accumulator is ever `-0.0`:
-/// a round-to-nearest add returns `-0.0` only for two `-0.0` operands. A
-/// zero activation's product is then `±0.0`, and adding it leaves every
-/// accumulator's bits as they are (NaN and infinities included), so the
-/// AVX2 body skips the compare and blend with the same result.
+/// When the values are all finite and `init` is not `-0.0`, no
+/// accumulator is ever `-0.0`: a round-to-nearest add returns `-0.0` only
+/// for two `-0.0` operands. A zero activation's product is then `±0.0`,
+/// and adding it leaves every accumulator's bits as they are (NaN and
+/// infinities included), so the AVX2 body skips that filter's compare and
+/// blend with the same result.
 ///
-/// The reach check that guards the AVX2 body's raw loads runs once, for
-/// the largest column's last row vector (every other load lies below it),
-/// and the dispatch mode is read once.
+/// The reach check that guards the AVX2 body's raw loads runs once per
+/// call, for the largest column's last row vector plus the largest offset
+/// of any filter (every other load lies below it), and the dispatch mode
+/// is read once.
 ///
 /// # Panics
 ///
-/// Panics if `offs` and `vals` differ in length or if the last load
-/// (`max(cols) * col_step + (row_vecs - 1) * LANES + max(offs) + LANES`,
-/// with `max(offs) = 0` when empty) exceeds `tile`.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a hot kernel entry: the column list, tap list, init value and finiteness flag are plain arguments, not a struct built per call"
-)]
+/// Panics if the last load (`max(cols) * col_step + (row_vecs - 1) *
+/// LANES + max offset + LANES`) exceeds `tile`, or if `bias` holds fewer
+/// values than there are filters (its length is the caller's to check).
 #[inline]
-pub fn sparse_conv_columns(
+pub fn sparse_conv_layer(
     tile: &[f32],
     cols: &[usize],
     col_step: usize,
     row_vecs: usize,
-    offs: &[u32],
-    vals: &[f32],
-    init: f32,
-    vals_finite: bool,
-    mut store: impl FnMut(usize, usize, &[[f32; LANES]]),
+    filters: &SparseFilters,
+    bias: Option<&[f32]>,
+    mut store: impl FnMut(usize, usize, usize, &[[f32; LANES]]),
 ) {
-    assert_eq!(offs.len(), vals.len(), "tap offset/value length mismatch");
-    debug_assert!(!vals_finite || vals.iter().all(|v| v.is_finite()));
     let Some(&last_col) = cols.iter().max() else {
         return;
     };
     if row_vecs == 0 {
         return;
     }
-    let last = last_col
+    // Checked: the AVX2 body's raw loads rely on this bound.
+    let end = last_col
         .checked_mul(col_step)
         .zip((row_vecs - 1).checked_mul(LANES))
-        .and_then(|(col, row)| col.checked_add(row));
-    check_reach(tile, last, offs);
-    let body = match mode() {
-        #[cfg(target_arch = "x86_64")]
-        MODE_VECTOR => ConvBody::Avx2 {
-            masked: !vals_finite || init.to_bits() == (-0.0f32).to_bits(),
-        },
-        _ => ConvBody::Scalar,
-    };
-    let taps = ConvTaps {
+        .and_then(|(col, row)| col.checked_add(row))
+        .and_then(|at| at.checked_add(filters.max_tap() as usize))
+        .and_then(|at| at.checked_add(LANES));
+    assert!(
+        end.is_some_and(|end| end <= tile.len()),
+        "register block reads past the tile"
+    );
+    let layer = Layer {
+        vector: mode() == MODE_VECTOR,
         tile,
-        offs,
-        vals,
-        init,
+        filters,
+        bias,
     };
     let mut v0 = 0;
     while v0 < row_vecs {
         let nv = CONV_VECS.min(row_vecs - v0);
         for block in cols.chunks(CONV_ACCS / nv) {
-            // Every origin is at most `last`, which did not overflow.
+            // Every origin is at most the checked last load's origin.
             let origin = |c: usize| block[c] * col_step + v0 * LANES;
-            let at = (block, v0);
+            let store = |k: usize, c: usize, vecs: &[[f32; LANES]]| store(k, block[c], v0, vecs);
             match (nv, block.len()) {
-                (1, 1) => conv_block::<1, 1>(body, &taps, at, origin, &mut store),
-                (1, 2) => conv_block::<2, 1>(body, &taps, at, origin, &mut store),
-                (1, 3) => conv_block::<3, 1>(body, &taps, at, origin, &mut store),
-                (1, 4) => conv_block::<4, 1>(body, &taps, at, origin, &mut store),
-                (1, 5) => conv_block::<5, 1>(body, &taps, at, origin, &mut store),
-                (1, 6) => conv_block::<6, 1>(body, &taps, at, origin, &mut store),
-                (1, 7) => conv_block::<7, 1>(body, &taps, at, origin, &mut store),
-                (1, _) => conv_block::<8, 1>(body, &taps, at, origin, &mut store),
-                (2, 1) => conv_block::<1, 2>(body, &taps, at, origin, &mut store),
-                (2, 2) => conv_block::<2, 2>(body, &taps, at, origin, &mut store),
-                (2, 3) => conv_block::<3, 2>(body, &taps, at, origin, &mut store),
-                (2, _) => conv_block::<4, 2>(body, &taps, at, origin, &mut store),
-                (3, 1) => conv_block::<1, 3>(body, &taps, at, origin, &mut store),
-                (3, _) => conv_block::<2, 3>(body, &taps, at, origin, &mut store),
-                (_, 1) => conv_block::<1, 4>(body, &taps, at, origin, &mut store),
-                (_, _) => conv_block::<2, 4>(body, &taps, at, origin, &mut store),
+                (1, 1) => layer.block::<1, 1>(origin, store),
+                (1, 2) => layer.block::<2, 1>(origin, store),
+                (1, 3) => layer.block::<3, 1>(origin, store),
+                (1, 4) => layer.block::<4, 1>(origin, store),
+                (1, 5) => layer.block::<5, 1>(origin, store),
+                (1, 6) => layer.block::<6, 1>(origin, store),
+                (1, 7) => layer.block::<7, 1>(origin, store),
+                (1, _) => layer.block::<8, 1>(origin, store),
+                (2, 1) => layer.block::<1, 2>(origin, store),
+                (2, 2) => layer.block::<2, 2>(origin, store),
+                (2, 3) => layer.block::<3, 2>(origin, store),
+                (2, _) => layer.block::<4, 2>(origin, store),
+                (3, 1) => layer.block::<1, 3>(origin, store),
+                (3, _) => layer.block::<2, 3>(origin, store),
+                (_, 1) => layer.block::<1, 4>(origin, store),
+                (_, _) => layer.block::<2, 4>(origin, store),
             }
         }
         v0 += nv;
     }
 }
 
-/// One `NC x NV` register block of [`sparse_conv_columns`]: columns
-/// `block` (`NC` of them), row vectors from `v0`, column `c` at tile
-/// origin `origin(c)`; stored column by column.
-#[inline(always)]
-fn conv_block<const NC: usize, const NV: usize>(
-    body: ConvBody,
-    taps: &ConvTaps,
-    (block, v0): (&[usize], usize),
-    origin: impl Fn(usize) -> usize,
-    store: &mut impl FnMut(usize, usize, &[[f32; LANES]]),
-) {
-    let ConvTaps {
-        tile,
-        offs,
-        vals,
-        init,
-    } = *taps;
-    let origins: [usize; NC] = std::array::from_fn(origin);
-    let out: [[[f32; LANES]; NV]; NC] = match body {
-        // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
-        // `sparse_conv_columns` checked the reach of its last load, and
-        // every load of this block lies at or below it.
-        #[cfg(target_arch = "x86_64")]
-        ConvBody::Avx2 { masked: true } => unsafe {
-            x86::sparse_conv_block_avx2::<true, NC, NV>(tile, origins, offs, vals, init)
-        },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        ConvBody::Avx2 { masked: false } => unsafe {
-            x86::sparse_conv_block_avx2::<false, NC, NV>(tile, origins, offs, vals, init)
-        },
-        ConvBody::Scalar => scalar::sparse_conv_block::<NC, NV>(tile, origins, offs, vals, init),
-    };
-    for (&j, vecs) in block.iter().zip(&out) {
-        store(j, v0, vecs);
+/// The operands of one [`sparse_conv_layer`] call, its reach checked.
+struct Layer<'a> {
+    /// Whether the AVX2 body runs (the dispatch mode, read once).
+    vector: bool,
+    tile: &'a [f32],
+    filters: &'a SparseFilters,
+    bias: Option<&'a [f32]>,
+}
+
+impl Layer<'_> {
+    /// One `NC x NV` block position: columns at tile origins `origin(c)`,
+    /// every filter in turn; filter `k`'s column `c` goes to
+    /// `store(k, c, vecs)`.
+    #[inline(always)]
+    fn block<const NC: usize, const NV: usize>(
+        &self,
+        origin: impl Fn(usize) -> usize,
+        mut store: impl FnMut(usize, usize, &[[f32; LANES]]),
+    ) {
+        let origins: [usize; NC] = std::array::from_fn(origin);
+        let mut emit = |k: usize, out: &[[[f32; LANES]; NV]; NC]| {
+            for (c, vecs) in out.iter().enumerate() {
+                store(k, c, vecs);
+            }
+        };
+        // aarch64 has no vector body for this kernel yet: both modes run
+        // the scalar one there.
+        if self.vector {
+            // SAFETY: AVX2 presence verified before MODE_VECTOR was stored;
+            // `sparse_conv_layer` checked the reach of its last load, and
+            // every load of every filter at these origins lies at or below
+            // it.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                x86::sparse_conv_filters_avx2::<NC, NV>(
+                    self.tile,
+                    origins,
+                    self.filters,
+                    self.bias,
+                    &mut emit,
+                );
+                return;
+            }
+        }
+        scalar::sparse_conv_filters::<NC, NV>(
+            self.tile,
+            origins,
+            self.filters,
+            self.bias,
+            &mut emit,
+        );
     }
 }
 
-/// Asserts that a load of `LANES` values at `origin` (`None`: the origin
-/// overflowed) plus every offset reads inside `tile`.
-fn check_reach(tile: &[f32], origin: Option<usize>, offs: &[u32]) {
-    // Checked: the AVX2 body's raw loads rely on this bound.
-    let reach = offs.iter().copied().max().unwrap_or(0) as usize;
-    let end = origin
-        .and_then(|at| at.checked_add(reach))
-        .and_then(|at| at.checked_add(LANES));
-    assert!(
-        end.is_some_and(|end| end <= tile.len()),
-        "register block reads past the tile"
-    );
+/// Filter `k`'s start value: its bias, or `0.0` without one.
+#[inline(always)]
+fn conv_init(bias: Option<&[f32]>, k: usize) -> f32 {
+    bias.map_or(0.0, |b| b[k])
+}
+
+/// Whether a filter starting at `init` needs the zero-activation mask
+/// (see [`sparse_conv_layer`]): some value is not finite, or `init` is
+/// `-0.0`.
+#[inline(always)]
+fn conv_masked(filters: &SparseFilters, init: f32) -> bool {
+    !filters.finite() || init.to_bits() == (-0.0f32).to_bits()
 }
 
 /// The max rule of max pooling: `v` replaces `acc` when it is greater,
@@ -643,85 +641,107 @@ mod tests {
         }
     }
 
-    /// The per-lane definition of [`sparse_conv_columns`], written out:
-    /// `out[i][v * LANES + l]` for column `cols[i]`.
-    fn conv_columns_by_lane(
+    /// `filters` filters over `reach` flat taps (which the kernel reads as
+    /// tile offsets), holding the nonzeros `(k, tap, value)`.
+    fn layer(filters: usize, reach: usize, nonzeros: &[(usize, usize, f32)]) -> SparseFilters {
+        let mut w = crate::Tensor4::zeros(filters, reach, 1, 1);
+        for &(k, tap, v) in nonzeros {
+            w.set(k, tap, 0, 0, v);
+        }
+        SparseFilters::build(&w)
+    }
+
+    /// Filters of up to `nnz[k]` taps each, offsets below `reach`.
+    fn random_layer(nnz: &[usize], reach: usize, rng: &mut StdRng) -> SparseFilters {
+        let mut nonzeros = Vec::new();
+        for (k, &n) in nnz.iter().enumerate() {
+            let vals = random(n, rng.gen_range(0..1000));
+            nonzeros.extend(vals.into_iter().map(|v| (k, rng.gen_range(0..reach), v)));
+        }
+        layer(nnz.len(), reach, &nonzeros)
+    }
+
+    /// The per-lane definition of [`sparse_conv_layer`], written out:
+    /// `out[k][i][v * LANES + l]` for filter `k`, column `cols[i]`.
+    fn conv_layer_by_lane(
         tile: &[f32],
         cols: &[usize],
-        col_step: usize,
-        row_vecs: usize,
-        offs: &[u32],
-        vals: &[f32],
-        init: f32,
-    ) -> Vec<Vec<f32>> {
-        cols.iter()
-            .map(|&j| {
-                (0..row_vecs * LANES)
-                    .map(|row| {
-                        let mut acc = init;
-                        for (&o, &w) in offs.iter().zip(vals) {
-                            let x = tile[o as usize + j * col_step + row];
-                            if x != 0.0 {
-                                acc += w * x;
-                            }
-                        }
-                        acc
+        (col_step, row_vecs): (usize, usize),
+        filters: &SparseFilters,
+        bias: Option<&[f32]>,
+    ) -> Vec<Vec<Vec<f32>>> {
+        (0..filters.k())
+            .map(|k| {
+                let (offs, vals) = filters.filter(k);
+                cols.iter()
+                    .map(|&j| {
+                        (0..row_vecs * LANES)
+                            .map(|row| {
+                                let mut acc = bias.map_or(0.0, |b| b[k]);
+                                for (&o, &w) in offs.iter().zip(vals) {
+                                    let x = tile[o as usize + j * col_step + row];
+                                    if x != 0.0 {
+                                        acc += w * x;
+                                    }
+                                }
+                                acc
+                            })
+                            .collect()
                     })
                     .collect()
             })
             .collect()
     }
 
-    /// Runs [`sparse_conv_columns`] and gathers its stores as
-    /// `out[i][row]` for column `cols[i]` (distinct columns), checking each
-    /// column is stored once per row vector.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors the kernel's own argument list"
-    )]
-    fn conv_columns(
+    /// Runs [`sparse_conv_layer`] and gathers its stores as
+    /// `out[k][i][row]` for filter `k`, column `cols[i]` (distinct
+    /// columns), checking each is stored once per row vector.
+    fn conv_layer(
         tile: &[f32],
         cols: &[usize],
-        col_step: usize,
-        row_vecs: usize,
-        offs: &[u32],
-        vals: &[f32],
-        init: f32,
-        finite: bool,
-    ) -> Vec<Vec<f32>> {
-        let mut out = vec![vec![f32::NAN; row_vecs * LANES]; cols.len()];
-        let mut stored = vec![0usize; cols.len()];
+        (col_step, row_vecs): (usize, usize),
+        filters: &SparseFilters,
+        bias: Option<&[f32]>,
+    ) -> Vec<Vec<Vec<f32>>> {
+        let k = filters.k();
+        let mut out = vec![vec![vec![f32::NAN; row_vecs * LANES]; cols.len()]; k];
+        let mut stored = vec![vec![0usize; cols.len()]; k];
         let index = |j: usize| cols.iter().position(|&c| c == j).unwrap();
-        sparse_conv_columns(
+        sparse_conv_layer(
             tile,
             cols,
             col_step,
             row_vecs,
-            offs,
-            vals,
-            init,
-            finite,
-            |j, v0, vecs| {
+            filters,
+            bias,
+            |k, j, v0, vecs| {
                 let i = index(j);
-                stored[i] += vecs.len();
+                stored[k][i] += vecs.len();
                 for (v, lanes) in vecs.iter().enumerate() {
                     let at = (v0 + v) * LANES;
-                    out[i][at..at + LANES].copy_from_slice(lanes);
+                    out[k][i][at..at + LANES].copy_from_slice(lanes);
                 }
             },
         );
-        assert!(stored.iter().all(|&n| n == row_vecs), "stores {stored:?}");
+        assert!(
+            stored.iter().flatten().all(|&n| n == row_vecs),
+            "stores {stored:?}"
+        );
         out
     }
 
-    fn column_bits(cols: &[Vec<f32>]) -> Vec<Vec<u32>> {
-        cols.iter()
-            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+    fn layer_bits(out: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<u32>>> {
+        out.iter()
+            .map(|f| {
+                f.iter()
+                    .map(|c| c.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            })
             .collect()
     }
 
     #[test]
-    fn conv_columns_paths_bit_identical_to_lane_definition() {
+    fn conv_layer_paths_bit_identical_to_lane_definition() {
         let mut rng = StdRng::seed_from_u64(13);
         // Adjacent, gapped and unordered column lists.
         let lists: [&[usize]; 4] = [
@@ -731,105 +751,93 @@ mod tests {
             &[9, 1, 4, 0, 2, 3, 5, 6, 8],
         ];
         for (nnz, cols, row_vecs) in [
-            (0usize, lists[0], 1usize),
-            (1, lists[1], 2),
-            (5, lists[2], 5),
-            (40, lists[3], 3),
+            (&[0usize][..], lists[0], 1usize),
+            (&[1, 0, 3], lists[1], 2),
+            (&[5, 2], lists[2], 5),
+            (&[40, 0, 7, 1], lists[3], 3),
         ] {
             let col_step = row_vecs * LANES + rng.gen_range(0..9usize);
             let reach = 48usize;
             let len = 10 * col_step + reach + LANES;
-            let tile = random(len, 50 + nnz as u64);
-            let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..reach as u32)).collect();
-            let vals = random(nnz, 60 + nnz as u64);
-            let init = if nnz == 5 { -0.0 } else { 0.25 };
-            let want = conv_columns_by_lane(&tile, cols, col_step, row_vecs, &offs, &vals, init);
-            for finite in [false, true] {
+            let tile = random(len, 50 + nnz.len() as u64);
+            let filters = random_layer(nnz, reach, &mut rng);
+            // A `-0.0` bias among others: its filter alone keeps the mask.
+            let mut bias = random(nnz.len(), 70);
+            bias[0] = -0.0;
+            for bias in [None, Some(&bias[..])] {
+                let at = (col_step, row_vecs);
+                let want = conv_layer_by_lane(&tile, cols, at, &filters, bias);
                 both_paths(|_| {
-                    let got =
-                        conv_columns(&tile, cols, col_step, row_vecs, &offs, &vals, init, finite);
-                    assert_eq!(column_bits(&got), column_bits(&want), "nnz={nnz}");
+                    let got = conv_layer(&tile, cols, at, &filters, bias);
+                    assert_eq!(layer_bits(&got), layer_bits(&want), "nnz={nnz:?}");
                 });
             }
         }
     }
 
     #[test]
-    fn conv_columns_keep_negative_zero_accumulators_on_every_path() {
+    fn conv_layer_keeps_negative_zero_accumulators_on_every_path() {
         // All-zero activations: every lane keeps its init bits, `-0.0`
-        // included, even when the caller vouches for finite weights.
+        // included, even among filters whose values are all finite.
         let tile = vec![0.0f32; 6 * 2 * LANES + 2 * LANES];
-        for init in [-0.0f32, 0.0] {
-            for finite in [false, true] {
-                both_paths(|_| {
-                    let got = conv_columns(
-                        &tile,
-                        &[0, 1, 2, 3, 4],
-                        2 * LANES,
-                        2,
-                        &[0, 3, 8],
-                        &[1.0, -2.0, 0.5],
-                        init,
-                        finite,
-                    );
-                    for a in got.iter().flatten() {
-                        assert_eq!(a.to_bits(), init.to_bits(), "init {init:?} changed");
-                    }
-                });
+        let filters = layer(2, 9, &[(0, 0, 1.0), (0, 3, -2.0), (0, 8, 0.5), (1, 1, 3.0)]);
+        let bias = [-0.0f32, 0.0];
+        both_paths(|_| {
+            let got = conv_layer(
+                &tile,
+                &[0, 1, 2, 3, 4],
+                (2 * LANES, 2),
+                &filters,
+                Some(&bias),
+            );
+            for (k, filter) in got.iter().enumerate() {
+                for a in filter.iter().flatten() {
+                    assert_eq!(a.to_bits(), bias[k].to_bits(), "init {:?} changed", bias[k]);
+                }
             }
-        }
+        });
     }
 
     #[test]
     #[should_panic(expected = "reads past the tile")]
-    fn conv_columns_check_the_last_column_reach() {
+    fn conv_layer_checks_the_last_column_reach() {
         // Two columns: the second column's rows reach past a tile the
         // first column alone would fit in.
         let tile = vec![1.0f32; 2 * LANES];
-        sparse_conv_columns(
+        let filters = layer(1, LANES + 1, &[(0, LANES, 1.0)]);
+        sparse_conv_layer(
             &tile,
             &[1, 0],
             2 * LANES,
             1,
-            &[LANES as u32],
-            &[1.0],
-            0.0,
-            true,
-            |_, _, _| {},
+            &filters,
+            None,
+            |_, _, _, _| {},
         );
     }
 
     #[test]
     #[should_panic(expected = "reads past the tile")]
-    fn conv_columns_reject_an_overflowing_column_step() {
+    fn conv_layer_checks_the_largest_offset_of_any_filter() {
+        // The first filter fits; the last filter's offset reaches past.
+        let tile = vec![1.0f32; 2 * LANES];
+        let filters = layer(3, LANES + 2, &[(0, 0, 1.0), (2, LANES + 1, 1.0)]);
+        sparse_conv_layer(&tile, &[0], LANES, 1, &filters, None, |_, _, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past the tile")]
+    fn conv_layer_rejects_an_overflowing_column_step() {
         let tile = vec![1.0f32; 4 * LANES];
-        sparse_conv_columns(
+        let filters = layer(1, 1, &[(0, 0, 1.0)]);
+        sparse_conv_layer(
             &tile,
             &[0, 1],
             usize::MAX / 2,
             1,
-            &[0],
-            &[1.0],
-            0.0,
-            true,
-            |_, _, _| {},
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "reads past the tile")]
-    fn conv_columns_reject_out_of_tile_offsets() {
-        let tile = vec![1.0f32; LANES];
-        sparse_conv_columns(
-            &tile,
-            &[0],
-            LANES,
-            1,
-            &[1],
-            &[1.0],
-            0.0,
-            false,
-            |_, _, _| {},
+            &filters,
+            None,
+            |_, _, _, _| {},
         );
     }
 

@@ -4,7 +4,7 @@
 //! `float32x4_t`/`int32x4_t` halves. Per-lane semantics match
 //! [`super::scalar`] exactly: separate `mul` + `add` (no `vfmaq`).
 //!
-//! The masked sparse-conv block ([`super::sparse_conv_columns`]) has no
+//! The masked sparse-conv block ([`super::sparse_conv_layer`]) has no
 //! NEON body: until one can be compiled and tested on an aarch64 host,
 //! aarch64 runs the scalar body for it in both dispatch modes.
 

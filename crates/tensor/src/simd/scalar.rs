@@ -7,7 +7,8 @@
 //! is kept allocation-free and auto-vectorizer-friendly but never relies
 //! on vectorization for correctness.
 
-use super::{max_rule, PoolTap, LANES, MR, NR};
+use super::{conv_init, max_rule, PoolTap, LANES, MR, NR};
+use crate::csc_conv::SparseFilters;
 
 /// Eight f32 lanes with per-lane scalar semantics.
 #[expect(
@@ -155,11 +156,30 @@ pub fn gemm_micro(
     }
 }
 
+/// Every filter of a layer at one block position of the column-stationary
+/// sparse conv, in filter order: filter `k` runs `sparse_conv_block`
+/// from its bias, and its block goes to `emit(k, &block)`.
+pub fn sparse_conv_filters<const NC: usize, const NV: usize>(
+    tile: &[f32],
+    origins: [usize; NC],
+    filters: &SparseFilters,
+    bias: Option<&[f32]>,
+    emit: &mut impl FnMut(usize, &[[[f32; LANES]; NV]; NC]),
+) {
+    for k in 0..filters.k() {
+        let (offs, vals) = filters.filter(k);
+        emit(
+            k,
+            &sparse_conv_block(tile, origins, offs, vals, conv_init(bias, k)),
+        );
+    }
+}
+
 /// Scalar register block of the column-stationary sparse conv: per
 /// nonzero, one weight feeds `NC * NV` masked lane updates (the
 /// lane-typed form of `if x != 0.0 { acc += w * x }`), row vector `v` of
 /// column `c` reading `tile[origins[c] + offs[n] + v * LANES..]`.
-pub fn sparse_conv_block<const NC: usize, const NV: usize>(
+fn sparse_conv_block<const NC: usize, const NV: usize>(
     tile: &[f32],
     origins: [usize; NC],
     offs: &[u32],

@@ -8,7 +8,8 @@
 //! blend so untouched accumulator lanes keep their bits (or, where that
 //! provably changes no bit, no blend at all).
 
-use super::{scalar, PoolTap, LANES, MR, NR};
+use super::{conv_init, conv_masked, scalar, PoolTap, LANES, MR, NR};
+use crate::csc_conv::SparseFilters;
 use core::arch::x86_64::*;
 
 /// `MR x NR` register tile over full-width (`nrb == NR`) C rows.
@@ -55,13 +56,48 @@ pub unsafe fn gemm_micro_avx2(
     }
 }
 
-/// Register block of the column-stationary sparse conv: `NC` output
-/// columns (at any tile origins) of `NV` row vectors each, all `NC * NV` ymm accumulators live
+/// Every filter of a layer at one block position of the column-stationary
+/// sparse conv, in filter order, inside one AVX2 frame: filter `k` runs
+/// `sparse_conv_block_avx2` from its bias, masked where
+/// `super::sparse_conv_layer` says it must be, and its block goes to
+/// `emit(k, &block)`.
+///
+/// # Safety
+///
+/// Requires AVX2. `tile` must hold `LANES` values at each of
+/// `origins[c] + filters.max_tap() + v * LANES` for `c < NC` and
+/// `v < NV`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn sparse_conv_filters_avx2<const NC: usize, const NV: usize>(
+    tile: &[f32],
+    origins: [usize; NC],
+    filters: &SparseFilters,
+    bias: Option<&[f32]>,
+    emit: &mut impl FnMut(usize, &[[[f32; LANES]; NV]; NC]),
+) {
+    for k in 0..filters.k() {
+        let (offs, vals) = filters.filter(k);
+        let init = conv_init(bias, k);
+        // SAFETY: every offset of the filter is at most `filters.max_tap()`, so
+        // each load lies inside the bound the caller guarantees.
+        let out = unsafe {
+            if conv_masked(filters, init) {
+                sparse_conv_block_avx2::<true, NC, NV>(tile, origins, offs, vals, init)
+            } else {
+                sparse_conv_block_avx2::<false, NC, NV>(tile, origins, offs, vals, init)
+            }
+        };
+        emit(k, &out);
+    }
+}
+
+/// Register block of one filter: `NC` output columns (at any tile
+/// origins) of `NV` row vectors each, all `NC * NV` ymm accumulators live
 /// across the whole nonzero list; each nonzero is one broadcast and
 /// `NC * NV` lane updates. `MASKED` blends each update away where the
 /// activation is zero; without it the update is a plain multiply and add,
-/// which the dispatcher uses only where the two agree bit for bit (see
-/// `super::sparse_conv_columns`).
+/// which is used only where the two agree bit for bit (see
+/// `super::sparse_conv_layer`).
 ///
 /// # Safety
 ///
@@ -69,7 +105,7 @@ pub unsafe fn gemm_micro_avx2(
 /// offset `o`, `tile` must hold `LANES` values at each of
 /// `origins[c] + o + v * LANES` for `c < NC` and `v < NV`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn sparse_conv_block_avx2<const MASKED: bool, const NC: usize, const NV: usize>(
+unsafe fn sparse_conv_block_avx2<const MASKED: bool, const NC: usize, const NV: usize>(
     tile: &[f32],
     origins: [usize; NC],
     offs: &[u32],

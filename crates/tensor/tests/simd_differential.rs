@@ -15,7 +15,7 @@ use hd_tensor::gemm::{gemm, GemmBlocking};
 use hd_tensor::im2col::conv2d_im2col_gemm;
 use hd_tensor::qconv::{qconv2d, qconv2d_reference, QConvParams};
 use hd_tensor::simd;
-use hd_tensor::{QTensor3, QTensor4, QuantParams, Tensor3, Tensor4};
+use hd_tensor::{QTensor3, QTensor4, QuantParams, SparseFilters, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -247,7 +247,7 @@ proptest! {
     /// Both convolution kernels, called directly whatever the weights'
     /// density, are bit-identical across dispatch modes on random shapes,
     /// strides, and pruned weights. This covers the GEMM micro-kernel and
-    /// the column-stationary sparse kernel's `sparse_conv_columns` in one
+    /// the column-stationary sparse kernel's `sparse_conv_layer` in one
     /// sweep.
     #[test]
     fn conv_backends_bit_identical_across_simd_modes(
@@ -295,21 +295,25 @@ proptest! {
         }
     }
 
-    /// The column-stationary sparse conv (`sparse_conv_columns`) on random
-    /// tiles, column lists, row-vector counts and tap lists gives, column
-    /// for column, the bits of the per-lane definition in both dispatch
-    /// modes, whether or not the caller vouches for finite weights.
-    /// Activations mix `+0.0`, `-0.0`, NaN and infinities with ordinary
-    /// values; `init` may be `+0.0`, `-0.0` or random. Every NaN compares
-    /// as one value: the compiler may reorder the operands of a scalar add,
-    /// which changes which NaN payload survives, never whether one does.
+    /// The column-stationary sparse conv's per-layer entry
+    /// (`sparse_conv_layer`) on random tiles, column lists (gapped and
+    /// unordered), row-vector counts and layers gives, filter for filter
+    /// and column for column, the bits of the per-lane definition in both
+    /// dispatch modes. A layer mixes empty filters with others, may hold a
+    /// non-finite weight, and its bias may be absent, random, or random
+    /// with `-0.0` for some filters (which must keep the mask while the
+    /// others drop it). Activations mix `+0.0`, `-0.0`, NaN and infinities
+    /// with ordinary values. Every NaN compares as one value: the compiler
+    /// may reorder the operands of a scalar add, which changes which NaN
+    /// payload survives, never whether one does.
     #[test]
-    fn sparse_conv_columns_match_the_lane_definition_in_both_modes(
+    fn sparse_conv_layer_matches_the_lane_definition_in_both_modes(
         seed in 0u64..10_000,
-        nnz in 0usize..40,
+        filters in 1usize..6,
+        max_nnz in 0usize..24,
         n_cols in 1usize..10,
         row_vecs in 1usize..7,
-        init_kind in 0u32..3,
+        bias_kind in 0u32..3,
         finite in 0u32..2,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -331,51 +335,72 @@ proptest! {
                 _ => rng.gen_range(-2.0f32..2.0),
             })
             .collect();
-        let offs: Vec<u32> = (0..nnz).map(|_| rng.gen_range(0..=reach as u32)).collect();
-        let mut vals: Vec<f32> = (0..nnz).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        if finite == 0 && nnz > 0 {
-            vals[0] = f32::INFINITY;
+        // Filter by filter, over `reach + 1` flat taps, which the kernel
+        // reads as tile offsets: empty about one time in three.
+        let mut weight = Tensor4::zeros(filters, reach + 1, 1, 1);
+        let mut nonzeros = Vec::new();
+        for k in 0..filters {
+            let nnz = if rng.gen_range(0u32..3) == 0 { 0 } else { rng.gen_range(0..=max_nnz) };
+            for _ in 0..nnz {
+                let tap = rng.gen_range(0..=reach);
+                weight.set(k, tap, 0, 0, rng.gen_range(-1.0f32..1.0));
+                nonzeros.push((k, tap));
+            }
         }
-        let init = match init_kind {
-            0 => 0.0,
-            1 => -0.0,
-            _ => rng.gen_range(-1.0f32..1.0),
+        if finite == 0 && !nonzeros.is_empty() {
+            let (k, tap) = nonzeros[rng.gen_range(0..nonzeros.len())];
+            weight.set(k, tap, 0, 0, f32::INFINITY);
+        }
+        let layer = SparseFilters::build(&weight);
+        let bias: Option<Vec<f32>> = match bias_kind {
+            0 => None,
+            1 => Some((0..filters).map(|_| rng.gen_range(-1.0f32..1.0)).collect()),
+            _ => Some(
+                (0..filters)
+                    .map(|_| if rng.gen_bool(0.5) { -0.0 } else { rng.gen_range(-1.0f32..1.0) })
+                    .collect(),
+            ),
         };
+        let bias = bias.as_deref();
         let bit = |v: f32| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() };
         let (vector, scalar) = both_paths(|| {
-            let mut got = vec![Vec::new(); 12];
-            simd::sparse_conv_columns(
-                &tile, &cols, col_step, row_vecs, &offs, &vals, init, finite == 1,
-                |j, v0, vecs| {
-                    got[j].push((v0, vecs.iter().flatten().map(|&v| bit(v)).collect::<Vec<_>>()));
-                },
-            );
+            let mut got = vec![vec![Vec::new(); 12]; filters];
+            simd::sparse_conv_layer(&tile, &cols, col_step, row_vecs, &layer, bias, |k, j, v0, vecs| {
+                got[k][j].push((v0, vecs.iter().flatten().map(|&v| bit(v)).collect::<Vec<_>>()));
+            });
             got
         });
         prop_assert_eq!(&vector, &scalar);
-        for (j, stores) in vector.iter().enumerate() {
-            if !cols.contains(&j) {
-                prop_assert!(stores.is_empty(), "column {} was not asked for", j);
-                continue;
-            }
-            let mut rows = Vec::new();
-            for (v0, lanes) in stores {
-                prop_assert_eq!(*v0 * simd::LANES, rows.len(), "column {} stored out of order", j);
-                rows.extend_from_slice(lanes);
-            }
-            let want: Vec<u32> = (0..row_vecs * simd::LANES)
-                .map(|row| {
-                    let mut acc = init;
-                    for (&o, &w) in offs.iter().zip(&vals) {
-                        let x = tile[o as usize + j * col_step + row];
-                        if x != 0.0 {
-                            acc += w * x;
-                        }
-                    }
-                    bit(acc)
-                })
+        for (k, per_col) in vector.iter().enumerate() {
+            // The filter's nonzeros in ascending tap order.
+            let taps: Vec<(usize, f32)> = (0..=reach)
+                .map(|tap| (tap, weight.at(k, tap, 0, 0)))
+                .filter(|&(_, w)| w != 0.0)
                 .collect();
-            prop_assert_eq!(rows, want, "column {}", j);
+            for (j, stores) in per_col.iter().enumerate() {
+                if !cols.contains(&j) {
+                    prop_assert!(stores.is_empty(), "column {} was not asked for", j);
+                    continue;
+                }
+                let mut rows = Vec::new();
+                for (v0, lanes) in stores {
+                    prop_assert_eq!(*v0 * simd::LANES, rows.len(), "column {} stored out of order", j);
+                    rows.extend_from_slice(lanes);
+                }
+                let want: Vec<u32> = (0..row_vecs * simd::LANES)
+                    .map(|row| {
+                        let mut acc = bias.map_or(0.0, |b| b[k]);
+                        for &(o, w) in &taps {
+                            let x = tile[o + j * col_step + row];
+                            if x != 0.0 {
+                                acc += w * x;
+                            }
+                        }
+                        bit(acc)
+                    })
+                    .collect();
+                prop_assert_eq!(rows, want, "filter {} column {}", k, j);
+            }
         }
     }
 

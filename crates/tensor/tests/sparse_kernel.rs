@@ -9,10 +9,15 @@
 //! is zero outside the span; with a baseline, the input outside the span
 //! is that baseline's, and the columns the kernel does not return are the
 //! baseline input's output.
+//!
+//! A second property computes only a span's two edge columns
+//! (`conv2d_csc_cols`), the columns whose windows reach the padding and the
+//! baseline: the tile is filled only for them, so every tile column they
+//! read must hold its padding zeros or its map column at the right rows.
 
 use hd_tensor::colspan::{ColSpan, SpanDelta};
 use hd_tensor::conv::{conv2d_reference, Conv2dCfg, Padding};
-use hd_tensor::csc_conv::{conv2d_csc, conv2d_sparse_csc, SparseConv};
+use hd_tensor::csc_conv::{conv2d_csc, conv2d_csc_cols, conv2d_sparse_csc, SparseConv};
 use hd_tensor::{Shape3, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -139,5 +144,69 @@ proptest! {
         let want = conv2d_reference(&patched, &weight, bias, &cfg);
         let got = conv2d_csc(&delta, Some(&other), &conv, bias).into_map(Some(&base));
         prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn edge_columns_match_reference_bitwise(
+        seed in 0u64..100_000,
+        c in 1usize..4,
+        k in 1usize..4,
+        half_h in 0usize..6,
+        w in 2usize..20,
+        kr in 1usize..6,
+        ks in 1usize..6,
+        stride in 1usize..4,
+        valid in 0u32..2,
+        with_base in 0u32..2,
+        reversed in 0u32..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Odd heights: the last row vector is never full.
+        let h = 2 * half_h + 1;
+        let padding = if valid == 1 { Padding::Valid } else { Padding::Same };
+        let cfg = Conv2dCfg::new(stride, padding);
+        let mut weight = Tensor4::zeros(k, c, kr, ks);
+        weight.init_he(&mut rng);
+        for v in weight.data_mut().iter_mut() {
+            if rng.gen_range(0u32..100) >= 50 {
+                *v = 0.0;
+            }
+        }
+        let conv = SparseConv::new(&weight, Shape3::new(c, h, w), &cfg);
+        let bias: Vec<f32> = (0..k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let x = random_input(&mut rng, c, h, w, 60);
+        let lo = rng.gen_range(0..w);
+        let span = ColSpan::new(lo, rng.gen_range(lo..w) + 1);
+        let out_span = conv.out_span(span);
+        if out_span.is_empty() {
+            return Some(());
+        }
+        let mut cols = vec![out_span.lo(), out_span.hi() - 1];
+        cols.dedup();
+        if reversed == 1 {
+            cols.reverse();
+        }
+        let other = if with_base == 1 {
+            random_input(&mut rng, c, h, w, 60)
+        } else {
+            Tensor3::zeros(c, h, w)
+        };
+        let base = (with_base == 1).then_some(&other);
+        let want = conv2d_reference(&splice(&x, &other, span), &weight, Some(&bias), &cfg);
+        let got = conv2d_csc_cols(&SpanDelta::of_cols(&x, span), base, &conv, Some(&bias), &cols);
+        prop_assert_eq!(got.span(), out_span);
+        let got = got.cols();
+        for kk in 0..k {
+            for p in 0..want.h() {
+                for (j, q) in out_span.range().enumerate() {
+                    let v = got.at(kk, p, j).to_bits();
+                    if cols.contains(&q) {
+                        prop_assert_eq!(v, want.at(kk, p, q).to_bits(), "k {} row {} column {}", kk, p, q);
+                    } else {
+                        prop_assert_eq!(v, 0, "column {} was not asked for", q);
+                    }
+                }
+            }
+        }
     }
 }
